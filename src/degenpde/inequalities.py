@@ -27,7 +27,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from .coefficients import _sided_monotone
 from .grid import Field, SpaceTimeGrid, assemble_operator
-from .solvers import PotentialModel
+from .solvers import ControlConfig, PotentialModel
 from .weights import (_LOG_TINY, WeightParams, psi, psi_prime, theta, theta_dot,
                       theta_ddot, exp2s_phi)
 
@@ -562,15 +562,6 @@ class CaccioppoliReport:
         }
 
 
-def _interval_indicator(grid: SpaceTimeGrid, lo: float, hi: float) -> np.ndarray:
-    chi = np.zeros(grid.N + 1)
-    x = grid.x
-    chi[(x > lo + 1e-12) & (x < hi - 1e-12)] = 1.0
-    chi[np.isclose(x, lo, rtol=0.0, atol=1e-12)] = 0.5
-    chi[np.isclose(x, hi, rtol=0.0, atol=1e-12)] = 0.5
-    return chi
-
-
 def caccioppoli_check(model, params: WeightParams, grid: SpaceTimeGrid, v: Field,
                       omega_prime: tuple[float, float],
                       omega: tuple[float, float]) -> CaccioppoliReport:
@@ -588,8 +579,8 @@ def caccioppoli_check(model, params: WeightParams, grid: SpaceTimeGrid, v: Field
 
     E = exp2s_phi(params, model, grid.t[:, None], grid.x[None, :])
     v_x = _space_derivative(v.values, grid.h)
-    chi_p = _interval_indicator(grid, lo_p, hi_p)
-    chi = _interval_indicator(grid, lo, hi)
+    chi_p = ControlConfig(lo_p, hi_p).indicator(grid)
+    chi = ControlConfig(lo, hi).indicator(grid)
     sw = grid.space_weights()
     tw = grid.time_weights()
     local = float(tw @ ((v_x ** 2 * E * chi_p[None, :]) @ sw))

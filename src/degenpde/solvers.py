@@ -10,6 +10,17 @@ both with homogeneous Dirichlet conditions.  The adjoint is integrated
 forward in the reversed time tau = T - t, where it is again parabolic.
 Crank-Nicolson (rather than backward Euler) keeps the scheme second order,
 which the identity and estimate checkers rely on.
+
+Each solve builds one propagator.  When c does not depend on time ("zero"
+or "constant") the left-hand side I/dt - A/2 + C/2 never changes, so it is
+factored once with LAPACK ``gttrf`` and each step is one ``gttrs``; with
+sampled c each step solves its own system with ``gtsv``.  These run the
+same partial-pivot elimination, in the same order, that
+``scipy.linalg.solve_banded`` runs for a tridiagonal matrix, and the
+right-hand side keeps its order of operations, so the results match a
+per-step banded solve bit for bit.  The input checks that ``solve_banded``
+made are kept: a non-finite matrix or right-hand side raises ValueError and
+a singular one raises LinAlgError.
 """
 
 from __future__ import annotations
@@ -17,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError, get_lapack_funcs
 
 from .grid import Field, SpaceTimeGrid, assemble_operator, integrate_space
 
@@ -130,38 +141,98 @@ def _check_dirichlet(vec: np.ndarray, name: str) -> np.ndarray:
     return out
 
 
-class _CrankNicolson:
-    """One-dimensional CN stepper on the interior nodes."""
+def _require_finite(arr: np.ndarray):
+    if not np.isfinite(arr).all():
+        raise ValueError("array must not contain infs or NaNs")
 
-    def __init__(self, model, grid: SpaceTimeGrid):
-        self.grid = grid
-        op = assemble_operator(model, grid)
-        self.op = op
-        n = grid.N - 1
-        d, e = op.interior_tridiag()
+
+def _check_info(info: int):
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal LAPACK routine")
+
+
+class _CrankNicolson:
+    """CN propagator for u_t = A u - c u + f on the interior nodes.
+
+    Built once per solve; the module docstring says when the left-hand side
+    is factored once and why the steps match a per-step banded solve.
+    """
+
+    def __init__(self, model, grid: SpaceTimeGrid, potential: PotentialModel):
+        d, e = assemble_operator(model, grid).interior_tridiag()
         self.A_diag = d
         self.A_off = e
-        self.n = n
+        self.dt = grid.dt
+        self.off = -0.5 * e
+        _require_finite(self.off)
+        if potential.time_dependent:
+            self.c = potential.samples.values[:, 1:-1]
+        else:
+            # rows c(t_j) as views of one vector, so the step indexes c alike in both cases
+            self.c = np.broadcast_to(potential.values_at(grid, 0)[1:-1], (grid.M + 1, d.size))
+        self._lu = None
+        # LAPACK's tridiagonal wrappers need n >= 2; one interior node is a division.
+        if potential.time_dependent or d.size == 1:
+            self._gtsv, = get_lapack_funcs(("gtsv",), (d,))
+        else:
+            gttrf, self._gttrs = get_lapack_funcs(("gttrf", "gttrs"), (d,))
+            *self._lu, info = gttrf(self.off, self._lhs_diag(self.c[0]), self.off)
+            _check_info(info)
 
-    def step(self, u: np.ndarray, c_prev: np.ndarray, c_next: np.ndarray,
-             f_prev: np.ndarray, f_next: np.ndarray, dt: float) -> np.ndarray:
-        """Advance interior values one step of u_t = A u - c u + f."""
-        # RHS: (I/dt + A/2 - C_prev/2) u + (f_prev + f_next)/2
+    def _lhs_diag(self, c: np.ndarray) -> np.ndarray:
+        """Diagonal of I/dt - A/2 + C/2, checked before it is factored."""
+        # row sums of |off-diagonals| equal -A_diag/2, so dominance reduces to this
+        if np.any(1.0 / self.dt + 0.5 * c <= 0.0):
+            raise ValueError("Crank-Nicolson system lost diagonal dominance; reduce the time step")
+        diag = 1.0 / self.dt - 0.5 * self.A_diag + 0.5 * c
+        _require_finite(diag)
+        return diag
+
+    def step(self, u: np.ndarray, j_prev: int, j_next: int,
+             f_prev: np.ndarray, f_next: np.ndarray) -> np.ndarray:
+        """Advance interior values from time index j_prev to j_next."""
+        # RHS: (I/dt + A/2 - C_prev/2) u + (f_prev + f_next)/2, in this order of
+        # operations: any other order changes the last bits of the artifacts.
         Au = self.A_diag * u
         Au[:-1] += self.A_off * u[1:]
         Au[1:] += self.A_off * u[:-1]
-        rhs = u / dt + 0.5 * Au - 0.5 * c_prev * u + 0.5 * (f_prev + f_next)
-        # LHS banded matrix (I/dt - A/2 + C_next/2)
-        diag = 1.0 / dt - 0.5 * self.A_diag + 0.5 * c_next
-        off = -0.5 * self.A_off
-        # row sums of |off-diagonals| equal -A_diag/2, so dominance reduces to this
-        if np.any(1.0 / dt + 0.5 * c_next <= 0.0):
-            raise ValueError("Crank-Nicolson system lost diagonal dominance; reduce the time step")
-        ab = np.zeros((3, self.n))
-        ab[0, 1:] = off
-        ab[1] = diag
-        ab[2, :-1] = off
-        return solve_banded((1, 1), ab, rhs)
+        rhs = u / self.dt + 0.5 * Au - 0.5 * self.c[j_prev] * u + 0.5 * (f_prev + f_next)
+        _require_finite(rhs)
+        if self._lu is not None:
+            x, info = self._gttrs(*self._lu, rhs, overwrite_b=True)
+        else:
+            diag = self._lhs_diag(self.c[j_next])
+            if diag.size == 1:
+                return rhs / diag
+            _, _, _, x, info = self._gtsv(self.off, diag, self.off, rhs,
+                                          overwrite_d=True, overwrite_b=True)
+        _check_info(info)
+        return x
+
+
+def _propagate(model, potential: PotentialModel, grid: SpaceTimeGrid, start: np.ndarray,
+               source, backward: bool) -> Field:
+    """Step ``start`` through every time of the grid, from t = T down when backward.
+
+    ``source(j)`` gives the interior source at time index j; None means zero.
+    """
+    stepper = _CrankNicolson(model, grid, potential)
+    times = range(grid.M, -1, -1) if backward else range(grid.M + 1)
+    out = np.zeros((grid.M + 1, grid.N + 1))
+    out[times[0]] = start
+    u = start[1:-1]
+    if source is None:
+        zero = np.zeros(grid.N - 1)
+        source = lambda j: zero
+    f_prev = source(times[0])
+    for j_prev, j_next in zip(times, times[1:]):
+        f_next = source(j_next)
+        u = stepper.step(u, j_prev, j_next, f_prev, f_next)
+        out[j_next, 1:-1] = u
+        f_prev = f_next
+    return Field(grid, out)
 
 
 def solve_forward(model, potential: PotentialModel, grid: SpaceTimeGrid,
@@ -172,24 +243,11 @@ def solve_forward(model, potential: PotentialModel, grid: SpaceTimeGrid,
     With control=None the source h acts on all of (0, 1).
     """
     u0 = _check_dirichlet(np.asarray(u0, dtype=float), "u0")
-    chi = control.indicator(grid) if control is not None else np.ones(grid.N + 1)
-    stepper = _CrankNicolson(model, grid)
-    dt = grid.dt
-    out = np.zeros((grid.M + 1, grid.N + 1))
-    out[0] = u0
-    u = u0[1:-1].copy()
-
-    def source(j):
-        if h is None:
-            return np.zeros(grid.N - 1)
-        return (h.values[j] * chi)[1:-1]
-
-    for j in range(grid.M):
-        c_prev = potential.values_at(grid, j)[1:-1]
-        c_next = potential.values_at(grid, j + 1)[1:-1]
-        u = stepper.step(u, c_prev, c_next, source(j), source(j + 1), dt)
-        out[j + 1, 1:-1] = u
-    return Field(grid, out)
+    source = None
+    if h is not None:
+        chi = control.indicator(grid) if control is not None else np.ones(grid.N + 1)
+        source = lambda j: (h.values[j] * chi)[1:-1]
+    return _propagate(model, potential, grid, u0, source, backward=False)
 
 
 def solve_adjoint(model, potential: PotentialModel, grid: SpaceTimeGrid,
@@ -200,23 +258,8 @@ def solve_adjoint(model, potential: PotentialModel, grid: SpaceTimeGrid,
     the same Crank-Nicolson stepper applies with time indices reversed.
     """
     vT = _check_dirichlet(np.asarray(vT, dtype=float), "vT")
-    stepper = _CrankNicolson(model, grid)
-    dt = grid.dt
-    out = np.zeros((grid.M + 1, grid.N + 1))
-    out[grid.M] = vT
-    v = vT[1:-1].copy()
-
-    def source(j):
-        if h is None:
-            return np.zeros(grid.N - 1)
-        return -h.values[j][1:-1]
-
-    for j in range(grid.M, 0, -1):
-        c_prev = potential.values_at(grid, j)[1:-1]
-        c_next = potential.values_at(grid, j - 1)[1:-1]
-        v = stepper.step(v, c_prev, c_next, source(j), source(j - 1), dt)
-        out[j - 1, 1:-1] = v
-    return Field(grid, out)
+    source = None if h is None else (lambda j: -h.values[j][1:-1])
+    return _propagate(model, potential, grid, vT, source, backward=True)
 
 
 def energy_trace(field: Field, model, grid: SpaceTimeGrid) -> np.ndarray:

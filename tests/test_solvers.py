@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from degenpde import (CoefficientModel, ControlConfig, Field, PotentialModel,
                       SpaceTimeGrid, apply_lambda_shift, energy_trace,
                       solve_adjoint, solve_forward)
-from degenpde.grid import integrate_space
+from degenpde.grid import assemble_operator, integrate_space
 from degenpde.solvers import l2_norm
 
 
@@ -63,6 +64,103 @@ class TestForward:
             solve_forward(m, PotentialModel.constant(-30.0), g, np.zeros(g.N + 1))
 
 
+def banded_reference(model, potential, grid, start, sources, backward):
+    """Per-step CN loop with a validated solve_banded, the reference for the stepper.
+
+    sources[j] is the interior source at time index j.
+    """
+    d, e = assemble_operator(model, grid).interior_tridiag()
+    dt = grid.dt
+    times = list(range(grid.M, -1, -1)) if backward else list(range(grid.M + 1))
+    out = np.zeros((grid.M + 1, grid.N + 1))
+    out[times[0]] = start
+    u = start[1:-1].copy()
+    for j_prev, j_next in zip(times, times[1:]):
+        c_prev = potential.values_at(grid, j_prev)[1:-1]
+        c_next = potential.values_at(grid, j_next)[1:-1]
+        Au = d * u
+        Au[:-1] += e * u[1:]
+        Au[1:] += e * u[:-1]
+        rhs = u / dt + 0.5 * Au - 0.5 * c_prev * u + 0.5 * (sources[j_prev] + sources[j_next])
+        ab = np.zeros((3, d.size))
+        ab[0, 1:] = -0.5 * e
+        ab[1] = 1.0 / dt - 0.5 * d + 0.5 * c_next
+        ab[2, :-1] = -0.5 * e
+        u = solve_banded((1, 1), ab, rhs)
+        out[j_next, 1:-1] = u
+    return out
+
+
+def degenerate_setup(N=60, M=40, x0=0.3):
+    m = CoefficientModel.power_law(0.5, x0)
+    return m, SpaceTimeGrid.create(N, M, 0.3, x0)
+
+
+def potentials(g):
+    c = Field.from_function(g, lambda t, x: 2.0 + np.sin(3 * np.pi * x) * np.cos(5 * t))
+    return {"zero": PotentialModel.zero(), "constant": PotentialModel.constant(0.7),
+            "sampled": PotentialModel.sampled(c)}
+
+
+def dirichlet_noise(rng, g):
+    vec = rng.standard_normal(g.N + 1)
+    vec[0] = vec[-1] = 0.0
+    return vec
+
+
+class TestStepperMatchesBandedSolve:
+    @pytest.mark.parametrize("kind", ["zero", "constant", "sampled"])
+    @pytest.mark.parametrize("N, x0", [(2, 0.5), (60, 0.3)])   # N=2: one interior node
+    def test_forward_with_control_source(self, kind, N, x0):
+        m, g = degenerate_setup(N=N, x0=x0)
+        assert g.N == N
+        pot = potentials(g)[kind]
+        rng = np.random.default_rng(3)
+        u0 = dirichlet_noise(rng, g)
+        h = Field(g, rng.standard_normal((g.M + 1, g.N + 1)))
+        ctrl = ControlConfig(0.2, 0.5)
+        u = solve_forward(m, pot, g, u0, h=h, control=ctrl)
+        sources = (h.values * ctrl.indicator(g))[:, 1:-1]
+        assert np.array_equal(u.values, banded_reference(m, pot, g, u0, sources, False))
+        u = solve_forward(m, pot, g, u0)
+        zero = np.zeros((g.M + 1, g.N - 1))
+        assert np.array_equal(u.values, banded_reference(m, pot, g, u0, zero, False))
+
+    @pytest.mark.parametrize("kind", ["zero", "constant", "sampled"])
+    def test_adjoint_with_source(self, kind):
+        m, g = degenerate_setup()
+        pot = potentials(g)[kind]
+        rng = np.random.default_rng(4)
+        vT = dirichlet_noise(rng, g)
+        h = Field(g, rng.standard_normal((g.M + 1, g.N + 1)))
+        v = solve_adjoint(m, pot, g, vT, h=h)
+        assert np.array_equal(v.values, banded_reference(m, pot, g, vT, -h.values[:, 1:-1], True))
+        v = solve_adjoint(m, pot, g, vT)
+        zero = np.zeros((g.M + 1, g.N - 1))
+        assert np.array_equal(v.values, banded_reference(m, pot, g, vT, zero, True))
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("where", ["u0", "vT", "h", "c"])
+    def test_nan_raises(self, where):
+        m, g = degenerate_setup()
+        rng = np.random.default_rng(5)
+        start = dirichlet_noise(rng, g)
+        h = Field(g, rng.standard_normal((g.M + 1, g.N + 1)))
+        c = potentials(g)["sampled"]
+        if where in ("u0", "vT"):
+            start[g.N // 2] = np.nan
+        elif where == "h":
+            h.values[g.M // 2, g.N // 2] = np.nan
+        else:   # c(T) enters only the left-hand side of the last forward step
+            c.samples.values[g.M, g.N // 2] = np.nan
+        with pytest.raises(ValueError):
+            if where == "vT":
+                solve_adjoint(m, c, g, start, h=h)
+            else:
+                solve_forward(m, c, g, start, h=h)
+
+
 class TestAdjoint:
     def test_heat_mode_accuracy(self):
         m, g = heat_setup()
@@ -90,6 +188,35 @@ class TestAdjoint:
             lhs = integrate_space(u.values[-1] * vT, None, g)
             rhs = integrate_space(u0 * v.values[0], None, g)
             assert abs(lhs - rhs) <= 1e-8 * max(abs(lhs), abs(rhs), 1.0)
+
+    @pytest.mark.parametrize("kind", ["constant", "sampled"])
+    def test_discrete_adjoint_identity_time_dependent(self, kind):
+        # CN conserves <(I/dt^2 - K_j^2/4) u_j, v_j> with K_j = A - C_j exactly.
+        # With c independent of time the weight commutes with the propagator
+        # and the identity reduces to <u(T), vT> = <u0, v(0)>; with sampled c
+        # that plain pairing is only approximate.
+        m = CoefficientModel.power_law(0.5, 0.3)
+        g = SpaceTimeGrid.create(100, 150, 0.4, 0.3)
+        pot = potentials(g)[kind]
+        op = assemble_operator(m, g)
+
+        def pairing(j, u, v):
+            def K(w):
+                return op.apply(w) - pot.values_at(g, j) * w
+            weighted = u / g.dt ** 2 - 0.25 * K(K(u))
+            scale = integrate_space(np.abs(u / g.dt ** 2 * v) + np.abs(0.25 * K(K(u)) * v),
+                                    None, g)
+            return integrate_space(weighted * v, None, g), scale
+
+        rng = np.random.default_rng(8)
+        for _ in range(5):
+            u0 = dirichlet_noise(rng, g)
+            vT = dirichlet_noise(rng, g)
+            u = solve_forward(m, pot, g, u0)
+            v = solve_adjoint(m, pot, g, vT)
+            lhs, scale_T = pairing(g.M, u.values[-1], vT)
+            rhs, scale_0 = pairing(0, u0, v.values[0])
+            assert abs(lhs - rhs) <= 1e-13 * max(scale_T, scale_0)
 
 
 class TestEnergyTrace:
