@@ -7,7 +7,6 @@ values of a, which keeps every coefficient positive and never touches a'.
 
 from __future__ import annotations
 
-import csv
 import io
 from dataclasses import dataclass, field
 
@@ -117,13 +116,18 @@ class Field:
                     and np.all(np.abs(self.values[:, -1]) <= tol))
 
     def to_csv(self) -> str:
-        """Serialize as RFC-4180 CSV with header t,x,value."""
+        """Serialize as RFC-4180 CSV with header t,x,value.
+
+        Every field is a ``.17g`` number, which never needs quoting, so rows are
+        joined directly rather than through ``csv.writer``.
+        """
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["t", "x", "value"])
-        for j, t in enumerate(self.grid.t):
-            for i, x in enumerate(self.grid.x):
-                writer.writerow([f"{t:.17g}", f"{x:.17g}", f"{self.values[j, i]:.17g}"])
+        buf.write("t,x,value\n")
+        xs = [f"{x:.17g}" for x in self.grid.x.tolist()]
+        for j, t in enumerate(self.grid.t.tolist()):
+            ts = f"{t:.17g}"
+            row = self.values[j].tolist()
+            buf.write("".join([f"{ts},{x},{v:.17g}\n" for x, v in zip(xs, row)]))
         return buf.getvalue()
 
 

@@ -11,16 +11,24 @@ forward in the reversed time tau = T - t, where it is again parabolic.
 Crank-Nicolson (rather than backward Euler) keeps the scheme second order,
 which the identity and estimate checkers rely on.
 
-Each solve builds one propagator.  When c does not depend on time ("zero"
-or "constant") the left-hand side I/dt - A/2 + C/2 never changes, so it is
-factored once with LAPACK ``gttrf`` and each step is one ``gttrs``; with
-sampled c each step solves its own system with ``gtsv``.  These run the
-same partial-pivot elimination, in the same order, that
-``scipy.linalg.solve_banded`` runs for a tridiagonal matrix, and the
-right-hand side keeps its order of operations, so the results match a
-per-step banded solve bit for bit.  The input checks that ``solve_banded``
-made are kept: a non-finite matrix or right-hand side raises ValueError and
-a singular one raises LinAlgError.
+Each solve assembles the operator once and validates every left-hand side
+I/dt - A/2 + C/2 up front with reductions over c: its minimum decides
+diagonal dominance and its per-node maximum decides overflow, so no
+(M+1) x (N-1) temporary is built.  When c does not depend on time ("zero"
+or "constant") the left-hand side never changes, so it is factored once
+with LAPACK ``gttrf`` and each step is one ``gttrs``; with sampled c each
+step solves its own system with ``gtsv``.  These run the same partial-pivot
+elimination, in the same order, that ``scipy.linalg.solve_banded`` runs for
+a tridiagonal matrix.  Each step builds its right-hand side in the output
+row it solves into, using a few preallocated length-(N-1) buffers, in the
+order of operations of a per-step banded solve, so the results match one
+bit for bit: halving is exact, so A/2 and c/2 are precomputed (the
+products agree unless one leaves the normal floating-point range); a + b
+== b + a; and a missing source adds nothing, since the zero source's
+(0 + 0)/2 = +0.0 could only have changed a -0.0, which the sum before it
+never is.  A non-finite matrix or right-hand side
+raises ValueError and a singular one raises LinAlgError, as in
+``solve_banded``.
 """
 
 from __future__ import annotations
@@ -153,85 +161,80 @@ def _check_info(info: int):
         raise ValueError(f"illegal value in {-info}-th argument of internal LAPACK routine")
 
 
-class _CrankNicolson:
-    """CN propagator for u_t = A u - c u + f on the interior nodes.
-
-    Built once per solve; the module docstring says when the left-hand side
-    is factored once and why the steps match a per-step banded solve.
-    """
-
-    def __init__(self, model, grid: SpaceTimeGrid, potential: PotentialModel):
-        d, e = assemble_operator(model, grid).interior_tridiag()
-        self.A_diag = d
-        self.A_off = e
-        self.dt = grid.dt
-        self.off = -0.5 * e
-        _require_finite(self.off)
-        if potential.time_dependent:
-            self.c = potential.samples.values[:, 1:-1]
-        else:
-            # rows c(t_j) as views of one vector, so the step indexes c alike in both cases
-            self.c = np.broadcast_to(potential.values_at(grid, 0)[1:-1], (grid.M + 1, d.size))
-        self._lu = None
-        # LAPACK's tridiagonal wrappers need n >= 2; one interior node is a division.
-        if potential.time_dependent or d.size == 1:
-            self._gtsv, = get_lapack_funcs(("gtsv",), (d,))
-        else:
-            gttrf, self._gttrs = get_lapack_funcs(("gttrf", "gttrs"), (d,))
-            *self._lu, info = gttrf(self.off, self._lhs_diag(self.c[0]), self.off)
-            _check_info(info)
-
-    def _lhs_diag(self, c: np.ndarray) -> np.ndarray:
-        """Diagonal of I/dt - A/2 + C/2, checked before it is factored."""
-        # row sums of |off-diagonals| equal -A_diag/2, so dominance reduces to this
-        if np.any(1.0 / self.dt + 0.5 * c <= 0.0):
-            raise ValueError("Crank-Nicolson system lost diagonal dominance; reduce the time step")
-        diag = 1.0 / self.dt - 0.5 * self.A_diag + 0.5 * c
-        _require_finite(diag)
-        return diag
-
-    def step(self, u: np.ndarray, j_prev: int, j_next: int,
-             f_prev: np.ndarray, f_next: np.ndarray) -> np.ndarray:
-        """Advance interior values from time index j_prev to j_next."""
-        # RHS: (I/dt + A/2 - C_prev/2) u + (f_prev + f_next)/2, in this order of
-        # operations: any other order changes the last bits of the artifacts.
-        Au = self.A_diag * u
-        Au[:-1] += self.A_off * u[1:]
-        Au[1:] += self.A_off * u[:-1]
-        rhs = u / self.dt + 0.5 * Au - 0.5 * self.c[j_prev] * u + 0.5 * (f_prev + f_next)
-        _require_finite(rhs)
-        if self._lu is not None:
-            x, info = self._gttrs(*self._lu, rhs, overwrite_b=True)
-        else:
-            diag = self._lhs_diag(self.c[j_next])
-            if diag.size == 1:
-                return rhs / diag
-            _, _, _, x, info = self._gtsv(self.off, diag, self.off, rhs,
-                                          overwrite_d=True, overwrite_b=True)
-        _check_info(info)
-        return x
-
-
 def _propagate(model, potential: PotentialModel, grid: SpaceTimeGrid, start: np.ndarray,
                source, backward: bool) -> Field:
     """Step ``start`` through every time of the grid, from t = T down when backward.
 
-    ``source(j)`` gives the interior source at time index j; None means zero.
+    Crank-Nicolson for u_t = A u - c u + f on the interior nodes.  ``source(j, out)``
+    writes the interior source at time index j into ``out``; None means zero.
     """
-    stepper = _CrankNicolson(model, grid, potential)
+    d, e = assemble_operator(model, grid).interior_tridiag()
+    n, dt = d.size, grid.dt
+    half_d, half_e = 0.5 * d, 0.5 * e
+    off = -half_e
+    _require_finite(off)
+    base = 1.0 / dt - half_d                     # LHS diagonal without its c/2 term
     times = range(grid.M, -1, -1) if backward else range(grid.M + 1)
+    sampled = potential.time_dependent
+    if sampled:
+        c = potential.samples.values[:, 1:-1]
+        lhs_c = c[:-1] if backward else c[1:]    # the rows c(t_next) that enter a LHS
+    else:
+        c = lhs_c = potential.values_at(grid, 0)[None, 1:-1]
+    _require_finite(c)
+    # Row sums of |off-diagonals| equal -d/2, so the LHS I/dt - A/2 + C/2 is diagonally
+    # dominant iff 1/dt + c/2 > 0 on every node; a rounded sum is <= 0 iff the exact one is.
+    if 0.5 * lhs_c.min() <= -(1.0 / dt):
+        raise ValueError("Crank-Nicolson system lost diagonal dominance; reduce the time step")
+    # base + c/2 grows with c, so the largest c of each node decides overflow
+    _require_finite(base + 0.5 * lhs_c.max(axis=0))
+
+    half_c = 0.5 * c[times[0] if sampled else 0]    # c/2 at the previous time, for the RHS
+    diag = base + half_c                  # the LHS diagonal; with sampled c, refilled each step
+    gttrf, gttrs, gtsv = get_lapack_funcs(("gttrf", "gttrs", "gtsv"), (d,))
+    # LAPACK's tridiagonal wrappers need n >= 2; one interior node is a division.
+    factored = not sampled and n > 1
+    if factored:
+        *lu, info = gttrf(off, diag, off)
+        _check_info(info)
+
     out = np.zeros((grid.M + 1, grid.N + 1))
     out[times[0]] = start
-    u = start[1:-1]
-    if source is None:
-        zero = np.zeros(grid.N - 1)
-        source = lambda j: zero
-    f_prev = source(times[0])
+    u = out[times[0], 1:-1]
+    tmp = np.empty(n)
+    if source is not None:
+        f_prev, f_next = np.empty(n), np.empty(n)
+        source(times[0], f_prev)
     for j_prev, j_next in zip(times, times[1:]):
-        f_next = source(j_next)
-        u = stepper.step(u, j_prev, j_next, f_prev, f_next)
-        out[j_next, 1:-1] = u
-        f_prev = f_next
+        # RHS (I/dt + A/2 - C_prev/2) u + (f_prev + f_next)/2, built in the row it solves
+        # into, in the order ((A u/2 + u/dt) - (c_prev/2) u) + (f_prev + f_next)/2: any
+        # other order changes the last bits of the artifacts.
+        rhs = out[j_next, 1:-1]
+        np.multiply(half_d, u, out=rhs)
+        rhs[:-1] += np.multiply(half_e, u[1:], out=tmp[:-1])
+        rhs[1:] += np.multiply(half_e, u[:-1], out=tmp[:-1])
+        rhs += np.divide(u, dt, out=tmp)
+        rhs -= np.multiply(half_c, u, out=tmp)
+        # A zero source's +0.0 could only change a -0.0, and this sum never is -0.0:
+        # d < 0, so (d/2) u_i and u_i/dt never are both -0.0.
+        if source is not None:
+            source(j_next, f_next)
+            rhs += np.multiply(np.add(f_prev, f_next, out=tmp), 0.5, out=tmp)
+            f_prev, f_next = f_next, f_prev
+        _require_finite(rhs)
+        if sampled:
+            np.multiply(c[j_next], 0.5, out=half_c)
+            np.add(half_c, base, out=diag)
+        # f2py solves a contiguous float64 right-hand side in place under overwrite_b
+        if factored:
+            _, info = gttrs(*lu, rhs, overwrite_b=True)
+            _check_info(info)
+        elif n == 1:
+            rhs /= diag
+        else:
+            *_, info = gtsv(off, diag, off, rhs, overwrite_d=True, overwrite_b=True)
+            _check_info(info)
+        u = rhs
     return Field(grid, out)
 
 
@@ -245,8 +248,8 @@ def solve_forward(model, potential: PotentialModel, grid: SpaceTimeGrid,
     u0 = _check_dirichlet(np.asarray(u0, dtype=float), "u0")
     source = None
     if h is not None:
-        chi = control.indicator(grid) if control is not None else np.ones(grid.N + 1)
-        source = lambda j: (h.values[j] * chi)[1:-1]
+        chi = control.indicator(grid)[1:-1] if control is not None else np.ones(grid.N - 1)
+        source = lambda j, out: np.multiply(h.values[j, 1:-1], chi, out=out)
     return _propagate(model, potential, grid, u0, source, backward=False)
 
 
@@ -258,7 +261,7 @@ def solve_adjoint(model, potential: PotentialModel, grid: SpaceTimeGrid,
     the same Crank-Nicolson stepper applies with time indices reversed.
     """
     vT = _check_dirichlet(np.asarray(vT, dtype=float), "vT")
-    source = None if h is None else (lambda j: -h.values[j][1:-1])
+    source = None if h is None else (lambda j, out: np.negative(h.values[j, 1:-1], out=out))
     return _propagate(model, potential, grid, vT, source, backward=True)
 
 

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -134,3 +137,16 @@ class TestField:
         assert len(lines) == 1 + (g.M + 1) * (g.N + 1)
         t, x, v = lines[7].split(",")
         assert float(t) + float(x) == pytest.approx(float(v), rel=1e-15)
+
+    def test_csv_matches_csv_writer(self):
+        g = SpaceTimeGrid.create(6, 3, 1.0, 0.5)
+        f = Field.from_function(g, lambda t, x: np.sin(7 * x) * np.exp(t))
+        f.values[0, :6] = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300]
+        f.values[1, :3] = [-1e-300, -1e300, 2.2250738585072014e-308]
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["t", "x", "value"])
+        for j, t in enumerate(g.t):
+            for i, x in enumerate(g.x):
+                writer.writerow([f"{t:.17g}", f"{x:.17g}", f"{f.values[j, i]:.17g}"])
+        assert f.to_csv() == buf.getvalue()

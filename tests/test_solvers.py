@@ -139,6 +139,69 @@ class TestStepperMatchesBandedSolve:
         zero = np.zeros((g.M + 1, g.N - 1))
         assert np.array_equal(v.values, banded_reference(m, pot, g, vT, zero, True))
 
+    @pytest.mark.parametrize("backward", [False, True])
+    def test_signed_zeros_without_source(self, backward):
+        # no source adds nothing to the RHS, where the reference adds (0 + 0)/2 = +0.0
+        m, g = degenerate_setup()
+        rng = np.random.default_rng(11)
+        c = Field(g, rng.uniform(-1.0, 1.0, (g.M + 1, g.N + 1)))
+        c.values[::2, ::3] = -0.0
+        start = np.zeros(g.N + 1)
+        start[1:-1:2] = -0.0
+        zero = np.zeros((g.M + 1, g.N - 1))
+        for pot in (PotentialModel.zero(), PotentialModel.sampled(c)):
+            field = (solve_adjoint if backward else solve_forward)(m, pot, g, start)
+            ref = banded_reference(m, pot, g, start, zero, backward)
+            assert np.array_equal(np.signbit(field.values), np.signbit(ref))
+            assert np.array_equal(field.values, ref)
+
+
+class TestLeftHandSideChecks:
+    @pytest.mark.parametrize("backward", [False, True])
+    def test_dominance_checked_on_last_lhs_row(self, backward):
+        # forward steps end on the LHS of time index M, adjoint steps on that of index 0
+        m, g = degenerate_setup()
+        c = potentials(g)["sampled"]
+        c.samples.values[0 if backward else g.M, g.N // 2] = -2.5 / g.dt
+        start = dirichlet_noise(np.random.default_rng(9), g)
+        with pytest.raises(ValueError, match="dominance"):
+            (solve_adjoint if backward else solve_forward)(m, c, g, start)
+
+    @pytest.mark.parametrize("backward", [False, True])
+    def test_rhs_only_row_not_held_to_dominance(self, backward):
+        # c at the starting time enters only a right-hand side, never a LHS
+        m, g = degenerate_setup()
+        c = potentials(g)["sampled"]
+        c.samples.values[g.M if backward else 0, g.N // 2] = -2.5 / g.dt
+        start = dirichlet_noise(np.random.default_rng(9), g)
+        field = (solve_adjoint if backward else solve_forward)(m, c, g, start)
+        zero = np.zeros((g.M + 1, g.N - 1))
+        assert np.array_equal(field.values, banded_reference(m, c, g, start, zero, backward))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_lhs_diagonal_overflow_raises(self):
+        # 1/dt ~ 1e308, so 1/dt - A/2 + c/2 overflows for a c that is itself finite
+        m = CoefficientModel.power_law(0.5, 0.3)
+        g = SpaceTimeGrid.create(20, 10, 1e-307, 0.3)
+        c = Field.zeros(g)
+        u0 = np.zeros(g.N + 1)
+        solve_forward(m, PotentialModel.sampled(c), g, u0)
+        c.values[g.M // 2, g.N // 2] = 1.7e308
+        with pytest.raises(ValueError):
+            solve_forward(m, PotentialModel.sampled(c), g, u0)
+
+    @pytest.mark.parametrize("kind", ["zero", "sampled"])
+    def test_repeated_solves_identical(self, kind):
+        m, g = degenerate_setup()
+        pot = potentials(g)[kind]
+        rng = np.random.default_rng(10)
+        u0 = dirichlet_noise(rng, g)
+        h = Field(g, rng.standard_normal((g.M + 1, g.N + 1)))
+        ctrl = ControlConfig(0.2, 0.5)
+        first = solve_forward(m, pot, g, u0, h=h, control=ctrl)
+        second = solve_forward(m, pot, g, u0, h=h, control=ctrl)
+        assert np.array_equal(first.values, second.values)
+
 
 class TestNonFiniteInput:
     @pytest.mark.parametrize("where", ["u0", "vT", "h", "c"])
