@@ -60,9 +60,12 @@ DEFAULT_CONFIG = {
     "run": {"seed": 0, "out_dir": "reports", "format": "csv"},
 }
 
+# The default omega=(0.2, 0.5) excludes x0=0.5; omega=(0.3, 0.6) contains it
+# and still holds caccioppoli's omega'=(0.35, 0.45), which stays away from x0.
+_PRESET_SECTIONS = {0.3: {}, 0.5: {"control": {"omega_lo": 0.3, "omega_hi": 0.6}}}
 PRESETS = {
-    f"alpha{a}-x{x}": {"coefficient": {"alpha": a, "x0": x}}
-    for a in (0.5, 1.0, 1.5) for x in (0.3, 0.5)
+    f"alpha{a}-x{x}": {"coefficient": {"alpha": a, "x0": x}, **sections}
+    for a in (0.5, 1.0, 1.5) for x, sections in _PRESET_SECTIONS.items()
 }
 
 SUBCOMMANDS = ("check-coeff", "hp", "carleman-identity", "carleman-scan",
@@ -173,10 +176,20 @@ def validate_config(config: dict):
                         strict_lo=True, strict_hi=True)
     else:
         _require_number(config, "coefficient.constant_value", lo=0.0, strict_lo=True)
-    for key in ("grid.N", "grid.M"):
+    for key in ("grid.N", "grid.M", "hp.N"):
         if _require_number(config, key, lo=2) != int(_require_number(config, key)):
             raise ConfigError(key, "an integer is required")
     _require_number(config, "grid.T", lo=0.0, strict_lo=True)
+    x0 = config["coefficient"]["x0"]
+    for key in ("grid.N", "hp.N"):
+        N = int(_require_number(config, key))
+        try:
+            snapped = SpaceTimeGrid.create(N, 1, 1.0, x0).N
+        except ValueError as exc:
+            raise ConfigError("coefficient.x0", str(exc))
+        if snapped != N:
+            print(f"warning: {key}={N} becomes N={snapped} so that x0={x0} "
+                  "lies on a grid node", file=sys.stderr)
     _require_number(config, "hp.q", lo=1.0, hi=2.0, strict_lo=True, strict_hi=True)
     lo = _require_number(config, "control.omega_lo", lo=0.0, hi=1.0)
     hi = _require_number(config, "control.omega_hi", lo=0.0, hi=1.0)
@@ -273,6 +286,20 @@ def verdict(name: str, ok: bool, value, threshold) -> dict:
             "threshold": None if threshold is None else float(threshold)}
 
 
+def _refinement_pair(config: dict, T=None) -> list:
+    """The coarse grid (grid.N, grid.M) and the fine grid with both doubled."""
+    g = config["grid"]
+    return [build_grid(config, N=g["N"] * level, M=g["M"] * level, T=T)
+            for level in (1, 2)]
+
+
+def _relative_change(coarse: float, fine: float) -> float:
+    """|fine - coarse| / coarse; inf unless coarse is finite and positive."""
+    if np.isfinite(coarse) and coarse > 0.0:
+        return abs(fine - coarse) / coarse
+    return np.inf
+
+
 # ---------------------------------------------------------------------------
 # subcommand implementations; each returns verdicts plus csv rows
 # ---------------------------------------------------------------------------
@@ -314,7 +341,7 @@ def run_hp(config: dict, out_dir: Path) -> list:
                        battery_size=int(c["battery_size"]), seed=seed)
     fine = hp_verify(weight, SpaceTimeGrid.create(2 * N, 1, 1.0, x0),
                      battery_size=int(c["battery_size"]), seed=seed)
-    change = abs(fine.rayleigh_estimate - coarse.rayleigh_estimate) / coarse.rayleigh_estimate
+    change = _relative_change(coarse.rayleigh_estimate, fine.rayleigh_estimate)
     verdicts = [
         verdict("rayleigh_below_bound",
                 coarse.rayleigh_estimate <= coarse.paper_bound * 1.05,
@@ -345,9 +372,7 @@ def run_carleman_identity(config: dict, out_dir: Path) -> list:
     rows = []
     for s in c["s_values"]:
         residuals = []
-        for level in (1, 2):
-            grid = build_grid(config, N=config["grid"]["N"] * level,
-                              M=config["grid"]["M"] * level)
+        for grid in _refinement_pair(config):
             params = build_weight_params(config, model, T, s)
             w = Field.from_function(grid, _identity_profile(T, model.x0))
             rep = carleman_identity_check(model, params, grid, w)
@@ -377,9 +402,7 @@ def run_carleman_scan(config: dict, out_dir: Path) -> list:
     s_values = default_s_values(int(c["n_s"]), c["s_start"], c["s_ratio"])
     reports = []
     rows = []
-    for level in (1, 2):
-        grid = build_grid(config, N=config["grid"]["N"] * level,
-                          M=config["grid"]["M"] * level, T=T)
+    for grid in _refinement_pair(config, T):
         params = build_weight_params(config, model, T, s_values[0])
         v, h = manufactured_adjoint_pair(model, potential, grid,
                                          _scan_profile(T, model.x0))
@@ -390,8 +413,7 @@ def run_carleman_scan(config: dict, out_dir: Path) -> list:
             rows.append([rep.grid_N, rep.s_values[k], rep.lhs[k], rep.rhs_source[k],
                          rep.rhs_boundary[k], rep.ratios[k]])
     coarse, fine = reports
-    change = (abs(fine.fitted_C - coarse.fitted_C) / coarse.fitted_C
-              if np.isfinite(coarse.fitted_C) and coarse.fitted_C > 0.0 else np.inf)
+    change = _relative_change(coarse.fitted_C, fine.fitted_C)
     tail = coarse.ratios[coarse.s_values >= coarse.s0_observed]
     nonincreasing = bool(np.all(tail[1:] <= tail[:-1] * (1.0 + c["window_tol"])))
     verdicts = [
@@ -416,9 +438,7 @@ def run_caccioppoli(config: dict, out_dir: Path) -> list:
     omega = (config["control"]["omega_lo"], config["control"]["omega_hi"])
     ratios = {}
     rows = []
-    for level in (1, 2):
-        grid = build_grid(config, N=config["grid"]["N"] * level,
-                          M=config["grid"]["M"] * level, T=T)
+    for grid in _refinement_pair(config, T):
         op = assemble_operator(model, grid)
         _, modes = dirichlet_eigenmodes(op, 1)
         v = solve_adjoint(model, potential, grid, modes[0])
@@ -456,9 +476,7 @@ def run_observability(config: dict, out_dir: Path) -> list:
     seed = int(config["run"]["seed"])
     reports = []
     rows = []
-    for level in (1, 2):
-        grid = build_grid(config, N=config["grid"]["N"] * level,
-                          M=config["grid"]["M"] * level, T=c["T"])
+    for grid in _refinement_pair(config, c["T"]):
         rep = estimate_observability(model, potential, grid, control,
                                      n_modes=int(c["n_modes"]),
                                      n_random=int(c["n_random"]),
@@ -467,8 +485,7 @@ def run_observability(config: dict, out_dir: Path) -> list:
         for desc, ratio in rep.samples:
             rows.append([rep.grid_N, desc, ratio])
     coarse, fine = reports
-    change = (abs(fine.C_T_estimate - coarse.C_T_estimate) / coarse.C_T_estimate
-              if coarse.C_T_estimate > 0.0 else np.inf)
+    change = _relative_change(coarse.C_T_estimate, fine.C_T_estimate)
     verdicts = [
         verdict("observability_finite_positive",
                 np.isfinite(coarse.C_T_estimate) and coarse.C_T_estimate > 0.0,

@@ -19,7 +19,6 @@ __all__ = [
     "CoefficientModel",
     "HypothesisReport",
     "check_hypotheses",
-    "integrability_trend",
 ]
 
 
@@ -172,19 +171,6 @@ class HypothesisReport:
         return (self.slack_ok and self.gamma_monotone_ok
                 and self.theta_monotone_ok and self.degenerate_at_x0)
 
-    def to_dict(self) -> dict:
-        return {
-            "degeneracy_class": self.degeneracy_class.value,
-            "slack_max": self.slack_max,
-            "slack_tol": self.slack_tol,
-            "slack_ok": self.slack_ok,
-            "gamma_monotone_ok": self.gamma_monotone_ok,
-            "theta_monotone_ok": self.theta_monotone_ok,
-            "theta_failure_interval": self.theta_failure_interval,
-            "degenerate_at_x0": self.degenerate_at_x0,
-            "all_ok": self.all_ok,
-        }
-
 
 def _sided_monotone(x: np.ndarray, vals: np.ndarray, x0: float, tol: float):
     """Check nonincreasing left of x0 / nondecreasing right of x0.
@@ -254,24 +240,3 @@ def check_hypotheses(model: CoefficientModel, grid, slack_tol: float | None = No
         theta_failure_interval=theta_fail,
         degenerate_at_x0=degenerate_at_x0,
     )
-
-
-def integrability_trend(model: CoefficientModel, deltas, power: float = 1.0, n: int = 4000):
-    """Quadrature of a^(-power) over [0,1] minus a shrinking window around x0.
-
-    Returns the array of integral values for each excluded half-width delta.
-    Growth without bound as delta -> 0 diagnoses non-integrability (1/a for
-    K >= 1); a bounded trend diagnoses integrability (1/sqrt(a) for K < 2).
-    """
-    out = []
-    for delta in deltas:
-        lo = np.linspace(0.0, max(model.x0 - delta, 0.0), n)
-        hi = np.linspace(min(model.x0 + delta, 1.0), 1.0, n)
-        total = 0.0
-        for seg in (lo, hi):
-            if seg[-1] - seg[0] <= 0:
-                continue
-            vals = model.eval_a(seg) ** (-power)
-            total += np.trapezoid(vals, seg)
-        out.append(total)
-    return np.asarray(out)

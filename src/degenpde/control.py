@@ -26,7 +26,6 @@ __all__ = [
     "ControlSolution",
     "estimate_observability",
     "synthesize_null_control",
-    "verify_duality_gap",
 ]
 
 
@@ -36,22 +35,6 @@ class ObservabilityReport:
     C_T_estimate: float
     violation: bool        # ||v(0)|| > 0 with zero observation (must not occur)
     grid_N: int
-    grid_M: int
-    T: float
-    omega: tuple[float, float]
-    potential_sup_norm: float
-
-    def to_dict(self) -> dict:
-        return {
-            "samples": [{"descriptor": d, "ratio": r} for d, r in self.samples],
-            "C_T_estimate": self.C_T_estimate,
-            "violation": self.violation,
-            "grid_N": self.grid_N,
-            "grid_M": self.grid_M,
-            "T": self.T,
-            "omega": list(self.omega),
-            "potential_sup_norm": self.potential_sup_norm,
-        }
 
 
 @dataclass
@@ -64,17 +47,6 @@ class ControlSolution:
     residual_history: np.ndarray = field(repr=False)
     J_history: np.ndarray = field(repr=False)
     converged: bool = True
-
-    def to_dict(self) -> dict:
-        return {
-            "terminal_norm": self.terminal_norm,
-            "initial_norm": self.initial_norm,
-            "cost": self.cost,
-            "cg_iterations": self.cg_iterations,
-            "residual_history": self.residual_history.tolist(),
-            "J_history": self.J_history.tolist(),
-            "converged": self.converged,
-        }
 
 
 def _observation_ratio(model, potential, grid, control, vT, chi):
@@ -148,20 +120,18 @@ def estimate_observability(model, potential: PotentialModel, grid: SpaceTimeGrid
 
     C_T = max((r for _, r in samples), default=0.0)
     return ObservabilityReport(samples=samples, C_T_estimate=float(C_T),
-                               violation=violation, grid_N=grid.N, grid_M=grid.M,
-                               T=grid.T, omega=(control.omega_lo, control.omega_hi),
-                               potential_sup_norm=potential.sup_norm)
+                               violation=violation, grid_N=grid.N)
 
 
 def _hum_operator(model, potential, grid, control, chi, z):
     """Lambda z = u(T) of the forward problem driven by h = v chi_omega, u(0)=0,
-    where v is the adjoint solution with terminal datum z.  Returns (Lambda z, v)."""
+    where v is the adjoint solution with terminal datum z.  Returns (Lambda z, h)."""
     v = solve_adjoint(model, potential, grid, z)
     h = Field(grid, v.values * chi[None, :])
     u = solve_forward(model, potential, grid, np.zeros(grid.N + 1), h=h)
     uT = u.values[-1].copy()
     uT[0] = uT[-1] = 0.0
-    return uT, v, h
+    return uT, h
 
 
 def synthesize_null_control(model, potential: PotentialModel, grid: SpaceTimeGrid,
@@ -218,7 +188,7 @@ def synthesize_null_control(model, potential: PotentialModel, grid: SpaceTimeGri
             rel_drop = abs(J_hist[-2] - J_hist[-1]) / max(abs(J_hist[-2]), 1e-300)
             if rel_drop < 1e-10:
                 break
-        Ap, _, _ = _hum_operator(model, potential, grid, control, chi, p)
+        Ap, _ = _hum_operator(model, potential, grid, control, chi, p)
         Ap = Ap + eps * p
         pAp = dot(p, Ap)
         if pAp <= 0.0:
@@ -231,7 +201,7 @@ def synthesize_null_control(model, potential: PotentialModel, grid: SpaceTimeGri
         rr = rr_new
         iterations = it + 1
 
-    _, v, h_field = _hum_operator(model, potential, grid, control, chi, z)
+    _, h_field = _hum_operator(model, potential, grid, control, chi, z)
     u = solve_forward(model, potential, grid, u0, h=h_field)
     terminal_norm = l2_norm(u.values[-1], grid)
     cost = integrate_spacetime(h_field.values ** 2, grid)
@@ -241,11 +211,3 @@ def synthesize_null_control(model, potential: PotentialModel, grid: SpaceTimeGri
                            residual_history=np.asarray(res_hist),
                            J_history=np.asarray(J_hist),
                            converged=converged and terminal_norm <= tol * initial_norm)
-
-
-def verify_duality_gap(solution: ControlSolution, report: ObservabilityReport) -> float:
-    """cost / (C_T * ||u0||^2); values much larger than 1 flag inconsistency
-    between the control synthesis and the observability estimate."""
-    if solution.initial_norm == 0.0:
-        return 0.0
-    return solution.cost / (report.C_T_estimate * solution.initial_norm ** 2)

@@ -145,9 +145,10 @@ class TridiagonalOperator:
     a_mid: np.ndarray   # a at midpoints, length N
 
     def apply(self, u: np.ndarray) -> np.ndarray:
+        """A u for a node vector, or for each row of a (rows, N+1) block."""
         out = self.diag * u
-        out[:-1] += self.upper * u[1:]
-        out[1:] += self.lower * u[:-1]
+        out[..., :-1] += self.upper * u[..., 1:]
+        out[..., 1:] += self.lower * u[..., :-1]
         return out
 
     def interior_tridiag(self):

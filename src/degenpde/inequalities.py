@@ -7,7 +7,8 @@ Four checkers live here:
   for degenerate weights p, via a random test battery and the sharp discrete
   constant from a generalized eigenvalue problem.
 * ``carleman_identity_check`` -- the exact decomposition of <L+ w, L- w>
-  into distributed and boundary terms for the conjugated operators.
+  into distributed terms and the boundary terms at x = 0, 1 for the
+  conjugated operators (those at t = 0, T vanish for admissible w).
 * ``carleman_scan`` -- the weighted energy estimate with the e^{2 s phi}
   weight, swept over the large parameter s.
 * ``caccioppoli_check`` -- the local-energy (Caccioppoli) inequality on an
@@ -89,25 +90,11 @@ class HardyWeight:
 
 @dataclass(frozen=True)
 class HPReport:
-    q: float
     paper_bound: float
     rayleigh_estimate: float
     battery_max_ratio: float
     battery_ratios: np.ndarray = field(repr=False)
     grid_N: int = 0
-    battery_size: int = 0
-    seed: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "paper_bound": self.paper_bound,
-            "rayleigh_estimate": self.rayleigh_estimate,
-            "battery_max_ratio": self.battery_max_ratio,
-            "grid_N": self.grid_N,
-            "battery_size": self.battery_size,
-            "seed": self.seed,
-        }
 
 
 def _power_fit_integral(p_lo, p_hi, r_lo, r_hi, q_fallback, shift):
@@ -215,14 +202,11 @@ def hp_verify(weight: HardyWeight, grid: SpaceTimeGrid,
         ratios.append(0.0 if den == 0.0 else num / den)
     ratios = np.asarray(ratios)
     return HPReport(
-        q=weight.q,
         paper_bound=weight.paper_bound(),
         rayleigh_estimate=float(rayleigh),
         battery_max_ratio=float(np.max(ratios)) if ratios.size else 0.0,
         battery_ratios=ratios,
         grid_N=grid.N,
-        battery_size=battery_size,
-        seed=seed,
     )
 
 
@@ -230,28 +214,21 @@ def hp_verify(weight: HardyWeight, grid: SpaceTimeGrid,
 # shared discrete derivative helpers
 # ---------------------------------------------------------------------------
 
-def _space_derivative(values: np.ndarray, h: float) -> np.ndarray:
-    """Nodal d/dx of each row: centered interior, one-sided 2nd order at ends."""
+def _derivative(values: np.ndarray, step: float, axis: int) -> np.ndarray:
+    """Nodal derivative along ``axis`` (1: d/dx, 0: d/dt): centered interior,
+    one-sided 2nd order at the ends."""
+    v = np.moveaxis(values, axis, 0)
     out = np.empty_like(values)
-    out[:, 1:-1] = (values[:, 2:] - values[:, :-2]) / (2.0 * h)
-    out[:, 0] = (-3.0 * values[:, 0] + 4.0 * values[:, 1] - values[:, 2]) / (2.0 * h)
-    out[:, -1] = (3.0 * values[:, -1] - 4.0 * values[:, -2] + values[:, -3]) / (2.0 * h)
-    return out
-
-
-def _time_derivative(values: np.ndarray, dt: float) -> np.ndarray:
-    out = np.empty_like(values)
-    out[1:-1] = (values[2:] - values[:-2]) / (2.0 * dt)
-    out[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * dt)
-    out[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * dt)
+    o = np.moveaxis(out, axis, 0)          # a view: writing o fills out
+    o[1:-1] = (v[2:] - v[:-2]) / (2.0 * step)
+    o[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * step)
+    o[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * step)
     return out
 
 
 def _div_a_grad(op, values: np.ndarray) -> np.ndarray:
     """(a w_x)_x at all nodes; boundary rows by quadratic extrapolation."""
-    out = np.empty_like(values)
-    for j in range(values.shape[0]):
-        out[j] = op.apply(values[j])
+    out = op.apply(values)
     out[:, 0] = 3.0 * out[:, 1] - 3.0 * out[:, 2] + out[:, 3]
     out[:, -1] = 3.0 * out[:, -2] - 3.0 * out[:, -3] + out[:, -4]
     return out
@@ -277,21 +254,8 @@ class IdentityReport:
     residual: float
     distributed_terms: dict
     boundary_terms: dict
-    s: float
     grid_N: int
     grid_M: int
-
-    def to_dict(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "residual": self.residual,
-            "distributed_terms": self.distributed_terms,
-            "boundary_terms": self.boundary_terms,
-            "s": self.s,
-            "grid_N": self.grid_N,
-            "grid_M": self.grid_M,
-        }
 
 
 def carleman_identity_check(model, params: WeightParams, grid: SpaceTimeGrid,
@@ -334,8 +298,8 @@ def carleman_identity_check(model, params: WeightParams, grid: SpaceTimeGrid,
 
     op = assemble_operator(model, grid)
     wv = w.values
-    w_x = _space_derivative(wv, h)
-    w_t = _time_derivative(wv, dt)
+    w_x = _derivative(wv, h, axis=1)
+    w_t = _derivative(wv, dt, axis=0)
     div_a_grad_w = _div_a_grad(op, wv)
 
     wi = wv[interior_t]
@@ -366,9 +330,10 @@ def carleman_identity_check(model, params: WeightParams, grid: SpaceTimeGrid,
                       * q2[None, :] * wi ** 2)
     dt4 = st_integral(s * c1 * th[:, None] * g2[None, :] * wxi ** 2)
 
-    # boundary terms; w vanishes on the spatial boundary and at t = 0, T, so
-    # every group except the -s phi_x (a w_x)^2 flux is analytically zero --
-    # they are still assembled from the data for diagnostic value.
+    # boundary terms at x = 0, 1; w vanishes there, so every group except the
+    # -s phi_x (a w_x)^2 flux is analytically zero, but all three are assembled
+    # from the data.  The groups at t = 0, T carry factors w and w_x, which
+    # vanish there, so they are not formed.
     tw = grid.time_weights()[interior_t]
 
     def t_integral_bdry(vals_interior_t):
@@ -390,21 +355,15 @@ def carleman_identity_check(model, params: WeightParams, grid: SpaceTimeGrid,
         + s ** 2 * a_b[None, :] * phi_t_b * phi_x_b * w_b ** 2
         - s ** 3 * a_b[None, :] ** 2 * phi_x_b ** 3 * w_b ** 2))
     bt5 = t_integral_bdry(bracket(-s * c1 * th[:, None] * a_b[None, :] * w_b * wx_b))
-    # time-endpoint groups: w and w_x vanish there, products with psi-weights -> 0
-    bt2 = 0.0
-    bt3 = 0.0
-    bt6 = 0.0
 
     distributed = {"theta_ddot_psi": dt1, "cubic_weight": dt2,
                    "theta_thetadot": dt3, "gradient_weight": dt4}
-    boundary = {"flux_times_wt": bt1, "time_endpoint_phi_t": bt2,
-                "time_endpoint_phi_x2": bt3, "spatial_flux": bt4,
-                "divergence_flux": bt5, "time_endpoint_gradient": bt6}
+    boundary = {"flux_times_wt": bt1, "spatial_flux": bt4, "divergence_flux": bt5}
     rhs = sum(distributed.values()) + sum(boundary.values())
     residual = abs(lhs - rhs) / (abs(lhs) + eps)
     return IdentityReport(lhs=lhs, rhs=rhs, residual=residual,
                           distributed_terms=distributed, boundary_terms=boundary,
-                          s=s, grid_N=N, grid_M=M)
+                          grid_N=N, grid_M=M)
 
 
 # ---------------------------------------------------------------------------
@@ -422,25 +381,7 @@ class CarlemanReport:
     s0_observed: float
     nonpositive_rhs: bool
     violation: bool
-    potential_sup_norm: float
     grid_N: int
-    grid_M: int
-
-    def to_dict(self) -> dict:
-        return {
-            "s_values": self.s_values.tolist(),
-            "lhs": self.lhs.tolist(),
-            "rhs_source": self.rhs_source.tolist(),
-            "rhs_boundary": self.rhs_boundary.tolist(),
-            "ratios": self.ratios.tolist(),
-            "fitted_C": self.fitted_C,
-            "s0_observed": self.s0_observed,
-            "nonpositive_rhs": self.nonpositive_rhs,
-            "violation": self.violation,
-            "potential_sup_norm": self.potential_sup_norm,
-            "grid_N": self.grid_N,
-            "grid_M": self.grid_M,
-        }
 
 
 def default_s_values(n: int = 12, start: float = 1.0, ratio: float = 1.5) -> np.ndarray:
@@ -458,7 +399,7 @@ def manufactured_adjoint_pair(model, potential: PotentialModel, grid: SpaceTimeG
     """
     v = Field.from_function(grid, v_func)
     op = assemble_operator(model, grid)
-    res = _time_derivative(v.values, grid.dt) + _div_a_grad(op, v.values)
+    res = _derivative(v.values, grid.dt, axis=0) + _div_a_grad(op, v.values)
     for j in range(grid.M + 1):
         res[j] -= potential.values_at(grid, j) * v.values[j]
     return v, Field(grid, res)
@@ -490,7 +431,7 @@ def carleman_scan(model, params_base: WeightParams, potential: PotentialModel,
     t = grid.t
     a = model.eval_a(x)
     q2 = _q2_profile(model, x)
-    v_x = _space_derivative(v.values, grid.h)
+    v_x = _derivative(v.values, grid.h, axis=1)
     th_full = np.zeros(grid.M + 1)
     th_full[1:-1] = theta(params_base, t[1:-1])
     ps = psi(params_base, model, x)          # < 0 for admissible c2
@@ -536,8 +477,7 @@ def carleman_scan(model, params_base: WeightParams, potential: PotentialModel,
     return CarlemanReport(
         s_values=s_values, lhs=lhs_arr, rhs_source=src_arr, rhs_boundary=bdy_arr,
         ratios=ratios, fitted_C=fitted_C, s0_observed=s0_observed,
-        nonpositive_rhs=nonpositive, violation=violation,
-        potential_sup_norm=potential.sup_norm, grid_N=grid.N, grid_M=grid.M)
+        nonpositive_rhs=nonpositive, violation=violation, grid_N=grid.N)
 
 
 # ---------------------------------------------------------------------------
@@ -549,17 +489,7 @@ class CaccioppoliReport:
     local_gradient_integral: float
     outer_solution_integral: float
     ratio: float
-    s: float
     grid_N: int
-
-    def to_dict(self) -> dict:
-        return {
-            "local_gradient_integral": self.local_gradient_integral,
-            "outer_solution_integral": self.outer_solution_integral,
-            "ratio": self.ratio,
-            "s": self.s,
-            "grid_N": self.grid_N,
-        }
 
 
 def caccioppoli_check(model, params: WeightParams, grid: SpaceTimeGrid, v: Field,
@@ -578,7 +508,7 @@ def caccioppoli_check(model, params: WeightParams, grid: SpaceTimeGrid, v: Field
         raise ValueError(f"x0={model.x0} must not lie in the closure of omega'={omega_prime}")
 
     E = exp2s_phi(params, model, grid.t[:, None], grid.x[None, :])
-    v_x = _space_derivative(v.values, grid.h)
+    v_x = _derivative(v.values, grid.h, axis=1)
     chi_p = ControlConfig(lo_p, hi_p).indicator(grid)
     chi = ControlConfig(lo, hi).indicator(grid)
     sw = grid.space_weights()
@@ -588,4 +518,4 @@ def caccioppoli_check(model, params: WeightParams, grid: SpaceTimeGrid, v: Field
     ratio = np.inf if outer == 0.0 and local > 0.0 else (0.0 if outer == 0.0 else local / outer)
     return CaccioppoliReport(local_gradient_integral=local,
                              outer_solution_integral=outer, ratio=float(ratio),
-                             s=params.s, grid_N=grid.N)
+                             grid_N=grid.N)

@@ -46,7 +46,6 @@ __all__ = [
     "solve_forward",
     "solve_adjoint",
     "energy_trace",
-    "apply_lambda_shift",
 ]
 
 
@@ -273,13 +272,6 @@ def energy_trace(field: Field, model, grid: SpaceTimeGrid) -> np.ndarray:
     a_mid = model.eval_a(grid.x_mid)
     dv = np.diff(field.values, axis=1) / grid.h
     return (dv ** 2 * a_mid).sum(axis=1) * grid.h
-
-
-def apply_lambda_shift(field: Field, lam: float) -> Field:
-    """Return e^{-lam t} v, the substitution that makes a signed potential
-    effectively nonnegative (shift by lam >= -inf c)."""
-    factors = np.exp(-lam * field.grid.t)[:, None]
-    return Field(field.grid, field.values * factors)
 
 
 def l2_norm(vec: np.ndarray, grid: SpaceTimeGrid) -> float:

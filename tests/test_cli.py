@@ -1,6 +1,12 @@
 import json
 
+import pytest
+
 from degenpde.cli import DEFAULT_CONFIG, PRESETS, main
+
+TINY = ["--set", "grid.N=20", "--set", "grid.M=40",
+        "--set", "observability.n_modes=2", "--set", "observability.n_random=2",
+        "--set", "observability.n_power=2"]
 
 
 def run(tmp_path, *argv):
@@ -38,6 +44,22 @@ class TestConfigHandling:
     def test_bad_subcommand_exits_1(self, capsys):
         assert main(["frobnicate"]) == 1
 
+    def test_x0_without_grid_node_exits_1(self, tmp_path, capsys):
+        code, _ = run(tmp_path, "check-coeff", "--set", "coefficient.x0=0.3141592653589793")
+        assert code == 1
+        assert "coefficient.x0" in capsys.readouterr().err
+
+    def test_snapped_grid_is_warned(self, tmp_path, capsys):
+        assert run(tmp_path, "check-coeff")[0] == 0
+        on_node = capsys.readouterr()
+        assert on_node.err == ""
+        code, _ = run(tmp_path, "check-coeff", "--set", "coefficient.x0=0.123")
+        assert code == 0
+        snapped = capsys.readouterr()
+        assert len(snapped.err.splitlines()) == 1
+        assert "grid.N=200" in snapped.err and "N=1000" in snapped.err
+        assert snapped.out == on_node.out
+
     def test_override_applied(self, tmp_path):
         code, out = run(tmp_path, "check-coeff", "--set", "coefficient.alpha=1.5")
         assert code == 0
@@ -66,6 +88,12 @@ class TestSubcommands:
         assert code == 0
         lines = (out / "carleman_identity.csv").read_text().splitlines()
         assert lines[1] == "s,N,M,lhs,rhs,residual"
+
+    @pytest.mark.parametrize("preset", [p for p in sorted(PRESETS) if p.endswith("x0.5")])
+    @pytest.mark.parametrize("task", ["observability", "null-control"])
+    def test_x0_half_presets_run(self, tmp_path, capsys, preset, task):
+        code, _ = run(tmp_path, task, "--preset", preset, *TINY)
+        assert code != 1, capsys.readouterr().err
 
     def test_verdict_failure_exits_2(self, tmp_path, capsys):
         code, _ = run(tmp_path, "null-control",

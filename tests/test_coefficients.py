@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from degenpde import (CoefficientModel, DegeneracyClass, SpaceTimeGrid,
-                      check_hypotheses, integrability_trend)
+from degenpde import CoefficientModel, DegeneracyClass, SpaceTimeGrid, check_hypotheses
 
 
 def grid_for(x0, N=1000):
@@ -119,32 +118,3 @@ class TestCheckHypotheses:
     def test_constant_not_degenerate_at_x0(self):
         rep = check_hypotheses(CoefficientModel.constant(1.0, 0.5), grid_for(0.5))
         assert not rep.degenerate_at_x0
-
-
-class TestIntegrability:
-    def test_one_over_a_diverges_for_strong_degeneracy(self):
-        m = CoefficientModel.power_law(1.5, 0.3)
-        deltas = [0.1 / 2 ** k for k in range(8)]
-        vals = integrability_trend(m, deltas, power=1.0)
-        growth = np.diff(vals)
-        assert np.all(growth > 0.0)
-        # divergent: increments do not shrink toward zero
-        assert growth[-1] > 0.5 * growth[0]
-
-    def test_one_over_a_bounded_for_weak_degeneracy(self):
-        m = CoefficientModel.power_law(0.5, 0.3)
-        deltas = [0.1 / 2 ** k for k in range(8)]
-        vals = integrability_trend(m, deltas, power=1.0)
-        growth = np.diff(vals)
-        # increments scale like delta^(1 - alpha) = delta^0.5, so the
-        # sixth halving shrinks them by 2^-3 = 0.125
-        assert growth[-1] < 0.15 * growth[0]
-
-    def test_one_over_sqrt_a_bounded_even_near_two(self):
-        m = CoefficientModel.power_law(1.9, 0.3)
-        deltas = [0.1 / 2 ** k for k in range(8)]
-        vals = integrability_trend(m, deltas, power=0.5)
-        growth = np.diff(vals)
-        # increments scale like delta^0.05: slow but genuine decay,
-        # 2^-0.3 = 0.81 over six halvings
-        assert growth[-1] < 0.85 * growth[0]

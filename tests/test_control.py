@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from degenpde import (CoefficientModel, ControlConfig, PotentialModel, SpaceTimeGrid,
-                      estimate_observability, synthesize_null_control,
-                      verify_duality_gap)
+                      estimate_observability, synthesize_null_control)
 from degenpde.control import _observation_ratio
 from degenpde.solvers import l2_norm
 
@@ -91,13 +90,6 @@ class TestNullControl:
         m, pot, g, ctrl = degenerate_setup(N=60, M=80)
         with pytest.raises(ValueError):
             synthesize_null_control(m, pot, g, ctrl, g.x * (1 - g.x), tol=0.0)
-
-    def test_duality_gap(self):
-        m, pot, g, ctrl = degenerate_setup()
-        sol = synthesize_null_control(m, pot, g, ctrl, g.x * (1.0 - g.x))
-        rep = estimate_observability(m, pot, g, ctrl, n_modes=5, n_random=5, n_power=5)
-        gap = verify_duality_gap(sol, rep)
-        assert np.isfinite(gap) and gap >= 0.0
 
     def test_terminal_norm_matches_actual_solve(self):
         from degenpde import solve_forward

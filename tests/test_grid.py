@@ -84,6 +84,13 @@ class TestOperator:
         Au = op.apply(u)
         np.testing.assert_allclose(Au[1:-1], -2.0, rtol=1e-11)
 
+    def test_apply_block_matches_rows(self):
+        m = CoefficientModel.power_law(0.5, 0.3)
+        g = SpaceTimeGrid.create(40, 1, 1.0, 0.3)
+        op = assemble_operator(m, g)
+        block = np.random.default_rng(2).standard_normal((7, g.N + 1))
+        np.testing.assert_array_equal(op.apply(block), np.stack([op.apply(r) for r in block]))
+
 
 class TestQuadrature:
     def test_constant_and_linear_exact(self):

@@ -3,8 +3,7 @@ import pytest
 from scipy.linalg import solve_banded
 
 from degenpde import (CoefficientModel, ControlConfig, Field, PotentialModel,
-                      SpaceTimeGrid, apply_lambda_shift, energy_trace,
-                      solve_adjoint, solve_forward)
+                      SpaceTimeGrid, energy_trace, solve_adjoint, solve_forward)
 from degenpde.grid import assemble_operator, integrate_space
 from degenpde.solvers import l2_norm
 
@@ -327,13 +326,6 @@ class TestEnergyStability:
 
 
 class TestPotentialAndControl:
-    def test_lambda_shift(self):
-        m, g = heat_setup(N=20, M=10)
-        v = Field.from_function(g, lambda t, x: np.sin(np.pi * x) * (1.0 + 0.0 * t))
-        shifted = apply_lambda_shift(v, 2.0)
-        np.testing.assert_allclose(shifted.values[-1],
-                                   np.exp(-2.0 * g.T) * v.values[-1], rtol=1e-14)
-
     def test_potential_sup_and_inf(self):
         assert PotentialModel.zero().sup_norm == 0.0
         assert PotentialModel.constant(-3.0).sup_norm == 3.0
