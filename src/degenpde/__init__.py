@@ -2,8 +2,7 @@
 degeneracy: structural hypothesis checks, Hardy-Poincare and Carleman-type
 inequality verification, observability estimation and HUM null control."""
 
-from .coefficients import (CoefficientModel, DegeneracyClass, HypothesisReport,
-                           check_hypotheses)
+from .coefficients import CoefficientModel, HypothesisReport, check_hypotheses
 from .control import (ControlSolution, ObservabilityReport, estimate_observability,
                       synthesize_null_control)
 from .grid import (Field, SpaceTimeGrid, TridiagonalOperator, assemble_operator,
@@ -14,6 +13,6 @@ from .inequalities import (CaccioppoliReport, CarlemanReport, HardyWeight, HPRep
                            manufactured_adjoint_pair)
 from .solvers import (ControlConfig, PotentialModel, energy_trace, solve_adjoint,
                       solve_forward)
-from .weights import WeightParams, b_integral, c2_min, exp2s_phi, phi, psi, theta
+from .weights import WeightParams, b_integral, c2_min, exp2s_phi, psi, theta
 
 __version__ = "0.1.0"

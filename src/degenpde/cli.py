@@ -287,10 +287,13 @@ def verdict(name: str, ok: bool, value, threshold) -> dict:
 
 
 def _refinement_pair(config: dict, T=None) -> list:
-    """The coarse grid (grid.N, grid.M) and the fine grid with both doubled."""
-    g = config["grid"]
-    return [build_grid(config, N=g["N"] * level, M=g["M"] * level, T=T)
-            for level in (1, 2)]
+    """The coarse grid (grid.N, grid.M) and the fine grid with both doubled.
+
+    The fine level doubles the snapped coarse N, which keeps x0 on a node; doubling
+    grid.N and snapping again can land on the coarse N itself.
+    """
+    coarse = build_grid(config, T=T)
+    return [coarse, build_grid(config, N=2 * coarse.N, M=2 * coarse.M, T=T)]
 
 
 def _relative_change(coarse: float, fine: float) -> float:
@@ -339,7 +342,7 @@ def run_hp(config: dict, out_dir: Path) -> list:
     N = int(c["N"])
     coarse = hp_verify(weight, SpaceTimeGrid.create(N, 1, 1.0, x0),
                        battery_size=int(c["battery_size"]), seed=seed)
-    fine = hp_verify(weight, SpaceTimeGrid.create(2 * N, 1, 1.0, x0),
+    fine = hp_verify(weight, SpaceTimeGrid.create(2 * coarse.grid_N, 1, 1.0, x0),
                      battery_size=int(c["battery_size"]), seed=seed)
     change = _relative_change(coarse.rayleigh_estimate, fine.rayleigh_estimate)
     verdicts = [
@@ -406,7 +409,7 @@ def run_carleman_scan(config: dict, out_dir: Path) -> list:
         params = build_weight_params(config, model, T, s_values[0])
         v, h = manufactured_adjoint_pair(model, potential, grid,
                                          _scan_profile(T, model.x0))
-        rep = carleman_scan(model, params, potential, grid, v, h,
+        rep = carleman_scan(model, params, grid, v, h,
                             s_values=s_values, window_tol=c["window_tol"])
         reports.append(rep)
         for k in range(s_values.size):
@@ -454,10 +457,12 @@ def run_caccioppoli(config: dict, out_dir: Path) -> list:
     verdicts = []
     for s, (r1, r2) in ratios.items():
         finite = np.isfinite(r1) and np.isfinite(r2)
+        # a zero ratio means e^{2s phi} underflowed on that level: nothing was compared
+        positive = r1 > 0.0 and r2 > 0.0
         scale = max(abs(r1), abs(r2), 1e-300)
         change = abs(r2 - r1) / scale
         verdicts.append(verdict(f"caccioppoli_stable_s{s:g}",
-                                finite and change < c["stability_tol"],
+                                finite and positive and change < c["stability_tol"],
                                 change, c["stability_tol"]))
     write_csv(out_dir / "caccioppoli.csv",
               ["N", "s", "local_gradient", "outer_solution", "ratio"], rows, config)

@@ -9,22 +9,15 @@ strongly degenerate one.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
-    "DegeneracyClass",
     "CoefficientModel",
     "HypothesisReport",
     "check_hypotheses",
 ]
-
-
-class DegeneracyClass(enum.Enum):
-    WEAKLY_DEGENERATE = "weakly_degenerate"
-    STRONGLY_DEGENERATE = "strongly_degenerate"
 
 
 def _as_array(x):
@@ -122,20 +115,6 @@ class CoefficientModel:
             out = np.interp(arr, self.nodes, self.a_values)
         return float(out) if scalar else out
 
-    def eval_a_prime(self, x):
-        """Evaluate a'(x); raises at x = x0 where a' may be unbounded."""
-        arr, scalar = _as_array(x)
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
-            raise ValueError(f"x outside [0, 1]: {x}")
-        if self.degenerate and np.any(np.isclose(arr, self.x0, rtol=0.0, atol=1e-14)):
-            raise ValueError(f"a' is singular at the degeneracy point x0={self.x0}")
-        if self.kind == "power_law":
-            d = arr - self.x0
-            out = self.alpha * np.abs(d) ** (self.alpha - 1.0) * np.sign(d)
-        else:
-            out = np.interp(arr, self.nodes, self.a_prime_values)
-        return float(out) if scalar else out
-
     def eval_xa_prime(self, x):
         """Evaluate (x - x0) a'(x), extended by its limit 0 at x = x0.
 
@@ -157,19 +136,12 @@ class CoefficientModel:
 class HypothesisReport:
     """Verdicts of the structural checks on a coefficient model."""
 
-    degeneracy_class: DegeneracyClass
     slack_max: float
     slack_tol: float
     slack_ok: bool
     gamma_monotone_ok: bool
     theta_monotone_ok: bool
-    theta_failure_interval: tuple[float, float] | None
     degenerate_at_x0: bool
-
-    @property
-    def all_ok(self) -> bool:
-        return (self.slack_ok and self.gamma_monotone_ok
-                and self.theta_monotone_ok and self.degenerate_at_x0)
 
 
 def _sided_monotone(x: np.ndarray, vals: np.ndarray, x0: float, tol: float):
@@ -194,7 +166,7 @@ def _sided_monotone(x: np.ndarray, vals: np.ndarray, x0: float, tol: float):
     return True, None
 
 
-def check_hypotheses(model: CoefficientModel, grid, slack_tol: float | None = None) -> HypothesisReport:
+def check_hypotheses(model: CoefficientModel, grid) -> HypothesisReport:
     """Verify the structural hypotheses on the sample points of a grid.
 
     Checks, pointwise away from x0:
@@ -204,9 +176,8 @@ def check_hypotheses(model: CoefficientModel, grid, slack_tol: float | None = No
 
     Violations are reported in the returned record, never raised.
     """
-    if slack_tol is None:
-        slack_tol = 1e-12 if model.kind == "power_law" else 1e-9
-    x = np.asarray(grid.x if hasattr(grid, "x") else grid, dtype=float)
+    slack_tol = 1e-12 if model.kind == "power_law" else 1e-9
+    x = grid.x
     off = ~np.isclose(x, model.x0, rtol=0.0, atol=1e-14)
     xs = x[off]
     a = model.eval_a(xs)
@@ -221,22 +192,18 @@ def check_hypotheses(model: CoefficientModel, grid, slack_tol: float | None = No
         theta_vals = np.where(good, a / d ** model.theta, 0.0)
     mono_tol = 0.0 if model.kind == "power_law" else 1e-9
     gamma_ok, _ = _sided_monotone(xs[good], gamma_vals[good], model.x0, mono_tol)
-    theta_ok, theta_fail = _sided_monotone(xs[good], theta_vals[good], model.x0, mono_tol)
+    theta_ok, _ = _sided_monotone(xs[good], theta_vals[good], model.x0, mono_tol)
 
-    cls = (DegeneracyClass.WEAKLY_DEGENERATE if model.K < 1.0
-           else DegeneracyClass.STRONGLY_DEGENERATE)
     try:
         a_x0 = model.eval_a(model.x0)
     except ValueError:
         a_x0 = np.nan
     degenerate_at_x0 = bool(abs(a_x0) < 1e-14)
     return HypothesisReport(
-        degeneracy_class=cls,
         slack_max=float(slack),
         slack_tol=float(slack_tol),
         slack_ok=bool(slack_ok),
         gamma_monotone_ok=bool(gamma_ok),
         theta_monotone_ok=bool(theta_ok),
-        theta_failure_interval=theta_fail,
         degenerate_at_x0=degenerate_at_x0,
     )

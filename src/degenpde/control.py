@@ -173,7 +173,6 @@ def synthesize_null_control(model, potential: PotentialModel, grid: SpaceTimeGri
     rr = dot(r, r)
     converged = False
     iterations = 0
-    v_best = None
 
     for it in range(max_iters):
         terminal = -r - eps * z    # controlled terminal state b + Lambda z
@@ -184,7 +183,7 @@ def synthesize_null_control(model, potential: PotentialModel, grid: SpaceTimeGri
         if terminal_norm <= tol * initial_norm:
             converged = True
             break
-        if it > 0 and len(J_hist) >= 2:
+        if it > 0:
             rel_drop = abs(J_hist[-2] - J_hist[-1]) / max(abs(J_hist[-2]), 1e-300)
             if rel_drop < 1e-10:
                 break

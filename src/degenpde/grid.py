@@ -76,9 +76,6 @@ class SpaceTimeGrid:
         """Cell midpoints x_{i+1/2}; never equal to x0 since x0 is a node."""
         return 0.5 * (self.x[:-1] + self.x[1:])
 
-    def refine(self, factor: int = 2) -> "SpaceTimeGrid":
-        return SpaceTimeGrid.create(self.N * factor, self.M * factor, self.T, self.x0)
-
     def space_weights(self) -> np.ndarray:
         w = np.full(self.N + 1, self.h)
         w[0] = w[-1] = 0.5 * self.h
@@ -142,7 +139,6 @@ class TridiagonalOperator:
     lower: np.ndarray   # sub-diagonal, length N
     diag: np.ndarray    # length N+1
     upper: np.ndarray   # super-diagonal, length N
-    a_mid: np.ndarray   # a at midpoints, length N
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """A u for a node vector, or for each row of a (rows, N+1) block."""
@@ -173,7 +169,7 @@ def assemble_operator(model, grid: SpaceTimeGrid) -> TridiagonalOperator:
     diag[0] = diag[N] = 1.0
     upper[0] = 0.0
     lower[N - 1] = 0.0
-    return TridiagonalOperator(grid=grid, lower=lower, diag=diag, upper=upper, a_mid=a_mid)
+    return TridiagonalOperator(grid=grid, lower=lower, diag=diag, upper=upper)
 
 
 def dirichlet_eigenmodes(op: TridiagonalOperator, k: int):

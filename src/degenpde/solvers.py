@@ -14,21 +14,21 @@ which the identity and estimate checkers rely on.
 Each solve assembles the operator once and validates every left-hand side
 I/dt - A/2 + C/2 up front with reductions over c: its minimum decides
 diagonal dominance and its per-node maximum decides overflow, so no
-(M+1) x (N-1) temporary is built.  When c does not depend on time ("zero"
-or "constant") the left-hand side never changes, so it is factored once
-with LAPACK ``gttrf`` and each step is one ``gttrs``; with sampled c each
-step solves its own system with ``gtsv``.  These run the same partial-pivot
-elimination, in the same order, that ``scipy.linalg.solve_banded`` runs for
-a tridiagonal matrix.  Each step builds its right-hand side in the output
-row it solves into, using a few preallocated length-(N-1) buffers, in the
-order of operations of a per-step banded solve, so the results match one
-bit for bit: halving is exact, so A/2 and c/2 are precomputed (the
-products agree unless one leaves the normal floating-point range); a + b
-== b + a; and a missing source adds nothing, since the zero source's
-(0 + 0)/2 = +0.0 could only have changed a -0.0, which the sum before it
-never is.  A non-finite matrix or right-hand side
-raises ValueError and a singular one raises LinAlgError, as in
-``solve_banded``.
+(M+1) x (N-1) temporary is built.  When c has a single row (it does not
+depend on time) the left-hand side never changes, so it is factored once
+with LAPACK ``gttrf`` and each step is one ``gttrs``; with c sampled per
+time level each step solves its own system with ``gtsv``.  These run the
+same partial-pivot elimination, in the same order, that
+``scipy.linalg.solve_banded`` runs for a tridiagonal matrix.  Each step
+builds its right-hand side in the output row it solves into, using a few
+preallocated length-(N-1) buffers, in the order of operations of a
+per-step banded solve, so the results match one bit for bit: halving is
+exact, so A/2 and c/2 are precomputed (the products agree unless one
+leaves the normal floating-point range); a + b == b + a; and a missing
+source adds nothing, since the zero source's (0 + 0)/2 = +0.0 could only
+have changed a -0.0, which the sum before it never is.  A non-finite
+matrix or right-hand side raises ValueError and a singular one raises
+LinAlgError, as in ``solve_banded``.
 """
 
 from __future__ import annotations
@@ -51,50 +51,34 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PotentialModel:
-    """Bounded zero-order term c(t, x)."""
+    """Bounded zero-order term c(t, x), held as ``rows`` that broadcast over a grid.
 
-    kind: str = "zero"              # "zero" | "constant" | "sampled"
-    value: float = 0.0
-    samples: Field | None = None
+    One row (a single value) when c is zero or constant, and one row per time
+    level, of shape (M+1, N+1), when c is sampled on a grid.
+    """
+
+    rows: np.ndarray
 
     @classmethod
     def zero(cls) -> "PotentialModel":
-        return cls(kind="zero")
+        return cls.constant(0.0)
 
     @classmethod
     def constant(cls, value: float) -> "PotentialModel":
-        return cls(kind="constant", value=float(value))
+        return cls(np.full((1, 1), float(value)))
 
     @classmethod
     def sampled(cls, samples: Field) -> "PotentialModel":
-        return cls(kind="sampled", samples=samples)
+        return cls(samples.values)
 
-    @property
-    def sup_norm(self) -> float:
-        if self.kind == "zero":
-            return 0.0
-        if self.kind == "constant":
-            return abs(self.value)
-        return float(np.max(np.abs(self.samples.values)))
-
-    @property
-    def inf_value(self) -> float:
-        if self.kind == "zero":
-            return 0.0
-        if self.kind == "constant":
-            return self.value
-        return float(np.min(self.samples.values))
-
-    def values_at(self, grid: SpaceTimeGrid, j: int) -> np.ndarray:
-        if self.kind == "zero":
-            return np.zeros(grid.N + 1)
-        if self.kind == "constant":
-            return np.full(grid.N + 1, self.value)
-        return self.samples.values[j]
-
-    @property
-    def time_dependent(self) -> bool:
-        return self.kind == "sampled"
+    def values(self, grid: SpaceTimeGrid) -> np.ndarray:
+        """c at every node of ``grid``, as a read-only (M+1, N+1) view of ``rows``."""
+        shape = (grid.M + 1, grid.N + 1)
+        try:
+            return np.broadcast_to(self.rows, shape)
+        except ValueError:
+            raise ValueError(f"potential of shape {self.rows.shape} does not fit "
+                             f"the grid shape {shape}") from None
 
 
 @dataclass(frozen=True)
@@ -167,6 +151,7 @@ def _propagate(model, potential: PotentialModel, grid: SpaceTimeGrid, start: np.
     Crank-Nicolson for u_t = A u - c u + f on the interior nodes.  ``source(j, out)``
     writes the interior source at time index j into ``out``; None means zero.
     """
+    c = potential.values(grid)[:, 1:-1]          # raises before any work if c does not fit
     d, e = assemble_operator(model, grid).interior_tridiag()
     n, dt = d.size, grid.dt
     half_d, half_e = 0.5 * d, 0.5 * e
@@ -174,12 +159,11 @@ def _propagate(model, potential: PotentialModel, grid: SpaceTimeGrid, start: np.
     _require_finite(off)
     base = 1.0 / dt - half_d                     # LHS diagonal without its c/2 term
     times = range(grid.M, -1, -1) if backward else range(grid.M + 1)
-    sampled = potential.time_dependent
+    sampled = potential.rows.shape[0] > 1
     if sampled:
-        c = potential.samples.values[:, 1:-1]
         lhs_c = c[:-1] if backward else c[1:]    # the rows c(t_next) that enter a LHS
     else:
-        c = lhs_c = potential.values_at(grid, 0)[None, 1:-1]
+        c = lhs_c = c[:1]
     _require_finite(c)
     # Row sums of |off-diagonals| equal -d/2, so the LHS I/dt - A/2 + C/2 is diagonally
     # dominant iff 1/dt + c/2 > 0 on every node; a rounded sum is <= 0 iff the exact one is.
@@ -238,17 +222,13 @@ def _propagate(model, potential: PotentialModel, grid: SpaceTimeGrid, start: np.
 
 
 def solve_forward(model, potential: PotentialModel, grid: SpaceTimeGrid,
-                  u0: np.ndarray, h: Field | None = None,
-                  control: ControlConfig | None = None) -> Field:
-    """Solve the controlled forward problem; source is h * chi_omega.
+                  u0: np.ndarray, h: Field | None = None) -> Field:
+    """Solve the forward problem with source h, taken as given.
 
-    With control=None the source h acts on all of (0, 1).
+    A control restricted to omega is passed as h = h_omega * chi_omega.
     """
     u0 = _check_dirichlet(np.asarray(u0, dtype=float), "u0")
-    source = None
-    if h is not None:
-        chi = control.indicator(grid)[1:-1] if control is not None else np.ones(grid.N - 1)
-        source = lambda j, out: np.multiply(h.values[j, 1:-1], chi, out=out)
+    source = None if h is None else (lambda j, out: np.copyto(out, h.values[j, 1:-1]))
     return _propagate(model, potential, grid, u0, source, backward=False)
 
 

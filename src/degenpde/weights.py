@@ -24,7 +24,6 @@ __all__ = [
     "theta_ddot",
     "psi",
     "psi_prime",
-    "phi",
     "exp2s_phi",
 ]
 
@@ -181,11 +180,6 @@ def psi_prime(params: WeightParams, model, x):
         out = np.where(a > 0.0, params.c1 * (arr - model.x0) / np.where(a > 0.0, a, 1.0),
                        0.0)
     return float(out) if scalar else out
-
-
-def phi(params: WeightParams, model, t, x):
-    """phi(t, x) = Theta(t) psi(x) < 0 on (0, T) x [0, 1]."""
-    return theta(params, t) * psi(params, model, x)
 
 
 def exp2s_phi(params: WeightParams, model, t, x):

@@ -118,7 +118,7 @@ def test_4_carleman_scan(capsys):
             params = WeightParams.for_model(m, T=T, s=1.0)
             v, h = manufactured_adjoint_pair(
                 m, pot, g, lambda t, x: t * (T - t) * (x - x0) ** 2 * x * (1 - x))
-            reports.append(carleman_scan(m, params, pot, g, v, h, s_values=s_values))
+            reports.append(carleman_scan(m, params, g, v, h, s_values=s_values))
         coarse, fine = reports
         tag = f"c={cval:g}"
         if not np.all(np.isfinite(coarse.ratios)) or not np.all(np.isfinite(fine.ratios)):

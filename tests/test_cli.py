@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -94,6 +95,24 @@ class TestSubcommands:
     def test_x0_half_presets_run(self, tmp_path, capsys, preset, task):
         code, _ = run(tmp_path, task, "--preset", preset, *TINY)
         assert code != 1, capsys.readouterr().err
+
+    @pytest.mark.parametrize("task, csv_name, extra", [
+        ("hp", "hp.csv", ["--set", "hp.N=200", "--set", "hp.battery_size=2"]),
+        ("carleman-scan", "carleman_scan.csv", ["--set", "grid.M=40", "--set", "scan.n_s=4"]),
+    ])
+    def test_fine_level_doubles_snapped_N(self, tmp_path, task, csv_name, extra):
+        # x0=0.123 snaps both N=200 and N=400 to N=1000
+        code, out = run(tmp_path, task, "--set", "coefficient.x0=0.123", *extra)
+        assert code != 1
+        rows = list(csv.DictReader((out / csv_name).read_text().splitlines()[1:]))
+        assert {row["N"] for row in rows} == {"1000", "2000"}
+
+    def test_caccioppoli_underflow_fails(self, tmp_path, capsys):
+        # at T = 0.5, e^{2s phi} underflows to 0 on both levels, so no ratio is compared
+        code, _ = run(tmp_path, "caccioppoli", "--set", "caccioppoli.T=0.5")
+        assert code == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert sum(line.startswith("[FAIL] caccioppoli_stable_s") for line in lines) == 3
 
     def test_verdict_failure_exits_2(self, tmp_path, capsys):
         code, _ = run(tmp_path, "null-control",

@@ -30,11 +30,6 @@ class TestGridConstruction:
         with pytest.raises(ValueError):
             SpaceTimeGrid.create(100, 10, 1.0, 0.0)
 
-    def test_refine(self):
-        g = SpaceTimeGrid.create(100, 10, 1.0, 0.3)
-        g2 = g.refine()
-        assert (g2.N, g2.M) == (200, 20)
-
 
 class TestOperator:
     def test_laplacian_eigenvalues(self):

@@ -131,18 +131,18 @@ class TestCarlemanScan:
 
     def test_ratios_finite_and_tail_nonincreasing(self):
         m, params, pot, g, v, h = self.make_scan()
-        rep = carleman_scan(m, params, pot, g, v, h)
+        rep = carleman_scan(m, params, g, v, h)
         assert np.all(np.isfinite(rep.ratios))
-        assert not rep.violation
+        assert not rep.nonpositive_rhs
         tail = rep.ratios[rep.s_values >= rep.s0_observed]
         assert np.all(tail[1:] <= tail[:-1] * 1.05)
 
     def test_scaling_invariance(self):
         m, params, pot, g, v, h = self.make_scan()
-        rep1 = carleman_scan(m, params, pot, g, v, h)
+        rep1 = carleman_scan(m, params, g, v, h)
         v3 = Field(g, 3.0 * v.values)
         h3 = Field(g, 3.0 * h.values)
-        rep2 = carleman_scan(m, params, pot, g, v3, h3)
+        rep2 = carleman_scan(m, params, g, v3, h3)
         np.testing.assert_allclose(rep2.ratios, rep1.ratios, rtol=1e-12)
 
     def test_potential_absorbed(self):
@@ -150,7 +150,7 @@ class TestCarlemanScan:
         reps = {}
         for cval in (0.0, 1.0):
             m, params, pot, g, v, h = self.make_scan(cval=cval)
-            reps[cval] = carleman_scan(m, params, pot, g, v, h)
+            reps[cval] = carleman_scan(m, params, g, v, h)
         assert np.isfinite(reps[1.0].fitted_C)
         assert reps[1.0].fitted_C <= 4.0 * reps[0.0].fitted_C
         assert reps[0.0].fitted_C <= 4.0 * reps[1.0].fitted_C
@@ -162,6 +162,13 @@ class TestCarlemanScan:
         op = assemble_operator(m, g)
         res = _derivative(v.values, g.dt, axis=0) + _div_a_grad(op, v.values) - h.values
         assert np.max(np.abs(res)) < 1e-10
+
+    @pytest.mark.parametrize("M", [100, 400])    # fewer and more time levels than g.M = 200
+    def test_manufactured_pair_rejects_potential_from_another_grid(self, M):
+        m, _, _, g, _, _ = self.make_scan()
+        pot = PotentialModel.sampled(Field.zeros(SpaceTimeGrid.create(g.N, M, g.T, g.x0)))
+        with pytest.raises(ValueError, match=rf"\({M + 1}, 101\).*\(201, 101\)"):
+            manufactured_adjoint_pair(m, pot, g, scan_profile(g.T, g.x0))
 
     def test_derivative_matches_stencil_on_each_axis(self):
         from degenpde.inequalities import _derivative

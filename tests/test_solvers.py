@@ -75,8 +75,8 @@ def banded_reference(model, potential, grid, start, sources, backward):
     out[times[0]] = start
     u = start[1:-1].copy()
     for j_prev, j_next in zip(times, times[1:]):
-        c_prev = potential.values_at(grid, j_prev)[1:-1]
-        c_next = potential.values_at(grid, j_next)[1:-1]
+        c_prev = potential.values(grid)[j_prev, 1:-1]
+        c_next = potential.values(grid)[j_next, 1:-1]
         Au = d * u
         Au[:-1] += e * u[1:]
         Au[1:] += e * u[:-1]
@@ -117,9 +117,9 @@ class TestStepperMatchesBandedSolve:
         rng = np.random.default_rng(3)
         u0 = dirichlet_noise(rng, g)
         h = Field(g, rng.standard_normal((g.M + 1, g.N + 1)))
-        ctrl = ControlConfig(0.2, 0.5)
-        u = solve_forward(m, pot, g, u0, h=h, control=ctrl)
-        sources = (h.values * ctrl.indicator(g))[:, 1:-1]
+        chi = ControlConfig(0.2, 0.5).indicator(g)
+        u = solve_forward(m, pot, g, u0, h=Field(g, h.values * chi))
+        sources = (h.values * chi)[:, 1:-1]
         assert np.array_equal(u.values, banded_reference(m, pot, g, u0, sources, False))
         u = solve_forward(m, pot, g, u0)
         zero = np.zeros((g.M + 1, g.N - 1))
@@ -161,7 +161,7 @@ class TestLeftHandSideChecks:
         # forward steps end on the LHS of time index M, adjoint steps on that of index 0
         m, g = degenerate_setup()
         c = potentials(g)["sampled"]
-        c.samples.values[0 if backward else g.M, g.N // 2] = -2.5 / g.dt
+        c.rows[0 if backward else g.M, g.N // 2] = -2.5 / g.dt
         start = dirichlet_noise(np.random.default_rng(9), g)
         with pytest.raises(ValueError, match="dominance"):
             (solve_adjoint if backward else solve_forward)(m, c, g, start)
@@ -171,7 +171,7 @@ class TestLeftHandSideChecks:
         # c at the starting time enters only a right-hand side, never a LHS
         m, g = degenerate_setup()
         c = potentials(g)["sampled"]
-        c.samples.values[g.M if backward else 0, g.N // 2] = -2.5 / g.dt
+        c.rows[g.M if backward else 0, g.N // 2] = -2.5 / g.dt
         start = dirichlet_noise(np.random.default_rng(9), g)
         field = (solve_adjoint if backward else solve_forward)(m, c, g, start)
         zero = np.zeros((g.M + 1, g.N - 1))
@@ -195,10 +195,10 @@ class TestLeftHandSideChecks:
         pot = potentials(g)[kind]
         rng = np.random.default_rng(10)
         u0 = dirichlet_noise(rng, g)
-        h = Field(g, rng.standard_normal((g.M + 1, g.N + 1)))
-        ctrl = ControlConfig(0.2, 0.5)
-        first = solve_forward(m, pot, g, u0, h=h, control=ctrl)
-        second = solve_forward(m, pot, g, u0, h=h, control=ctrl)
+        chi = ControlConfig(0.2, 0.5).indicator(g)
+        h = Field(g, rng.standard_normal((g.M + 1, g.N + 1)) * chi)
+        first = solve_forward(m, pot, g, u0, h=h)
+        second = solve_forward(m, pot, g, u0, h=h)
         assert np.array_equal(first.values, second.values)
 
 
@@ -215,7 +215,7 @@ class TestNonFiniteInput:
         elif where == "h":
             h.values[g.M // 2, g.N // 2] = np.nan
         else:   # c(T) enters only the left-hand side of the last forward step
-            c.samples.values[g.M, g.N // 2] = np.nan
+            c.rows[g.M, g.N // 2] = np.nan
         with pytest.raises(ValueError):
             if where == "vT":
                 solve_adjoint(m, c, g, start, h=h)
@@ -264,7 +264,7 @@ class TestAdjoint:
 
         def pairing(j, u, v):
             def K(w):
-                return op.apply(w) - pot.values_at(g, j) * w
+                return op.apply(w) - pot.values(g)[j] * w
             weighted = u / g.dt ** 2 - 0.25 * K(K(u))
             scale = integrate_space(np.abs(u / g.dt ** 2 * v) + np.abs(0.25 * K(K(u)) * v),
                                     None, g)
@@ -326,10 +326,14 @@ class TestEnergyStability:
 
 
 class TestPotentialAndControl:
-    def test_potential_sup_and_inf(self):
-        assert PotentialModel.zero().sup_norm == 0.0
-        assert PotentialModel.constant(-3.0).sup_norm == 3.0
-        assert PotentialModel.constant(-3.0).inf_value == -3.0
+    @pytest.mark.parametrize("M", [20, 80])     # fewer and more time levels than g.M = 40
+    @pytest.mark.parametrize("backward", [False, True])
+    def test_sampled_potential_from_another_grid_raises(self, backward, M):
+        m, g = degenerate_setup()
+        pot = PotentialModel.sampled(Field.zeros(SpaceTimeGrid.create(g.N, M, g.T, g.x0)))
+        start = dirichlet_noise(np.random.default_rng(12), g)
+        with pytest.raises(ValueError, match=rf"\({M + 1}, 61\).*\(41, 61\)"):
+            (solve_adjoint if backward else solve_forward)(m, pot, g, start)
 
     def test_control_config_validation(self):
         with pytest.raises(ValueError):
@@ -345,16 +349,3 @@ class TestPotentialAndControl:
         assert chi[2] == 0.5 and chi[5] == 0.5
         assert np.all(chi[3:5] == 1.0)
         assert chi[0] == 0.0 and chi[6] == 0.0
-
-    def test_source_restricted_to_omega(self):
-        m, g = heat_setup(N=100, M=50)
-        ctrl = ControlConfig(0.4, 0.6)
-        h = Field.from_function(g, lambda t, x: np.ones_like(x))
-        u = solve_forward(m, PotentialModel.zero(), g, np.zeros(g.N + 1),
-                          h=h, control=ctrl)
-        assert np.max(np.abs(u.values[-1])) > 0.0
-        # compare against explicitly masked source
-        chi = ctrl.indicator(g)
-        h2 = Field(g, h.values * chi[None, :])
-        u2 = solve_forward(m, PotentialModel.zero(), g, np.zeros(g.N + 1), h=h2)
-        np.testing.assert_allclose(u.values, u2.values, rtol=0.0, atol=1e-14)

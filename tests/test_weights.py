@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from degenpde import CoefficientModel, b_integral, c2_min, exp2s_phi, phi, psi, theta
+from degenpde import CoefficientModel, b_integral, c2_min, exp2s_phi, psi, theta
 from degenpde.weights import WeightParams, psi_prime, theta_ddot, theta_dot
 
 
@@ -153,7 +153,6 @@ class TestExpWeight:
     def test_moderate_value(self):
         m = CoefficientModel.power_law(1.0, 0.5)
         p = WeightParams(T=2.0, c1=2.0, c2=0.6, s=1.0)
-        assert phi(p, m, 1.0, 0.0) == pytest.approx(-0.2, rel=1e-12)
         assert exp2s_phi(p, m, 1.0, 0.0) == pytest.approx(0.6703200460356393, rel=1e-12)
 
     def test_zero_at_time_endpoints(self):
