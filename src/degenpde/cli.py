@@ -131,9 +131,10 @@ def _require_number(config: dict, key: str, lo=None, hi=None,
     if node is None or isinstance(node, (str, bool, dict, list)):
         raise ConfigError(key, f"a number is required, got {node!r}")
     v = float(node)
-    if lo is not None and (v <= lo if strict_lo else v < lo):
+    # written as "not inside" so that nan fails too
+    if lo is not None and not (v > lo if strict_lo else v >= lo):
         raise ConfigError(key, f"value {v} below the admissible range")
-    if hi is not None and (v >= hi if strict_hi else v > hi):
+    if hi is not None and not (v < hi if strict_hi else v <= hi):
         raise ConfigError(key, f"value {v} above the admissible range")
     return v
 
@@ -176,8 +177,10 @@ def validate_config(config: dict):
                         strict_lo=True, strict_hi=True)
     else:
         _require_number(config, "coefficient.constant_value", lo=0.0, strict_lo=True)
-    for key in ("grid.N", "grid.M", "hp.N"):
-        if _require_number(config, key, lo=2) != int(_require_number(config, key)):
+    # scan.n_s >= 3: the tail verdict of carleman-scan compares three consecutive points
+    for key, least in (("grid.N", 2), ("grid.M", 2), ("hp.N", 2), ("hp.battery_size", 1),
+                       ("scan.n_s", 3), ("observability.n_modes", 1)):
+        if not _require_number(config, key, lo=least).is_integer():
             raise ConfigError(key, "an integer is required")
     _require_number(config, "grid.T", lo=0.0, strict_lo=True)
     x0 = config["coefficient"]["x0"]
@@ -196,6 +199,16 @@ def validate_config(config: dict):
     if not lo < hi:
         raise ConfigError("control.omega_hi", f"omega=({lo}, {hi}) is empty")
     _require_number(config, "control.epsilon", lo=0.0)
+    for key in ("scan.T", "caccioppoli.T", "observability.T", "null_control.T",
+                "scan.s_start", "scan.s_ratio", "weight.c1", "null_control.tol"):
+        _require_number(config, key, lo=0.0, strict_lo=True)
+    for section in ("identity", "caccioppoli"):
+        s_values = config[section]["s_values"]
+        if not (isinstance(s_values, list) and s_values and all(
+                isinstance(s, (int, float)) and not isinstance(s, bool) and s > 0.0
+                for s in s_values)):
+            raise ConfigError(f"{section}.s_values", "a non-empty list of positive "
+                              f"numbers is required, got {s_values!r}")
     if config["run"]["format"] not in ("csv", "json"):
         raise ConfigError("run.format", f"unsupported format {config['run']['format']!r}")
 
@@ -318,14 +331,13 @@ def run_check_coeff(config: dict, out_dir: Path) -> list:
         verdict("degenerate_at_x0", report.degenerate_at_x0, None, None),
     ]
     x = grid.x
-    off = ~np.isclose(x, model.x0, rtol=0.0, atol=1e-14)
     a = model.eval_a(x)
     xap = model.eval_xa_prime(x)
-    rows = []
-    for i in range(x.size):
-        slack = xap[i] / a[i] - model.K if off[i] and a[i] > 0.0 else 0.0
-        rows.append([x[i], a[i], xap[i], slack])
-    write_csv(out_dir / "check_coeff.csv", ["x", "a", "xa_prime", "slack"], rows, config)
+    # the slack (x - x0) a'/a - K of check_hypotheses, 0 at x0 and wherever a = 0
+    good = ~np.isclose(x, model.x0, rtol=0.0, atol=1e-14) & (a > 0.0)
+    slack = np.where(good, xap / np.where(good, a, 1.0) - model.K, 0.0)
+    write_csv(out_dir / "check_coeff.csv", ["x", "a", "xa_prime", "slack"],
+              list(zip(x, a, xap, slack)), config)
     return verdicts
 
 

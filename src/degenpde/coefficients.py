@@ -20,33 +20,28 @@ __all__ = [
 ]
 
 
-def _as_array(x):
-    arr = np.asarray(x, dtype=float)
-    return arr, arr.ndim == 0
-
-
 @dataclass(frozen=True)
 class CoefficientModel:
     """Degenerate diffusion coefficient on [0, 1].
 
+    A power law |x - x0|^alpha when ``alpha`` is set, otherwise the
+    piecewise-linear table (``nodes``, ``a_values``, ``a_prime_values``).
+
     Parameters
     ----------
     x0 : degeneracy point, strictly inside (0, 1).
-    kind : "power_law", "tabulated" or "constant".
     K : structural constant in (0, 2); for power laws K = alpha.
     theta : monotonicity exponent in (0, K] used by the weight machinery
         (a / |x - x0|^theta one-sided monotone).  Defaults to K.
     """
 
     x0: float
-    kind: str
     K: float
     theta: float
     alpha: float | None = None
     nodes: np.ndarray | None = field(default=None, repr=False)
     a_values: np.ndarray | None = field(default=None, repr=False)
     a_prime_values: np.ndarray | None = field(default=None, repr=False)
-    degenerate: bool = True
 
     # -- constructors -----------------------------------------------------
 
@@ -60,7 +55,7 @@ class CoefficientModel:
         theta = alpha if theta is None else theta
         if not 0.0 < theta <= alpha:
             raise ValueError(f"theta must lie in (0, K], got {theta} with K={alpha}")
-        return cls(x0=x0, kind="power_law", K=alpha, theta=theta, alpha=alpha)
+        return cls(x0=x0, K=alpha, theta=theta, alpha=alpha)
 
     @classmethod
     def tabulated(cls, nodes, a_values, a_prime_values, x0: float,
@@ -87,33 +82,27 @@ class CoefficientModel:
         theta = K if theta is None else theta
         if not 0.0 < theta <= K:
             raise ValueError(f"theta must lie in (0, K], got {theta} with K={K}")
-        degenerate = abs(np.interp(x0, nodes, a_values)) < 1e-14
-        return cls(x0=x0, kind="tabulated", K=K, theta=theta,
-                   nodes=nodes, a_values=a_values,
-                   a_prime_values=a_prime_values, degenerate=degenerate)
+        return cls(x0=x0, K=K, theta=theta, nodes=nodes, a_values=a_values,
+                   a_prime_values=a_prime_values)
 
     @classmethod
     def constant(cls, value: float = 1.0, x0: float = 0.5, n: int = 11):
-        """Non-degenerate sanity coefficient a = value (solver benchmarks)."""
+        """Non-degenerate sanity coefficient: the table a = value on n nodes."""
         if value <= 0.0:
             raise ValueError(f"constant coefficient must be positive, got {value}")
-        nodes = np.linspace(0.0, 1.0, n)
-        return cls(x0=x0, kind="constant", K=0.5, theta=0.5,
-                   nodes=nodes, a_values=np.full(n, float(value)),
-                   a_prime_values=np.zeros(n), degenerate=False)
+        return cls.tabulated(np.linspace(0.0, 1.0, n), np.full(n, float(value)),
+                             np.zeros(n), x0=x0, K=0.5)
 
     # -- evaluation -------------------------------------------------------
 
     def eval_a(self, x):
-        """Evaluate a(x) for x in [0, 1]; vectorized."""
-        arr, scalar = _as_array(x)
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
+        """Evaluate a(x) for x in [0, 1], elementwise; a scalar x gives a 0-d result."""
+        x = np.asarray(x, dtype=float)
+        if np.any(x < 0.0) or np.any(x > 1.0):
             raise ValueError(f"x outside [0, 1]: {x}")
-        if self.kind == "power_law":
-            out = np.abs(arr - self.x0) ** self.alpha
-        else:
-            out = np.interp(arr, self.nodes, self.a_values)
-        return float(out) if scalar else out
+        if self.alpha is not None:
+            return np.abs(x - self.x0) ** self.alpha
+        return np.interp(x, self.nodes, self.a_values)
 
     def eval_xa_prime(self, x):
         """Evaluate (x - x0) a'(x), extended by its limit 0 at x = x0.
@@ -121,15 +110,11 @@ class CoefficientModel:
         For power laws this is alpha * a(x) exactly; the combination stays
         bounded even where a' itself blows up (alpha < 1).
         """
-        arr, scalar = _as_array(x)
-        if self.kind == "power_law":
-            out = self.alpha * self.eval_a(arr if not scalar else float(arr))
-            return out
-        at_x0 = np.isclose(arr, self.x0, rtol=0.0, atol=1e-14)
-        d = np.where(at_x0, 0.0, arr - self.x0)
-        ap = np.interp(arr, self.nodes, self.a_prime_values)
-        out = np.where(at_x0, 0.0, d * ap)
-        return float(out) if scalar else out
+        x = np.asarray(x, dtype=float)
+        if self.alpha is not None:
+            return self.alpha * self.eval_a(x)
+        ap = np.interp(x, self.nodes, self.a_prime_values)
+        return np.where(np.isclose(x, self.x0, rtol=0.0, atol=1e-14), 0.0, (x - self.x0) * ap)
 
 
 @dataclass(frozen=True)
@@ -176,7 +161,7 @@ def check_hypotheses(model: CoefficientModel, grid) -> HypothesisReport:
 
     Violations are reported in the returned record, never raised.
     """
-    slack_tol = 1e-12 if model.kind == "power_law" else 1e-9
+    slack_tol = 1e-12 if model.alpha is not None else 1e-9
     x = grid.x
     off = ~np.isclose(x, model.x0, rtol=0.0, atol=1e-14)
     xs = x[off]
@@ -190,7 +175,7 @@ def check_hypotheses(model: CoefficientModel, grid) -> HypothesisReport:
     with np.errstate(divide="ignore"):
         gamma_vals = np.where(good, d ** model.K / np.where(good, a, 1.0), np.inf)
         theta_vals = np.where(good, a / d ** model.theta, 0.0)
-    mono_tol = 0.0 if model.kind == "power_law" else 1e-9
+    mono_tol = 0.0 if model.alpha is not None else 1e-9
     gamma_ok, _ = _sided_monotone(xs[good], gamma_vals[good], model.x0, mono_tol)
     theta_ok, _ = _sided_monotone(xs[good], theta_vals[good], model.x0, mono_tol)
 

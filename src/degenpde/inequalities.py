@@ -418,6 +418,8 @@ def carleman_scan(model, params_base: WeightParams, grid: SpaceTimeGrid, v: Fiel
     if not 0.0 < model.x0 < 1.0:
         raise ValueError("x0 must be strictly interior")
     s_values = default_s_values() if s_values is None else np.asarray(s_values, dtype=float)
+    if np.any(s_values < 0.0):
+        raise ValueError(f"s must be nonnegative, got {s_values}")
     x = grid.x
     t = grid.t
     a = model.eval_a(x)
@@ -434,7 +436,6 @@ def carleman_scan(model, params_base: WeightParams, grid: SpaceTimeGrid, v: Fiel
 
     lhs_arr, src_arr, bdy_arr = [], [], []
     for s in s_values:
-        params = params_base.with_s(s)
         log_E = 2.0 * s * (phi_grid - phi_max)
         log_E[0] = log_E[-1] = -np.inf
         E = np.where(log_E < _LOG_TINY, 0.0, np.exp(np.maximum(log_E, _LOG_TINY)))
@@ -445,7 +446,7 @@ def carleman_scan(model, params_base: WeightParams, grid: SpaceTimeGrid, v: Fiel
         src_arr.append(float(tw @ ((h.values ** 2 * E) @ sw)))
         bdry_vals = (a[None, [0, -1]] * thE[:, [0, -1]]
                      * (x[[0, -1]] - model.x0)[None, :] * v_x[:, [0, -1]] ** 2)
-        bdy_arr.append(float(s * params.c1 * (tw @ (bdry_vals[:, 1] - bdry_vals[:, 0]))))
+        bdy_arr.append(float(s * params_base.c1 * (tw @ (bdry_vals[:, 1] - bdry_vals[:, 0]))))
 
     lhs_arr = np.asarray(lhs_arr)
     src_arr = np.asarray(src_arr)

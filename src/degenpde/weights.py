@@ -5,6 +5,9 @@ the strictly negative spatial profile c1 * (b(x) - c2) built from
 b(x) = integral_{x0}^{x} (y - x0) / a(y) dy.  The exponential factor
 e^{2 s phi} therefore vanishes (faster than any power of Theta) at t = 0, T,
 and every weighted space-time integrand is defined as 0 there.
+
+Every profile works elementwise on numpy arrays; a scalar argument gives a
+0-d result.
 """
 
 from __future__ import annotations
@@ -72,9 +75,6 @@ class WeightParams:
             raise ValueError(f"c2={c2} is inadmissible; need c2 > c2_min={bound:.6g}")
         return cls(T=float(T), c1=float(c1), c2=float(c2), s=float(s))
 
-    def with_s(self, s: float) -> "WeightParams":
-        return WeightParams(T=self.T, c1=self.c1, c2=self.c2, s=float(s))
-
 
 def _tabulated_b_table(model):
     """Cumulative integral of (y - x0)/a on the model's own nodes.
@@ -108,7 +108,8 @@ def _tabulated_b_table(model):
         else:
             increments[i] = (u_hi ** expo - u_lo ** expo) / (c * expo)
     i0 = int(np.argmin(np.abs(nodes - model.x0)))
-    if abs(nodes[i0] - model.x0) < 1e-12 and model.degenerate:
+    # x0 is a node and a vanishes there
+    if abs(nodes[i0] - model.x0) < 1e-12 and abs(np.interp(model.x0, nodes, a)) < 1e-14:
         K = model.K
         if i0 + 1 < nodes.size:
             hr = nodes[i0 + 1] - nodes[i0]
@@ -128,41 +129,33 @@ def b_integral(model, x):
     Closed form |x - x0|^(2 - alpha) / (2 - alpha) for power laws;
     singularity-aware quadrature on the model's nodes otherwise.
     """
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    if model.kind == "power_law":
-        out = np.abs(arr - model.x0) ** (2.0 - model.alpha) / (2.0 - model.alpha)
-    else:
-        table = _tabulated_b_table(model)
-        out = np.interp(arr, model.nodes, table)
-    return float(out) if scalar else out
+    x = np.asarray(x, dtype=float)
+    if model.alpha is not None:
+        return np.abs(x - model.x0) ** (2.0 - model.alpha) / (2.0 - model.alpha)
+    return np.interp(x, model.nodes, _tabulated_b_table(model))
 
 
 def theta(params: WeightParams, t):
     """Theta(t) = [t(T-t)]^-4 for 0 < t < T; +inf at the endpoints."""
-    arr = np.asarray(t, dtype=float)
-    scalar = arr.ndim == 0
-    prod = arr * (params.T - arr)
+    t = np.asarray(t, dtype=float)
+    prod = t * (params.T - t)
     with np.errstate(divide="ignore"):
         out = np.where(prod > 0.0, prod, np.nan) ** (-THETA_EXPONENT)
-        out = np.where(prod > 0.0, out, np.inf)
-    return float(out) if scalar else out
+    return np.where(prod > 0.0, out, np.inf)
 
 
 def theta_dot(params: WeightParams, t):
-    arr = np.asarray(t, dtype=float)
-    prod = arr * (params.T - arr)
-    out = -THETA_EXPONENT * prod ** (-THETA_EXPONENT - 1) * (params.T - 2.0 * arr)
-    return float(out) if arr.ndim == 0 else out
+    t = np.asarray(t, dtype=float)
+    prod = t * (params.T - t)
+    return -THETA_EXPONENT * prod ** (-THETA_EXPONENT - 1) * (params.T - 2.0 * t)
 
 
 def theta_ddot(params: WeightParams, t):
-    arr = np.asarray(t, dtype=float)
+    t = np.asarray(t, dtype=float)
     n = THETA_EXPONENT
-    prod = arr * (params.T - arr)
-    out = (n * (n + 1) * prod ** (-n - 2) * (params.T - 2.0 * arr) ** 2
-           + 2.0 * n * prod ** (-n - 1))
-    return float(out) if arr.ndim == 0 else out
+    prod = t * (params.T - t)
+    return (n * (n + 1) * prod ** (-n - 2) * (params.T - 2.0 * t) ** 2
+            + 2.0 * n * prod ** (-n - 1))
 
 
 def psi(params: WeightParams, model, x):
@@ -172,14 +165,10 @@ def psi(params: WeightParams, model, x):
 
 def psi_prime(params: WeightParams, model, x):
     """psi'(x) = c1 (x - x0) / a(x); unbounded at x0 for K > 1."""
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    a = model.eval_a(arr if not scalar else float(arr))
-    a = np.asarray(a, dtype=float)
+    x = np.asarray(x, dtype=float)
+    a = model.eval_a(x)
     with np.errstate(divide="ignore"):
-        out = np.where(a > 0.0, params.c1 * (arr - model.x0) / np.where(a > 0.0, a, 1.0),
-                       0.0)
-    return float(out) if scalar else out
+        return np.where(a > 0.0, params.c1 * (x - model.x0) / np.where(a > 0.0, a, 1.0), 0.0)
 
 
 def exp2s_phi(params: WeightParams, model, t, x):
@@ -189,15 +178,11 @@ def exp2s_phi(params: WeightParams, model, t, x):
     positive normal, which also covers the endpoint limit Theta -> +inf,
     psi < 0.
     """
-    tt = np.asarray(t, dtype=float)
-    xx = np.asarray(x, dtype=float)
-    scalar = tt.ndim == 0 and xx.ndim == 0
-    tt, xx = np.broadcast_arrays(tt, xx)
+    tt, xx = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
     prod = tt * (params.T - tt)
     interior = prod > 0.0
     log_arg = np.full(tt.shape, -np.inf)
     ps = psi(params, model, xx[interior]) if np.any(interior) else np.empty(0)
     with np.errstate(divide="ignore", over="ignore"):
         log_arg[interior] = 2.0 * params.s * prod[interior] ** (-THETA_EXPONENT) * ps
-    out = np.where(log_arg < _LOG_TINY, 0.0, np.exp(np.maximum(log_arg, _LOG_TINY)))
-    return float(out) if scalar else out
+    return np.where(log_arg < _LOG_TINY, 0.0, np.exp(np.maximum(log_arg, _LOG_TINY)))

@@ -1,9 +1,10 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
-from degenpde.cli import DEFAULT_CONFIG, PRESETS, main
+from degenpde.cli import DEFAULT_CONFIG, PRESETS, build_model, main
 
 TINY = ["--set", "grid.N=20", "--set", "grid.M=40",
         "--set", "observability.n_modes=2", "--set", "observability.n_random=2",
@@ -61,6 +62,33 @@ class TestConfigHandling:
         assert "grid.N=200" in snapped.err and "N=1000" in snapped.err
         assert snapped.out == on_node.out
 
+    @pytest.mark.parametrize("task, key, value", [
+        # lists and counts that would let a verdict pass without checking anything
+        ("carleman-identity", "identity.s_values", "[]"),
+        ("caccioppoli", "caccioppoli.s_values", "[]"),
+        ("hp", "hp.battery_size", "0"),
+        ("hp", "hp.battery_size", "-3"),
+        ("carleman-scan", "scan.n_s", "2"),
+        # inputs that raised a traceback
+        ("carleman-scan", "scan.T", "0"),
+        ("caccioppoli", "caccioppoli.T", "-1"),
+        ("observability", "observability.T", "0"),
+        ("null-control", "null_control.T", "-0.5"),
+        ("carleman-scan", "scan.n_s", "0"),
+        ("carleman-scan", "scan.s_ratio", "-1"),
+        ("observability", "observability.n_modes", "0"),
+        ("carleman-identity", "identity.s_values", "3"),
+        ("hp", "hp.q", "NaN"),
+        # inputs whose error named another key
+        ("carleman-identity", "weight.c1", "0"),
+        ("carleman-scan", "scan.s_start", "-1"),
+        ("null-control", "null_control.tol", "0"),
+    ])
+    def test_bad_value_exits_1_naming_key(self, tmp_path, capsys, task, key, value):
+        code, _ = run(tmp_path, task, *TINY, "--set", f"{key}={value}")
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {key}: ")
+
     def test_override_applied(self, tmp_path):
         code, out = run(tmp_path, "check-coeff", "--set", "coefficient.alpha=1.5")
         assert code == 0
@@ -76,6 +104,19 @@ class TestSubcommands:
         summary = json.loads((out / "summary.json").read_text())
         slack = next(v for v in summary["verdicts"] if v["name"] == "hypothesis_slack")
         assert slack["pass"] and slack["value"] < 1e-12
+
+    @pytest.mark.parametrize("coefficient", [["--preset", "alpha1.5-x0.3"],
+                                             ["--set", "coefficient.kind=constant"]])
+    def test_check_coeff_slack_matches_per_node_loop(self, tmp_path, coefficient):
+        code, out = run(tmp_path, "check-coeff", *coefficient, "--set", "grid.N=40")
+        assert code != 1
+        model = build_model(json.loads((out / "summary.json").read_text())["config"])
+        rows = list(csv.DictReader((out / "check_coeff.csv").read_text().splitlines()[1:]))
+        assert len(rows) == 41
+        for row in rows:
+            x, a, xap = (float(row[k]) for k in ("x", "a", "xa_prime"))
+            off = not np.isclose(x, model.x0, rtol=0.0, atol=1e-14)
+            assert float(row["slack"]) == (xap / a - model.K if off and a > 0.0 else 0.0)
 
     def test_hp_reports_paper_bound(self, tmp_path):
         code, out = run(tmp_path, "hp")

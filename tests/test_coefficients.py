@@ -36,7 +36,6 @@ class TestEvalA:
     def test_constant_model(self):
         m = CoefficientModel.constant(2.5, 0.5)
         assert m.eval_a(0.5) == 2.5
-        assert not m.degenerate
 
 
 class TestEvalAPrime:

@@ -137,6 +137,11 @@ class TestCarlemanScan:
         tail = rep.ratios[rep.s_values >= rep.s0_observed]
         assert np.all(tail[1:] <= tail[:-1] * 1.05)
 
+    def test_negative_s_rejected(self):
+        m, params, pot, g, v, h = self.make_scan(N=20)
+        with pytest.raises(ValueError, match="s must be nonnegative"):
+            carleman_scan(m, params, g, v, h, s_values=[1.0, -1.0])
+
     def test_scaling_invariance(self):
         m, params, pot, g, v, h = self.make_scan()
         rep1 = carleman_scan(m, params, g, v, h)

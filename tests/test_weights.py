@@ -126,6 +126,12 @@ class TestPsi:
         np.testing.assert_allclose(b_integral(tab, x), b_integral(ref, x),
                                    rtol=2e-4, atol=1e-8)
 
+    def test_constant_table_b_is_exact(self):
+        # a = 2 is a table that does not vanish at x0: b = (x - x0)^2 / 4 on its nodes
+        m = CoefficientModel.constant(2.0, 0.5)
+        np.testing.assert_allclose(b_integral(m, m.nodes), (m.nodes - 0.5) ** 2 / 4.0,
+                                   rtol=0.0, atol=1e-14)
+
 
 class TestPsiPrime:
     def test_matches_finite_difference_away_from_x0(self):
