@@ -179,7 +179,9 @@ def validate_config(config: dict):
         _require_number(config, "coefficient.constant_value", lo=0.0, strict_lo=True)
     # scan.n_s >= 3: the tail verdict of carleman-scan compares three consecutive points
     for key, least in (("grid.N", 2), ("grid.M", 2), ("hp.N", 2), ("hp.battery_size", 1),
-                       ("scan.n_s", 3), ("observability.n_modes", 1)):
+                       ("scan.n_s", 3), ("observability.n_modes", 1),
+                       ("observability.n_random", 0), ("observability.n_power", 0),
+                       ("null_control.max_iters", 1)):
         if not _require_number(config, key, lo=least).is_integer():
             raise ConfigError(key, "an integer is required")
     _require_number(config, "grid.T", lo=0.0, strict_lo=True)
@@ -200,8 +202,12 @@ def validate_config(config: dict):
         raise ConfigError("control.omega_hi", f"omega=({lo}, {hi}) is empty")
     _require_number(config, "control.epsilon", lo=0.0)
     for key in ("scan.T", "caccioppoli.T", "observability.T", "null_control.T",
-                "scan.s_start", "scan.s_ratio", "weight.c1", "null_control.tol"):
+                "scan.s_start", "scan.s_ratio", "weight.c1", "null_control.tol",
+                "hp.stability_tol", "identity.residual_tol", "identity.refine_factor_min",
+                "scan.stability_tol", "caccioppoli.stability_tol",
+                "observability.stability_tol", "weight.c2_margin"):
         _require_number(config, key, lo=0.0, strict_lo=True)
+    _require_number(config, "scan.window_tol", lo=0.0)
     for section in ("identity", "caccioppoli"):
         s_values = config[section]["s_values"]
         if not (isinstance(s_values, list) and s_values and all(

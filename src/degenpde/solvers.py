@@ -17,18 +17,38 @@ diagonal dominance and its per-node maximum decides overflow, so no
 (M+1) x (N-1) temporary is built.  When c has a single row (it does not
 depend on time) the left-hand side never changes, so it is factored once
 with LAPACK ``gttrf`` and each step is one ``gttrs``; with c sampled per
-time level each step solves its own system with ``gtsv``.  These run the
+time level, or with two interior nodes (SciPy's ``gttrf`` wrapper rejects
+n = 2), each step solves its own system with ``gtsv``.  These run the
 same partial-pivot elimination, in the same order, that
-``scipy.linalg.solve_banded`` runs for a tridiagonal matrix.  Each step
-builds its right-hand side in the output row it solves into, using a few
-preallocated length-(N-1) buffers, in the order of operations of a
-per-step banded solve, so the results match one bit for bit: halving is
-exact, so A/2 and c/2 are precomputed (the products agree unless one
-leaves the normal floating-point range); a + b == b + a; and a missing
-source adds nothing, since the zero source's (0 + 0)/2 = +0.0 could only
-have changed a -0.0, which the sum before it never is.  A non-finite
-matrix or right-hand side raises ValueError and a singular one raises
-LinAlgError, as in ``solve_banded``.
+``scipy.linalg.solve_banded`` runs for a tridiagonal matrix.
+
+Each step builds its right-hand side in the output row it solves into, with
+four ufunc calls on preallocated buffers.  A sliding window over the field
+gives the rows (lower, u, upper) of the previous time, and one product with
+the stencil [e/2, d/2, e/2], zero-padded at the ends, fills three rows of a
+(5, N-1) buffer; u/dt and (-c/2) u fill the other two.  One reduction over
+the buffer's first axis adds the rows in order, giving
+((upper + (d/2) u) + lower) + u/dt + (-c/2) u.  This matches a per-step
+banded solve's (((d/2) u + upper) + lower) + u/dt - (c/2) u bit for bit:
+halving is exact, so A/2 and c/2 are precomputed (the products agree unless
+one leaves the normal floating-point range); a + b == b + a; x - y ==
+x + (-y); and the zero pads only ever add +0.0, which could change a sum
+only if it were -0.0, and each sum containing (d/2) u = -0.0 then adds
+u/dt = +0.0 and comes out the same.  Before the first step, one vectorised
+sum writes each step's source term (h_prev + h_next)/2 into the row the
+step will solve into; a step adds it forward and subtracts it backward,
+which equals adding (-h_prev - h_next)/2.  A missing source adds nothing,
+since the zero source's (0 + 0)/2 = +0.0 could only have changed a -0.0,
+which the sum before it never is.
+
+A non-finite matrix raises ValueError up front and a singular one raises
+LinAlgError, as in ``solve_banded``.  Non-finite right-hand sides are found
+by one check of the whole field after the last step: every divisor of a
+solve is a finite LU pivot, dt or the diagonal, so no step turns a
+non-finite value finite, and a non-finite right-hand side leaves a
+non-finite value in its row and every later one.  The same inputs raise
+ValueError as under a check of each right-hand side, plus one case that
+check missed: a last solve whose result overflows.
 """
 
 from __future__ import annotations
@@ -36,6 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import LinAlgError, get_lapack_funcs
 
 from .grid import Field, SpaceTimeGrid, assemble_operator, integrate_space
@@ -145,11 +166,12 @@ def _check_info(info: int):
 
 
 def _propagate(model, potential: PotentialModel, grid: SpaceTimeGrid, start: np.ndarray,
-               source, backward: bool) -> Field:
+               source: np.ndarray | None, backward: bool) -> Field:
     """Step ``start`` through every time of the grid, from t = T down when backward.
 
-    Crank-Nicolson for u_t = A u - c u + f on the interior nodes.  ``source(j, out)``
-    writes the interior source at time index j into ``out``; None means zero.
+    Crank-Nicolson for u_t = A u - c u + f on the interior nodes.  ``source`` holds
+    the interior h, one row per time level (None means zero); f = h forward and
+    f = -h backward.
     """
     c = potential.values(grid)[:, 1:-1]          # raises before any work if c does not fit
     d, e = assemble_operator(model, grid).interior_tridiag()
@@ -172,42 +194,51 @@ def _propagate(model, potential: PotentialModel, grid: SpaceTimeGrid, start: np.
     # base + c/2 grows with c, so the largest c of each node decides overflow
     _require_finite(base + 0.5 * lhs_c.max(axis=0))
 
-    half_c = 0.5 * c[times[0] if sampled else 0]    # c/2 at the previous time, for the RHS
-    diag = base + half_c                  # the LHS diagonal; with sampled c, refilled each step
+    neg_half_c = -0.5 * c[times[0] if sampled else 0]    # -c/2 at the previous time
+    diag = base - neg_half_c              # the LHS diagonal; with sampled c, refilled each step
     gttrf, gttrs, gtsv = get_lapack_funcs(("gttrf", "gttrs", "gtsv"), (d,))
-    # LAPACK's tridiagonal wrappers need n >= 2; one interior node is a division.
-    factored = not sampled and n > 1
+    # SciPy's gttrf wrapper rejects n = 2, so constant c is solved there by gtsv
+    # without overwriting diag; the LAPACK wrappers need n >= 2, so one interior node
+    # is a division.
+    factored = not sampled and n > 2
     if factored:
         *lu, info = gttrf(off, diag, off)
         _check_info(info)
 
     out = np.zeros((grid.M + 1, grid.N + 1))
     out[times[0]] = start
-    u = out[times[0], 1:-1]
-    tmp = np.empty(n)
+    rows = out[:, 1:-1]
     if source is not None:
-        f_prev, f_next = np.empty(n), np.empty(n)
-        source(times[0], f_prev)
+        # each step's (h_prev + h_next)/2, written into the row the step solves into
+        summed = rows[:-1] if backward else rows[1:]
+        np.add(source[:-1], source[1:], out=summed, dtype=float)
+        summed *= 0.5
+        combine = np.subtract if backward else np.add
+        acc = np.empty(n)
+    # window[j] holds the rows lower, u, upper of time j; the Dirichlet columns of out
+    # are +0.0 and meet the zero pads of the stencil, so every product there is +0.0.
+    window = sliding_window_view(out, n, axis=1)
+    stencil = np.zeros((3, n))
+    stencil[0, 1:] = stencil[2, :-1] = half_e
+    stencil[1] = half_d
+    terms = np.empty((5, n))
+    products, by_dt, by_c = terms[2::-1], terms[3], terms[4]
     for j_prev, j_next in zip(times, times[1:]):
-        # RHS (I/dt + A/2 - C_prev/2) u + (f_prev + f_next)/2, built in the row it solves
-        # into, in the order ((A u/2 + u/dt) - (c_prev/2) u) + (f_prev + f_next)/2: any
-        # other order changes the last bits of the artifacts.
-        rhs = out[j_next, 1:-1]
-        np.multiply(half_d, u, out=rhs)
-        rhs[:-1] += np.multiply(half_e, u[1:], out=tmp[:-1])
-        rhs[1:] += np.multiply(half_e, u[:-1], out=tmp[:-1])
-        rhs += np.divide(u, dt, out=tmp)
-        rhs -= np.multiply(half_c, u, out=tmp)
-        # A zero source's +0.0 could only change a -0.0, and this sum never is -0.0:
-        # d < 0, so (d/2) u_i and u_i/dt never are both -0.0.
-        if source is not None:
-            source(j_next, f_next)
-            rhs += np.multiply(np.add(f_prev, f_next, out=tmp), 0.5, out=tmp)
-            f_prev, f_next = f_next, f_prev
-        _require_finite(rhs)
+        # RHS (I/dt + A/2 - C_prev/2) u + (f_prev + f_next)/2, in the order
+        # (((upper + (d/2) u) + lower) + u/dt + (-c_prev/2) u) +/- (h_prev + h_next)/2,
+        # the last term already in rhs: any other order changes the last bits of the
+        # artifacts.
+        u, rhs = rows[j_prev], rows[j_next]
+        np.multiply(window[j_prev], stencil, out=products)
+        np.divide(u, dt, out=by_dt)
+        np.multiply(neg_half_c, u, out=by_c)
+        if source is None:
+            np.add.reduce(terms, axis=0, out=rhs)
+        else:
+            combine(np.add.reduce(terms, axis=0, out=acc), rhs, out=rhs)
         if sampled:
-            np.multiply(c[j_next], 0.5, out=half_c)
-            np.add(half_c, base, out=diag)
+            np.multiply(c[j_next], -0.5, out=neg_half_c)
+            np.subtract(base, neg_half_c, out=diag)
         # f2py solves a contiguous float64 right-hand side in place under overwrite_b
         if factored:
             _, info = gttrs(*lu, rhs, overwrite_b=True)
@@ -215,9 +246,12 @@ def _propagate(model, potential: PotentialModel, grid: SpaceTimeGrid, start: np.
         elif n == 1:
             rhs /= diag
         else:
-            *_, info = gtsv(off, diag, off, rhs, overwrite_d=True, overwrite_b=True)
+            *_, info = gtsv(off, diag, off, rhs, overwrite_d=sampled, overwrite_b=True)
             _check_info(info)
-        u = rhs
+    # A non-finite value stays non-finite through every later step, since every
+    # divisor is finite, so one check of the whole field rejects what a per-step
+    # check of each right-hand side would.
+    _require_finite(out)
     return Field(grid, out)
 
 
@@ -228,7 +262,7 @@ def solve_forward(model, potential: PotentialModel, grid: SpaceTimeGrid,
     A control restricted to omega is passed as h = h_omega * chi_omega.
     """
     u0 = _check_dirichlet(np.asarray(u0, dtype=float), "u0")
-    source = None if h is None else (lambda j, out: np.copyto(out, h.values[j, 1:-1]))
+    source = None if h is None else h.values[:, 1:-1]
     return _propagate(model, potential, grid, u0, source, backward=False)
 
 
@@ -240,7 +274,7 @@ def solve_adjoint(model, potential: PotentialModel, grid: SpaceTimeGrid,
     the same Crank-Nicolson stepper applies with time indices reversed.
     """
     vT = _check_dirichlet(np.asarray(vT, dtype=float), "vT")
-    source = None if h is None else (lambda j, out: np.negative(h.values[j, 1:-1], out=out))
+    source = None if h is None else h.values[:, 1:-1]
     return _propagate(model, potential, grid, vT, source, backward=True)
 
 

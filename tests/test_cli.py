@@ -83,6 +83,18 @@ class TestConfigHandling:
         ("carleman-identity", "weight.c1", "0"),
         ("carleman-scan", "scan.s_start", "-1"),
         ("null-control", "null_control.tol", "0"),
+        # tolerances and counts: a TypeError traceback, another key named, or truncated
+        ("hp", "hp.stability_tol", "x"),
+        ("carleman-identity", "identity.residual_tol", "x"),
+        ("carleman-identity", "identity.refine_factor_min", "-1"),
+        ("carleman-scan", "scan.window_tol", "x"),
+        ("carleman-scan", "scan.stability_tol", "NaN"),
+        ("caccioppoli", "caccioppoli.stability_tol", "x"),
+        ("observability", "observability.stability_tol", "0"),
+        ("carleman-identity", "weight.c2_margin", "x"),
+        ("observability", "observability.n_random", "-1"),
+        ("observability", "observability.n_power", "1.5"),
+        ("null-control", "null_control.max_iters", "x"),
     ])
     def test_bad_value_exits_1_naming_key(self, tmp_path, capsys, task, key, value):
         code, _ = run(tmp_path, task, *TINY, "--set", f"{key}={value}")
@@ -157,7 +169,7 @@ class TestSubcommands:
 
     def test_verdict_failure_exits_2(self, tmp_path, capsys):
         code, _ = run(tmp_path, "null-control",
-                      "--set", "null_control.max_iters=0",
+                      "--set", "null_control.max_iters=1",
                       "--set", "grid.N=60", "--set", "grid.M=80")
         assert code == 2
         assert "[FAIL] terminal_norm_small" in capsys.readouterr().out

@@ -109,7 +109,8 @@ def dirichlet_noise(rng, g):
 
 class TestStepperMatchesBandedSolve:
     @pytest.mark.parametrize("kind", ["zero", "constant", "sampled"])
-    @pytest.mark.parametrize("N, x0", [(2, 0.5), (60, 0.3)])   # N=2: one interior node
+    # N=2: one interior node; N=3: two, the smallest stencil window with both zero pads
+    @pytest.mark.parametrize("N, x0", [(2, 0.5), (3, 1.0 / 3.0), (60, 0.3)])
     def test_forward_with_control_source(self, kind, N, x0):
         m, g = degenerate_setup(N=N, x0=x0)
         assert g.N == N
@@ -221,6 +222,41 @@ class TestNonFiniteInput:
                 solve_adjoint(m, c, g, start, h=h)
             else:
                 solve_forward(m, c, g, start, h=h)
+
+    # The field is checked once, after the last step: these pin that a non-finite
+    # value entering any step, the last one included, still raises.
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    @pytest.mark.parametrize("where", ["inf_start", "nan_first_source_row",
+                                       "nan_last_source_row", "overflowing_rhs"])
+    @pytest.mark.parametrize("kind", ["zero", "sampled"])
+    @pytest.mark.parametrize("backward", [False, True])
+    def test_non_finite_step_raises(self, backward, kind, where):
+        m, g = degenerate_setup()
+        rng = np.random.default_rng(6)
+        start = dirichlet_noise(rng, g)
+        h = Field(g, rng.standard_normal((g.M + 1, g.N + 1)))
+        pot = potentials(g)[kind]
+        if where == "inf_start":
+            start[g.N // 2] = np.inf
+        elif where == "nan_first_source_row":
+            h.values[0, g.N // 2] = np.nan
+        elif where == "nan_last_source_row":
+            h.values[g.M, g.N // 2] = np.nan
+        else:   # finite data, but (d/2) u and the sums leave the floating-point range
+            start[1:-1] = 1e308 * g.dt
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            (solve_adjoint if backward else solve_forward)(m, pot, g, start, h=h)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_overflowing_last_solve_raises(self):
+        # a finite right-hand side whose solve overflows, on the only step (M = 1):
+        # a check of each right-hand side never sees it, the check of the field does
+        m = CoefficientModel.constant(1e-6, 0.5)
+        g = SpaceTimeGrid.create(20, 1, 1.0, 0.5)
+        c = PotentialModel.constant(-2.0 / g.dt * (1.0 - 1e-14))   # margin 1/dt + c/2 ~ 1e-14
+        u0 = 1e304 * np.sin(np.pi * g.x)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            solve_forward(m, c, g, u0)
 
 
 class TestAdjoint:
