@@ -28,7 +28,7 @@ from .grid import Field, SpaceTimeGrid, assemble_operator, dirichlet_eigenmodes
 from .inequalities import (HardyWeight, caccioppoli_check, carleman_identity_check,
                            carleman_scan, default_s_values, hp_verify,
                            manufactured_adjoint_pair)
-from .solvers import ControlConfig, PotentialModel, solve_adjoint
+from .solvers import ControlConfig, PotentialModel, _require_dominance, solve_adjoint
 from .weights import WeightParams
 
 __all__ = ["main", "DEFAULT_CONFIG", "PRESETS"]
@@ -201,6 +201,8 @@ def validate_config(config: dict):
     if not lo < hi:
         raise ConfigError("control.omega_hi", f"omega=({lo}, {hi}) is empty")
     _require_number(config, "control.epsilon", lo=0.0)
+    if not np.isfinite(_require_number(config, "potential.value")):
+        raise ConfigError("potential.value", "a finite number is required")
     for key in ("scan.T", "caccioppoli.T", "observability.T", "null_control.T",
                 "scan.s_start", "scan.s_ratio", "weight.c1", "null_control.tol",
                 "hp.stability_tol", "identity.residual_tol", "identity.refine_factor_min",
@@ -313,6 +315,21 @@ def _refinement_pair(config: dict, T=None) -> list:
     """
     coarse = build_grid(config, T=T)
     return [coarse, build_grid(config, N=2 * coarse.N, M=2 * coarse.M, T=T)]
+
+
+def _require_x0_in_omega(control: ControlConfig, model: CoefficientModel):
+    try:
+        control.require_x0_inside(model.x0)
+    except ValueError as exc:
+        raise ConfigError("control.omega_lo", str(exc))
+
+
+def _require_stable_potential(potential: PotentialModel, grid: SpaceTimeGrid):
+    """Name potential.value for a c that the solvers would refuse on this grid."""
+    try:
+        _require_dominance(potential.rows.min(), grid.dt)
+    except ValueError as exc:
+        raise ConfigError("potential.value", str(exc))
 
 
 def _relative_change(coarse: float, fine: float) -> float:
@@ -460,6 +477,7 @@ def run_caccioppoli(config: dict, out_dir: Path) -> list:
     ratios = {}
     rows = []
     for grid in _refinement_pair(config, T):
+        _require_stable_potential(potential, grid)
         op = assemble_operator(model, grid)
         _, modes = dirichlet_eigenmodes(op, 1)
         v = solve_adjoint(model, potential, grid, modes[0])
@@ -492,14 +510,12 @@ def run_observability(config: dict, out_dir: Path) -> list:
     potential = build_potential(config)
     control = build_control(config)
     c = config["observability"]
-    try:
-        control.require_x0_inside(model.x0)
-    except ValueError as exc:
-        raise ConfigError("control.omega_lo", str(exc))
+    _require_x0_in_omega(control, model)
     seed = int(config["run"]["seed"])
     reports = []
     rows = []
     for grid in _refinement_pair(config, c["T"]):
+        _require_stable_potential(potential, grid)
         rep = estimate_observability(model, potential, grid, control,
                                      n_modes=int(c["n_modes"]),
                                      n_random=int(c["n_random"]),
@@ -527,18 +543,17 @@ def run_null_control(config: dict, out_dir: Path) -> list:
     potential = build_potential(config)
     control = build_control(config)
     c = config["null_control"]
+    _require_x0_in_omega(control, model)
     grid = build_grid(config, T=c["T"])
+    _require_stable_potential(potential, grid)
     if c["u0"] == "parabola":
         u0 = grid.x * (1.0 - grid.x)
     elif c["u0"] == "sine":
         u0 = np.sin(np.pi * grid.x)
     else:
         raise ConfigError("null_control.u0", f"unsupported profile {c['u0']!r}")
-    try:
-        sol = synthesize_null_control(model, potential, grid, control, u0,
-                                      tol=c["tol"], max_iters=int(c["max_iters"]))
-    except ValueError as exc:
-        raise ConfigError("control.omega_lo", str(exc))
+    sol = synthesize_null_control(model, potential, grid, control, u0,
+                                  tol=c["tol"], max_iters=int(c["max_iters"]))
     ratio = sol.terminal_norm / sol.initial_norm
     J_decreasing = bool(np.all(np.diff(sol.J_history) < 0.0)) if sol.J_history.size > 1 else True
     chi = control.indicator(grid)

@@ -220,7 +220,8 @@ def _derivative(values: np.ndarray, step: float, axis: int) -> np.ndarray:
     v = np.moveaxis(values, axis, 0)
     out = np.empty_like(values)
     o = np.moveaxis(out, axis, 0)          # a view: writing o fills out
-    o[1:-1] = (v[2:] - v[:-2]) / (2.0 * step)
+    np.subtract(v[2:], v[:-2], out=o[1:-1])
+    o[1:-1] /= 2.0 * step
     o[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * step)
     o[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * step)
     return out
@@ -302,45 +303,69 @@ def carleman_identity_check(model, params: WeightParams, grid: SpaceTimeGrid,
 
     wi = wv[interior_t]
     wxi = w_x[interior_t]
-    wti = w_t[interior_t]
+    a_b = a[[0, -1]]
+    wx_b = wxi[:, [0, -1]]
+    wt_b = w_t[interior_t][:, [0, -1]]    # taken before L- overwrites w_t
+    w_b = wi[:, [0, -1]]
 
-    # operator applications at interior times
-    phi_t = th_d[:, None] * psi_x[None, :]
-    a_phi_x = c1 * th[:, None] * d[None, :]
-    a_phi_x2 = c1 ** 2 * th[:, None] ** 2 * q2[None, :]     # a * phi_x^2
-    L_plus = div_a_grad_w[interior_t] - s * phi_t * wi + s ** 2 * a_phi_x2 * wi
-    L_minus = wti - 2.0 * s * a_phi_x * wxi - s * c1 * th[:, None] * wi
+    # Every integrand is written into the interior rows of one zero-bordered
+    # buffer, and L+ and L- overwrite the rows of (a w_x)_x and w_t they start
+    # from.  Each in-place step is one correctly rounded operation taken in the
+    # left-to-right order of the formula, e.g. ((s phi_t) w), so every entry
+    # has the bits of the formula evaluated on fresh arrays.
+    full = np.zeros((M + 1, N + 1))
+    inner = full[interior_t]
+    sw = grid.space_weights()
+    tw_full = grid.time_weights()
 
-    def st_integral(integrand_interior):
-        full = np.zeros((M + 1, N + 1))
-        full[interior_t] = integrand_interior
-        per_t = full @ grid.space_weights()
-        return float(np.dot(grid.time_weights(), per_t))
+    def st_integral():
+        return float(np.dot(tw_full, full @ sw))
 
-    lhs = st_integral(L_plus * L_minus)
+    def outer_integral(col, row, square):
+        """int int (col row) square, with (M-1, 1) col and (1, N+1) row."""
+        np.multiply(col, row, out=inner)
+        np.multiply(inner, square, out=inner)
+        return st_integral()
+
+    # L+ in the interior rows of div_a_grad_w, L- in those of w_t
+    L_plus = div_a_grad_w[interior_t]
+    np.multiply(th_d[:, None], psi_x[None, :], out=inner)        # phi_t
+    inner *= s
+    inner *= wi
+    L_plus -= inner
+    np.multiply(c1 ** 2 * th[:, None] ** 2, q2[None, :], out=inner)  # a * phi_x^2
+    inner *= s ** 2
+    inner *= wi
+    L_plus += inner
+    L_minus = w_t[interior_t]
+    np.multiply(c1 * th[:, None], d[None, :], out=inner)           # a phi_x
+    inner *= 2.0 * s
+    inner *= wxi
+    L_minus -= inner
+    np.multiply(s * c1 * th[:, None], wi, out=inner)
+    L_minus -= inner
+    np.multiply(L_plus, L_minus, out=inner)
+    lhs = st_integral()
+    del L_plus, L_minus, div_a_grad_w, w_t     # frees two fields before the squares
 
     # distributed terms
     r2 = np.where(a > 0.0, g2 / np.where(a > 0.0, a, 1.0), 0.0)
-    dt1 = st_integral(0.5 * s * th_dd[:, None] * psi_x[None, :] * wi ** 2)
-    dt2 = st_integral(s ** 3 * c1 ** 3 * th[:, None] ** 3
-                      * (q2 * r2)[None, :] * wi ** 2)
-    dt3 = st_integral(-2.0 * s ** 2 * c1 ** 2 * (th * th_d)[:, None]
-                      * q2[None, :] * wi ** 2)
-    dt4 = st_integral(s * c1 * th[:, None] * g2[None, :] * wxi ** 2)
+    square = np.square(wi)
+    dt1 = outer_integral(0.5 * s * th_dd[:, None], psi_x[None, :], square)
+    dt2 = outer_integral(s ** 3 * c1 ** 3 * th[:, None] ** 3, (q2 * r2)[None, :], square)
+    dt3 = outer_integral(-2.0 * s ** 2 * c1 ** 2 * (th * th_d)[:, None], q2[None, :], square)
+    np.square(wxi, out=square)
+    dt4 = outer_integral(s * c1 * th[:, None], g2[None, :], square)
 
     # boundary terms at x = 0, 1; w vanishes there, so every group except the
     # -s phi_x (a w_x)^2 flux is analytically zero, but all three are assembled
     # from the data.  The groups at t = 0, T carry factors w and w_x, which
     # vanish there, so they are not formed.
-    tw = grid.time_weights()[interior_t]
+    tw = tw_full[interior_t]
 
     def t_integral_bdry(vals_interior_t):
         return float(np.dot(tw, vals_interior_t))
 
-    a_b = a[[0, -1]]
-    wx_b = w_x[interior_t][:, [0, -1]]
-    wt_b = w_t[interior_t][:, [0, -1]]
-    w_b = wv[interior_t][:, [0, -1]]
     phi_x_b = th[:, None] * psi_p_bdry[None, :]
     phi_t_b = th_d[:, None] * psi_x[[0, -1]][None, :]
 
@@ -414,6 +439,15 @@ def carleman_scan(model, params_base: WeightParams, grid: SpaceTimeGrid, v: Fiel
     e^{2s(phi - max phi)}.  Every ratio LHS/RHS is unchanged, while the raw
     weight e^{2s phi} would underflow for large s Theta (for T = 1/2 its log
     is below -2000 already at s = 1).
+
+    What does not depend on s (phi - max phi, v_x^2, v^2, Theta^3) is computed
+    once, and each s fills the same few buffers in place.  Each in-place step is
+    the elementwise product, sum or exp of the same operands, taken in the
+    left-to-right order of the formula, e.g. ((s (Theta E)) a) v_x^2, so every
+    entry has the bits of the formula evaluated on fresh arrays, and the
+    integrals are the same (M+1, N+1) @ space-weights products.  E is
+    exp(2s(phi - max phi)), flushed to 0 below the log of the smallest normal
+    by setting those logs to -inf, whose exp is exactly 0.
     """
     if not 0.0 < model.x0 < 1.0:
         raise ValueError("x0 must be strictly interior")
@@ -422,30 +456,51 @@ def carleman_scan(model, params_base: WeightParams, grid: SpaceTimeGrid, v: Fiel
         raise ValueError(f"s must be nonnegative, got {s_values}")
     x = grid.x
     t = grid.t
-    a = model.eval_a(x)
-    q2 = _q2_profile(model, x)
-    v_x = _derivative(v.values, grid.h, axis=1)
+    a = model.eval_a(x)[None, :]
+    q2 = _q2_profile(model, x)[None, :]
+    v_x2 = _derivative(v.values, grid.h, axis=1)
+    v_x2 *= v_x2                             # v_x^2, the same bits as v_x ** 2
+    v2 = v.values ** 2
     th_full = np.zeros(grid.M + 1)
     th_full[1:-1] = theta(params_base, t[1:-1])
+    th = th_full[:, None]
+    th3 = th ** 3
     ps = psi(params_base, model, x)          # < 0 for admissible c2
-    phi_grid = th_full[:, None] * ps[None, :]
-    phi_max = float(np.max(phi_grid[1:-1]))
+    phi_shift = th * ps[None, :]             # phi, then phi - max phi in place
+    phi_max = float(np.max(phi_shift[1:-1]))
+    phi_shift -= phi_max
+    a_b = a[:, [0, -1]]
+    d_b = (x[[0, -1]] - model.x0)[None, :]
+    v_x2_b = v_x2[:, [0, -1]]
 
     sw = grid.space_weights()
     tw = grid.time_weights()
 
+    # per-s buffers: E, the LHS integrand, and its second term or the source integrand
+    E = np.empty_like(phi_shift)
+    flushed = np.empty(E.shape, dtype=bool)
+    integrand = np.empty_like(E)
+    work = np.empty_like(E)
     lhs_arr, src_arr, bdy_arr = [], [], []
     for s in s_values:
-        log_E = 2.0 * s * (phi_grid - phi_max)
-        log_E[0] = log_E[-1] = -np.inf
-        E = np.where(log_E < _LOG_TINY, 0.0, np.exp(np.maximum(log_E, _LOG_TINY)))
-        thE = th_full[:, None] * E      # zero at the time endpoints by contract
-        integrand = (s * thE * a[None, :] * v_x ** 2
-                     + s ** 3 * th_full[:, None] ** 3 * E * q2[None, :] * v.values ** 2)
+        np.multiply(phi_shift, 2.0 * s, out=E)                # log E
+        E[0] = E[-1] = -np.inf
+        np.less(E, _LOG_TINY, out=flushed)
+        np.copyto(E, -np.inf, where=flushed)                  # exp(-inf) is the flushed 0
+        np.exp(E, out=E)
+        np.multiply(th, E, out=integrand)    # Theta E, zero at the time endpoints by contract
+        bdry_vals = a_b * integrand[:, [0, -1]] * d_b * v_x2_b
+        integrand *= s
+        integrand *= a
+        integrand *= v_x2
+        np.multiply(s ** 3 * th3, E, out=work)
+        work *= q2
+        work *= v2
+        integrand += work
         lhs_arr.append(float(tw @ (integrand @ sw)))
-        src_arr.append(float(tw @ ((h.values ** 2 * E) @ sw)))
-        bdry_vals = (a[None, [0, -1]] * thE[:, [0, -1]]
-                     * (x[[0, -1]] - model.x0)[None, :] * v_x[:, [0, -1]] ** 2)
+        np.multiply(h.values, h.values, out=work)
+        work *= E
+        src_arr.append(float(tw @ (work @ sw)))
         bdy_arr.append(float(s * params_base.c1 * (tw @ (bdry_vals[:, 1] - bdry_vals[:, 0]))))
 
     lhs_arr = np.asarray(lhs_arr)
@@ -499,12 +554,15 @@ def caccioppoli_check(model, params: WeightParams, grid: SpaceTimeGrid, v: Field
         raise ValueError(f"x0={model.x0} must not lie in the closure of omega'={omega_prime}")
 
     E = exp2s_phi(params, model, grid.t[:, None], grid.x[None, :])
-    v_x = _derivative(v.values, grid.h, axis=1)
+    local_integrand = _derivative(v.values, grid.h, axis=1)
     chi_p = ControlConfig(lo_p, hi_p).indicator(grid)
     chi = ControlConfig(lo, hi).indicator(grid)
     sw = grid.space_weights()
     tw = grid.time_weights()
-    local = float(tw @ ((v_x ** 2 * E * chi_p[None, :]) @ sw))
+    local_integrand *= local_integrand     # ((v_x^2) E) chi', built in place
+    local_integrand *= E
+    local_integrand *= chi_p[None, :]
+    local = float(tw @ (local_integrand @ sw))
     outer = float(tw @ ((v.values ** 2 * chi[None, :]) @ sw))
     ratio = np.inf if outer == 0.0 and local > 0.0 else (0.0 if outer == 0.0 else local / outer)
     return CaccioppoliReport(local_gradient_integral=local,

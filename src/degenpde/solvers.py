@@ -165,6 +165,16 @@ def _check_info(info: int):
         raise ValueError(f"illegal value in {-info}-th argument of internal LAPACK routine")
 
 
+def _require_dominance(c_min: float, dt: float):
+    """Raise unless every left-hand side I/dt - A/2 + C/2 with c >= c_min is dominant.
+
+    Row sums of |off-diagonals| equal -d/2, so the LHS is diagonally dominant iff
+    1/dt + c/2 > 0 on every node; a rounded sum is <= 0 iff the exact one is.
+    """
+    if 0.5 * c_min <= -(1.0 / dt):
+        raise ValueError("Crank-Nicolson system lost diagonal dominance; reduce the time step")
+
+
 def _propagate(model, potential: PotentialModel, grid: SpaceTimeGrid, start: np.ndarray,
                source: np.ndarray | None, backward: bool) -> Field:
     """Step ``start`` through every time of the grid, from t = T down when backward.
@@ -187,10 +197,7 @@ def _propagate(model, potential: PotentialModel, grid: SpaceTimeGrid, start: np.
     else:
         c = lhs_c = c[:1]
     _require_finite(c)
-    # Row sums of |off-diagonals| equal -d/2, so the LHS I/dt - A/2 + C/2 is diagonally
-    # dominant iff 1/dt + c/2 > 0 on every node; a rounded sum is <= 0 iff the exact one is.
-    if 0.5 * lhs_c.min() <= -(1.0 / dt):
-        raise ValueError("Crank-Nicolson system lost diagonal dominance; reduce the time step")
+    _require_dominance(lhs_c.min(), dt)
     # base + c/2 grows with c, so the largest c of each node decides overflow
     _require_finite(base + 0.5 * lhs_c.max(axis=0))
 

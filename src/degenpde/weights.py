@@ -177,12 +177,28 @@ def exp2s_phi(params: WeightParams, model, t, x):
     Flushes to 0 whenever 2 s phi falls below the log of the smallest
     positive normal, which also covers the endpoint limit Theta -> +inf,
     psi < 0.
+
+    The weight is separable: ``(2s) [t(T-t)]^-4`` is formed on t's own shape
+    and psi on x's own shape (psi is called once, and not at all when no
+    time is interior); only their product and its exponential take the
+    broadcast shape.  Each entry still goes through
+    ``((2s) * prod**-4) * psi`` and ``exp`` with the same elementwise ufuncs
+    on contiguous arrays, so the bits do not depend on the shapes t and x
+    come in.  A log below log tiny is set to -inf, whose exp is exactly the
+    flushed 0, and above it exp(max(log, log tiny)) is exp(log).
     """
-    tt, xx = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
-    prod = tt * (params.T - tt)
+    t = np.asarray(t, dtype=float)
+    x = np.asarray(x, dtype=float)
+    prod = t * (params.T - t)
     interior = prod > 0.0
-    log_arg = np.full(tt.shape, -np.inf)
-    ps = psi(params, model, xx[interior]) if np.any(interior) else np.empty(0)
+    out = np.zeros(np.broadcast_shapes(t.shape, x.shape))
+    if not interior.any():
+        return out
     with np.errstate(divide="ignore", over="ignore"):
-        log_arg[interior] = 2.0 * params.s * prod[interior] ** (-THETA_EXPONENT) * ps
-    return np.where(log_arg < _LOG_TINY, 0.0, np.exp(np.maximum(log_arg, _LOG_TINY)))
+        scale = 2.0 * params.s * np.where(interior, prod, 1.0) ** (-THETA_EXPONENT)
+        np.multiply(scale, psi(params, model, x), out=out)
+        flushed = out < _LOG_TINY
+        flushed |= ~interior
+        np.copyto(out, -np.inf, where=flushed)      # exp(-inf) is exactly the flushed 0
+        np.exp(out, out=out)
+    return out

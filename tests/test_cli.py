@@ -95,9 +95,18 @@ class TestConfigHandling:
         ("observability", "observability.n_random", "-1"),
         ("observability", "observability.n_power", "1.5"),
         ("null-control", "null_control.max_iters", "x"),
+        # a constant potential: not finite, not a number, or breaking CN diagonal
+        # dominance (c <= -2/dt); another key named, a traceback, or silently accepted
+        ("null-control", "potential.value", "-1e6"),
+        ("observability", "potential.value", "-1e6"),
+        ("caccioppoli", "potential.value", "-1e6"),
+        ("null-control", "potential.value", "NaN"),
+        ("observability", "potential.value", "Infinity"),
+        ("carleman-scan", "potential.value", "x"),
     ])
     def test_bad_value_exits_1_naming_key(self, tmp_path, capsys, task, key, value):
-        code, _ = run(tmp_path, task, *TINY, "--set", f"{key}={value}")
+        extra = ["--set", "potential.kind=constant"] if key.startswith("potential.") else []
+        code, _ = run(tmp_path, task, *TINY, *extra, "--set", f"{key}={value}")
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {key}: ")
 
