@@ -167,16 +167,29 @@ def resolve_config(args) -> dict:
 
 
 def validate_config(config: dict):
+    for key, choices in (("coefficient.kind", ("power_law", "constant")),
+                         ("potential.kind", ("zero", "constant")),
+                         ("hp.weight", ("pure_power", "coefficient")),
+                         ("null_control.u0", ("parabola", "sine")),
+                         ("run.format", ("csv", "json"))):
+        section, leaf = key.split(".")
+        if config[section][leaf] not in choices:
+            raise ConfigError(key, f"unsupported value {config[section][leaf]!r}")
     kind = config["coefficient"]["kind"]
-    if kind not in ("power_law", "constant"):
-        raise ConfigError("coefficient.kind", f"unsupported kind {kind!r}")
     _require_number(config, "coefficient.x0", lo=0.0, hi=1.0,
                     strict_lo=True, strict_hi=True)
     if kind == "power_law":
-        _require_number(config, "coefficient.alpha", lo=0.0, hi=2.0,
-                        strict_lo=True, strict_hi=True)
+        alpha = _require_number(config, "coefficient.alpha", lo=0.0, hi=2.0,
+                                strict_lo=True, strict_hi=True)
     else:
         _require_number(config, "coefficient.constant_value", lo=0.0, strict_lo=True)
+    # None selects the default; c2 > c2_min is checked where the weight is built
+    for section, leaf in (("coefficient", "theta"), ("weight", "c2")):
+        if (config[section][leaf] is not None
+                and not np.isfinite(_require_number(config, f"{section}.{leaf}"))):
+            raise ConfigError(f"{section}.{leaf}", "a finite number is required")
+    if kind == "power_law" and config["coefficient"]["theta"] is not None:
+        _require_number(config, "coefficient.theta", lo=0.0, hi=alpha, strict_lo=True)
     # scan.n_s >= 3: the tail verdict of carleman-scan compares three consecutive points
     for key, least in (("grid.N", 2), ("grid.M", 2), ("hp.N", 2), ("hp.battery_size", 1),
                        ("scan.n_s", 3), ("observability.n_modes", 1),
@@ -217,8 +230,6 @@ def validate_config(config: dict):
                 for s in s_values)):
             raise ConfigError(f"{section}.s_values", "a non-empty list of positive "
                               f"numbers is required, got {s_values!r}")
-    if config["run"]["format"] not in ("csv", "json"):
-        raise ConfigError("run.format", f"unsupported format {config['run']['format']!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +258,7 @@ def build_potential(config: dict) -> PotentialModel:
     p = config["potential"]
     if p["kind"] == "zero":
         return PotentialModel.zero()
-    if p["kind"] == "constant":
-        return PotentialModel.constant(p["value"])
-    raise ConfigError("potential.kind", f"unsupported kind {p['kind']!r}")
+    return PotentialModel.constant(p["value"])
 
 
 def build_control(config: dict) -> ControlConfig:
@@ -369,16 +378,18 @@ def run_hp(config: dict, out_dir: Path) -> list:
     x0 = config["coefficient"]["x0"]
     if c["weight"] == "pure_power":
         weight = HardyWeight.pure_power(c["q"], x0)
-    elif c["weight"] == "coefficient":
-        weight = HardyWeight.from_coefficient(build_model(config))
     else:
-        raise ConfigError("hp.weight", f"unsupported weight {c['weight']!r}")
+        weight = HardyWeight.from_coefficient(build_model(config))
     seed = int(config["run"]["seed"])
     N = int(c["N"])
-    coarse = hp_verify(weight, SpaceTimeGrid.create(N, 1, 1.0, x0),
-                       battery_size=int(c["battery_size"]), seed=seed)
-    fine = hp_verify(weight, SpaceTimeGrid.create(2 * coarse.grid_N, 1, 1.0, x0),
-                     battery_size=int(c["battery_size"]), seed=seed)
+    try:
+        coarse = hp_verify(weight, SpaceTimeGrid.create(N, 1, 1.0, x0),
+                           battery_size=int(c["battery_size"]), seed=seed)
+        fine = hp_verify(weight, SpaceTimeGrid.create(2 * coarse.grid_N, 1, 1.0, x0),
+                         battery_size=int(c["battery_size"]), seed=seed)
+    except ValueError as exc:
+        # a coefficient whose weight (a |x-x0|^4)^(1/3) breaks the monotonicity hypothesis
+        raise ConfigError("hp.weight", str(exc))
     change = _relative_change(coarse.rayleigh_estimate, fine.rayleigh_estimate)
     verdicts = [
         verdict("rayleigh_below_bound",
@@ -548,10 +559,8 @@ def run_null_control(config: dict, out_dir: Path) -> list:
     _require_stable_potential(potential, grid)
     if c["u0"] == "parabola":
         u0 = grid.x * (1.0 - grid.x)
-    elif c["u0"] == "sine":
-        u0 = np.sin(np.pi * grid.x)
     else:
-        raise ConfigError("null_control.u0", f"unsupported profile {c['u0']!r}")
+        u0 = np.sin(np.pi * grid.x)
     sol = synthesize_null_control(model, potential, grid, control, u0,
                                   tol=c["tol"], max_iters=int(c["max_iters"]))
     ratio = sol.terminal_norm / sol.initial_norm

@@ -29,8 +29,8 @@ from scipy.linalg import eigh_tridiagonal
 from .coefficients import _sided_monotone
 from .grid import Field, SpaceTimeGrid, assemble_operator
 from .solvers import ControlConfig, PotentialModel
-from .weights import (_LOG_TINY, WeightParams, psi, psi_prime, theta, theta_dot,
-                      theta_ddot, exp2s_phi)
+from .weights import (_LOG_TINY, WeightParams, _power_cell_integral, psi, psi_prime, theta,
+                      theta_dot, theta_ddot, exp2s_phi)
 
 __all__ = [
     "HardyWeight",
@@ -97,62 +97,30 @@ class HPReport:
     grid_N: int = 0
 
 
-def _power_fit_integral(p_lo, p_hi, r_lo, r_hi, q_fallback, shift):
-    """Integral over distances [r_lo, r_hi] of p(r) r^shift, with p modeled
-    locally as C r^gamma through the interval endpoint values.
-
-    Exact for pure powers; the fallback exponent covers intervals touching
-    r = 0, where only the outer endpoint carries information.
-    """
-    if r_lo <= 0.0 or p_lo <= 0.0:
-        gamma = q_fallback
-        C = p_hi / r_hi ** gamma
-        e = gamma + shift + 1.0
-        return C * r_hi ** e / e
-    gamma = np.log(p_hi / p_lo) / np.log(r_hi / r_lo)
-    C = p_lo / r_lo ** gamma
-    e = gamma + shift + 1.0
-    if abs(e) < 1e-10:
-        return C * np.log(r_hi / r_lo)
-    return C * (r_hi ** e - r_lo ** e) / e
-
-
 def _hp_matrices(weight: HardyWeight, grid: SpaceTimeGrid):
     """Stiffness and lumped singular mass with exact local-power quadrature.
 
-    Both the stiffness cell averages of p and the lumped mass integrals of
-    p/(x-x0)^2 are computed in closed form from a local power model
-    p ~ C |r|^gamma fitted through the cell endpoint values (exact for pure
-    powers).  The blunt alternatives -- midpoint p and nodal p/(x-x0)^2 h --
-    converge only like h^(q-1) near x0, too slowly for q close to 1.
+    The stiffness cell averages of p and the lumped mass integrals of
+    p/(x-x0)^2 are one ``_power_cell_integral`` call each, p ~ C |r|^gamma
+    through every cell's endpoint values (exact for pure powers; gamma = q on
+    a cell ending at x0).  The blunt alternatives -- midpoint p and nodal
+    p/(x-x0)^2 h -- converge only like h^(q-1) near x0, too slowly for q
+    close to 1.  The entries equal a per-cell scalar evaluation of the rule
+    to rounding, not bit for bit (see ``_power_cell_integral``).
     """
     h = grid.h
-    x = grid.x
-    N = grid.N
-    q = weight.q
-    pv = np.asarray(weight.p(x), dtype=float)
-    d = np.abs(x - weight.x0)
-
+    d = np.abs(grid.x - weight.x0)
+    pv = np.asarray(weight.p(grid.x), dtype=float)
     # stiffness: entry per cell [x_i, x_i+1] is (cell average of p) / h
-    p_cell = np.empty(N)
-    for i in range(N):
-        lo, hi = sorted((d[i], d[i + 1]))
-        p_lo, p_hi = (pv[i], pv[i + 1]) if d[i] <= d[i + 1] else (pv[i + 1], pv[i])
-        p_cell[i] = _power_fit_integral(p_lo, p_hi, lo, hi, q, 0.0) / h
-    k_diag = p_cell[:-1] + p_cell[1:]
-    k_off = -p_cell[1:-1]
-
-    # lumped mass: m_i integrates p/(x-x0)^2 over [x_i - h/2, x_i + h/2]
-    m = np.zeros(N + 1)
-    for i in range(1, N):
-        for a_, b_ in ((x[i] - 0.5 * h, x[i]), (x[i], x[i] + 0.5 * h)):
-            ra, rb = abs(a_ - weight.x0), abs(b_ - weight.x0)
-            pa = pv[i] if abs(a_ - x[i]) < 1e-15 else float(weight.p(a_))
-            pb = pv[i] if abs(b_ - x[i]) < 1e-15 else float(weight.p(b_))
-            lo, hi = sorted((ra, rb))
-            p_lo, p_hi = (pa, pb) if ra <= rb else (pb, pa)
-            m[i] += _power_fit_integral(p_lo, p_hi, lo, hi, q, -2.0)
-    return k_diag / h, k_off / h, m[1:-1]
+    p_cell = _power_cell_integral(d[:-1], d[1:], pv[:-1], pv[1:], 0.0, weight.q) / h
+    # lumped mass: m_i integrates p/(x-x0)^2 over [x_i - h/2, x_i] and [x_i, x_i + h/2]
+    inner = grid.x[1:-1]
+    half_nodes = np.concatenate((inner - 0.5 * h, inner + 0.5 * h))
+    halves = _power_cell_integral(np.abs(half_nodes - weight.x0), np.tile(d[1:-1], 2),
+                                  np.asarray(weight.p(half_nodes), dtype=float),
+                                  np.tile(pv[1:-1], 2), -2.0, weight.q)
+    m = halves[:inner.size] + halves[inner.size:]
+    return (p_cell[:-1] + p_cell[1:]) / h, -p_cell[1:-1] / h, m
 
 
 def _hp_energy(k_diag, k_off, w):

@@ -103,12 +103,34 @@ class TestConfigHandling:
         ("null-control", "potential.value", "NaN"),
         ("observability", "potential.value", "Infinity"),
         ("carleman-scan", "potential.value", "x"),
+        # a TypeError or NumPy traceback, or the error blamed on the section
+        ("check-coeff", "coefficient.theta", "x"),
+        ("check-coeff", "coefficient.theta", "2"),
+        ("check-coeff", "coefficient.theta", "NaN"),
+        ("carleman-identity", "weight.c2", "abc"),
+        ("carleman-identity", "weight.c2", "Infinity"),
+        # enumerated keys, checked before any task runs
+        ("carleman-scan", "potential.kind", "bogus"),
+        ("hp", "hp.weight", "bogus"),
     ])
     def test_bad_value_exits_1_naming_key(self, tmp_path, capsys, task, key, value):
         extra = ["--set", "potential.kind=constant"] if key.startswith("potential.") else []
         code, _ = run(tmp_path, task, *TINY, *extra, "--set", f"{key}={value}")
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {key}: ")
+
+    def test_bad_enumerated_key_runs_no_task(self, tmp_path, capsys):
+        code, out = run(tmp_path, "all", *TINY, "--set", "null_control.u0=foo")
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: null_control.u0: ")
+        assert not list(out.glob("*.csv"))
+
+    def test_inadmissible_hp_weight_exits_1(self, tmp_path, capsys):
+        # (a |x-x0|^4)^(1/3) of a constant a is not |x-x0|^q-monotone
+        code, _ = run(tmp_path, "hp", "--set", "hp.weight=coefficient",
+                      "--set", "coefficient.kind=constant", "--set", "hp.N=50")
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: hp.weight: ")
 
     def test_override_applied(self, tmp_path):
         code, out = run(tmp_path, "check-coeff", "--set", "coefficient.alpha=1.5")
