@@ -130,11 +130,16 @@ def _require_number(config: dict, key: str, lo=None, hi=None,
         node = node[part]
     if node is None or isinstance(node, (str, bool, dict, list)):
         raise ConfigError(key, f"a number is required, got {node!r}")
-    v = float(node)
-    # written as "not inside" so that nan fails too
-    if lo is not None and not (v > lo if strict_lo else v >= lo):
+    try:
+        v = float(node)
+    except OverflowError:           # an integer beyond the floating-point range
+        v = np.inf
+    # a nan or infinite bound or tolerance would let a verdict pass unmeasured
+    if not np.isfinite(v):
+        raise ConfigError(key, f"a finite number is required, got {node!r}")
+    if lo is not None and (v <= lo if strict_lo else v < lo):
         raise ConfigError(key, f"value {v} below the admissible range")
-    if hi is not None and not (v < hi if strict_hi else v <= hi):
+    if hi is not None and (v >= hi if strict_hi else v > hi):
         raise ConfigError(key, f"value {v} above the admissible range")
     return v
 
@@ -185,9 +190,8 @@ def validate_config(config: dict):
         _require_number(config, "coefficient.constant_value", lo=0.0, strict_lo=True)
     # None selects the default; c2 > c2_min is checked where the weight is built
     for section, leaf in (("coefficient", "theta"), ("weight", "c2")):
-        if (config[section][leaf] is not None
-                and not np.isfinite(_require_number(config, f"{section}.{leaf}"))):
-            raise ConfigError(f"{section}.{leaf}", "a finite number is required")
+        if config[section][leaf] is not None:
+            _require_number(config, f"{section}.{leaf}")
     if kind == "power_law" and config["coefficient"]["theta"] is not None:
         _require_number(config, "coefficient.theta", lo=0.0, hi=alpha, strict_lo=True)
     # scan.n_s >= 3: the tail verdict of carleman-scan compares three consecutive points
@@ -214,8 +218,7 @@ def validate_config(config: dict):
     if not lo < hi:
         raise ConfigError("control.omega_hi", f"omega=({lo}, {hi}) is empty")
     _require_number(config, "control.epsilon", lo=0.0)
-    if not np.isfinite(_require_number(config, "potential.value")):
-        raise ConfigError("potential.value", "a finite number is required")
+    _require_number(config, "potential.value")
     for key in ("scan.T", "caccioppoli.T", "observability.T", "null_control.T",
                 "scan.s_start", "scan.s_ratio", "weight.c1", "null_control.tol",
                 "hp.stability_tol", "identity.residual_tol", "identity.refine_factor_min",
@@ -226,10 +229,10 @@ def validate_config(config: dict):
     for section in ("identity", "caccioppoli"):
         s_values = config[section]["s_values"]
         if not (isinstance(s_values, list) and s_values and all(
-                isinstance(s, (int, float)) and not isinstance(s, bool) and s > 0.0
+                isinstance(s, (int, float)) and not isinstance(s, bool) and 0.0 < s < np.inf
                 for s in s_values)):
             raise ConfigError(f"{section}.s_values", "a non-empty list of positive "
-                              f"numbers is required, got {s_values!r}")
+                              f"finite numbers is required, got {s_values!r}")
 
 
 # ---------------------------------------------------------------------------

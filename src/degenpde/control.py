@@ -127,8 +127,8 @@ def estimate_observability(model, potential: PotentialModel, grid: SpaceTimeGrid
 def _hum_operator(model, potential, grid, control, chi, z):
     """Lambda z = u(T) of the forward problem driven by h = v chi_omega, u(0)=0,
     where v is the adjoint solution with terminal datum z.  Returns (Lambda z, h)."""
-    v = solve_adjoint(model, potential, grid, z)
-    h = Field(grid, v.values * chi[None, :])
+    h = solve_adjoint(model, potential, grid, z)
+    h.values *= chi                  # v chi_omega, in the adjoint field nothing else reads
     u = solve_forward(model, potential, grid, np.zeros(grid.N + 1), h=h)
     uT = u.values[-1].copy()
     uT[0] = uT[-1] = 0.0

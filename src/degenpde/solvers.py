@@ -14,13 +14,20 @@ which the identity and estimate checkers rely on.
 Each solve assembles the operator once and validates every left-hand side
 I/dt - A/2 + C/2 up front with reductions over c: its minimum decides
 diagonal dominance and its per-node maximum decides overflow, so no
-(M+1) x (N-1) temporary is built.  When c has a single row (it does not
-depend on time) the left-hand side never changes, so it is factored once
-with LAPACK ``gttrf`` and each step is one ``gttrs``; with c sampled per
-time level, or with two interior nodes (SciPy's ``gttrf`` wrapper rejects
-n = 2), each step solves its own system with ``gtsv``.  These run the
-same partial-pivot elimination, in the same order, that
-``scipy.linalg.solve_banded`` runs for a tridiagonal matrix.
+(M+1) x (N-1) temporary is built.  The left-hand sides are then looked up
+in a single-entry table of per-level factors, keyed by value on the inputs
+they depend on: the off-diagonal, the diagonal 1/dt - d/2 without its c
+term, and the rows -c/2 (one row for constant c, one per time level for
+sampled c).  A level is factored with LAPACK ``gttrf`` the first time a
+solve needs it, so a forward solve factors levels 1..M, an adjoint solve
+0..M-1, and a level whose c enters only a right-hand side never is.  Every
+step is then one ``gttrs`` with the stored factors, whether c is constant
+or sampled, and repeated solves on one potential (the HUM iteration) factor
+nothing.  ``gttrf`` followed by ``gttrs`` runs the same partial-pivot
+elimination, in the same order, as ``gtsv`` and as
+``scipy.linalg.solve_banded`` for a tridiagonal matrix.  SciPy's ``gttrf``
+wrapper rejects two interior nodes, so there a level stores its diagonal
+and each step calls ``gtsv``; one interior node is a division.
 
 Each step builds its right-hand side in the output row it solves into, with
 four ufunc calls on preallocated buffers.  A sliding window over the field
@@ -175,6 +182,37 @@ def _require_dominance(c_min: float, dt: float):
         raise ValueError("Crank-Nicolson system lost diagonal dominance; reduce the time step")
 
 
+# The level table's single entry: the LHS inputs (off, base, rows -c/2) and per row
+# the factors of its left-hand side, None until a solve needs them.
+_level_table = None
+
+
+def _level_factors(gttrf, off, base, neg_half_c, levels):
+    """Factors of I/dt - A/2 + C_k/2 for every k in ``levels``, factoring only new ones.
+
+    The table is hit when its inputs equal these by value, since rows may be
+    edited in place between solves.  ``np.array_equal`` takes -0.0 == +0.0,
+    which changes no factor: base - (-0.0) == base - (+0.0).  With two interior
+    nodes or fewer a level's "factors" are its diagonal.
+    """
+    global _level_table
+    # read once, so that a solve in another thread replacing the entry cannot mix two
+    table, inputs = _level_table, (off, base, neg_half_c)
+    if table is None or not all(map(np.array_equal, table[:3], inputs)):
+        table = _level_table = (*inputs, [None] * len(neg_half_c))
+    off, base, neg_half_c, factors = table
+    for k in levels:
+        if factors[k] is None:
+            diag = base - neg_half_c[k]
+            if diag.size <= 2:
+                factors[k] = diag
+                continue
+            *lu, info = gttrf(off, diag, off)
+            _check_info(info)
+            factors[k] = lu
+    return [factors[k] for k in levels]
+
+
 def _propagate(model, potential: PotentialModel, grid: SpaceTimeGrid, start: np.ndarray,
                source: np.ndarray | None, backward: bool) -> Field:
     """Step ``start`` through every time of the grid, from t = T down when backward.
@@ -201,16 +239,12 @@ def _propagate(model, potential: PotentialModel, grid: SpaceTimeGrid, start: np.
     # base + c/2 grows with c, so the largest c of each node decides overflow
     _require_finite(base + 0.5 * lhs_c.max(axis=0))
 
-    neg_half_c = -0.5 * c[times[0] if sampled else 0]    # -c/2 at the previous time
-    diag = base - neg_half_c              # the LHS diagonal; with sampled c, refilled each step
     gttrf, gttrs, gtsv = get_lapack_funcs(("gttrf", "gttrs", "gtsv"), (d,))
-    # SciPy's gttrf wrapper rejects n = 2, so constant c is solved there by gtsv
-    # without overwriting diag; the LAPACK wrappers need n >= 2, so one interior node
-    # is a division.
-    factored = not sampled and n > 2
-    if factored:
-        *lu, info = gttrf(off, diag, off)
-        _check_info(info)
+    neg_half_c = -0.5 * c
+    # each step's LHS row of the table: the row of c(t_next), or the only row
+    factors = _level_factors(gttrf, off, base, neg_half_c,
+                             times[1:] if sampled else [0] * grid.M)
+    neg_half_c = list(neg_half_c) if sampled else [neg_half_c[0]] * (grid.M + 1)
 
     out = np.zeros((grid.M + 1, grid.N + 1))
     out[times[0]] = start
@@ -230,7 +264,7 @@ def _propagate(model, potential: PotentialModel, grid: SpaceTimeGrid, start: np.
     stencil[1] = half_d
     terms = np.empty((5, n))
     products, by_dt, by_c = terms[2::-1], terms[3], terms[4]
-    for j_prev, j_next in zip(times, times[1:]):
+    for j_prev, j_next, lu in zip(times, times[1:], factors):
         # RHS (I/dt + A/2 - C_prev/2) u + (f_prev + f_next)/2, in the order
         # (((upper + (d/2) u) + lower) + u/dt + (-c_prev/2) u) +/- (h_prev + h_next)/2,
         # the last term already in rhs: any other order changes the last bits of the
@@ -238,23 +272,20 @@ def _propagate(model, potential: PotentialModel, grid: SpaceTimeGrid, start: np.
         u, rhs = rows[j_prev], rows[j_next]
         np.multiply(window[j_prev], stencil, out=products)
         np.divide(u, dt, out=by_dt)
-        np.multiply(neg_half_c, u, out=by_c)
+        np.multiply(neg_half_c[j_prev], u, out=by_c)
         if source is None:
             np.add.reduce(terms, axis=0, out=rhs)
         else:
             combine(np.add.reduce(terms, axis=0, out=acc), rhs, out=rhs)
-        if sampled:
-            np.multiply(c[j_next], -0.5, out=neg_half_c)
-            np.subtract(base, neg_half_c, out=diag)
         # f2py solves a contiguous float64 right-hand side in place under overwrite_b
-        if factored:
+        if n > 2:
             _, info = gttrs(*lu, rhs, overwrite_b=True)
             _check_info(info)
-        elif n == 1:
-            rhs /= diag
-        else:
-            *_, info = gtsv(off, diag, off, rhs, overwrite_d=sampled, overwrite_b=True)
+        elif n == 2:
+            *_, info = gtsv(off, lu, off, rhs, overwrite_b=True)
             _check_info(info)
+        else:
+            rhs /= lu
     # A non-finite value stays non-finite through every later step, since every
     # divisor is finite, so one check of the whole field rejects what a per-step
     # check of each right-hand side would.

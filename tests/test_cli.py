@@ -112,6 +112,19 @@ class TestConfigHandling:
         # enumerated keys, checked before any task runs
         ("carleman-scan", "potential.kind", "bogus"),
         ("hp", "hp.weight", "bogus"),
+        # infinite values: a tolerance that any change passes, a NumPy warning and
+        # the error blamed on potential.value, or a list entry that passes a verdict
+        ("hp", "hp.stability_tol", "Infinity"),
+        ("carleman-scan", "scan.stability_tol", "Infinity"),
+        ("caccioppoli", "caccioppoli.stability_tol", "Infinity"),
+        ("observability", "observability.stability_tol", "Infinity"),
+        ("carleman-identity", "identity.residual_tol", "Infinity"),
+        ("carleman-scan", "scan.window_tol", "Infinity"),
+        ("null-control", "control.epsilon", "Infinity"),
+        ("observability", "observability.T", "Infinity"),
+        ("carleman-identity", "identity.s_values", "[Infinity]"),
+        # an integer beyond the floating-point range: an OverflowError traceback
+        pytest.param("hp", "hp.N", "1" + "0" * 400, id="hp-hp.N-10**400"),
     ])
     def test_bad_value_exits_1_naming_key(self, tmp_path, capsys, task, key, value):
         extra = ["--set", "potential.kind=constant"] if key.startswith("potential.") else []

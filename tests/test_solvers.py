@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import solve_banded
 
 from degenpde import (CoefficientModel, ControlConfig, Field, PotentialModel,
-                      SpaceTimeGrid, energy_trace, solve_adjoint, solve_forward)
+                      SpaceTimeGrid, energy_trace, solve_adjoint, solve_forward, solvers)
 from degenpde.grid import assemble_operator, integrate_space
 from degenpde.solvers import l2_norm
 
@@ -154,6 +154,69 @@ class TestStepperMatchesBandedSolve:
             ref = banded_reference(m, pot, g, start, zero, backward)
             assert np.array_equal(np.signbit(field.values), np.signbit(ref))
             assert np.array_equal(field.values, ref)
+
+
+def sampled_potential(g, seed):
+    return PotentialModel.sampled(Field(g, np.random.default_rng(seed).uniform(
+        -1.0, 3.0, (g.M + 1, g.N + 1))))
+
+
+class TestLevelTable:
+    @pytest.fixture
+    def factorizations(self, monkeypatch):
+        """Counts of gttrf and gtsv calls, the routines that factor a left-hand side."""
+        counts = {"gttrf": 0, "gtsv": 0}
+        get = solvers.get_lapack_funcs
+
+        def counting(names, arrays):
+            def wrap(name, routine):
+                def call(*args, **kwargs):
+                    counts[name] += 1
+                    return routine(*args, **kwargs)
+                return call if name in counts else routine
+            return tuple(map(wrap, names, get(names, arrays)))
+
+        monkeypatch.setattr(solvers, "get_lapack_funcs", counting)
+        return counts
+
+    def test_repeated_solve_factors_nothing(self, factorizations):
+        m, g = degenerate_setup()
+        pot = sampled_potential(g, 20)
+        u0 = dirichlet_noise(np.random.default_rng(21), g)
+        first = solve_forward(m, pot, g, u0)
+        assert factorizations == {"gttrf": g.M, "gtsv": 0}      # levels 1..M
+        second = solve_forward(m, pot, g, u0)
+        assert factorizations == {"gttrf": g.M, "gtsv": 0}
+        assert np.array_equal(first.values, second.values)
+        solve_adjoint(m, pot, g, u0)
+        assert factorizations == {"gttrf": g.M + 1, "gtsv": 0}  # level 0 is new
+
+    def test_interleaved_potentials_and_in_place_edit(self):
+        m, g = degenerate_setup()
+        pots = [sampled_potential(g, 22), sampled_potential(g, 23)]
+        rng = np.random.default_rng(24)
+        zero = np.zeros((g.M + 1, g.N - 1))
+        for pot in pots + pots:
+            u0 = dirichlet_noise(rng, g)
+            assert np.array_equal(solve_forward(m, pot, g, u0).values,
+                                  banded_reference(m, pot, g, u0, zero, False))
+        pot = pots[1]                   # the potential of the last solve, edited in place
+        pot.rows[g.M // 2, 1:-1] += 0.25
+        u0 = dirichlet_noise(rng, g)
+        assert np.array_equal(solve_forward(m, pot, g, u0).values,
+                              banded_reference(m, pot, g, u0, zero, False))
+
+    @pytest.mark.parametrize("N, x0", [(2, 0.5), (3, 1.0 / 3.0), (60, 0.3)])
+    def test_adjoint_then_forward(self, N, x0):
+        m, g = degenerate_setup(N=N, x0=x0)
+        pot = sampled_potential(g, 25)
+        rng = np.random.default_rng(26)
+        zero = np.zeros((g.M + 1, g.N - 1))
+        for backward in (True, False, True):
+            start = dirichlet_noise(rng, g)
+            field = (solve_adjoint if backward else solve_forward)(m, pot, g, start)
+            assert np.array_equal(field.values,
+                                  banded_reference(m, pot, g, start, zero, backward))
 
 
 class TestLeftHandSideChecks:
