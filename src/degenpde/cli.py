@@ -88,6 +88,10 @@ def _merge_section(base: dict, update: dict, prefix: str):
     for key, value in update.items():
         dotted = f"{prefix}{key}"
         if key not in base:
+            # a lone path below the unknown key, such as --set a.b=v makes, is named whole
+            while isinstance(value, dict) and len(value) == 1:
+                (key, value), = value.items()
+                dotted += f".{key}"
             raise ConfigError(dotted, "unknown configuration key")
         if isinstance(base[key], dict):
             if not isinstance(value, dict):
@@ -97,7 +101,8 @@ def _merge_section(base: dict, update: dict, prefix: str):
             base[key] = value
 
 
-def _parse_override(text: str):
+def _parse_override(text: str) -> dict:
+    """``a.b=v`` as the section ``{"a": {"b": v}}``; v is JSON, else a string."""
     if "=" not in text:
         raise ConfigError(text, "override must have the form key=value")
     key, raw = text.split("=", 1)
@@ -105,43 +110,65 @@ def _parse_override(text: str):
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
-    return key.strip(), value
+    for part in reversed(key.strip().split(".")):
+        value = {part: value}
+    return value
 
 
-def _set_dotted(config: dict, key: str, value):
-    parts = key.split(".")
-    node = config
-    for i, part in enumerate(parts[:-1]):
-        if part not in node or not isinstance(node[part], dict):
-            raise ConfigError(key, "unknown configuration key")
-        node = node[part]
-    leaf = parts[-1]
-    if leaf not in node:
-        raise ConfigError(key, "unknown configuration key")
-    if isinstance(node[leaf], dict):
-        raise ConfigError(key, "cannot assign a scalar to a section")
-    node[leaf] = value
+# Every leaf of DEFAULT_CONFIG is checked by the type of its default.  A string
+# is one of _CHOICES[key], or any string for a key without choices.  A list is
+# non-empty and each entry follows its first default entry's rule.  An int is
+# an integer in [1, inf).  A float, or a None that selects a derived default,
+# is a number in (0, inf), and None stays admissible.  _RANGES lists the keys
+# whose interval differs from their kind's.  Every number must be finite: a
+# nan or infinite bound or tolerance would let a verdict pass unmeasured.
+_CHOICES = {
+    "coefficient.kind": ("power_law", "constant"),
+    "potential.kind": ("zero", "constant"),
+    "hp.weight": ("pure_power", "coefficient"),
+    "null_control.u0": ("parabola", "sine"),
+    "run.format": ("csv", "json"),
+}
+_RANGES = {
+    "coefficient.x0": "(0, 1)", "coefficient.alpha": "(0, 2)", "hp.q": "(1, 2)",
+    "control.omega_lo": "[0, 1]", "control.omega_hi": "[0, 1]",
+    "caccioppoli.omega_prime_lo": "[0, 1]", "caccioppoli.omega_prime_hi": "[0, 1]",
+    "control.epsilon": "[0, inf)", "scan.window_tol": "[0, inf)",
+    "observability.n_random": "[0, inf)", "observability.n_power": "[0, inf)",
+    "run.seed": "[0, inf)",
+    "grid.N": "[2, inf)", "grid.M": "[2, inf)", "hp.N": "[2, inf)",
+    # the tail verdict of carleman-scan compares three consecutive points
+    "scan.n_s": "[3, inf)",
+    # c > -2/dt and c2 > c2_min depend on the grid and the model: checked where used
+    "potential.value": "(-inf, inf)", "weight.c2": "(-inf, inf)",
+}
 
 
-def _require_number(config: dict, key: str, lo=None, hi=None,
-                    strict_lo=False, strict_hi=False):
-    node = config
-    for part in key.split("."):
-        node = node[part]
-    if node is None or isinstance(node, (str, bool, dict, list)):
-        raise ConfigError(key, f"a number is required, got {node!r}")
-    try:
-        v = float(node)
-    except OverflowError:           # an integer beyond the floating-point range
-        v = np.inf
-    # a nan or infinite bound or tolerance would let a verdict pass unmeasured
-    if not np.isfinite(v):
-        raise ConfigError(key, f"a finite number is required, got {node!r}")
-    if lo is not None and (v <= lo if strict_lo else v < lo):
-        raise ConfigError(key, f"value {v} below the admissible range")
-    if hi is not None and (v >= hi if strict_hi else v > hi):
-        raise ConfigError(key, f"value {v} above the admissible range")
-    return v
+def _check_leaf(key: str, default, value):
+    if isinstance(default, str):
+        if not isinstance(value, str) or key in _CHOICES and value not in _CHOICES[key]:
+            raise ConfigError(key, f"unsupported value {value!r}")
+    elif isinstance(default, list):
+        if not (isinstance(value, list) and value):
+            raise ConfigError(key, f"a non-empty list is required, got {value!r}")
+        for entry in value:
+            _check_leaf(key, default[0], entry)
+    elif not (default is None and value is None):
+        if value is None or isinstance(value, (str, bool, dict, list)):
+            raise ConfigError(key, f"a number is required, got {value!r}")
+        try:
+            v = float(value)
+        except OverflowError:       # an integer beyond the floating-point range
+            v = np.inf
+        if not np.isfinite(v):
+            raise ConfigError(key, f"a finite number is required, got {value!r}")
+        if isinstance(default, int) and not v.is_integer():
+            raise ConfigError(key, f"an integer is required, got {value!r}")
+        interval = _RANGES.get(key, "[1, inf)" if isinstance(default, int) else "(0, inf)")
+        lo, hi = (float(end) for end in interval[1:-1].split(","))
+        if not ((lo < v or lo == v and interval[0] == "[")
+                and (v < hi or v == hi and interval[-1] == "]")):
+            raise ConfigError(key, f"value {value!r} outside {interval}")
 
 
 def resolve_config(args) -> dict:
@@ -161,8 +188,7 @@ def resolve_config(args) -> dict:
             raise ConfigError("--config", "top level must be an object")
         _merge_section(config, data, "")
     for item in args.set or []:
-        key, value = _parse_override(item)
-        _set_dotted(config, key, value)
+        _merge_section(config, _parse_override(item), "")
     if args.out is not None:
         config["run"]["out_dir"] = args.out
     if args.seed is not None:
@@ -172,67 +198,24 @@ def resolve_config(args) -> dict:
 
 
 def validate_config(config: dict):
-    for key, choices in (("coefficient.kind", ("power_law", "constant")),
-                         ("potential.kind", ("zero", "constant")),
-                         ("hp.weight", ("pure_power", "coefficient")),
-                         ("null_control.u0", ("parabola", "sine")),
-                         ("run.format", ("csv", "json"))):
-        section, leaf = key.split(".")
-        if config[section][leaf] not in choices:
-            raise ConfigError(key, f"unsupported value {config[section][leaf]!r}")
-    kind = config["coefficient"]["kind"]
-    _require_number(config, "coefficient.x0", lo=0.0, hi=1.0,
-                    strict_lo=True, strict_hi=True)
-    if kind == "power_law":
-        alpha = _require_number(config, "coefficient.alpha", lo=0.0, hi=2.0,
-                                strict_lo=True, strict_hi=True)
-    else:
-        _require_number(config, "coefficient.constant_value", lo=0.0, strict_lo=True)
-    # None selects the default; c2 > c2_min is checked where the weight is built
-    for section, leaf in (("coefficient", "theta"), ("weight", "c2")):
-        if config[section][leaf] is not None:
-            _require_number(config, f"{section}.{leaf}")
-    if kind == "power_law" and config["coefficient"]["theta"] is not None:
-        _require_number(config, "coefficient.theta", lo=0.0, hi=alpha, strict_lo=True)
-    # scan.n_s >= 3: the tail verdict of carleman-scan compares three consecutive points
-    for key, least in (("grid.N", 2), ("grid.M", 2), ("hp.N", 2), ("hp.battery_size", 1),
-                       ("scan.n_s", 3), ("observability.n_modes", 1),
-                       ("observability.n_random", 0), ("observability.n_power", 0),
-                       ("null_control.max_iters", 1)):
-        if not _require_number(config, key, lo=least).is_integer():
-            raise ConfigError(key, "an integer is required")
-    _require_number(config, "grid.T", lo=0.0, strict_lo=True)
-    x0 = config["coefficient"]["x0"]
-    for key in ("grid.N", "hp.N"):
-        N = int(_require_number(config, key))
+    for section, leaves in DEFAULT_CONFIG.items():
+        for leaf, default in leaves.items():
+            _check_leaf(f"{section}.{leaf}", default, config[section][leaf])
+    c = config["coefficient"]
+    if c["kind"] == "power_law" and c["theta"] is not None and c["theta"] > c["alpha"]:
+        raise ConfigError("coefficient.theta", f"value {c['theta']!r} above coefficient.alpha")
+    for section in ("grid", "hp"):
+        N = int(config[section]["N"])
         try:
-            snapped = SpaceTimeGrid.create(N, 1, 1.0, x0).N
+            snapped = SpaceTimeGrid.create(N, 1, 1.0, c["x0"]).N
         except ValueError as exc:
             raise ConfigError("coefficient.x0", str(exc))
         if snapped != N:
-            print(f"warning: {key}={N} becomes N={snapped} so that x0={x0} "
+            print(f"warning: {section}.N={N} becomes N={snapped} so that x0={c['x0']} "
                   "lies on a grid node", file=sys.stderr)
-    _require_number(config, "hp.q", lo=1.0, hi=2.0, strict_lo=True, strict_hi=True)
-    lo = _require_number(config, "control.omega_lo", lo=0.0, hi=1.0)
-    hi = _require_number(config, "control.omega_hi", lo=0.0, hi=1.0)
+    lo, hi = config["control"]["omega_lo"], config["control"]["omega_hi"]
     if not lo < hi:
         raise ConfigError("control.omega_hi", f"omega=({lo}, {hi}) is empty")
-    _require_number(config, "control.epsilon", lo=0.0)
-    _require_number(config, "potential.value")
-    for key in ("scan.T", "caccioppoli.T", "observability.T", "null_control.T",
-                "scan.s_start", "scan.s_ratio", "weight.c1", "null_control.tol",
-                "hp.stability_tol", "identity.residual_tol", "identity.refine_factor_min",
-                "scan.stability_tol", "caccioppoli.stability_tol",
-                "observability.stability_tol", "weight.c2_margin"):
-        _require_number(config, key, lo=0.0, strict_lo=True)
-    _require_number(config, "scan.window_tol", lo=0.0)
-    for section in ("identity", "caccioppoli"):
-        s_values = config[section]["s_values"]
-        if not (isinstance(s_values, list) and s_values and all(
-                isinstance(s, (int, float)) and not isinstance(s, bool) and 0.0 < s < np.inf
-                for s in s_values)):
-            raise ConfigError(f"{section}.s_values", "a non-empty list of positive "
-                              f"finite numbers is required, got {s_values!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -314,9 +297,11 @@ def write_csv(path: Path, header: list, rows: list, config: dict):
 
 
 def verdict(name: str, ok: bool, value, threshold) -> dict:
-    return {"name": name, "pass": bool(ok),
-            "value": None if value is None else float(value),
-            "threshold": None if threshold is None else float(threshold)}
+    """A named verdict; a NaN or infinite value or threshold fails it."""
+    value, threshold = (None if v is None else float(v) for v in (value, threshold))
+    measured = all(np.isfinite(v) for v in (value, threshold) if v is not None)
+    return {"name": name, "pass": bool(ok) and measured,
+            "value": value, "threshold": threshold}
 
 
 def _refinement_pair(config: dict, T=None) -> list:
@@ -506,13 +491,13 @@ def run_caccioppoli(config: dict, out_dir: Path) -> list:
                          rep.outer_solution_integral, rep.ratio])
     verdicts = []
     for s, (r1, r2) in ratios.items():
-        finite = np.isfinite(r1) and np.isfinite(r2)
-        # a zero ratio means e^{2s phi} underflowed on that level: nothing was compared
+        # a zero ratio means e^{2s phi} underflowed on that level: nothing was compared;
+        # a non-finite ratio makes the change non-finite, which fails the verdict
         positive = r1 > 0.0 and r2 > 0.0
         scale = max(abs(r1), abs(r2), 1e-300)
         change = abs(r2 - r1) / scale
         verdicts.append(verdict(f"caccioppoli_stable_s{s:g}",
-                                finite and positive and change < c["stability_tol"],
+                                positive and change < c["stability_tol"],
                                 change, c["stability_tol"]))
     write_csv(out_dir / "caccioppoli.csv",
               ["N", "s", "local_gradient", "outer_solution", "ratio"], rows, config)
@@ -540,8 +525,7 @@ def run_observability(config: dict, out_dir: Path) -> list:
     coarse, fine = reports
     change = _relative_change(coarse.C_T_estimate, fine.C_T_estimate)
     verdicts = [
-        verdict("observability_finite_positive",
-                np.isfinite(coarse.C_T_estimate) and coarse.C_T_estimate > 0.0,
+        verdict("observability_finite_positive", coarse.C_T_estimate > 0.0,
                 coarse.C_T_estimate, None),
         verdict("observability_stable", change < c["stability_tol"],
                 change, c["stability_tol"]),

@@ -4,8 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from degenpde.cli import DEFAULT_CONFIG, PRESETS, build_model, main
+from degenpde.cli import DEFAULT_CONFIG, PRESETS, build_model, main, verdict
 
+LEAVES = [f"{section}.{leaf}" for section, leaves in DEFAULT_CONFIG.items()
+          for leaf in leaves]
 TINY = ["--set", "grid.N=20", "--set", "grid.M=40",
         "--set", "observability.n_modes=2", "--set", "observability.n_random=2",
         "--set", "observability.n_power=2"]
@@ -125,6 +127,12 @@ class TestConfigHandling:
         ("carleman-identity", "identity.s_values", "[Infinity]"),
         # an integer beyond the floating-point range: an OverflowError traceback
         pytest.param("hp", "hp.N", "1" + "0" * 400, id="hp-hp.N-10**400"),
+        # the seed: another key named, a traceback, or silently truncated
+        ("hp", "run.seed", "-1"),
+        ("hp", "run.seed", "1.5"),
+        ("hp", "run.seed", "foo"),
+        # a TypeError traceback
+        ("caccioppoli", "caccioppoli.omega_prime_lo", "x"),
     ])
     def test_bad_value_exits_1_naming_key(self, tmp_path, capsys, task, key, value):
         extra = ["--set", "potential.kind=constant"] if key.startswith("potential.") else []
@@ -132,11 +140,34 @@ class TestConfigHandling:
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {key}: ")
 
-    def test_bad_enumerated_key_runs_no_task(self, tmp_path, capsys):
-        code, out = run(tmp_path, "all", *TINY, "--set", "null_control.u0=foo")
+    @pytest.mark.parametrize("key, argv", [
+        ("null_control.u0", ["--set", "null_control.u0=foo"]),
+        ("run.seed", ["--seed", "-1"]),
+    ])
+    def test_bad_value_runs_no_task(self, tmp_path, capsys, key, argv):
+        code, out = run(tmp_path, "all", *TINY, *argv)
         assert code == 1
-        assert capsys.readouterr().err.startswith("error: null_control.u0: ")
+        assert capsys.readouterr().err.startswith(f"error: {key}: ")
         assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("key, value", [*((key, "NaN") for key in LEAVES),
+                                            ("run.out_dir", "5")])
+    def test_every_key_is_checked(self, tmp_path, monkeypatch, capsys, key, value):
+        # no --out, so that run.out_dir is a value under test
+        monkeypatch.chdir(tmp_path)
+        assert main(["check-coeff", "--set", f"{key}={value}"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {key}: ")
+        assert not list(tmp_path.iterdir())
+
+    def test_summary_config_round_trips(self, tmp_path):
+        code, first = run(tmp_path, "check-coeff")
+        assert code == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(json.loads((first / "summary.json").read_text())["config"]))
+        second = tmp_path / "again"
+        assert main(["check-coeff", "--config", str(cfg), "--out", str(second)]) == 0
+        assert ((second / "check_coeff.csv").read_bytes()
+                == (first / "check_coeff.csv").read_bytes())
 
     def test_inadmissible_hp_weight_exits_1(self, tmp_path, capsys):
         # (a |x-x0|^4)^(1/3) of a constant a is not |x-x0|^q-monotone
@@ -153,6 +184,12 @@ class TestConfigHandling:
 
 
 class TestSubcommands:
+    @pytest.mark.parametrize("value, threshold", [
+        (np.nan, None), (np.inf, 1.0), (-np.inf, None), (0.5, np.inf), (0.5, np.nan)])
+    def test_unmeasured_verdict_fails(self, value, threshold):
+        assert verdict("v", True, 0.5, 1.0)["pass"]
+        assert not verdict("v", True, value, threshold)["pass"]
+
     def test_check_coeff_passes(self, tmp_path, capsys):
         code, out = run(tmp_path, "check-coeff", "--preset", "alpha0.5-x0.3")
         assert code == 0
