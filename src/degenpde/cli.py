@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .coefficients import CoefficientModel, check_hypotheses
+from .coefficients import CoefficientModel, _hypothesis_slack, check_hypotheses
 from .control import estimate_observability, synthesize_null_control
 from .grid import Field, SpaceTimeGrid, assemble_operator, dirichlet_eigenmodes
 from .inequalities import (HardyWeight, caccioppoli_check, carleman_identity_check,
@@ -43,8 +43,8 @@ DEFAULT_CONFIG = {
         "constant_value": 1.0,
     },
     "grid": {"N": 200, "M": 400, "T": 1.0},
-    "weight": {"c1": 1.0, "c2": None, "c2_margin": 0.05},
-    "potential": {"kind": "zero", "value": 0.0},
+    "weight": {"c1": 1.0, "c2": None},       # c2 defaults to 1.05 * c2_min
+    "potential": {"value": 0.0},              # the constant c
     "control": {"omega_lo": 0.2, "omega_hi": 0.5, "epsilon": 1e-8},
     "hp": {"q": 1.5, "weight": "pure_power", "battery_size": 20,
            "N": 1000, "stability_tol": 0.05},
@@ -56,8 +56,8 @@ DEFAULT_CONFIG = {
                     "s_values": [1.0, 2.0, 4.0], "stability_tol": 0.2},
     "observability": {"T": 0.5, "n_modes": 10, "n_random": 10, "n_power": 20,
                       "stability_tol": 0.25},
-    "null_control": {"T": 0.5, "u0": "parabola", "tol": 1e-2, "max_iters": 500},
-    "run": {"seed": 0, "out_dir": "reports", "format": "csv"},
+    "null_control": {"T": 0.5, "tol": 1e-2, "max_iters": 500},   # datum u0 = x(1 - x)
+    "run": {"seed": 0, "out_dir": "reports"},
 }
 
 # The default omega=(0.2, 0.5) excludes x0=0.5; omega=(0.3, 0.6) contains it
@@ -67,10 +67,6 @@ PRESETS = {
     f"alpha{a}-x{x}": {"coefficient": {"alpha": a, "x0": x}, **sections}
     for a in (0.5, 1.0, 1.5) for x, sections in _PRESET_SECTIONS.items()
 }
-
-SUBCOMMANDS = ("check-coeff", "hp", "carleman-identity", "carleman-scan",
-               "caccioppoli", "observability", "null-control", "all")
-
 
 class ConfigError(Exception):
     """Configuration problem; the message names the offending key."""
@@ -124,10 +120,7 @@ def _parse_override(text: str) -> dict:
 # nan or infinite bound or tolerance would let a verdict pass unmeasured.
 _CHOICES = {
     "coefficient.kind": ("power_law", "constant"),
-    "potential.kind": ("zero", "constant"),
     "hp.weight": ("pure_power", "coefficient"),
-    "null_control.u0": ("parabola", "sine"),
-    "run.format": ("csv", "json"),
 }
 _RANGES = {
     "coefficient.x0": "(0, 1)", "coefficient.alpha": "(0, 2)", "hp.q": "(1, 2)",
@@ -139,7 +132,7 @@ _RANGES = {
     "grid.N": "[2, inf)", "grid.M": "[2, inf)", "hp.N": "[2, inf)",
     # the tail verdict of carleman-scan compares three consecutive points
     "scan.n_s": "[3, inf)",
-    # c > -2/dt and c2 > c2_min depend on the grid and the model: checked where used
+    # c > -2/dt is checked per solving task in resolve_config, c2 > c2_min per model
     "potential.value": "(-inf, inf)", "weight.c2": "(-inf, inf)",
 }
 
@@ -194,6 +187,14 @@ def resolve_config(args) -> dict:
     if args.seed is not None:
         config["run"]["seed"] = int(args.seed)
     validate_config(config)
+    # c > -2/dt on the coarse grid of each task that solves with c; its fine grid halves dt
+    for section in ("caccioppoli", "observability", "null_control"):
+        if args.subcommand in ("all", section.replace("_", "-")):
+            try:
+                _require_dominance(config["potential"]["value"],
+                                   float(config[section]["T"]) / int(config["grid"]["M"]))
+            except ValueError as exc:
+                raise ConfigError("potential.value", str(exc))
     return config
 
 
@@ -241,10 +242,7 @@ def build_grid(config: dict, N=None, M=None, T=None) -> SpaceTimeGrid:
 
 
 def build_potential(config: dict) -> PotentialModel:
-    p = config["potential"]
-    if p["kind"] == "zero":
-        return PotentialModel.zero()
-    return PotentialModel.constant(p["value"])
+    return PotentialModel.constant(config["potential"]["value"])
 
 
 def build_control(config: dict) -> ControlConfig:
@@ -258,8 +256,7 @@ def build_control(config: dict) -> ControlConfig:
 def build_weight_params(config: dict, model, T: float, s: float) -> WeightParams:
     w = config["weight"]
     try:
-        return WeightParams.for_model(model, T=T, s=s, c1=w["c1"], c2=w["c2"],
-                                      c2_margin=w["c2_margin"])
+        return WeightParams.for_model(model, T=T, s=s, c1=w["c1"], c2=w["c2"])
     except ValueError as exc:
         raise ConfigError("weight.c2", str(exc))
 
@@ -321,14 +318,6 @@ def _require_x0_in_omega(control: ControlConfig, model: CoefficientModel):
         raise ConfigError("control.omega_lo", str(exc))
 
 
-def _require_stable_potential(potential: PotentialModel, grid: SpaceTimeGrid):
-    """Name potential.value for a c that the solvers would refuse on this grid."""
-    try:
-        _require_dominance(potential.rows.min(), grid.dt)
-    except ValueError as exc:
-        raise ConfigError("potential.value", str(exc))
-
-
 def _relative_change(coarse: float, fine: float) -> float:
     """|fine - coarse| / coarse; inf unless coarse is finite and positive."""
     if np.isfinite(coarse) and coarse > 0.0:
@@ -353,9 +342,7 @@ def run_check_coeff(config: dict, out_dir: Path) -> list:
     x = grid.x
     a = model.eval_a(x)
     xap = model.eval_xa_prime(x)
-    # the slack (x - x0) a'/a - K of check_hypotheses, 0 at x0 and wherever a = 0
-    good = ~np.isclose(x, model.x0, rtol=0.0, atol=1e-14) & (a > 0.0)
-    slack = np.where(good, xap / np.where(good, a, 1.0) - model.K, 0.0)
+    slack, _ = _hypothesis_slack(model, x, a, xap)
     write_csv(out_dir / "check_coeff.csv", ["x", "a", "xa_prime", "slack"],
               list(zip(x, a, xap, slack)), config)
     return verdicts
@@ -476,7 +463,6 @@ def run_caccioppoli(config: dict, out_dir: Path) -> list:
     ratios = {}
     rows = []
     for grid in _refinement_pair(config, T):
-        _require_stable_potential(potential, grid)
         op = assemble_operator(model, grid)
         _, modes = dirichlet_eigenmodes(op, 1)
         v = solve_adjoint(model, potential, grid, modes[0])
@@ -514,7 +500,6 @@ def run_observability(config: dict, out_dir: Path) -> list:
     reports = []
     rows = []
     for grid in _refinement_pair(config, c["T"]):
-        _require_stable_potential(potential, grid)
         rep = estimate_observability(model, potential, grid, control,
                                      n_modes=int(c["n_modes"]),
                                      n_random=int(c["n_random"]),
@@ -543,11 +528,7 @@ def run_null_control(config: dict, out_dir: Path) -> list:
     c = config["null_control"]
     _require_x0_in_omega(control, model)
     grid = build_grid(config, T=c["T"])
-    _require_stable_potential(potential, grid)
-    if c["u0"] == "parabola":
-        u0 = grid.x * (1.0 - grid.x)
-    else:
-        u0 = np.sin(np.pi * grid.x)
+    u0 = grid.x * (1.0 - grid.x)
     sol = synthesize_null_control(model, potential, grid, control, u0,
                                   tol=c["tol"], max_iters=int(c["max_iters"]))
     ratio = sol.terminal_norm / sol.initial_norm
@@ -564,12 +545,7 @@ def run_null_control(config: dict, out_dir: Path) -> list:
             for k in range(sol.residual_history.size)]
     write_csv(out_dir / "null_control.csv",
               ["iteration", "terminal_norm", "cost_functional"], rows, config)
-    if config["run"]["format"] == "json":
-        (out_dir / "null_control_field.json").write_text(
-            json.dumps(sol.h.values.tolist()))
-    else:
-        (out_dir / "null_control_field.csv").write_text(
-            _config_header(config) + sol.h.to_csv())
+    (out_dir / "null_control_field.csv").write_text(_config_header(config) + sol.h.to_csv())
     return verdicts
 
 
@@ -593,7 +569,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="degenpde",
         description="Verification and control synthesis for parabolic equations "
                     "with an interior degeneracy.")
-    parser.add_argument("subcommand", choices=SUBCOMMANDS)
+    parser.add_argument("subcommand", choices=(*TASKS, "all"))
     parser.add_argument("--config", help="JSON configuration file")
     parser.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="override a configuration value (repeatable, dotted keys)")

@@ -151,6 +151,15 @@ def _sided_monotone(x: np.ndarray, vals: np.ndarray, x0: float, tol: float):
     return True, None
 
 
+def _hypothesis_slack(model: CoefficientModel, x: np.ndarray, a: np.ndarray, xap: np.ndarray):
+    """(slack, measured): (x - x0) a'/a - K of hypothesis (i) where measured, else 0.
+
+    The slack is measured away from x0 where a > 0; a and xap sample a and (x - x0) a'.
+    """
+    measured = ~np.isclose(x, model.x0, rtol=0.0, atol=1e-14) & (a > 0.0)
+    return np.where(measured, xap / np.where(measured, a, 1.0) - model.K, 0.0), measured
+
+
 def check_hypotheses(model: CoefficientModel, grid) -> HypothesisReport:
     """Verify the structural hypotheses on the sample points of a grid.
 
@@ -166,9 +175,8 @@ def check_hypotheses(model: CoefficientModel, grid) -> HypothesisReport:
     off = ~np.isclose(x, model.x0, rtol=0.0, atol=1e-14)
     xs = x[off]
     a = model.eval_a(xs)
-    xap = model.eval_xa_prime(xs)
-    good = a > 0.0
-    slack = np.max(xap[good] / a[good] - model.K) if np.any(good) else np.inf
+    slacks, good = _hypothesis_slack(model, xs, a, model.eval_xa_prime(xs))
+    slack = np.max(slacks[good]) if np.any(good) else np.inf
     slack_ok = slack <= slack_tol
 
     d = np.abs(xs - model.x0)

@@ -53,7 +53,7 @@ def _observation_ratio(model, potential, grid, control, vT, chi):
     """(v from vT, ||v(0)||^2, int int_omega v^2)."""
     v = solve_adjoint(model, potential, grid, vT)
     v2 = v.values ** 2
-    num = integrate_space(v2[0], None, grid)
+    num = integrate_space(v2[0], grid)
     den = integrate_spacetime(np.multiply(v2, chi, out=v2), grid)
     return v, num, den
 

@@ -188,27 +188,23 @@ def dirichlet_eigenmodes(op: TridiagonalOperator, k: int):
     modes = np.zeros((k, grid.N + 1))
     for m in range(k):
         modes[m, 1:-1] = vecs[:, m]
-        nrm = np.sqrt(integrate_space(modes[m] ** 2, None, grid))
+        nrm = np.sqrt(integrate_space(modes[m] ** 2, grid))
         modes[m] /= nrm
     return vals, modes
 
 
-def integrate_space(f: np.ndarray, weight, grid: SpaceTimeGrid) -> float:
-    """Composite trapezoid of f * weight over [0, 1]."""
+def integrate_space(f: np.ndarray, grid: SpaceTimeGrid) -> float:
+    """Composite trapezoid of f over [0, 1]."""
     f = np.asarray(f, dtype=float)
     if f.shape != (grid.N + 1,):
         raise ValueError(f"expected array of length {grid.N + 1}, got {f.shape}")
-    integrand = f if weight is None else f * np.asarray(weight, dtype=float)
-    return float(np.dot(grid.space_weights(), integrand))
+    return float(np.dot(grid.space_weights(), f))
 
 
-def integrate_spacetime(values: np.ndarray, grid: SpaceTimeGrid,
-                        weight: np.ndarray | None = None) -> float:
+def integrate_spacetime(values: np.ndarray, grid: SpaceTimeGrid) -> float:
     """Trapezoid in both variables of a (M+1, N+1) sampled integrand."""
     vals = np.asarray(values, dtype=float)
     if vals.shape != (grid.M + 1, grid.N + 1):
         raise ValueError(f"expected shape {(grid.M + 1, grid.N + 1)}, got {vals.shape}")
-    if weight is not None:
-        vals = vals * weight
     per_t = vals @ grid.space_weights()
     return float(np.dot(grid.time_weights(), per_t))

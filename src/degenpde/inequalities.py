@@ -29,8 +29,8 @@ from scipy.linalg import eigh_tridiagonal
 from .coefficients import _sided_monotone
 from .grid import Field, SpaceTimeGrid, assemble_operator
 from .solvers import ControlConfig, PotentialModel
-from .weights import (_LOG_TINY, WeightParams, _power_cell_integral, psi, psi_prime, theta,
-                      theta_dot, theta_ddot, exp2s_phi)
+from .weights import (WeightParams, _exp_flushed, _power_cell_integral, psi, psi_prime,
+                      theta, theta_dot, theta_ddot, exp2s_phi)
 
 __all__ = [
     "HardyWeight",
@@ -453,9 +453,7 @@ def carleman_scan(model, params_base: WeightParams, grid: SpaceTimeGrid, v: Fiel
     for s in s_values:
         np.multiply(phi_shift, 2.0 * s, out=E)                # log E
         E[0] = E[-1] = -np.inf
-        np.less(E, _LOG_TINY, out=flushed)
-        np.copyto(E, -np.inf, where=flushed)                  # exp(-inf) is the flushed 0
-        np.exp(E, out=E)
+        _exp_flushed(E, flushed)
         np.multiply(th, E, out=integrand)    # Theta E, zero at the time endpoints by contract
         bdry_vals = a_b * integrand[:, [0, -1]] * d_b * v_x2_b
         integrand *= s

@@ -328,4 +328,4 @@ def energy_trace(field: Field, model, grid: SpaceTimeGrid) -> np.ndarray:
 
 def l2_norm(vec: np.ndarray, grid: SpaceTimeGrid) -> float:
     """Grid L2 norm of a space profile."""
-    return float(np.sqrt(integrate_space(np.asarray(vec) ** 2, None, grid)))
+    return float(np.sqrt(integrate_space(np.asarray(vec) ** 2, grid)))

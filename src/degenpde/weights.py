@@ -66,11 +66,11 @@ class WeightParams:
 
     @classmethod
     def for_model(cls, model, T: float, s: float, c1: float = 1.0,
-                  c2: float | None = None, c2_margin: float = 0.05) -> "WeightParams":
-        """Build admissible parameters; default c2 = (1 + c2_margin) * c2_min."""
+                  c2: float | None = None) -> "WeightParams":
+        """Build admissible parameters; default c2 = 1.05 * c2_min."""
         bound = c2_min(model)
         if c2 is None:
-            c2 = (1.0 + c2_margin) * bound
+            c2 = (1.0 + 0.05) * bound
         elif c2 <= bound:
             raise ValueError(f"c2={c2} is inadmissible; need c2 > c2_min={bound:.6g}")
         return cls(T=float(T), c1=float(c1), c2=float(c2), s=float(s))
@@ -152,6 +152,17 @@ def b_integral(model, x):
     return np.interp(x, model.nodes, _tabulated_b_table(model))
 
 
+def _exp_flushed(log, mask=None):
+    """exp(log) in place, exactly 0 where log is below log tiny; ``mask`` is a bool buffer.
+
+    A flushed log is set to -inf, whose exp is exactly 0; above log tiny
+    exp(max(log, log tiny)) is exp(log).
+    """
+    mask = np.less(log, _LOG_TINY, out=mask)
+    np.copyto(log, -np.inf, where=mask)
+    np.exp(log, out=log)
+
+
 def theta(params: WeightParams, t):
     """Theta(t) = [t(T-t)]^-4 for 0 < t < T; +inf at the endpoints."""
     t = np.asarray(t, dtype=float)
@@ -201,8 +212,7 @@ def exp2s_phi(params: WeightParams, model, t, x):
     broadcast shape.  Each entry still goes through
     ``((2s) * prod**-4) * psi`` and ``exp`` with the same elementwise ufuncs
     on contiguous arrays, so the bits do not depend on the shapes t and x
-    come in.  A log below log tiny is set to -inf, whose exp is exactly the
-    flushed 0, and above it exp(max(log, log tiny)) is exp(log).
+    come in.
     """
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -214,8 +224,6 @@ def exp2s_phi(params: WeightParams, model, t, x):
     with np.errstate(divide="ignore", over="ignore"):
         scale = 2.0 * params.s * np.where(interior, prod, 1.0) ** (-THETA_EXPONENT)
         np.multiply(scale, psi(params, model, x), out=out)
-        flushed = out < _LOG_TINY
-        flushed |= ~interior
-        np.copyto(out, -np.inf, where=flushed)      # exp(-inf) is exactly the flushed 0
-        np.exp(out, out=out)
+        np.copyto(out, -np.inf, where=~interior)
+        _exp_flushed(out)
     return out

@@ -157,8 +157,8 @@ def test_5_solver_correctness(capsys):
         a0[0] = a0[-1] = bT[0] = bT[-1] = 0.0
         uu = solve_forward(m, pot, gd, a0)
         vv = solve_adjoint(m, pot, gd, bT)
-        lhs = integrate_space(uu.values[-1] * bT, None, gd)
-        rhs = integrate_space(a0 * vv.values[0], None, gd)
+        lhs = integrate_space(uu.values[-1] * bT, gd)
+        rhs = integrate_space(a0 * vv.values[0], gd)
         worst_dual = max(worst_dual, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0))
     if worst_dual >= 1e-8:
         failures.append(f"adjoint identity error {worst_dual:.3g}")

@@ -93,6 +93,7 @@ class TestConfigHandling:
         ("carleman-scan", "scan.stability_tol", "NaN"),
         ("caccioppoli", "caccioppoli.stability_tol", "x"),
         ("observability", "observability.stability_tol", "0"),
+        # a deleted key, now unknown
         ("carleman-identity", "weight.c2_margin", "x"),
         ("observability", "observability.n_random", "-1"),
         ("observability", "observability.n_power", "1.5"),
@@ -111,7 +112,7 @@ class TestConfigHandling:
         ("check-coeff", "coefficient.theta", "NaN"),
         ("carleman-identity", "weight.c2", "abc"),
         ("carleman-identity", "weight.c2", "Infinity"),
-        # enumerated keys, checked before any task runs
+        # enumerated keys, checked before any task runs, and a deleted one
         ("carleman-scan", "potential.kind", "bogus"),
         ("hp", "hp.weight", "bogus"),
         # infinite values: a tolerance that any change passes, a NumPy warning and
@@ -135,14 +136,16 @@ class TestConfigHandling:
         ("caccioppoli", "caccioppoli.omega_prime_lo", "x"),
     ])
     def test_bad_value_exits_1_naming_key(self, tmp_path, capsys, task, key, value):
-        extra = ["--set", "potential.kind=constant"] if key.startswith("potential.") else []
-        code, _ = run(tmp_path, task, *TINY, *extra, "--set", f"{key}={value}")
+        code, _ = run(tmp_path, task, *TINY, "--set", f"{key}={value}")
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {key}: ")
 
     @pytest.mark.parametrize("key, argv", [
         ("null_control.u0", ["--set", "null_control.u0=foo"]),
         ("run.seed", ["--seed", "-1"]),
+        ("hp.weight", ["--set", "hp.weight=foo"]),
+        # breaks CN dominance on the coarse grid of caccioppoli, the first task that solves
+        ("potential.value", ["--set", "potential.value=-1e6"]),
     ])
     def test_bad_value_runs_no_task(self, tmp_path, capsys, key, argv):
         code, out = run(tmp_path, "all", *TINY, *argv)
@@ -158,6 +161,22 @@ class TestConfigHandling:
         assert main(["check-coeff", "--set", f"{key}={value}"]) == 1
         assert capsys.readouterr().err.startswith(f"error: {key}: ")
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("key, value", [
+        ("potential.kind", "zero"), ("weight.c2_margin", "0.05"),
+        ("run.format", "csv"), ("null_control.u0", "parabola")])
+    def test_deleted_key_exits_1(self, tmp_path, capsys, key, value):
+        code, out = run(tmp_path, "check-coeff", "--set", f"{key}={value}")
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {key}: unknown configuration key\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("task", ["hp", "carleman-scan"])
+    def test_unstable_potential_runs_tasks_that_never_solve(self, tmp_path, task):
+        code, out = run(tmp_path, task, *TINY, "--set", "hp.N=50", "--set", "scan.n_s=5",
+                        "--set", "potential.value=-1e6")
+        assert code != 1
+        assert list(out.glob("*.csv"))
 
     def test_summary_config_round_trips(self, tmp_path):
         code, first = run(tmp_path, "check-coeff")
@@ -263,6 +282,18 @@ class TestSubcommands:
         assert set(summary) == {"config", "verdicts", "timing"}
         for v in summary["verdicts"]:
             assert set(v) == {"name", "pass", "value", "threshold"}
+
+
+    def test_potential_value_reaches_scan(self, tmp_path):
+        # potential.value alone sets c; it was ignored unless potential.kind=constant
+        tiny_all = ["all", *TINY, "--set", "hp.N=50", "--set", "hp.battery_size=3",
+                    "--set", "scan.n_s=5"]
+        bodies = []
+        for name, extra in (("zero", []), ("seven", ["--set", "potential.value=7"])):
+            out = tmp_path / name
+            assert main([*tiny_all, *extra, "--out", str(out)]) != 1
+            bodies.append((out / "carleman_scan.csv").read_text().split("\n", 1)[1])
+        assert bodies[0] != bodies[1]
 
 
 class TestDeterminism:

@@ -41,7 +41,7 @@ class TestOperator:
         assert vals[1] == pytest.approx(-4 * np.pi ** 2, rel=1e-4)
         # modes normalized with zero boundary values
         assert modes[0, 0] == 0.0 and modes[0, -1] == 0.0
-        assert integrate_space(modes[0] ** 2, None, g) == pytest.approx(1.0, rel=1e-12)
+        assert integrate_space(modes[0] ** 2, g) == pytest.approx(1.0, rel=1e-12)
 
     def test_hand_assembled_row_at_x0(self):
         m = CoefficientModel.power_law(0.5, 0.3, theta=0.5)
@@ -90,20 +90,20 @@ class TestOperator:
 class TestQuadrature:
     def test_constant_and_linear_exact(self):
         g = SpaceTimeGrid.create(100, 1, 1.0, 0.5)
-        assert integrate_space(np.ones(g.N + 1), None, g) == pytest.approx(1.0, rel=1e-14)
-        assert integrate_space(g.x, None, g) == pytest.approx(0.5, rel=1e-14)
+        assert integrate_space(np.ones(g.N + 1), g) == pytest.approx(1.0, rel=1e-14)
+        assert integrate_space(g.x, g) == pytest.approx(0.5, rel=1e-14)
 
     def test_degenerate_integrand(self):
         g = SpaceTimeGrid.create(1000, 1, 1.0, 0.5)
         f = np.abs(g.x - 0.5) ** 1.0   # |x-x0|^(2-2a), a = 0.5
-        assert integrate_space(f, None, g) == pytest.approx(0.25, abs=1e-4)
+        assert integrate_space(f, g) == pytest.approx(0.25, abs=1e-4)
 
     def test_order_two_convergence(self):
         exact = 2.0 / np.pi
         errs = []
         for N in (100, 200):
             g = SpaceTimeGrid.create(N, 1, 1.0, 0.5)
-            errs.append(abs(integrate_space(np.sin(np.pi * g.x), None, g) - exact))
+            errs.append(abs(integrate_space(np.sin(np.pi * g.x), g) - exact))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.05)
 
     def test_spacetime_constant_field(self):
@@ -114,7 +114,7 @@ class TestQuadrature:
     def test_length_mismatch(self):
         g = SpaceTimeGrid.create(50, 1, 1.0, 0.5)
         with pytest.raises(ValueError):
-            integrate_space(np.ones(10), None, g)
+            integrate_space(np.ones(10), g)
 
 
 class TestField:

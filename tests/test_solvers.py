@@ -346,8 +346,8 @@ class TestAdjoint:
             u0[0] = u0[-1] = vT[0] = vT[-1] = 0.0
             u = solve_forward(m, pot, g, u0)
             v = solve_adjoint(m, pot, g, vT)
-            lhs = integrate_space(u.values[-1] * vT, None, g)
-            rhs = integrate_space(u0 * v.values[0], None, g)
+            lhs = integrate_space(u.values[-1] * vT, g)
+            rhs = integrate_space(u0 * v.values[0], g)
             assert abs(lhs - rhs) <= 1e-8 * max(abs(lhs), abs(rhs), 1.0)
 
     @pytest.mark.parametrize("kind", ["constant", "sampled"])
@@ -365,9 +365,8 @@ class TestAdjoint:
             def K(w):
                 return op.apply(w) - pot.values(g)[j] * w
             weighted = u / g.dt ** 2 - 0.25 * K(K(u))
-            scale = integrate_space(np.abs(u / g.dt ** 2 * v) + np.abs(0.25 * K(K(u)) * v),
-                                    None, g)
-            return integrate_space(weighted * v, None, g), scale
+            scale = integrate_space(np.abs(u / g.dt ** 2 * v) + np.abs(0.25 * K(K(u)) * v), g)
+            return integrate_space(weighted * v, g), scale
 
         rng = np.random.default_rng(8)
         for _ in range(5):
