@@ -25,9 +25,10 @@ import numpy as np
 from .coefficients import CoefficientModel, _hypothesis_slack, check_hypotheses
 from .control import estimate_observability, synthesize_null_control
 from .grid import Field, SpaceTimeGrid, assemble_operator, dirichlet_eigenmodes
-from .inequalities import (HardyWeight, caccioppoli_check, carleman_identity_check,
-                           carleman_scan, default_s_values, hp_verify,
-                           manufactured_adjoint_pair)
+from .inequalities import (HardyWeight, _require_caccioppoli_geometry,
+                           _require_hardy_monotone, caccioppoli_check,
+                           carleman_identity_check, carleman_scan, default_s_values,
+                           hp_verify, manufactured_adjoint_pair)
 from .solvers import ControlConfig, PotentialModel, _require_dominance, solve_adjoint
 from .weights import WeightParams
 
@@ -164,6 +165,14 @@ def _check_leaf(key: str, default, value):
             raise ConfigError(key, f"value {value!r} outside {interval}")
 
 
+def _name_key(key: str, check, *args):
+    """``check(*args)``, with the ValueError it raises as a ConfigError naming key."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise ConfigError(key, str(exc))
+
+
 def resolve_config(args) -> dict:
     config = copy.deepcopy(DEFAULT_CONFIG)
     if args.preset is not None:
@@ -187,14 +196,29 @@ def resolve_config(args) -> dict:
     if args.seed is not None:
         config["run"]["seed"] = int(args.seed)
     validate_config(config)
+    # the rules that bind only some tasks, each the library's own check
+    tasks = set(TASKS) if args.subcommand == "all" else {args.subcommand}
+    x0 = config["coefficient"]["x0"]
+    omega = (config["control"]["omega_lo"], config["control"]["omega_hi"])
+    if "hp" in tasks and config["hp"]["weight"] == "coefficient":
+        weight = HardyWeight.from_coefficient(build_model(config))
+        for grid in _hp_levels(config):
+            _name_key("hp.weight", _require_hardy_monotone, weight, grid.x)
+    if config["weight"]["c2"] is not None and tasks & {
+            "carleman-identity", "carleman-scan", "caccioppoli"}:
+        # c2 > c2_min depends on the model alone; T = s = 1 stand for every task's
+        _name_key("weight.c2", build_weight_params, config, build_model(config), 1.0, 1.0)
+    if "caccioppoli" in tasks:
+        c = config["caccioppoli"]
+        _name_key("caccioppoli.omega_prime_lo", _require_caccioppoli_geometry,
+                  x0, (c["omega_prime_lo"], c["omega_prime_hi"]), omega)
     # c > -2/dt on the coarse grid of each task that solves with c; its fine grid halves dt
     for section in ("caccioppoli", "observability", "null_control"):
-        if args.subcommand in ("all", section.replace("_", "-")):
-            try:
-                _require_dominance(config["potential"]["value"],
-                                   float(config[section]["T"]) / int(config["grid"]["M"]))
-            except ValueError as exc:
-                raise ConfigError("potential.value", str(exc))
+        if section.replace("_", "-") in tasks:
+            _name_key("potential.value", _require_dominance, config["potential"]["value"],
+                      float(config[section]["T"]) / int(config["grid"]["M"]))
+    if tasks & {"observability", "null-control"}:
+        _name_key("control.omega_lo", ControlConfig(*omega).require_x0_inside, x0)
     return config
 
 
@@ -203,14 +227,12 @@ def validate_config(config: dict):
         for leaf, default in leaves.items():
             _check_leaf(f"{section}.{leaf}", default, config[section][leaf])
     c = config["coefficient"]
-    if c["kind"] == "power_law" and c["theta"] is not None and c["theta"] > c["alpha"]:
-        raise ConfigError("coefficient.theta", f"value {c['theta']!r} above coefficient.alpha")
+    if c["theta"] is not None and (c["kind"] == "constant" or c["theta"] > c["alpha"]):
+        raise ConfigError("coefficient.theta", f"value {c['theta']!r} needs kind power_law "
+                          "and at most coefficient.alpha")
     for section in ("grid", "hp"):
         N = int(config[section]["N"])
-        try:
-            snapped = SpaceTimeGrid.create(N, 1, 1.0, c["x0"]).N
-        except ValueError as exc:
-            raise ConfigError("coefficient.x0", str(exc))
+        snapped = _name_key("coefficient.x0", SpaceTimeGrid.create, N, 1, 1.0, c["x0"]).N
         if snapped != N:
             print(f"warning: {section}.N={N} becomes N={snapped} so that x0={c['x0']} "
                   "lies on a grid node", file=sys.stderr)
@@ -225,12 +247,9 @@ def validate_config(config: dict):
 
 def build_model(config: dict) -> CoefficientModel:
     c = config["coefficient"]
-    try:
-        if c["kind"] == "constant":
-            return CoefficientModel.constant(c["constant_value"], c["x0"])
-        return CoefficientModel.power_law(c["alpha"], c["x0"], theta=c["theta"])
-    except ValueError as exc:
-        raise ConfigError("coefficient", str(exc))
+    if c["kind"] == "constant":
+        return CoefficientModel.constant(c["constant_value"], c["x0"])
+    return CoefficientModel.power_law(c["alpha"], c["x0"], theta=c["theta"])
 
 
 def build_grid(config: dict, N=None, M=None, T=None) -> SpaceTimeGrid:
@@ -247,18 +266,12 @@ def build_potential(config: dict) -> PotentialModel:
 
 def build_control(config: dict) -> ControlConfig:
     c = config["control"]
-    try:
-        return ControlConfig(c["omega_lo"], c["omega_hi"], epsilon=c["epsilon"])
-    except ValueError as exc:
-        raise ConfigError("control", str(exc))
+    return ControlConfig(c["omega_lo"], c["omega_hi"], epsilon=c["epsilon"])
 
 
 def build_weight_params(config: dict, model, T: float, s: float) -> WeightParams:
     w = config["weight"]
-    try:
-        return WeightParams.for_model(model, T=T, s=s, c1=w["c1"], c2=w["c2"])
-    except ValueError as exc:
-        raise ConfigError("weight.c2", str(exc))
+    return WeightParams.for_model(model, T=T, s=s, c1=w["c1"], c2=w["c2"])
 
 
 # ---------------------------------------------------------------------------
@@ -311,11 +324,11 @@ def _refinement_pair(config: dict, T=None) -> list:
     return [coarse, build_grid(config, N=2 * coarse.N, M=2 * coarse.M, T=T)]
 
 
-def _require_x0_in_omega(control: ControlConfig, model: CoefficientModel):
-    try:
-        control.require_x0_inside(model.x0)
-    except ValueError as exc:
-        raise ConfigError("control.omega_lo", str(exc))
+def _hp_levels(config: dict) -> list:
+    """The hp grids: hp.N, and the fine level that doubles its snapped N."""
+    x0 = config["coefficient"]["x0"]
+    coarse = SpaceTimeGrid.create(int(config["hp"]["N"]), 1, 1.0, x0)
+    return [coarse, SpaceTimeGrid.create(2 * coarse.N, 1, 1.0, x0)]
 
 
 def _relative_change(coarse: float, fine: float) -> float:
@@ -350,21 +363,13 @@ def run_check_coeff(config: dict, out_dir: Path) -> list:
 
 def run_hp(config: dict, out_dir: Path) -> list:
     c = config["hp"]
-    x0 = config["coefficient"]["x0"]
     if c["weight"] == "pure_power":
-        weight = HardyWeight.pure_power(c["q"], x0)
+        weight = HardyWeight.pure_power(c["q"], config["coefficient"]["x0"])
     else:
         weight = HardyWeight.from_coefficient(build_model(config))
-    seed = int(config["run"]["seed"])
-    N = int(c["N"])
-    try:
-        coarse = hp_verify(weight, SpaceTimeGrid.create(N, 1, 1.0, x0),
-                           battery_size=int(c["battery_size"]), seed=seed)
-        fine = hp_verify(weight, SpaceTimeGrid.create(2 * coarse.grid_N, 1, 1.0, x0),
-                         battery_size=int(c["battery_size"]), seed=seed)
-    except ValueError as exc:
-        # a coefficient whose weight (a |x-x0|^4)^(1/3) breaks the monotonicity hypothesis
-        raise ConfigError("hp.weight", str(exc))
+    grids = _hp_levels(config)
+    coarse, fine = (hp_verify(weight, grid, battery_size=int(c["battery_size"]),
+                              seed=int(config["run"]["seed"])) for grid in grids)
     change = _relative_change(coarse.rayleigh_estimate, fine.rayleigh_estimate)
     verdicts = [
         verdict("rayleigh_below_bound",
@@ -375,11 +380,11 @@ def run_hp(config: dict, out_dir: Path) -> list:
                 coarse.battery_max_ratio, coarse.rayleigh_estimate * 1.02),
         verdict("rayleigh_stable", change < c["stability_tol"], change, c["stability_tol"]),
     ]
-    rows = [[coarse.grid_N, "paper_bound", coarse.paper_bound]]
-    for rep in (coarse, fine):
-        rows.append([rep.grid_N, "rayleigh", rep.rayleigh_estimate])
+    rows = [[grids[0].N, "paper_bound", coarse.paper_bound]]
+    for grid, rep in zip(grids, (coarse, fine)):
+        rows.append([grid.N, "rayleigh", rep.rayleigh_estimate])
         for k, ratio in enumerate(rep.battery_ratios):
-            rows.append([rep.grid_N, f"battery_{k}", ratio])
+            rows.append([grid.N, f"battery_{k}", ratio])
     write_csv(out_dir / "hp.csv", ["N", "sample", "ratio"], rows, config)
     return verdicts
 
@@ -401,7 +406,7 @@ def run_carleman_identity(config: dict, out_dir: Path) -> list:
             w = Field.from_function(grid, _identity_profile(T, model.x0))
             rep = carleman_identity_check(model, params, grid, w)
             residuals.append(rep.residual)
-            rows.append([s, rep.grid_N, rep.grid_M, rep.lhs, rep.rhs, rep.residual])
+            rows.append([s, grid.N, grid.M, rep.lhs, rep.rhs, rep.residual])
         factor = residuals[0] / residuals[1] if residuals[1] > 0.0 else np.inf
         verdicts.append(verdict(f"identity_residual_s{s:g}",
                                 residuals[1] < c["residual_tol"],
@@ -434,7 +439,7 @@ def run_carleman_scan(config: dict, out_dir: Path) -> list:
                             s_values=s_values, window_tol=c["window_tol"])
         reports.append(rep)
         for k in range(s_values.size):
-            rows.append([rep.grid_N, rep.s_values[k], rep.lhs[k], rep.rhs_source[k],
+            rows.append([grid.N, rep.s_values[k], rep.lhs[k], rep.rhs_source[k],
                          rep.rhs_boundary[k], rep.ratios[k]])
     coarse, fine = reports
     change = _relative_change(coarse.fitted_C, fine.fitted_C)
@@ -468,12 +473,9 @@ def run_caccioppoli(config: dict, out_dir: Path) -> list:
         v = solve_adjoint(model, potential, grid, modes[0])
         for s in c["s_values"]:
             params = build_weight_params(config, model, T, s)
-            try:
-                rep = caccioppoli_check(model, params, grid, v, omega_p, omega)
-            except ValueError as exc:
-                raise ConfigError("caccioppoli.omega_prime_lo", str(exc))
+            rep = caccioppoli_check(model, params, grid, v, omega_p, omega)
             ratios.setdefault(s, []).append(rep.ratio)
-            rows.append([rep.grid_N, s, rep.local_gradient_integral,
+            rows.append([grid.N, s, rep.local_gradient_integral,
                          rep.outer_solution_integral, rep.ratio])
     verdicts = []
     for s, (r1, r2) in ratios.items():
@@ -495,7 +497,6 @@ def run_observability(config: dict, out_dir: Path) -> list:
     potential = build_potential(config)
     control = build_control(config)
     c = config["observability"]
-    _require_x0_in_omega(control, model)
     seed = int(config["run"]["seed"])
     reports = []
     rows = []
@@ -506,7 +507,7 @@ def run_observability(config: dict, out_dir: Path) -> list:
                                      n_power=int(c["n_power"]), seed=seed)
         reports.append(rep)
         for desc, ratio in rep.samples:
-            rows.append([rep.grid_N, desc, ratio])
+            rows.append([grid.N, desc, ratio])
     coarse, fine = reports
     change = _relative_change(coarse.C_T_estimate, fine.C_T_estimate)
     verdicts = [
@@ -526,7 +527,6 @@ def run_null_control(config: dict, out_dir: Path) -> list:
     potential = build_potential(config)
     control = build_control(config)
     c = config["null_control"]
-    _require_x0_in_omega(control, model)
     grid = build_grid(config, T=c["T"])
     u0 = grid.x * (1.0 - grid.x)
     sol = synthesize_null_control(model, potential, grid, control, u0,
@@ -600,14 +600,10 @@ def main(argv=None) -> int:
 
     all_verdicts = []
     timing = {}
-    try:
-        for name in names:
-            t0 = time.perf_counter()
-            all_verdicts.extend(TASKS[name](config, out_dir))
-            timing[name] = time.perf_counter() - t0
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    for name in names:
+        t0 = time.perf_counter()
+        all_verdicts.extend(TASKS[name](config, out_dir))
+        timing[name] = time.perf_counter() - t0
 
     summary = {"config": config, "verdicts": all_verdicts, "timing": timing}
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True))

@@ -34,7 +34,6 @@ class ObservabilityReport:
     samples: list          # (descriptor, ratio) pairs
     C_T_estimate: float
     violation: bool        # ||v(0)|| > 0 with zero observation (must not occur)
-    grid_N: int
 
 
 @dataclass
@@ -121,7 +120,7 @@ def estimate_observability(model, potential: PotentialModel, grid: SpaceTimeGrid
 
     C_T = max((r for _, r in samples), default=0.0)
     return ObservabilityReport(samples=samples, C_T_estimate=float(C_T),
-                               violation=violation, grid_N=grid.N)
+                               violation=violation)
 
 
 def _hum_operator(model, potential, grid, control, chi, z):

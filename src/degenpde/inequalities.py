@@ -94,7 +94,6 @@ class HPReport:
     rayleigh_estimate: float
     battery_max_ratio: float
     battery_ratios: np.ndarray = field(repr=False)
-    grid_N: int = 0
 
 
 def _hp_matrices(weight: HardyWeight, grid: SpaceTimeGrid):
@@ -123,6 +122,16 @@ def _hp_matrices(weight: HardyWeight, grid: SpaceTimeGrid):
     return (p_cell[:-1] + p_cell[1:]) / h, -p_cell[1:-1] / h, m
 
 
+def _require_hardy_monotone(weight: HardyWeight, x: np.ndarray):
+    """Raise unless p/|x-x0|^q is one-sided monotone on the nodes x."""
+    good = np.abs(x - weight.x0) > 1e-14
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio_vals = np.where(good, weight.p(x) / np.abs(x - weight.x0) ** weight.q, 0.0)
+    ok, interval = _sided_monotone(x[good], ratio_vals[good], weight.x0, 1e-12)
+    if not ok:
+        raise ValueError(f"p/|x-x0|^q is not one-sided monotone near {interval}")
+
+
 def _hp_energy(k_diag, k_off, w):
     out = np.dot(k_diag * w, w)
     out += 2.0 * np.dot(k_off * w[:-1], w[1:])
@@ -138,14 +147,7 @@ def hp_verify(weight: HardyWeight, grid: SpaceTimeGrid,
     generalized pair (stiffness with weight p, mass with weight p/(x-x0)^2).
     """
     x = grid.x
-    pv = weight.p(x)
-    good = np.abs(x - weight.x0) > 1e-14
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio_vals = np.where(good, pv / np.abs(x - weight.x0) ** weight.q, 0.0)
-    ok, interval = _sided_monotone(x[good], ratio_vals[good], weight.x0, 1e-12)
-    if not ok:
-        raise ValueError(f"p/|x-x0|^q is not one-sided monotone near {interval}")
-
+    _require_hardy_monotone(weight, x)
     k_diag, k_off, m = _hp_matrices(weight, grid)
     # symmetrize: M^(-1/2) K M^(-1/2) is tridiagonal with the same eigenvalues
     inv_sqrt_m = 1.0 / np.sqrt(m)
@@ -174,7 +176,6 @@ def hp_verify(weight: HardyWeight, grid: SpaceTimeGrid,
         rayleigh_estimate=float(rayleigh),
         battery_max_ratio=float(np.max(ratios)) if ratios.size else 0.0,
         battery_ratios=ratios,
-        grid_N=grid.N,
     )
 
 
@@ -221,8 +222,6 @@ class IdentityReport:
     lhs: float
     rhs: float
     residual: float
-    grid_N: int
-    grid_M: int
 
 
 def carleman_identity_check(model, params: WeightParams, grid: SpaceTimeGrid,
@@ -349,7 +348,7 @@ def carleman_identity_check(model, params: WeightParams, grid: SpaceTimeGrid,
 
     rhs = (dt1 + dt2 + dt3 + dt4) + (bt1 + bt4 + bt5)
     residual = abs(lhs - rhs) / (abs(lhs) + 1e-300)
-    return IdentityReport(lhs=lhs, rhs=rhs, residual=residual, grid_N=N, grid_M=M)
+    return IdentityReport(lhs=lhs, rhs=rhs, residual=residual)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +365,6 @@ class CarlemanReport:
     fitted_C: float
     s0_observed: float
     nonpositive_rhs: bool
-    grid_N: int
 
 
 def default_s_values(n: int = 12, start: float = 1.0, ratio: float = 1.5) -> np.ndarray:
@@ -489,7 +487,7 @@ def carleman_scan(model, params_base: WeightParams, grid: SpaceTimeGrid, v: Fiel
     return CarlemanReport(
         s_values=s_values, lhs=lhs_arr, rhs_source=src_arr, rhs_boundary=bdy_arr,
         ratios=ratios, fitted_C=fitted_C, s0_observed=s0_observed,
-        nonpositive_rhs=nonpositive, grid_N=grid.N)
+        nonpositive_rhs=nonpositive)
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +499,17 @@ class CaccioppoliReport:
     local_gradient_integral: float
     outer_solution_integral: float
     ratio: float
-    grid_N: int
+
+
+def _require_caccioppoli_geometry(x0: float, omega_prime: tuple[float, float],
+                                  omega: tuple[float, float]):
+    """Raise unless omega' is compactly contained in omega and its closure misses x0."""
+    lo_p, hi_p = omega_prime
+    lo, hi = omega
+    if not (lo < lo_p < hi_p < hi):
+        raise ValueError(f"omega'={omega_prime} must be compactly contained in omega={omega}")
+    if lo_p <= x0 <= hi_p:
+        raise ValueError(f"x0={x0} must not lie in the closure of omega'={omega_prime}")
 
 
 def caccioppoli_check(model, params: WeightParams, grid: SpaceTimeGrid, v: Field,
@@ -512,13 +520,9 @@ def caccioppoli_check(model, params: WeightParams, grid: SpaceTimeGrid, v: Field
 
     omega' must be compactly contained in omega and must stay away from x0.
     """
+    _require_caccioppoli_geometry(model.x0, omega_prime, omega)
     lo_p, hi_p = omega_prime
     lo, hi = omega
-    if not (lo < lo_p < hi_p < hi):
-        raise ValueError(f"omega'={omega_prime} must be compactly contained in omega={omega}")
-    if lo_p <= model.x0 <= hi_p:
-        raise ValueError(f"x0={model.x0} must not lie in the closure of omega'={omega_prime}")
-
     E = exp2s_phi(params, model, grid.t[:, None], grid.x[None, :])
     local_integrand = _derivative(v.values, grid.h, axis=1)
     chi_p = ControlConfig(lo_p, hi_p).indicator(grid)
@@ -532,5 +536,4 @@ def caccioppoli_check(model, params: WeightParams, grid: SpaceTimeGrid, v: Field
     outer = float(tw @ ((v.values ** 2 * chi[None, :]) @ sw))
     ratio = np.inf if outer == 0.0 and local > 0.0 else (0.0 if outer == 0.0 else local / outer)
     return CaccioppoliReport(local_gradient_integral=local,
-                             outer_solution_integral=outer, ratio=float(ratio),
-                             grid_N=grid.N)
+                             outer_solution_integral=outer, ratio=float(ratio))

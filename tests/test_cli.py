@@ -146,6 +146,14 @@ class TestConfigHandling:
         ("hp.weight", ["--set", "hp.weight=foo"]),
         # breaks CN dominance on the coarse grid of caccioppoli, the first task that solves
         ("potential.value", ["--set", "potential.value=-1e6"]),
+        # task-dependent rules, which fired only once their task ran
+        ("control.omega_lo", ["--set", "control.omega_lo=0.32", "--set", "control.omega_hi=0.6"]),
+        ("caccioppoli.omega_prime_lo", ["--set", "caccioppoli.omega_prime_lo=0.1"]),
+        ("weight.c2", ["--set", "weight.c2=0.1"]),
+        ("hp.weight", ["--set", "coefficient.kind=constant", "--set", "hp.weight=coefficient"]),
+        # a theta that a constant coefficient silently ignored
+        ("coefficient.theta", ["--set", "coefficient.kind=constant",
+                               "--set", "coefficient.theta=0.3"]),
     ])
     def test_bad_value_runs_no_task(self, tmp_path, capsys, key, argv):
         code, out = run(tmp_path, "all", *TINY, *argv)
@@ -175,6 +183,17 @@ class TestConfigHandling:
     def test_unstable_potential_runs_tasks_that_never_solve(self, tmp_path, task):
         code, out = run(tmp_path, task, *TINY, "--set", "hp.N=50", "--set", "scan.n_s=5",
                         "--set", "potential.value=-1e6")
+        assert code != 1
+        assert list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("task, argv", [
+        ("hp", ["--set", "control.omega_lo=0.32", "--set", "control.omega_hi=0.6"]),
+        ("check-coeff", ["--set", "control.omega_lo=0.32", "--set", "control.omega_hi=0.6"]),
+        ("observability", ["--set", "caccioppoli.omega_prime_lo=0.1"]),
+        ("check-coeff", ["--set", "weight.c2=0.1"]),
+    ])
+    def test_task_rules_bind_only_their_tasks(self, tmp_path, task, argv):
+        code, out = run(tmp_path, task, *TINY, "--set", "hp.N=50", *argv)
         assert code != 1
         assert list(out.glob("*.csv"))
 
