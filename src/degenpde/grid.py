@@ -105,8 +105,15 @@ class Field:
 
     @classmethod
     def from_function(cls, grid: SpaceTimeGrid, f) -> "Field":
-        tt, xx = np.meshgrid(grid.t, grid.x, indexing="ij")
-        return cls(grid, np.asarray(f(tt, xx), dtype=float))
+        """Sample f(t, x), called once on a column of times and a row of nodes.
+
+        f must broadcast its arguments, as elementwise numpy expressions do; the
+        values are then those of f on the full meshgrid arrays, bit for bit,
+        without building those arrays.  The field owns a writable copy.
+        """
+        values = f(grid.t[:, None], grid.x[None, :])
+        return cls(grid, np.array(np.broadcast_to(values, (grid.M + 1, grid.N + 1)),
+                                  dtype=float, order="C"))
 
     def is_dirichlet(self, tol: float = 0.0) -> bool:
         return bool(np.all(np.abs(self.values[:, 0]) <= tol)

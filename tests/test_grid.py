@@ -6,6 +6,7 @@ import pytest
 
 from degenpde import (CoefficientModel, Field, SpaceTimeGrid, assemble_operator,
                       dirichlet_eigenmodes, integrate_space, integrate_spacetime)
+from degenpde.cli import _identity_profile, _scan_profile
 
 
 class TestGridConstruction:
@@ -129,6 +130,22 @@ class TestField:
         assert f.is_dirichlet(1e-14)
         assert f.values[0, 3] == 0.0
         assert f.values[-1, 5] == pytest.approx(0.25, rel=1e-14)
+
+    @pytest.mark.parametrize("N,M,x0", [(10, 5, 0.5), (101, 37, 0.3), (400, 800, 0.123)])
+    @pytest.mark.parametrize("profile", [
+        _identity_profile(1.0, 0.3), _scan_profile(0.5, 0.123),
+        lambda t, x: x * (1.0 - x) * t, lambda t, x: t + x,
+        lambda t, x: np.sin(7 * x) * np.exp(t), lambda t, x: x * (1.0 - x),
+    ])
+    def test_from_function_equals_meshgrid_evaluation(self, N, M, x0, profile):
+        g = SpaceTimeGrid.create(N, M, 0.5, x0)
+        f = Field.from_function(g, profile)
+        tt, xx = np.meshgrid(g.t, g.x, indexing="ij")
+        expected = np.broadcast_to(profile(tt, xx), f.values.shape)
+        assert np.array_equal(f.values, expected)
+        assert np.array_equal(np.signbit(f.values), np.signbit(expected))
+        assert f.values.flags.c_contiguous and f.values.flags.writeable
+        assert f.values.flags.owndata
 
     def test_csv_round_trip(self):
         g = SpaceTimeGrid.create(4, 2, 1.0, 0.5)
