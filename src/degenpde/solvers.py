@@ -12,48 +12,47 @@ Crank-Nicolson (rather than backward Euler) keeps the scheme second order,
 which the identity and estimate checkers rely on.
 
 Each solve assembles the operator once and validates every left-hand side
-I/dt - A/2 + C/2 up front with reductions over c: its minimum decides
+L_k = I/dt - A/2 + C_k/2 up front with reductions over c: its minimum decides
 diagonal dominance and its per-node maximum decides overflow, so no
-(M+1) x (N-1) temporary is built.  The left-hand sides are then looked up
-in a single-entry table of per-level factors, keyed by value on the inputs
-they depend on: the off-diagonal, the diagonal 1/dt - d/2 without its c
-term, and the rows -c/2 (one row for constant c, one per time level for
-sampled c).  A level is factored with LAPACK ``gttrf`` the first time a
-solve needs it, so a forward solve factors levels 1..M, an adjoint solve
-0..M-1, and a level whose c enters only a right-hand side never is.  Every
-step is then one ``gttrs`` with the stored factors, whether c is constant
-or sampled, and repeated solves on one potential (the HUM iteration) factor
-nothing.  ``gttrf`` followed by ``gttrs`` runs the same partial-pivot
-elimination, in the same order, as ``gtsv`` and as
-``scipy.linalg.solve_banded`` for a tridiagonal matrix.  SciPy's ``gttrf``
-wrapper rejects two interior nodes, so there a level stores its diagonal
-and each step calls ``gtsv``; one interior node is a division.
+(M+1) x (N-1) temporary is built.
 
-Each step builds its right-hand side in the output row it solves into, with
-four ufunc calls on preallocated buffers.  A sliding window over the field
-gives the rows (lower, u, upper) of the previous time, and one product with
-the stencil [e/2, d/2, e/2], zero-padded at the ends, fills three rows of a
-(5, N-1) buffer; u/dt and (-c/2) u fill the other two.  One reduction over
-the buffer's first axis adds the rows in order, giving
-((upper + (d/2) u) + lower) + u/dt + (-c/2) u.  This matches a per-step
-banded solve's (((d/2) u + upper) + lower) + u/dt - (c/2) u bit for bit:
-halving is exact, so A/2 and c/2 are precomputed (the products agree unless
-one leaves the normal floating-point range); a + b == b + a; x - y ==
-x + (-y); and the zero pads only ever add +0.0, which could change a sum
-only if it were -0.0, and each sum containing (d/2) u = -0.0 then adds
-u/dt = +0.0 and comes out the same.  Before the first step, one vectorised
-sum writes each step's source term (h_prev + h_next)/2 into the row the
-step will solve into; a step adds it forward and subtracts it backward,
-which equals adding (-h_prev - h_next)/2.  A missing source adds nothing,
-since the zero source's (0 + 0)/2 = +0.0 could only have changed a -0.0,
-which the sum before it never is.
+A step from level p to level n solves L_n u_n = R_p u_p + f, with
+R_p = I/dt + A/2 - C_p/2 and f = (f_p + f_n)/2.  Since R_p = G - L_n for the
+diagonal G = 2I/dt + (C_n - C_p)/2, one solve gives s = u_p + u_n:
+
+    L_n s = g u_p + f,   g = 2/dt + (c_n - c_p)/2,   u_n = s - u_p.
+
+Both sides are halved, so that g/2 = 1/dt + (c_n - c_p)/4 is finite wherever
+1/dt is (2/dt overflows for a subnormal dt); halving is exact in the normal
+range, for the factors of L_n too, so s does not change.  A step is one
+product (g/2) u_p into the output row, one ``gttrs`` in place and one
+subtraction of u_p.  With a source, the product goes to a buffer that one
+more ufunc adds to the row, where each step's (h_p + h_n)/4 was summed before
+the first step (added forward, subtracted backward).
+
+The halved left-hand sides come from a single-entry table keyed by value on
+their inputs: the off-diagonal, the diagonal without its c term and the rows
+of c (one for constant c, one per level for sampled c).  A level is factored
+with LAPACK ``gttrf`` the first time a solve needs it (levels 1..M forward,
+0..M-1 adjoint), and a sampled c's rows g/2 are formed once per direction;
+for constant c, g/2 is the value 1/dt.  So repeated solves on one potential
+(the HUM iteration) factor and form nothing.  ``gttrf`` then ``gttrs`` runs
+the elimination of ``gtsv`` and of ``scipy.linalg.solve_banded``.  SciPy's
+``gttrf`` rejects two interior nodes, so there each step calls ``gtsv`` on a
+stored diagonal; one interior node is a division.
+
+The field equals, bit for bit, a per-step loop that forms g u_p, adds f only
+when there is a source, solves with ``solve_banded`` and subtracts u_p,
+unless a value leaves the normal range.  The textbook form and the discrete
+adjoint identity hold to rounding; a stiff mode (u_n close to -u_p) makes s
+small, but its error stays at the rounding level of u_p.
 
 A non-finite matrix raises ValueError up front and a singular one raises
 LinAlgError, as in ``solve_banded``.  Non-finite right-hand sides are found
 by one check of the whole field after the last step: every divisor of a
-solve is a finite LU pivot, dt or the diagonal, so no step turns a
-non-finite value finite, and a non-finite right-hand side leaves a
-non-finite value in its row and every later one.  The same inputs raise
+solve is a finite LU pivot or diagonal, so no step turns a non-finite value
+finite, and a non-finite right-hand side leaves a non-finite value in its
+row and every later one.  The same inputs raise
 ValueError as under a check of each right-hand side, plus one case that
 check missed: a last solve whose result overflows.
 """
@@ -63,7 +62,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import LinAlgError, get_lapack_funcs
 
 from .grid import Field, SpaceTimeGrid, assemble_operator, integrate_space
@@ -182,35 +180,53 @@ def _require_dominance(c_min: float, dt: float):
         raise ValueError("Crank-Nicolson system lost diagonal dominance; reduce the time step")
 
 
-# The level table's single entry: the LHS inputs (off, base, rows -c/2) and per row
-# the factors of its left-hand side, None until a solve needs them.
+# The level table's single entry: the inputs (off, base, rows c) of the halved
+# left-hand sides L_k/2, per row the factors of L_k/2 (None until a solve needs
+# them), and per direction the rows g/2 of a sampled c's steps.
 _level_table = None
 
 
-def _level_factors(gttrf, off, base, neg_half_c, levels):
-    """Factors of I/dt - A/2 + C_k/2 for every k in ``levels``, factoring only new ones.
+def _level_factors(gttrf, inv_dt, off, base, c, times, backward):
+    """Per step through ``times``: the factors of L_next/2 and the value(s) g/2.
 
-    The table is hit when its inputs equal these by value, since rows may be
-    edited in place between solves.  ``np.array_equal`` takes -0.0 == +0.0,
-    which changes no factor: base - (-0.0) == base - (+0.0).  With two interior
+    L_k/2 = I/(2 dt) - A/4 + C_k/4 has off-diagonal ``off`` and diagonal
+    ``base + c_k/4``, and g/2 = 1/dt + (c_next - c_prev)/4, one value when c has
+    one row.  A level is factored, and a direction's rows g/2 formed, the first
+    time a solve needs them.  The entry is reused when its inputs equal these by
+    value, since rows may be edited in place between solves; ``np.array_equal``
+    takes -0.0 == +0.0, which changes no factor and no g.  With two interior
     nodes or fewer a level's "factors" are its diagonal.
     """
     global _level_table
     # read once, so that a solve in another thread replacing the entry cannot mix two
-    table, inputs = _level_table, (off, base, neg_half_c)
-    if table is None or not all(map(np.array_equal, table[:3], inputs)):
-        table = _level_table = (*inputs, [None] * len(neg_half_c))
-    off, base, neg_half_c, factors = table
-    for k in levels:
+    entry, inputs = _level_table, (off, base, c)
+    if entry is None or not all(map(np.array_equal, entry[:3], inputs)):
+        entry = _level_table = (off, base, c.copy(), [None] * len(c), {})
+    off, base, c, factors, g_rows = entry
+    sampled = len(c) > 1
+    no_swap = None
+    for k in times[1:] if sampled else [0]:
         if factors[k] is None:
-            diag = base - neg_half_c[k]
+            diag = base + 0.25 * c[k]
             if diag.size <= 2:
                 factors[k] = diag
                 continue
-            *lu, info = gttrf(off, diag, off)
+            dl, d, *tail, info = gttrf(off, diag, off)
             _check_info(info)
-            factors[k] = lu
-    return [factors[k] for k in levels]
+            # a level factored without row interchanges (every dominant one) has
+            # du = off, du2 = 0 and ipiv = 1..n, so such levels share one copy
+            if no_swap is None:
+                no_swap = (off, np.zeros_like(tail[1]),
+                           np.arange(1, d.size + 1, dtype=tail[2].dtype))
+            if all(map(np.array_equal, tail, no_swap)):
+                tail = no_swap
+            factors[k] = (dl, d, *tail)
+    if not sampled:
+        return [factors[0]] * (len(times) - 1), [inv_dt] * (len(times) - 1)
+    if backward not in g_rows:
+        quarter_c = 0.25 * (c[::-1] if backward else c)      # in step order
+        g_rows[backward] = np.diff(quarter_c, axis=0) + inv_dt
+    return [factors[k] for k in times[1:]], g_rows[backward]
 
 
 def _propagate(model, potential: PotentialModel, grid: SpaceTimeGrid, start: np.ndarray,
@@ -223,60 +239,41 @@ def _propagate(model, potential: PotentialModel, grid: SpaceTimeGrid, start: np.
     """
     c = potential.values(grid)[:, 1:-1]          # raises before any work if c does not fit
     d, e = assemble_operator(model, grid).interior_tridiag()
-    n, dt = d.size, grid.dt
-    half_d, half_e = 0.5 * d, 0.5 * e
-    off = -half_e
-    _require_finite(off)
-    base = 1.0 / dt - half_d                     # LHS diagonal without its c/2 term
+    n, inv_dt = d.size, 1.0 / grid.dt
+    _require_finite(e)
+    base = inv_dt - 0.5 * d                      # diagonal of L without its c/2 term
     times = range(grid.M, -1, -1) if backward else range(grid.M + 1)
-    sampled = potential.rows.shape[0] > 1
-    if sampled:
+    if potential.rows.shape[0] > 1:
         lhs_c = c[:-1] if backward else c[1:]    # the rows c(t_next) that enter a LHS
     else:
         c = lhs_c = c[:1]
     _require_finite(c)
-    _require_dominance(lhs_c.min(), dt)
+    _require_dominance(lhs_c.min(), grid.dt)
     # base + c/2 grows with c, so the largest c of each node decides overflow
     _require_finite(base + 0.5 * lhs_c.max(axis=0))
 
     gttrf, gttrs, gtsv = get_lapack_funcs(("gttrf", "gttrs", "gtsv"), (d,))
-    neg_half_c = -0.5 * c
-    # each step's LHS row of the table: the row of c(t_next), or the only row
-    factors = _level_factors(gttrf, off, base, neg_half_c,
-                             times[1:] if sampled else [0] * grid.M)
-    neg_half_c = list(neg_half_c) if sampled else [neg_half_c[0]] * (grid.M + 1)
+    off = -0.25 * e
+    factors, steps = _level_factors(gttrf, inv_dt, off, 0.5 * base, c, times, backward)
 
     out = np.zeros((grid.M + 1, grid.N + 1))
     out[times[0]] = start
     rows = out[:, 1:-1]
     if source is not None:
-        # each step's (h_prev + h_next)/2, written into the row the step solves into
+        # each step's f/2 = +/-(h_prev + h_next)/4, the sum written into the row the
+        # step solves into
         summed = rows[:-1] if backward else rows[1:]
         np.add(source[:-1], source[1:], out=summed, dtype=float)
-        summed *= 0.5
+        summed *= 0.25
         combine = np.subtract if backward else np.add
         acc = np.empty(n)
-    # window[j] holds the rows lower, u, upper of time j; the Dirichlet columns of out
-    # are +0.0 and meet the zero pads of the stencil, so every product there is +0.0.
-    window = sliding_window_view(out, n, axis=1)
-    stencil = np.zeros((3, n))
-    stencil[0, 1:] = stencil[2, :-1] = half_e
-    stencil[1] = half_d
-    terms = np.empty((5, n))
-    products, by_dt, by_c = terms[2::-1], terms[3], terms[4]
-    for j_prev, j_next, lu in zip(times, times[1:], factors):
-        # RHS (I/dt + A/2 - C_prev/2) u + (f_prev + f_next)/2, in the order
-        # (((upper + (d/2) u) + lower) + u/dt + (-c_prev/2) u) +/- (h_prev + h_next)/2,
-        # the last term already in rhs: any other order changes the last bits of the
-        # artifacts.
+    for j_prev, j_next, lu, g in zip(times, times[1:], factors, steps):
+        # (L/2) s = (g/2) u + f/2 for s = u + u_next, then u_next = s - u
         u, rhs = rows[j_prev], rows[j_next]
-        np.multiply(window[j_prev], stencil, out=products)
-        np.divide(u, dt, out=by_dt)
-        np.multiply(neg_half_c[j_prev], u, out=by_c)
         if source is None:
-            np.add.reduce(terms, axis=0, out=rhs)
+            np.multiply(g, u, out=rhs)
         else:
-            combine(np.add.reduce(terms, axis=0, out=acc), rhs, out=rhs)
+            combine(np.multiply(g, u, out=acc), rhs, out=rhs)
         # f2py solves a contiguous float64 right-hand side in place under overwrite_b
         if n > 2:
             _, info = gttrs(*lu, rhs, overwrite_b=True)
@@ -286,6 +283,7 @@ def _propagate(model, potential: PotentialModel, grid: SpaceTimeGrid, start: np.
             _check_info(info)
         else:
             rhs /= lu
+        np.subtract(rhs, u, out=rhs)
     # A non-finite value stays non-finite through every later step, since every
     # divisor is finite, so one check of the whole field rejects what a per-step
     # check of each right-hand side would.

@@ -90,6 +90,47 @@ def banded_reference(model, potential, grid, start, sources, backward):
     return out
 
 
+def one_solve_reference(model, potential, grid, start, sources, backward):
+    """Per-step CN loop in the one-solve form, with a validated solve_banded.
+
+    Since R_prev = G - L_next with G = 2I/dt + (C_next - C_prev)/2, each step solves
+    L_next s = g u + f for s = u + u_next and takes u_next = s - u, where
+    g = 2/dt + (c_next - c_prev)/2 and f = (sources[j_prev] + sources[j_next])/2,
+    or nothing when sources is None.  This is the stepper's arithmetic bit for bit.
+    """
+    d, e = assemble_operator(model, grid).interior_tridiag()
+    c = potential.values(grid)[:, 1:-1]
+    dt = grid.dt
+    times = list(range(grid.M, -1, -1)) if backward else list(range(grid.M + 1))
+    out = np.zeros((grid.M + 1, grid.N + 1))
+    out[times[0]] = start
+    u = start[1:-1].copy()
+    for j_prev, j_next in zip(times, times[1:]):
+        rhs = (2.0 / dt + 0.5 * (c[j_next] - c[j_prev])) * u
+        if sources is not None:
+            rhs = rhs + 0.5 * (sources[j_prev] + sources[j_next])
+        ab = np.zeros((3, d.size))
+        ab[0, 1:] = -0.5 * e
+        ab[1] = 1.0 / dt - 0.5 * d + 0.5 * c[j_next]
+        ab[2, :-1] = -0.5 * e
+        u = solve_banded((1, 1), ab, rhs) - u
+        out[j_next, 1:-1] = u
+    return out
+
+
+def assert_steps_exact(field, model, potential, grid, start, sources, backward):
+    """``field`` is the one-solve reference bit for bit, and the textbook form
+    (I/dt - A/2 + C_next/2) u_next = (I/dt + A/2 - C_prev/2) u + f to rounding:
+    within 1e-12 of each time row's largest magnitude."""
+    assert np.array_equal(field.values,
+                          one_solve_reference(model, potential, grid, start, sources, backward))
+    if sources is None:
+        sources = np.zeros((grid.M + 1, grid.N - 1))
+    textbook = banded_reference(model, potential, grid, start, sources, backward)
+    row_max = np.abs(textbook).max(axis=1, keepdims=True)
+    assert np.all(np.abs(field.values - textbook) <= 1e-12 * row_max)
+
+
 def degenerate_setup(N=60, M=40, x0=0.3):
     m = CoefficientModel.power_law(0.5, x0)
     return m, SpaceTimeGrid.create(N, M, 0.3, x0)
@@ -109,7 +150,7 @@ def dirichlet_noise(rng, g):
 
 class TestStepperMatchesBandedSolve:
     @pytest.mark.parametrize("kind", ["zero", "constant", "sampled"])
-    # N=2: one interior node; N=3: two, the smallest stencil window with both zero pads
+    # N=2: one interior node; N=3: two, the smallest grid that gttrf factors
     @pytest.mark.parametrize("N, x0", [(2, 0.5), (3, 1.0 / 3.0), (60, 0.3)])
     def test_forward_with_control_source(self, kind, N, x0):
         m, g = degenerate_setup(N=N, x0=x0)
@@ -120,40 +161,52 @@ class TestStepperMatchesBandedSolve:
         h = Field(g, rng.standard_normal((g.M + 1, g.N + 1)))
         chi = ControlConfig(0.2, 0.5).indicator(g)
         u = solve_forward(m, pot, g, u0, h=Field(g, h.values * chi))
-        sources = (h.values * chi)[:, 1:-1]
-        assert np.array_equal(u.values, banded_reference(m, pot, g, u0, sources, False))
-        u = solve_forward(m, pot, g, u0)
-        zero = np.zeros((g.M + 1, g.N - 1))
-        assert np.array_equal(u.values, banded_reference(m, pot, g, u0, zero, False))
+        assert_steps_exact(u, m, pot, g, u0, (h.values * chi)[:, 1:-1], False)
+        assert_steps_exact(solve_forward(m, pot, g, u0), m, pot, g, u0, None, False)
 
     @pytest.mark.parametrize("kind", ["zero", "constant", "sampled"])
-    def test_adjoint_with_source(self, kind):
-        m, g = degenerate_setup()
+    def test_adjoint_with_source(self, kind, N=60, x0=0.3):
+        m, g = degenerate_setup(N=N, x0=x0)
         pot = potentials(g)[kind]
         rng = np.random.default_rng(4)
         vT = dirichlet_noise(rng, g)
         h = Field(g, rng.standard_normal((g.M + 1, g.N + 1)))
-        v = solve_adjoint(m, pot, g, vT, h=h)
-        assert np.array_equal(v.values, banded_reference(m, pot, g, vT, -h.values[:, 1:-1], True))
-        v = solve_adjoint(m, pot, g, vT)
-        zero = np.zeros((g.M + 1, g.N - 1))
-        assert np.array_equal(v.values, banded_reference(m, pot, g, vT, zero, True))
+        assert_steps_exact(solve_adjoint(m, pot, g, vT, h=h), m, pot, g, vT,
+                           -h.values[:, 1:-1], True)
+        assert_steps_exact(solve_adjoint(m, pot, g, vT), m, pot, g, vT, None, True)
+
+    @pytest.mark.parametrize("kind", ["zero", "constant", "sampled"])
+    @pytest.mark.parametrize("N, x0", [(2, 0.5), (3, 1.0 / 3.0)])
+    def test_adjoint_on_smallest_grids(self, kind, N, x0):
+        self.test_adjoint_with_source(kind, N, x0)
+
+    @pytest.mark.parametrize("backward", [False, True])
+    @pytest.mark.parametrize("kind", ["zero", "sampled"])
+    def test_stiff_steps(self, kind, backward):
+        # dt max|d| ~ 3e4: the stiffest modes flip sign every step (u_next ~ -u), so
+        # s = u + u_next nearly cancels, and u_next = s - u must stay within rounding
+        m = CoefficientModel.power_law(0.5, 0.3)
+        g = SpaceTimeGrid.create(200, 6, 3.0, 0.3)
+        assert g.dt * np.abs(assemble_operator(m, g).interior_tridiag()[0]).max() >= 1e4
+        pot = potentials(g)[kind]
+        start = dirichlet_noise(np.random.default_rng(14), g)
+        field = (solve_adjoint if backward else solve_forward)(m, pot, g, start)
+        assert_steps_exact(field, m, pot, g, start, None, backward)
 
     @pytest.mark.parametrize("backward", [False, True])
     def test_signed_zeros_without_source(self, backward):
-        # no source adds nothing to the RHS, where the reference adds (0 + 0)/2 = +0.0
+        # no source adds nothing to g u, so the signs of zeros follow the one-solve form
         m, g = degenerate_setup()
         rng = np.random.default_rng(11)
         c = Field(g, rng.uniform(-1.0, 1.0, (g.M + 1, g.N + 1)))
         c.values[::2, ::3] = -0.0
         start = np.zeros(g.N + 1)
         start[1:-1:2] = -0.0
-        zero = np.zeros((g.M + 1, g.N - 1))
         for pot in (PotentialModel.zero(), PotentialModel.sampled(c)):
             field = (solve_adjoint if backward else solve_forward)(m, pot, g, start)
-            ref = banded_reference(m, pot, g, start, zero, backward)
+            ref = one_solve_reference(m, pot, g, start, None, backward)
             assert np.array_equal(np.signbit(field.values), np.signbit(ref))
-            assert np.array_equal(field.values, ref)
+            assert_steps_exact(field, m, pot, g, start, None, backward)
 
 
 def sampled_potential(g, seed):
@@ -195,28 +248,23 @@ class TestLevelTable:
         m, g = degenerate_setup()
         pots = [sampled_potential(g, 22), sampled_potential(g, 23)]
         rng = np.random.default_rng(24)
-        zero = np.zeros((g.M + 1, g.N - 1))
         for pot in pots + pots:
             u0 = dirichlet_noise(rng, g)
-            assert np.array_equal(solve_forward(m, pot, g, u0).values,
-                                  banded_reference(m, pot, g, u0, zero, False))
+            assert_steps_exact(solve_forward(m, pot, g, u0), m, pot, g, u0, None, False)
         pot = pots[1]                   # the potential of the last solve, edited in place
         pot.rows[g.M // 2, 1:-1] += 0.25
         u0 = dirichlet_noise(rng, g)
-        assert np.array_equal(solve_forward(m, pot, g, u0).values,
-                              banded_reference(m, pot, g, u0, zero, False))
+        assert_steps_exact(solve_forward(m, pot, g, u0), m, pot, g, u0, None, False)
 
     @pytest.mark.parametrize("N, x0", [(2, 0.5), (3, 1.0 / 3.0), (60, 0.3)])
     def test_adjoint_then_forward(self, N, x0):
         m, g = degenerate_setup(N=N, x0=x0)
         pot = sampled_potential(g, 25)
         rng = np.random.default_rng(26)
-        zero = np.zeros((g.M + 1, g.N - 1))
         for backward in (True, False, True):
             start = dirichlet_noise(rng, g)
             field = (solve_adjoint if backward else solve_forward)(m, pot, g, start)
-            assert np.array_equal(field.values,
-                                  banded_reference(m, pot, g, start, zero, backward))
+            assert_steps_exact(field, m, pot, g, start, None, backward)
 
 
 class TestLeftHandSideChecks:
@@ -238,8 +286,7 @@ class TestLeftHandSideChecks:
         c.rows[g.M if backward else 0, g.N // 2] = -2.5 / g.dt
         start = dirichlet_noise(np.random.default_rng(9), g)
         field = (solve_adjoint if backward else solve_forward)(m, c, g, start)
-        zero = np.zeros((g.M + 1, g.N - 1))
-        assert np.array_equal(field.values, banded_reference(m, c, g, start, zero, backward))
+        assert_steps_exact(field, m, c, g, start, None, backward)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_lhs_diagonal_overflow_raises(self):
@@ -252,6 +299,16 @@ class TestLeftHandSideChecks:
         c.values[g.M // 2, g.N // 2] = 1.7e308
         with pytest.raises(ValueError):
             solve_forward(m, PotentialModel.sampled(c), g, u0)
+
+    def test_step_where_two_over_dt_overflows(self):
+        # dt ~ 1e-308: 1/dt is finite but 2/dt is not, so the step's g only fits halved
+        m = CoefficientModel.power_law(0.5, 0.3)
+        g = SpaceTimeGrid.create(20, 10, 1e-307, 0.3)
+        pot = potentials(g)["sampled"]
+        u0 = g.x * (1.0 - g.x)
+        u = solve_forward(m, pot, g, u0)
+        textbook = banded_reference(m, pot, g, u0, np.zeros((g.M + 1, g.N - 1)), False)
+        assert np.all(np.abs(u.values - textbook) <= 1e-12 * np.abs(textbook).max())
 
     @pytest.mark.parametrize("kind", ["zero", "sampled"])
     def test_repeated_solves_identical(self, kind):
