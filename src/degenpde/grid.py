@@ -148,10 +148,16 @@ class TridiagonalOperator:
     upper: np.ndarray   # super-diagonal, length N
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        """A u for a node vector, or for each row of a (rows, N+1) block."""
+        """A u for a node vector, or for each row of a (rows, N+1) block.
+
+        Both off-diagonal products go through one scratch array; each entry is
+        ``(diag u + upper u) + lower u``, the same three products and two sums.
+        """
         out = self.diag * u
-        out[..., :-1] += self.upper * u[..., 1:]
-        out[..., 1:] += self.lower * u[..., :-1]
+        scratch = np.multiply(self.upper, u[..., 1:])
+        out[..., :-1] += scratch
+        np.multiply(self.lower, u[..., :-1], out=scratch)
+        out[..., 1:] += scratch
         return out
 
     def interior_tridiag(self):

@@ -269,6 +269,14 @@ def carleman_identity_check(model, params: WeightParams, grid: SpaceTimeGrid,
     (a phi_x)_x = c1 Theta.  w must vanish on the spatial boundary for all t
     and at t = 0, T for all x; integrands carrying unbounded Theta powers
     are then zero at the time endpoints and are set so.
+
+    Every factor but w and its derivatives is a function of t alone or of x
+    alone.  The coefficients of L+- are outer products of t and x vectors
+    with s folded into the t vector; each distributed term f(t) g(x) w^2 is
+    tw @ (f (w^2 @ (g sw))), with the time and space weights tw and sw, and
+    the three w^2 terms share one contraction.  The values are those of this
+    order of operations bit for bit, and agree with the integrand-first
+    formulas to rounding.
     """
     if not w.is_dirichlet(1e-13):
         raise ValueError("w must vanish at x = 0 and x = 1 for all t")
@@ -309,61 +317,42 @@ def carleman_identity_check(model, params: WeightParams, grid: SpaceTimeGrid,
     wt_b = w_t[interior_t][:, [0, -1]]    # taken before L- overwrites w_t
     w_b = wi[:, [0, -1]]
 
-    # Every integrand is written into the interior rows of one zero-bordered
-    # buffer, and L+ and L- overwrite the rows of (a w_x)_x and w_t they start
-    # from.  Each in-place step is one correctly rounded operation taken in the
-    # left-to-right order of the formula, e.g. ((s phi_t) w), so every entry
-    # has the bits of the formula evaluated on fresh arrays.
-    full = np.zeros((M + 1, N + 1))
-    inner = full[interior_t]
+    # One (M-1, N+1) buffer holds each product; L+ and L- overwrite the rows of
+    # (a w_x)_x and w_t they start from.
+    inner = np.empty((M - 1, N + 1))
     sw = grid.space_weights()
-    tw_full = grid.time_weights()
+    tw = grid.time_weights()[interior_t]
 
-    def st_integral():
-        return float(np.dot(tw_full, full @ sw))
-
-    def outer_integral(col, row, square):
-        """int int (col row) square, with (M-1, 1) col and (1, N+1) row."""
-        np.multiply(col, row, out=inner)
-        np.multiply(inner, square, out=inner)
-        return st_integral()
-
-    # L+ in the interior rows of div_a_grad_w, L- in those of w_t
+    # L+ = (a w_x)_x + c+ w, c+ = -s phi_t + s^2 a phi_x^2 = [-s th_d, s^2 c1^2 th^2] [psi; q2]
     L_plus = div_a_grad_w[interior_t]
-    np.multiply(th_d[:, None], psi_x[None, :], out=inner)        # phi_t
-    inner *= s
-    inner *= wi
-    L_plus -= inner
-    np.multiply(c1 ** 2 * th[:, None] ** 2, q2[None, :], out=inner)  # a * phi_x^2
-    inner *= s ** 2
+    np.matmul(np.column_stack((-s * th_d, s ** 2 * c1 ** 2 * th ** 2)),
+              np.vstack((psi_x, q2)), out=inner)
     inner *= wi
     L_plus += inner
+    # L- = w_t - 2 s (a phi_x) w_x - s c1 Theta w, a phi_x = c1 Theta (x - x0)
     L_minus = w_t[interior_t]
-    np.multiply(c1 * th[:, None], d[None, :], out=inner)           # a phi_x
-    inner *= 2.0 * s
+    np.multiply((2.0 * s * c1 * th)[:, None], d[None, :], out=inner)
     inner *= wxi
     L_minus -= inner
-    np.multiply(s * c1 * th[:, None], wi, out=inner)
+    np.multiply((s * c1 * th)[:, None], wi, out=inner)
     L_minus -= inner
     np.multiply(L_plus, L_minus, out=inner)
-    lhs = st_integral()
-    del L_plus, L_minus, div_a_grad_w, w_t     # frees two fields before the squares
+    lhs = float(tw @ (inner @ sw))
 
-    # distributed terms
+    # distributed terms: int int f(t) g(x) w^2 = tw @ (f (w^2 @ (g sw)))
     r2 = np.where(a > 0.0, g2 / np.where(a > 0.0, a, 1.0), 0.0)
-    square = np.square(wi)
-    dt1 = outer_integral(0.5 * s * th_dd[:, None], psi_x[None, :], square)
-    dt2 = outer_integral(s ** 3 * c1 ** 3 * th[:, None] ** 3, (q2 * r2)[None, :], square)
-    dt3 = outer_integral(-2.0 * s ** 2 * c1 ** 2 * (th * th_d)[:, None], q2[None, :], square)
-    np.square(wxi, out=square)
-    dt4 = outer_integral(s * c1 * th[:, None], g2[None, :], square)
+    np.square(wi, out=inner)
+    w2_rows = inner @ np.column_stack((psi_x * sw, q2 * r2 * sw, q2 * sw))
+    dt1 = float(tw @ ((0.5 * s * th_dd) * w2_rows[:, 0]))
+    dt2 = float(tw @ ((s ** 3 * c1 ** 3 * th ** 3) * w2_rows[:, 1]))
+    dt3 = float(tw @ ((-2.0 * s ** 2 * c1 ** 2 * (th * th_d)) * w2_rows[:, 2]))
+    np.square(wxi, out=inner)
+    dt4 = float(tw @ ((s * c1 * th) * (inner @ (g2 * sw))))
 
     # boundary terms at x = 0, 1; w vanishes there, so every group except the
     # -s phi_x (a w_x)^2 flux is analytically zero, but all three are assembled
     # from the data.  The groups at t = 0, T carry factors w and w_x, which
     # vanish there, so they are not formed.
-    tw = tw_full[interior_t]
-
     def t_integral_bdry(vals_interior_t):
         return float(np.dot(tw, vals_interior_t))
 
@@ -417,7 +406,8 @@ def manufactured_adjoint_pair(model, potential: PotentialModel, grid: SpaceTimeG
     c = potential.values(grid)
     v = Field.from_function(grid, v_func)
     op = assemble_operator(model, grid)
-    res = _derivative(v.values, grid.dt, axis=0) + _div_a_grad(op, v.values)
+    res = _derivative(v.values, grid.dt, axis=0)
+    res += _div_a_grad(op, v.values)
     res -= c * v.values
     return v, Field(grid, res)
 
@@ -436,18 +426,20 @@ def carleman_scan(model, params_base: WeightParams, grid: SpaceTimeGrid, v: Fiel
 
     Both sides are multiplied by the common positive factor e^{-2s max phi}
     before integrating, i.e. the exponential weight is evaluated as
-    e^{2s(phi - max phi)}.  Every ratio LHS/RHS is unchanged, while the raw
+    E = e^{2s(phi - max phi)}.  Every ratio LHS/RHS is unchanged, while the raw
     weight e^{2s phi} would underflow for large s Theta (for T = 1/2 its log
-    is below -2000 already at s = 1).
+    is below -2000 already at s = 1).  E is flushed to 0 below the log of the
+    smallest normal; it vanishes at t = 0, T, so only the interior time rows
+    are formed.
 
-    What does not depend on s (phi - max phi, v_x^2, v^2, Theta^3) is computed
-    once, and each s fills the same few buffers in place.  Each in-place step is
-    the elementwise product, sum or exp of the same operands, taken in the
-    left-to-right order of the formula, e.g. ((s (Theta E)) a) v_x^2, so every
-    entry has the bits of the formula evaluated on fresh arrays, and the
-    integrals are the same (M+1, N+1) @ space-weights products.  E is
-    exp(2s(phi - max phi)), flushed to 0 below the log of the smallest normal
-    by setting those logs to -inf, whose exp is exactly 0.
+    Every factor but E and the fields is a function of t alone or of x alone.
+    The x factors and the space weights sw are folded into the s-invariant
+    integrands v_x^2 (a sw), v^2 (q2 sw) and h^2 sw, stacked once; each s
+    then forms E and one stacked matmul gives their three row sums with E.
+    Theta, s and the time weights tw act on those row sums:
+        LHS = tw @ ((s Theta) P + (s^3 Theta^3) Q),  RHS_source = tw @ H.
+    The values are those of this order of operations bit for bit, and agree
+    with the integrand-first formula to rounding.
     """
     if not 0.0 < model.x0 < 1.0:
         raise ValueError("x0 must be strictly interior")
@@ -455,50 +447,39 @@ def carleman_scan(model, params_base: WeightParams, grid: SpaceTimeGrid, v: Fiel
     if np.any(s_values < 0.0):
         raise ValueError(f"s must be nonnegative, got {s_values}")
     x = grid.x
-    t = grid.t
-    a = model.eval_a(x)[None, :]
-    q2 = _q2_profile(model, x)[None, :]
-    v_x2 = _derivative(v.values, grid.h, axis=1)
-    v_x2 *= v_x2                             # v_x^2, the same bits as v_x ** 2
-    v2 = v.values ** 2
-    th_full = np.zeros(grid.M + 1)
-    th_full[1:-1] = theta(params_base, t[1:-1])
-    th = th_full[:, None]
-    th3 = th ** 3
-    ps = psi(params_base, model, x)          # < 0 for admissible c2
-    phi_shift = th * ps[None, :]             # phi, then phi - max phi in place
-    phi_max = float(np.max(phi_shift[1:-1]))
-    phi_shift -= phi_max
-    a_b = a[:, [0, -1]]
-    d_b = (x[[0, -1]] - model.x0)[None, :]
-    v_x2_b = v_x2[:, [0, -1]]
-
+    interior_t = slice(1, grid.M)
+    a = model.eval_a(x)
     sw = grid.space_weights()
-    tw = grid.time_weights()
+    tw = grid.time_weights()[interior_t]
+    th = theta(params_base, grid.t[interior_t])
+    th3 = th ** 3
 
-    # per-s buffers: E, the LHS integrand, and its second term or the source integrand
+    # s-invariant integrands (P, Q, H) per interior row, one (3, N+1) block per row
+    stack = np.empty((th.size, 3, x.size))
+    v_x = _derivative(v.values[interior_t], grid.h, axis=1)
+    np.multiply(v_x, v_x, out=stack[:, 0])
+    stack[:, 0] *= a * sw
+    np.multiply(v.values[interior_t], v.values[interior_t], out=stack[:, 1])
+    stack[:, 1] *= _q2_profile(model, x) * sw
+    np.multiply(h.values[interior_t], h.values[interior_t], out=stack[:, 2])
+    stack[:, 2] *= sw
+    bdry_x = a[[0, -1]] * (x[[0, -1]] - model.x0) * v_x[:, [0, -1]] ** 2
+    del v_x
+
+    phi_shift = np.multiply(th[:, None], psi(params_base, model, x)[None, :])  # psi < 0
+    phi_shift -= float(np.max(phi_shift))
     E = np.empty_like(phi_shift)
     flushed = np.empty(E.shape, dtype=bool)
-    integrand = np.empty_like(E)
-    work = np.empty_like(E)
+    row_sums = np.empty((th.size, 3, 1))
     lhs_arr, src_arr, bdy_arr = [], [], []
     for s in s_values:
         np.multiply(phi_shift, 2.0 * s, out=E)                # log E
-        E[0] = E[-1] = -np.inf
         _exp_flushed(E, flushed)
-        np.multiply(th, E, out=integrand)    # Theta E, zero at the time endpoints by contract
-        bdry_vals = a_b * integrand[:, [0, -1]] * d_b * v_x2_b
-        integrand *= s
-        integrand *= a
-        integrand *= v_x2
-        np.multiply(s ** 3 * th3, E, out=work)
-        work *= q2
-        work *= v2
-        integrand += work
-        lhs_arr.append(float(tw @ (integrand @ sw)))
-        np.multiply(h.values, h.values, out=work)
-        work *= E
-        src_arr.append(float(tw @ (work @ sw)))
+        np.matmul(stack, E[:, :, None], out=row_sums)
+        P, Q, H = np.ascontiguousarray(row_sums[:, :, 0].T)
+        lhs_arr.append(float(tw @ ((s * th) * P + (s ** 3 * th3) * Q)))
+        src_arr.append(float(tw @ H))
+        bdry_vals = (th[:, None] * E[:, [0, -1]]) * bdry_x
         bdy_arr.append(float(s * params_base.c1 * (tw @ (bdry_vals[:, 1] - bdry_vals[:, 0]))))
 
     lhs_arr = np.asarray(lhs_arr)
@@ -546,6 +527,21 @@ def _require_caccioppoli_geometry(x0: float, omega_prime: tuple[float, float],
         raise ValueError(f"x0={x0} must not lie in the closure of omega'={omega_prime}")
 
 
+def _support(chi: np.ndarray) -> slice:
+    """The nodes from the first to the last where chi != 0; empty if there are none."""
+    nonzero = np.flatnonzero(chi)
+    return slice(nonzero[0], nonzero[-1] + 1) if nonzero.size else slice(0, 0)
+
+
+def _derivative_columns(values: np.ndarray, step: float, cols: slice) -> np.ndarray:
+    """``_derivative(values, step, axis=1)[:, cols]``, differencing only those
+    columns and the (at least three) columns they read."""
+    n = values.shape[1]
+    lo = max(min(cols.start - 1, n - 3), 0)
+    hi = min(max(cols.stop + 1, lo + 3), n)
+    return _derivative(values[:, lo:hi], step, axis=1)[:, cols.start - lo:cols.stop - lo]
+
+
 def caccioppoli_check(model, params: WeightParams, grid: SpaceTimeGrid, v: Field,
                       omega_prime: tuple[float, float],
                       omega: tuple[float, float]) -> CaccioppoliReport:
@@ -553,21 +549,27 @@ def caccioppoli_check(model, params: WeightParams, grid: SpaceTimeGrid, v: Field
     C int int_{omega} v^2.
 
     omega' must be compactly contained in omega and must stay away from x0.
+
+    The indicators and the space weights sw are folded into one x vector per
+    integral, and only the columns where an indicator is nonzero are formed:
+        local = tw @ ((v_x^2 E)[:, omega'] @ (chi' sw)[omega']),
+        outer = tw @ (v^2[:, omega] @ (chi sw)[omega]),
+    with E = e^{2s phi} from one ``exp2s_phi`` call on the columns of omega'.
+    The values are those of this order of operations bit for bit, and agree
+    with the full-grid integrals of (v_x^2 E) chi' and v^2 chi to rounding.
     """
     _require_caccioppoli_geometry(model.x0, omega_prime, omega)
-    lo_p, hi_p = omega_prime
-    lo, hi = omega
-    E = exp2s_phi(params, model, grid.t[:, None], grid.x[None, :])
-    local_integrand = _derivative(v.values, grid.h, axis=1)
-    chi_p = ControlConfig(lo_p, hi_p).indicator(grid)
-    chi = ControlConfig(lo, hi).indicator(grid)
+    chi_p = ControlConfig(*omega_prime).indicator(grid)
+    chi = ControlConfig(*omega).indicator(grid)
+    near, far = _support(chi_p), _support(chi)
     sw = grid.space_weights()
     tw = grid.time_weights()
-    local_integrand *= local_integrand     # ((v_x^2) E) chi', built in place
+    E = exp2s_phi(params, model, grid.t[:, None], grid.x[None, near])
+    local_integrand = _derivative_columns(v.values, grid.h, near)
+    local_integrand *= local_integrand     # (v_x^2) E, built in place
     local_integrand *= E
-    local_integrand *= chi_p[None, :]
-    local = float(tw @ (local_integrand @ sw))
-    outer = float(tw @ ((v.values ** 2 * chi[None, :]) @ sw))
+    local = float(tw @ (local_integrand @ (chi_p * sw)[near]))
+    outer = float(tw @ (np.square(v.values[:, far]) @ (chi * sw)[far]))
     ratio = np.inf if outer == 0.0 and local > 0.0 else (0.0 if outer == 0.0 else local / outer)
     return CaccioppoliReport(local_gradient_integral=local,
                              outer_solution_integral=outer, ratio=float(ratio))

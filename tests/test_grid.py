@@ -87,6 +87,21 @@ class TestOperator:
         block = np.random.default_rng(2).standard_normal((7, g.N + 1))
         np.testing.assert_array_equal(op.apply(block), np.stack([op.apply(r) for r in block]))
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.5])
+    def test_apply_bit_identical_to_fresh_products(self, alpha):
+        """One scratch array gives the bits of the two fresh off-diagonal products."""
+        def reference_apply(op, u):
+            out = op.diag * u
+            out[..., :-1] += op.upper * u[..., 1:]
+            out[..., 1:] += op.lower * u[..., :-1]
+            return out
+
+        g = SpaceTimeGrid.create(60, 120, 1.0, 0.3)
+        op = assemble_operator(CoefficientModel.power_law(alpha, 0.3), g)
+        rng = np.random.default_rng(3)
+        for u in (rng.standard_normal(g.N + 1), rng.standard_normal((g.M + 1, g.N + 1))):
+            assert np.array_equal(op.apply(u), reference_apply(op, u))
+
 
 class TestQuadrature:
     def test_constant_and_linear_exact(self):
