@@ -306,38 +306,24 @@ def carleman_identity_check(model, params: WeightParams, grid: SpaceTimeGrid,
 
     op = assemble_operator(model, grid)
     wv = w.values
-    w_x = _derivative(wv, h, axis=1)
-    w_t = _derivative(wv, dt, axis=0)
-    div_a_grad_w = _div_a_grad(op, wv)
-
     wi = wv[interior_t]
-    wxi = w_x[interior_t]
-    a_b = a[[0, -1]]
-    wx_b = wxi[:, [0, -1]]
-    wt_b = w_t[interior_t][:, [0, -1]]    # taken before L- overwrites w_t
-    w_b = wi[:, [0, -1]]
-
-    # One (M-1, N+1) buffer holds each product; L+ and L- overwrite the rows of
-    # (a w_x)_x and w_t they start from.
+    # Only the interior time rows of the stencils are formed: (a w_x)_x becomes
+    # L+ in place, and w_x's buffer becomes L- once the w_x terms are taken.
+    # One more (M-1, N+1) buffer holds each product.
+    L_plus = _div_a_grad(op, wi)
+    w_x = _derivative(wi, h, axis=1)
     inner = np.empty((M - 1, N + 1))
     sw = grid.space_weights()
     tw = grid.time_weights()[interior_t]
+    a_b = a[[0, -1]]
+    wx_b = w_x[:, [0, -1]]
+    w_b = wi[:, [0, -1]]
 
     # L+ = (a w_x)_x + c+ w, c+ = -s phi_t + s^2 a phi_x^2 = [-s th_d, s^2 c1^2 th^2] [psi; q2]
-    L_plus = div_a_grad_w[interior_t]
     np.matmul(np.column_stack((-s * th_d, s ** 2 * c1 ** 2 * th ** 2)),
               np.vstack((psi_x, q2)), out=inner)
     inner *= wi
     L_plus += inner
-    # L- = w_t - 2 s (a phi_x) w_x - s c1 Theta w, a phi_x = c1 Theta (x - x0)
-    L_minus = w_t[interior_t]
-    np.multiply((2.0 * s * c1 * th)[:, None], d[None, :], out=inner)
-    inner *= wxi
-    L_minus -= inner
-    np.multiply((s * c1 * th)[:, None], wi, out=inner)
-    L_minus -= inner
-    np.multiply(L_plus, L_minus, out=inner)
-    lhs = float(tw @ (inner @ sw))
 
     # distributed terms: int int f(t) g(x) w^2 = tw @ (f (w^2 @ (g sw)))
     r2 = np.where(a > 0.0, g2 / np.where(a > 0.0, a, 1.0), 0.0)
@@ -346,8 +332,21 @@ def carleman_identity_check(model, params: WeightParams, grid: SpaceTimeGrid,
     dt1 = float(tw @ ((0.5 * s * th_dd) * w2_rows[:, 0]))
     dt2 = float(tw @ ((s ** 3 * c1 ** 3 * th ** 3) * w2_rows[:, 1]))
     dt3 = float(tw @ ((-2.0 * s ** 2 * c1 ** 2 * (th * th_d)) * w2_rows[:, 2]))
-    np.square(wxi, out=inner)
+    np.square(w_x, out=inner)
     dt4 = float(tw @ ((s * c1 * th) * (inner @ (g2 * sw))))
+
+    # L- = w_t - 2 s (a phi_x) w_x - s c1 Theta w, a phi_x = c1 Theta (x - x0)
+    np.multiply((2.0 * s * c1 * th)[:, None], d[None, :], out=inner)
+    inner *= w_x
+    L_minus = w_x
+    np.subtract(wv[2:], wv[:-2], out=L_minus)    # the interior rows of w_t
+    L_minus /= 2.0 * dt
+    wt_b = L_minus[:, [0, -1]]
+    L_minus -= inner
+    np.multiply((s * c1 * th)[:, None], wi, out=inner)
+    L_minus -= inner
+    np.multiply(L_plus, L_minus, out=inner)
+    lhs = float(tw @ (inner @ sw))
 
     # boundary terms at x = 0, 1; w vanishes there, so every group except the
     # -s phi_x (a w_x)^2 flux is analytically zero, but all three are assembled

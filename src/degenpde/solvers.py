@@ -25,32 +25,38 @@ diagonal G = 2I/dt + (C_n - C_p)/2, one solve gives s = u_p + u_n:
 Both sides are halved, so that g/2 = 1/dt + (c_n - c_p)/4 is finite wherever
 1/dt is (2/dt overflows for a subnormal dt); halving is exact in the normal
 range, for the factors of L_n too, so s does not change.  A step is one
-product (g/2) u_p into the output row, one ``gttrs`` in place and one
+product (g/2) u_p into the output row, one ``pttrs`` in place and one
 subtraction of u_p.  With a source, the product goes to a buffer that one
 more ufunc adds to the row, where each step's (h_p + h_n)/4 was summed before
 the first step (added forward, subtracted backward).
 
+Every left-hand side is symmetric positive definite: the interior block of A
+is symmetric, and the dominance check below admits only 1/dt + c/2 > 0, which
+makes L_k strictly diagonally dominant with a positive diagonal.  So L_k/2 is
+factored as L D L^T with LAPACK ``pttrf``, without row interchanges, and a
+step back-substitutes with ``pttrs``.
+
 The halved left-hand sides come from a single-entry table keyed by value on
 their inputs: the off-diagonal, the diagonal without its c term and the rows
 of c (one for constant c, one per level for sampled c).  A level is factored
-with LAPACK ``gttrf`` the first time a solve needs it (levels 1..M forward,
-0..M-1 adjoint), and a sampled c's rows g/2 are formed once per direction;
-for constant c, g/2 is the value 1/dt.  So repeated solves on one potential
-(the HUM iteration) factor and form nothing.  ``gttrf`` then ``gttrs`` runs
-the elimination of ``gtsv`` and of ``scipy.linalg.solve_banded``.  SciPy's
-``gttrf`` rejects two interior nodes, so there each step calls ``gtsv`` on a
-stored diagonal; one interior node is a division.
+the first time a solve needs it (levels 1..M forward, 0..M-1 adjoint), and a
+sampled c's rows g/2 are formed once per direction; for constant c, g/2 is
+the value 1/dt.  So repeated solves on one potential (the HUM iteration)
+factor and form nothing.  ``pttrf`` then ``pttrs`` is ``ptsv``, the routine
+``scipy.linalg.solveh_banded`` calls on a two-row band; one interior node is
+a division.
 
 The field equals, bit for bit, a per-step loop that forms g u_p, adds f only
-when there is a source, solves with ``solve_banded`` and subtracts u_p,
-unless a value leaves the normal range.  The textbook form and the discrete
-adjoint identity hold to rounding; a stiff mode (u_n close to -u_p) makes s
-small, but its error stays at the rounding level of u_p.
+when there is a source, solves with ``solveh_banded`` and subtracts u_p,
+unless a value leaves the normal range.  The textbook form L_n u_n =
+R_p u_p + f, solved per step with ``solve_banded``, and the discrete adjoint
+identity hold to rounding; a stiff mode (u_n close to -u_p) makes s small,
+but its error stays at the rounding level of u_p.
 
-A non-finite matrix raises ValueError up front and a singular one raises
-LinAlgError, as in ``solve_banded``.  Non-finite right-hand sides are found
-by one check of the whole field after the last step: every divisor of a
-solve is a finite LU pivot or diagonal, so no step turns a non-finite value
+A non-finite matrix raises ValueError up front and a matrix that ``pttrf``
+finds not positive definite raises LinAlgError.  Non-finite right-hand sides
+are found by one check of the whole field after the last step: every divisor
+of a solve is a finite, positive pivot, so no step turns a non-finite value
 finite, and a non-finite right-hand side leaves a non-finite value in its
 row and every later one.  The same inputs raise
 ValueError as under a check of each right-hand side, plus one case that
@@ -165,7 +171,7 @@ def _require_finite(arr: np.ndarray):
 
 def _check_info(info: int):
     if info > 0:
-        raise LinAlgError("singular matrix")
+        raise LinAlgError(f"{info}th leading minor not positive definite")
     if info < 0:
         raise ValueError(f"illegal value in {-info}-th argument of internal LAPACK routine")
 
@@ -186,16 +192,17 @@ def _require_dominance(c_min: float, dt: float):
 _level_table = None
 
 
-def _level_factors(gttrf, inv_dt, off, base, c, times, backward):
+def _level_factors(pttrf, inv_dt, off, base, c, times, backward):
     """Per step through ``times``: the factors of L_next/2 and the value(s) g/2.
 
     L_k/2 = I/(2 dt) - A/4 + C_k/4 has off-diagonal ``off`` and diagonal
     ``base + c_k/4``, and g/2 = 1/dt + (c_next - c_prev)/4, one value when c has
-    one row.  A level is factored, and a direction's rows g/2 formed, the first
+    one row.  The factors are ``pttrf``'s (d, e) of L D L^T, the same pivots d
+    as an LU without interchanges; with one interior node they are the
+    diagonal.  A level is factored, and a direction's rows g/2 formed, the first
     time a solve needs them.  The entry is reused when its inputs equal these by
     value, since rows may be edited in place between solves; ``np.array_equal``
-    takes -0.0 == +0.0, which changes no factor and no g.  With two interior
-    nodes or fewer a level's "factors" are its diagonal.
+    takes -0.0 == +0.0, which changes no factor and no g.
     """
     global _level_table
     # read once, so that a solve in another thread replacing the entry cannot mix two
@@ -204,23 +211,15 @@ def _level_factors(gttrf, inv_dt, off, base, c, times, backward):
         entry = _level_table = (off, base, c.copy(), [None] * len(c), {})
     off, base, c, factors, g_rows = entry
     sampled = len(c) > 1
-    no_swap = None
     for k in times[1:] if sampled else [0]:
         if factors[k] is None:
             diag = base + 0.25 * c[k]
-            if diag.size <= 2:
+            if diag.size == 1:
                 factors[k] = diag
                 continue
-            dl, d, *tail, info = gttrf(off, diag, off)
+            d, e, info = pttrf(diag, off, overwrite_d=True)
             _check_info(info)
-            # a level factored without row interchanges (every dominant one) has
-            # du = off, du2 = 0 and ipiv = 1..n, so such levels share one copy
-            if no_swap is None:
-                no_swap = (off, np.zeros_like(tail[1]),
-                           np.arange(1, d.size + 1, dtype=tail[2].dtype))
-            if all(map(np.array_equal, tail, no_swap)):
-                tail = no_swap
-            factors[k] = (dl, d, *tail)
+            factors[k] = (d, e)
     if not sampled:
         return [factors[0]] * (len(times) - 1), [inv_dt] * (len(times) - 1)
     if backward not in g_rows:
@@ -252,9 +251,8 @@ def _propagate(model, potential: PotentialModel, grid: SpaceTimeGrid, start: np.
     # base + c/2 grows with c, so the largest c of each node decides overflow
     _require_finite(base + 0.5 * lhs_c.max(axis=0))
 
-    gttrf, gttrs, gtsv = get_lapack_funcs(("gttrf", "gttrs", "gtsv"), (d,))
-    off = -0.25 * e
-    factors, steps = _level_factors(gttrf, inv_dt, off, 0.5 * base, c, times, backward)
+    pttrf, pttrs = get_lapack_funcs(("pttrf", "pttrs"), (d,))
+    factors, steps = _level_factors(pttrf, inv_dt, -0.25 * e, 0.5 * base, c, times, backward)
 
     out = np.zeros((grid.M + 1, grid.N + 1))
     out[times[0]] = start
@@ -275,11 +273,8 @@ def _propagate(model, potential: PotentialModel, grid: SpaceTimeGrid, start: np.
         else:
             combine(np.multiply(g, u, out=acc), rhs, out=rhs)
         # f2py solves a contiguous float64 right-hand side in place under overwrite_b
-        if n > 2:
-            _, info = gttrs(*lu, rhs, overwrite_b=True)
-            _check_info(info)
-        elif n == 2:
-            *_, info = gtsv(off, lu, off, rhs, overwrite_b=True)
+        if n > 1:
+            _, info = pttrs(*lu, rhs, overwrite_b=True)
             _check_info(info)
         else:
             rhs /= lu

@@ -1,3 +1,4 @@
+import copy
 import csv
 import io
 
@@ -6,7 +7,8 @@ import pytest
 
 from degenpde import (CoefficientModel, Field, SpaceTimeGrid, assemble_operator,
                       dirichlet_eigenmodes, integrate_space, integrate_spacetime)
-from degenpde.cli import _identity_profile, _scan_profile
+from degenpde.cli import (DEFAULT_CONFIG, PRESETS, _identity_profile, _scan_profile,
+                          build_grid, build_model)
 
 
 class TestGridConstruction:
@@ -33,6 +35,22 @@ class TestGridConstruction:
 
 
 class TestOperator:
+    @pytest.mark.parametrize("preset", [*sorted(PRESETS), "constant"])
+    def test_interior_block_symmetric(self, preset):
+        # the Crank-Nicolson solves factor it as L D L^T, which reads one off-diagonal
+        config = copy.deepcopy(DEFAULT_CONFIG)
+        if preset == "constant":
+            config["coefficient"]["kind"] = "constant"
+        else:
+            config["coefficient"].update(PRESETS[preset]["coefficient"])
+        model = build_model(config)
+        for N in (20, config["grid"]["N"]):
+            op = assemble_operator(model, build_grid(config, N=N, M=1))
+            block = op.apply(np.eye(op.diag.size))[1:-1, 1:-1]
+            assert np.array_equal(block, block.T)
+            d, e = op.interior_tridiag()
+            assert np.array_equal(np.diag(block), d) and np.array_equal(np.diag(block, 1), e)
+
     def test_laplacian_eigenvalues(self):
         m = CoefficientModel.constant(1.0, 0.5)
         g = SpaceTimeGrid.create(400, 1, 1.0, 0.5)

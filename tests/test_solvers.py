@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.linalg import solve_banded
+from scipy.linalg import get_lapack_funcs, solve_banded, solveh_banded
 
 from degenpde import (CoefficientModel, ControlConfig, Field, PotentialModel,
                       SpaceTimeGrid, energy_trace, solve_adjoint, solve_forward, solvers)
@@ -91,12 +91,14 @@ def banded_reference(model, potential, grid, start, sources, backward):
 
 
 def one_solve_reference(model, potential, grid, start, sources, backward):
-    """Per-step CN loop in the one-solve form, with a validated solve_banded.
+    """Per-step CN loop in the one-solve form, with a validated solveh_banded.
 
     Since R_prev = G - L_next with G = 2I/dt + (C_next - C_prev)/2, each step solves
     L_next s = g u + f for s = u + u_next and takes u_next = s - u, where
     g = 2/dt + (c_next - c_prev)/2 and f = (sources[j_prev] + sources[j_next])/2,
-    or nothing when sources is None.  This is the stepper's arithmetic bit for bit.
+    or nothing when sources is None.  On its two-row band solveh_banded calls
+    LAPACK ptsv, which is pttrf then pttrs; it rejects one interior node, where the
+    solve is a division.  This is the stepper's arithmetic bit for bit.
     """
     d, e = assemble_operator(model, grid).interior_tridiag()
     c = potential.values(grid)[:, 1:-1]
@@ -109,11 +111,10 @@ def one_solve_reference(model, potential, grid, start, sources, backward):
         rhs = (2.0 / dt + 0.5 * (c[j_next] - c[j_prev])) * u
         if sources is not None:
             rhs = rhs + 0.5 * (sources[j_prev] + sources[j_next])
-        ab = np.zeros((3, d.size))
+        ab = np.zeros((2, d.size))      # upper form: superdiagonal, then diagonal
         ab[0, 1:] = -0.5 * e
         ab[1] = 1.0 / dt - 0.5 * d + 0.5 * c[j_next]
-        ab[2, :-1] = -0.5 * e
-        u = solve_banded((1, 1), ab, rhs) - u
+        u = (rhs / ab[1] if d.size == 1 else solveh_banded(ab, rhs)) - u
         out[j_next, 1:-1] = u
     return out
 
@@ -150,7 +151,7 @@ def dirichlet_noise(rng, g):
 
 class TestStepperMatchesBandedSolve:
     @pytest.mark.parametrize("kind", ["zero", "constant", "sampled"])
-    # N=2: one interior node; N=3: two, the smallest grid that gttrf factors
+    # N=2: one interior node, a division; N=3: two, the smallest grid pttrf factors
     @pytest.mark.parametrize("N, x0", [(2, 0.5), (3, 1.0 / 3.0), (60, 0.3)])
     def test_forward_with_control_source(self, kind, N, x0):
         m, g = degenerate_setup(N=N, x0=x0)
@@ -217,8 +218,8 @@ def sampled_potential(g, seed):
 class TestLevelTable:
     @pytest.fixture
     def factorizations(self, monkeypatch):
-        """Counts of gttrf and gtsv calls, the routines that factor a left-hand side."""
-        counts = {"gttrf": 0, "gtsv": 0}
+        """Calls of each routine that factors a tridiagonal left-hand side."""
+        counts = {"pttrf": 0, "gttrf": 0, "gtsv": 0}
         get = solvers.get_lapack_funcs
 
         def counting(names, arrays):
@@ -230,19 +231,23 @@ class TestLevelTable:
             return tuple(map(wrap, names, get(names, arrays)))
 
         monkeypatch.setattr(solvers, "get_lapack_funcs", counting)
+        monkeypatch.setattr(solvers, "_level_table", None)     # no factors from other tests
         return counts
 
-    def test_repeated_solve_factors_nothing(self, factorizations):
+    @pytest.mark.parametrize("first, then", [(solve_forward, solve_adjoint),
+                                             (solve_adjoint, solve_forward)])
+    def test_repeated_solve_factors_nothing(self, factorizations, first, then):
+        # forward factors levels 1..M and the adjoint 0..M-1: M each, M + 1 together
         m, g = degenerate_setup()
         pot = sampled_potential(g, 20)
         u0 = dirichlet_noise(np.random.default_rng(21), g)
-        first = solve_forward(m, pot, g, u0)
-        assert factorizations == {"gttrf": g.M, "gtsv": 0}      # levels 1..M
-        second = solve_forward(m, pot, g, u0)
-        assert factorizations == {"gttrf": g.M, "gtsv": 0}
-        assert np.array_equal(first.values, second.values)
-        solve_adjoint(m, pot, g, u0)
-        assert factorizations == {"gttrf": g.M + 1, "gtsv": 0}  # level 0 is new
+        once = first(m, pot, g, u0)
+        assert factorizations == {"pttrf": g.M, "gttrf": 0, "gtsv": 0}
+        assert np.array_equal(first(m, pot, g, u0).values, once.values)
+        assert factorizations == {"pttrf": g.M, "gttrf": 0, "gtsv": 0}
+        for _ in range(2):
+            then(m, pot, g, u0)
+            assert factorizations == {"pttrf": g.M + 1, "gttrf": 0, "gtsv": 0}
 
     def test_interleaved_potentials_and_in_place_edit(self):
         m, g = degenerate_setup()
@@ -265,6 +270,50 @@ class TestLevelTable:
             start = dirichlet_noise(rng, g)
             field = (solve_adjoint if backward else solve_forward)(m, pot, g, start)
             assert_steps_exact(field, m, pot, g, start, None, backward)
+
+
+class TestLDLFactors:
+    @pytest.mark.parametrize("n", [2, 3, 199])
+    def test_pttrs_solves_a_row_view_in_place(self, n):
+        # each step solves into a row of the (M+1, N+1) output through its interior
+        # view; with overwrite_b, f2py must hand LAPACK that row, not a copy
+        pttrf, pttrs = get_lapack_funcs(("pttrf", "pttrs"), (np.zeros(1),))
+        rng = np.random.default_rng(29)
+        off = -rng.uniform(0.5, 1.0, n - 1)
+        diag = 2.5 + rng.uniform(0.0, 1.0, n)
+        d, e, info = pttrf(diag, off)
+        assert info == 0
+        out = rng.standard_normal((6, n + 2))
+        rows = out[:, 1:-1]
+        b = rows[3].copy()
+        x, info = pttrs(d, e, rows[3], overwrite_b=True)
+        assert info == 0 and np.shares_memory(x, out)
+        ab = np.vstack((np.r_[0.0, off], diag))
+        assert np.array_equal(rows[3], solveh_banded(ab, b))
+
+    @pytest.mark.parametrize("kind", ["constant", "sampled"])
+    def test_dominance_edge(self, kind):
+        # the smallest c_min the dominance check admits leaves 1/dt + c/2 at one
+        # ulp of 1/dt; L is still positive definite through -A/2, so pttrf factors
+        # it (any other info would raise) and the solves stay the banded ones
+        m, g = degenerate_setup()
+        c_min = np.nextafter(-2.0 * (1.0 / g.dt), 0.0)
+        solvers._require_dominance(c_min, g.dt)
+        with pytest.raises(ValueError, match="dominance"):
+            solvers._require_dominance(-2.0 * (1.0 / g.dt), g.dt)
+        if kind == "constant":
+            pot = PotentialModel.constant(c_min)
+        else:
+            rng = np.random.default_rng(30)
+            c = c_min + rng.uniform(0.0, 3.0, (g.M + 1, g.N + 1))
+            c[g.M // 2, g.N // 2] = c_min
+            pot = PotentialModel.sampled(Field(g, c))
+        rng = np.random.default_rng(31)
+        for backward in (False, True):
+            start = dirichlet_noise(rng, g)
+            field = (solve_adjoint if backward else solve_forward)(m, pot, g, start)
+            assert_steps_exact(field, m, pot, g, start, None, backward)
+        assert_adjoint_pairing(m, pot, g, rng, trials=3)
 
 
 class TestLeftHandSideChecks:
@@ -409,31 +458,35 @@ class TestAdjoint:
 
     @pytest.mark.parametrize("kind", ["constant", "sampled"])
     def test_discrete_adjoint_identity_time_dependent(self, kind):
-        # CN conserves <(I/dt^2 - K_j^2/4) u_j, v_j> with K_j = A - C_j exactly.
-        # With c independent of time the weight commutes with the propagator
-        # and the identity reduces to <u(T), vT> = <u0, v(0)>; with sampled c
-        # that plain pairing is only approximate.
         m = CoefficientModel.power_law(0.5, 0.3)
         g = SpaceTimeGrid.create(100, 150, 0.4, 0.3)
-        pot = potentials(g)[kind]
-        op = assemble_operator(m, g)
+        assert_adjoint_pairing(m, potentials(g)[kind], g, np.random.default_rng(8), trials=5)
 
-        def pairing(j, u, v):
-            def K(w):
-                return op.apply(w) - pot.values(g)[j] * w
-            weighted = u / g.dt ** 2 - 0.25 * K(K(u))
-            scale = integrate_space(np.abs(u / g.dt ** 2 * v) + np.abs(0.25 * K(K(u)) * v), g)
-            return integrate_space(weighted * v, g), scale
 
-        rng = np.random.default_rng(8)
-        for _ in range(5):
-            u0 = dirichlet_noise(rng, g)
-            vT = dirichlet_noise(rng, g)
-            u = solve_forward(m, pot, g, u0)
-            v = solve_adjoint(m, pot, g, vT)
-            lhs, scale_T = pairing(g.M, u.values[-1], vT)
-            rhs, scale_0 = pairing(0, u0, v.values[0])
-            assert abs(lhs - rhs) <= 1e-13 * max(scale_T, scale_0)
+def assert_adjoint_pairing(m, pot, g, rng, trials):
+    """CN conserves <(I/dt^2 - K_j^2/4) u_j, v_j> with K_j = A - C_j exactly.
+
+    With c independent of time the weight commutes with the propagator and the
+    identity reduces to <u(T), vT> = <u0, v(0)>; with sampled c that plain
+    pairing is only approximate.
+    """
+    op = assemble_operator(m, g)
+
+    def pairing(j, u, v):
+        def K(w):
+            return op.apply(w) - pot.values(g)[j] * w
+        weighted = u / g.dt ** 2 - 0.25 * K(K(u))
+        scale = integrate_space(np.abs(u / g.dt ** 2 * v) + np.abs(0.25 * K(K(u)) * v), g)
+        return integrate_space(weighted * v, g), scale
+
+    for _ in range(trials):
+        u0 = dirichlet_noise(rng, g)
+        vT = dirichlet_noise(rng, g)
+        u = solve_forward(m, pot, g, u0)
+        v = solve_adjoint(m, pot, g, vT)
+        lhs, scale_T = pairing(g.M, u.values[-1], vT)
+        rhs, scale_0 = pairing(0, u0, v.values[0])
+        assert abs(lhs - rhs) <= 1e-13 * max(scale_T, scale_0)
 
 
 class TestEnergyTrace:

@@ -476,7 +476,7 @@ def test_identity_peak_memory():
     model = MODELS["alpha0.5"]
     params, grid, w = identity_inputs(model, 10.0, N=400)
     _, peak = traced_peak(lambda: carleman_identity_check(model, params, grid, w))
-    assert peak / field_units(grid) < 4.5
+    assert peak / field_units(grid) < 3.4     # 3.09 measured: L+, w_x (then L-), one product
 
 
 def test_caccioppoli_peak_memory():
