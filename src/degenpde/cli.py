@@ -16,6 +16,7 @@ import copy
 import csv
 import io
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -465,7 +466,7 @@ def run_caccioppoli(config: dict, out_dir: Path) -> list:
     T = c["T"]
     omega_p = (c["omega_prime_lo"], c["omega_prime_hi"])
     omega = (config["control"]["omega_lo"], config["control"]["omega_hi"])
-    ratios = {}
+    log_ratios = {}
     rows = []
     for grid in _refinement_pair(config, T):
         op = assemble_operator(model, grid)
@@ -474,21 +475,21 @@ def run_caccioppoli(config: dict, out_dir: Path) -> list:
         for s in c["s_values"]:
             params = build_weight_params(config, model, T, s)
             rep = caccioppoli_check(model, params, grid, v, omega_p, omega)
-            ratios.setdefault(s, []).append(rep.ratio)
+            log_ratios.setdefault(s, []).append(rep.log_ratio)
             rows.append([grid.N, s, rep.local_gradient_integral,
-                         rep.outer_solution_integral, rep.ratio])
+                         rep.outer_solution_integral, rep.ratio, rep.log_ratio])
     verdicts = []
-    for s, (r1, r2) in ratios.items():
-        # a zero ratio means e^{2s phi} underflowed on that level: nothing was compared;
-        # a non-finite ratio makes the change non-finite, which fails the verdict
-        positive = r1 > 0.0 and r2 > 0.0
-        scale = max(abs(r1), abs(r2), 1e-300)
-        change = abs(r2 - r1) / scale
+    for s, (l1, l2) in log_ratios.items():
+        # |r2 - r1| / max(r1, r2), from the log ratios, which stay finite where
+        # e^{2s phi} underflows; an infinite one (an integral that vanishes)
+        # leaves nothing measured, and the NaN change fails the verdict
+        measured = math.isfinite(l1) and math.isfinite(l2)
+        change = -math.expm1(-abs(l2 - l1)) if measured else math.nan
         verdicts.append(verdict(f"caccioppoli_stable_s{s:g}",
-                                positive and change < c["stability_tol"],
-                                change, c["stability_tol"]))
+                                change < c["stability_tol"], change, c["stability_tol"]))
     write_csv(out_dir / "caccioppoli.csv",
-              ["N", "s", "local_gradient", "outer_solution", "ratio"], rows, config)
+              ["N", "s", "local_gradient", "outer_solution", "ratio", "log_ratio"],
+              rows, config)
     return verdicts
 
 

@@ -49,12 +49,15 @@ class ControlSolution:
 
 
 def _observation_ratio(model, potential, grid, control, vT, chi):
-    """(v from vT, ||v(0)||^2, int int_omega v^2)."""
-    v = solve_adjoint(model, potential, grid, vT)
-    v2 = v.values ** 2
+    """(||v(0)||^2, int int_omega v^2) for the adjoint solution v from vT.
+
+    v is squared and masked in place, so a sample allocates one field.
+    """
+    v2 = solve_adjoint(model, potential, grid, vT).values
+    np.square(v2, out=v2)
     num = integrate_space(v2[0], grid)
     den = integrate_spacetime(np.multiply(v2, chi, out=v2), grid)
-    return v, num, den
+    return num, den
 
 
 def estimate_observability(model, potential: PotentialModel, grid: SpaceTimeGrid,
@@ -86,7 +89,7 @@ def estimate_observability(model, potential: PotentialModel, grid: SpaceTimeGrid
         if nrm == 0.0:
             return
         vT = vT / nrm
-        _, num, den = _observation_ratio(model, potential, grid, control, vT, chi)
+        num, den = _observation_ratio(model, potential, grid, control, vT, chi)
         if den == 0.0:
             if num > 0.0:
                 violation = True

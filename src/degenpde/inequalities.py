@@ -22,6 +22,7 @@ the theory proves existence of C and s0, not numbers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,8 +31,8 @@ from scipy.linalg import eigh_tridiagonal
 from .coefficients import _sided_monotone
 from .grid import Field, SpaceTimeGrid, assemble_operator
 from .solvers import ControlConfig, PotentialModel
-from .weights import (WeightParams, _exp_flushed, _power_cell_integral, psi, psi_prime,
-                      theta, theta_dot, theta_ddot, exp2s_phi)
+from .weights import (WeightParams, _exp_flushed, _power_cell_integral, log2s_phi, psi,
+                      psi_prime, theta, theta_dot, theta_ddot)
 
 __all__ = [
     "HardyWeight",
@@ -214,8 +215,30 @@ def hp_verify(weight: HardyWeight, grid: SpaceTimeGrid,
 
 
 # ---------------------------------------------------------------------------
-# shared discrete derivative helpers
+# shared discrete derivative and row-streaming helpers
 # ---------------------------------------------------------------------------
+
+# The streamed checkers work on blocks of interior time rows holding about this
+# many bytes of per-row data, so that a block's arrays stay in a 2 MB L2 cache.
+_BLOCK_BYTES = 1 << 20
+
+
+def _row_blocks(n_rows: int, row_bytes: int) -> list[slice]:
+    """Consecutive slices covering range(n_rows), each of about _BLOCK_BYTES
+    of rows that take ``row_bytes`` each, and at least one row."""
+    size = max(1, _BLOCK_BYTES // row_bytes)
+    return [slice(r, min(r + size, n_rows)) for r in range(0, n_rows, size)]
+
+
+def _row_dots(rows: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """``rows @ vectors`` one row at a time.
+
+    Each result depends on its own row only, so it does not change with the
+    row blocks: a single 2-D BLAS product may group rows differently as
+    their number changes, and round them differently.
+    """
+    return np.matmul(rows[:, None, :], vectors)[:, 0]
+
 
 def _derivative(values: np.ndarray, step: float, axis: int) -> np.ndarray:
     """Nodal derivative along ``axis`` (1: d/dx, 0: d/dt): centered interior,
@@ -274,9 +297,12 @@ def carleman_identity_check(model, params: WeightParams, grid: SpaceTimeGrid,
     alone.  The coefficients of L+- are outer products of t and x vectors
     with s folded into the t vector; each distributed term f(t) g(x) w^2 is
     tw @ (f (w^2 @ (g sw))), with the time and space weights tw and sw, and
-    the three w^2 terms share one contraction.  The values are those of this
-    order of operations bit for bit, and agree with the integrand-first
-    formulas to rounding.
+    the three w^2 terms share one contraction.  The interior time rows are
+    streamed in blocks (``_row_blocks``; w_t reads one halo row on each
+    side), so no stencil or product is formed on the whole grid, and every
+    row sum is taken one row at a time (``_row_dots``).  The values are those
+    of this order of operations bit for bit, whatever the blocks, and agree
+    with the integrand-first formulas to rounding.
     """
     if not w.is_dirichlet(1e-13):
         raise ValueError("w must vanish at x = 0 and x = 1 for all t")
@@ -306,47 +332,57 @@ def carleman_identity_check(model, params: WeightParams, grid: SpaceTimeGrid,
 
     op = assemble_operator(model, grid)
     wv = w.values
-    wi = wv[interior_t]
-    # Only the interior time rows of the stencils are formed: (a w_x)_x becomes
-    # L+ in place, and w_x's buffer becomes L- once the w_x terms are taken.
-    # One more (M-1, N+1) buffer holds each product.
-    L_plus = _div_a_grad(op, wi)
-    w_x = _derivative(wi, h, axis=1)
-    inner = np.empty((M - 1, N + 1))
     sw = grid.space_weights()
     tw = grid.time_weights()[interior_t]
-    a_b = a[[0, -1]]
-    wx_b = w_x[:, [0, -1]]
-    w_b = wi[:, [0, -1]]
-
-    # L+ = (a w_x)_x + c+ w, c+ = -s phi_t + s^2 a phi_x^2 = [-s th_d, s^2 c1^2 th^2] [psi; q2]
-    np.matmul(np.column_stack((-s * th_d, s ** 2 * c1 ** 2 * th ** 2)),
-              np.vstack((psi_x, q2)), out=inner)
-    inner *= wi
-    L_plus += inner
-
-    # distributed terms: int int f(t) g(x) w^2 = tw @ (f (w^2 @ (g sw)))
     r2 = np.where(a > 0.0, g2 / np.where(a > 0.0, a, 1.0), 0.0)
-    np.square(wi, out=inner)
-    w2_rows = inner @ np.column_stack((psi_x * sw, q2 * r2 * sw, q2 * sw))
+    w2_vectors = np.column_stack((psi_x * sw, q2 * r2 * sw, q2 * sw))
+    g2_sw = g2 * sw
+    # L+ = (a w_x)_x + (c_psi psi + c_q2 q2) w, as -s phi_t + s^2 a phi_x^2;
+    # L- = w_t - c_wx (x - x0) w_x - c_w w, as a phi_x = c1 Theta (x - x0)
+    c_psi, c_q2 = -s * th_d, s ** 2 * c1 ** 2 * th ** 2
+    c_wx, c_w = 2.0 * s * c1 * th, s * c1 * th
+
+    # per interior row: the three w^2 sums, the w_x^2 sum, the L+ L- sum, and
+    # w, w_x, w_t at x = 0, 1
+    w2_rows = np.empty((M - 1, 3))
+    wx2_rows = np.empty(M - 1)
+    lhs_rows = np.empty(M - 1)
+    w_b, wx_b, wt_b = np.empty((3, M - 1, 2))
+    for blk in _row_blocks(M - 1, 3 * (N + 1) * 8):
+        wi = wv[blk.start + 1:blk.stop + 1]
+        # (a w_x)_x becomes L+ in place, and w_x's buffer becomes L- once the
+        # w_x terms are taken; one more buffer holds each product
+        L_plus = _div_a_grad(op, wi)
+        w_x = _derivative(wi, h, axis=1)
+        inner = np.multiply(c_psi[blk, None], psi_x)
+        inner += c_q2[blk, None] * q2
+        inner *= wi
+        L_plus += inner
+
+        np.square(wi, out=inner)
+        w2_rows[blk] = _row_dots(inner, w2_vectors)
+        np.square(w_x, out=inner)
+        wx2_rows[blk] = _row_dots(inner, g2_sw)
+        w_b[blk], wx_b[blk] = wi[:, [0, -1]], w_x[:, [0, -1]]
+
+        np.multiply(c_wx[blk, None], d, out=inner)
+        inner *= w_x
+        L_minus = w_x
+        np.subtract(wv[blk.start + 2:blk.stop + 2], wv[blk.start:blk.stop], out=L_minus)
+        L_minus /= 2.0 * dt                      # w_t
+        wt_b[blk] = L_minus[:, [0, -1]]
+        L_minus -= inner
+        np.multiply(c_w[blk, None], wi, out=inner)
+        L_minus -= inner
+        np.multiply(L_plus, L_minus, out=inner)
+        lhs_rows[blk] = _row_dots(inner, sw)
+
+    lhs = float(tw @ lhs_rows)
+    # distributed terms: int int f(t) g(x) w^2 = tw @ (f (w^2 @ (g sw)))
     dt1 = float(tw @ ((0.5 * s * th_dd) * w2_rows[:, 0]))
     dt2 = float(tw @ ((s ** 3 * c1 ** 3 * th ** 3) * w2_rows[:, 1]))
     dt3 = float(tw @ ((-2.0 * s ** 2 * c1 ** 2 * (th * th_d)) * w2_rows[:, 2]))
-    np.square(w_x, out=inner)
-    dt4 = float(tw @ ((s * c1 * th) * (inner @ (g2 * sw))))
-
-    # L- = w_t - 2 s (a phi_x) w_x - s c1 Theta w, a phi_x = c1 Theta (x - x0)
-    np.multiply((2.0 * s * c1 * th)[:, None], d[None, :], out=inner)
-    inner *= w_x
-    L_minus = w_x
-    np.subtract(wv[2:], wv[:-2], out=L_minus)    # the interior rows of w_t
-    L_minus /= 2.0 * dt
-    wt_b = L_minus[:, [0, -1]]
-    L_minus -= inner
-    np.multiply((s * c1 * th)[:, None], wi, out=inner)
-    L_minus -= inner
-    np.multiply(L_plus, L_minus, out=inner)
-    lhs = float(tw @ (inner @ sw))
+    dt4 = float(tw @ ((s * c1 * th) * wx2_rows))
 
     # boundary terms at x = 0, 1; w vanishes there, so every group except the
     # -s phi_x (a w_x)^2 flux is analytically zero, but all three are assembled
@@ -355,6 +391,7 @@ def carleman_identity_check(model, params: WeightParams, grid: SpaceTimeGrid,
     def t_integral_bdry(vals_interior_t):
         return float(np.dot(tw, vals_interior_t))
 
+    a_b = a[[0, -1]]
     phi_x_b = th[:, None] * psi_p_bdry[None, :]
     phi_t_b = th_d[:, None] * psi_x[[0, -1]][None, :]
 
@@ -379,6 +416,13 @@ def carleman_identity_check(model, params: WeightParams, grid: SpaceTimeGrid,
 
 @dataclass(frozen=True)
 class CarlemanReport:
+    """One s-sweep of ``carleman_scan`` on one manufactured profile.
+
+    ``fitted_C`` is the largest LHS/RHS ratio past ``s0_observed`` for that
+    one profile: a lower bound for the discrete Carleman constant, not a
+    certified value of it.
+    """
+
     s_values: np.ndarray
     lhs: np.ndarray
     rhs_source: np.ndarray
@@ -405,8 +449,8 @@ def manufactured_adjoint_pair(model, potential: PotentialModel, grid: SpaceTimeG
     c = potential.values(grid)
     v = Field.from_function(grid, v_func)
     op = assemble_operator(model, grid)
-    res = _derivative(v.values, grid.dt, axis=0)
-    res += _div_a_grad(op, v.values)
+    res = _div_a_grad(op, v.values)     # first: its scratch field is freed before v_t
+    res += _derivative(v.values, grid.dt, axis=0)
     res -= c * v.values
     return v, Field(grid, res)
 
@@ -421,7 +465,8 @@ def carleman_scan(model, params_base: WeightParams, grid: SpaceTimeGrid, v: Fiel
         RHS_boundary = s c1 int [a Theta e^{2s phi} (x-x0) v_x^2]_{x=0}^{x=1} dt
     s0_observed is the first scan point after which the ratio LHS/RHS is
     non-increasing within ``window_tol`` over three consecutive points;
-    fitted_C is the largest ratio past s0_observed.
+    fitted_C is the largest ratio past s0_observed.  It is measured on the one
+    profile v, so it is a lower bound for the discrete Carleman constant.
 
     Both sides are multiplied by the common positive factor e^{-2s max phi}
     before integrating, i.e. the exponential weight is evaluated as
@@ -433,12 +478,15 @@ def carleman_scan(model, params_base: WeightParams, grid: SpaceTimeGrid, v: Fiel
 
     Every factor but E and the fields is a function of t alone or of x alone.
     The x factors and the space weights sw are folded into the s-invariant
-    integrands v_x^2 (a sw), v^2 (q2 sw) and h^2 sw, stacked once; each s
-    then forms E and one stacked matmul gives their three row sums with E.
-    Theta, s and the time weights tw act on those row sums:
+    integrands v_x^2 (a sw), v^2 (q2 sw) and h^2 sw, stacked per row; E with
+    one stacked matmul gives their three row sums.  Theta, s and the time
+    weights tw act on those row sums:
         LHS = tw @ ((s Theta) P + (s^3 Theta^3) Q),  RHS_source = tw @ H.
-    The values are those of this order of operations bit for bit, and agree
-    with the integrand-first formula to rounding.
+    The interior rows are streamed in blocks (``_row_blocks``) outside the s
+    loop, so a block's integrands, phi and E stay in cache across every s and
+    no field-sized array is formed.  The values are those of this order of
+    operations bit for bit, whatever the blocks, and agree with the
+    integrand-first formula to rounding.
     """
     if not 0.0 < model.x0 < 1.0:
         raise ValueError("x0 must be strictly interior")
@@ -446,39 +494,55 @@ def carleman_scan(model, params_base: WeightParams, grid: SpaceTimeGrid, v: Fiel
     if np.any(s_values < 0.0):
         raise ValueError(f"s must be nonnegative, got {s_values}")
     x = grid.x
+    n_rows = grid.M - 1
     interior_t = slice(1, grid.M)
     a = model.eval_a(x)
     sw = grid.space_weights()
     tw = grid.time_weights()[interior_t]
     th = theta(params_base, grid.t[interior_t])
     th3 = th ** 3
+    psi_x = psi(params_base, model, x)                    # psi < 0
+    # max of th psi over the grid, exactly: th > 0 and rounding is monotone, so
+    # each column's largest product is at the smallest th where psi < 0
+    phi_max = float(np.max(np.where(psi_x < 0.0, th.min() * psi_x, th.max() * psi_x)))
+    x_factors = (a * sw, _q2_profile(model, x) * sw, sw)
+    bdry_a = a[[0, -1]] * (x[[0, -1]] - model.x0)
 
-    # s-invariant integrands (P, Q, H) per interior row, one (3, N+1) block per row
-    stack = np.empty((th.size, 3, x.size))
-    v_x = _derivative(v.values[interior_t], grid.h, axis=1)
-    np.multiply(v_x, v_x, out=stack[:, 0])
-    stack[:, 0] *= a * sw
-    np.multiply(v.values[interior_t], v.values[interior_t], out=stack[:, 1])
-    stack[:, 1] *= _q2_profile(model, x) * sw
-    np.multiply(h.values[interior_t], h.values[interior_t], out=stack[:, 2])
-    stack[:, 2] *= sw
-    bdry_x = a[[0, -1]] * (x[[0, -1]] - model.x0) * v_x[:, [0, -1]] ** 2
-    del v_x
+    # per s and interior row: the (P, Q, H) row sums and E at x = 0, 1
+    row_sums = np.empty((s_values.size, n_rows, 3))
+    E_bdry = np.empty((s_values.size, n_rows, 2))
+    bdry_x = np.empty((n_rows, 2))
+    blocks = _row_blocks(n_rows, 3 * x.size * 8)
+    # one set of block buffers, reused by every block: the s-invariant
+    # integrands (P, Q, H) as one (3, N+1) block per row, phi - max phi and E
+    size = blocks[0].stop - blocks[0].start
+    stack_buf = np.empty((size, 3, x.size))
+    phi_buf, E_buf = np.empty((2, size, x.size))
+    flushed_buf = np.empty((size, x.size), dtype=bool)
+    for blk in blocks:
+        n = blk.stop - blk.start
+        stack, phi_shift, E, flushed = stack_buf[:n], phi_buf[:n], E_buf[:n], flushed_buf[:n]
+        rows = slice(blk.start + 1, blk.stop + 1)
+        v_x = _derivative(v.values[rows], grid.h, axis=1)
+        for k, f in enumerate((v_x, v.values[rows], h.values[rows])):
+            np.multiply(f, f, out=stack[:, k])
+            stack[:, k] *= x_factors[k]
+        bdry_x[blk] = bdry_a * v_x[:, [0, -1]] ** 2
+        del v_x
+        np.multiply(th[blk, None], psi_x[None, :], out=phi_shift)
+        phi_shift -= phi_max
+        for k, s in enumerate(s_values):
+            np.multiply(phi_shift, 2.0 * s, out=E)                # log E
+            _exp_flushed(E, flushed)
+            np.matmul(stack, E[:, :, None], out=row_sums[k, blk, :, None])
+            E_bdry[k, blk] = E[:, [0, -1]]
 
-    phi_shift = np.multiply(th[:, None], psi(params_base, model, x)[None, :])  # psi < 0
-    phi_shift -= float(np.max(phi_shift))
-    E = np.empty_like(phi_shift)
-    flushed = np.empty(E.shape, dtype=bool)
-    row_sums = np.empty((th.size, 3, 1))
     lhs_arr, src_arr, bdy_arr = [], [], []
-    for s in s_values:
-        np.multiply(phi_shift, 2.0 * s, out=E)                # log E
-        _exp_flushed(E, flushed)
-        np.matmul(stack, E[:, :, None], out=row_sums)
-        P, Q, H = np.ascontiguousarray(row_sums[:, :, 0].T)
+    for k, s in enumerate(s_values):
+        P, Q, H = np.ascontiguousarray(row_sums[k].T)
         lhs_arr.append(float(tw @ ((s * th) * P + (s ** 3 * th3) * Q)))
         src_arr.append(float(tw @ H))
-        bdry_vals = (th[:, None] * E[:, [0, -1]]) * bdry_x
+        bdry_vals = (th[:, None] * E_bdry[k]) * bdry_x
         bdy_arr.append(float(s * params_base.c1 * (tw @ (bdry_vals[:, 1] - bdry_vals[:, 0]))))
 
     lhs_arr = np.asarray(lhs_arr)
@@ -510,9 +574,17 @@ def carleman_scan(model, params_base: WeightParams, grid: SpaceTimeGrid, v: Fiel
 
 @dataclass(frozen=True)
 class CaccioppoliReport:
+    """The two integrals, their ratio, and the log of the ratio.
+
+    ``log_ratio`` is formed in log space, so it stays finite where the local
+    integral underflows to 0 (large s Theta); it is -inf when the local
+    integrand vanishes and +inf when only the outer one does.
+    """
+
     local_gradient_integral: float
     outer_solution_integral: float
     ratio: float
+    log_ratio: float
 
 
 def _require_caccioppoli_geometry(x0: float, omega_prime: tuple[float, float],
@@ -550,12 +622,14 @@ def caccioppoli_check(model, params: WeightParams, grid: SpaceTimeGrid, v: Field
     omega' must be compactly contained in omega and must stay away from x0.
 
     The indicators and the space weights sw are folded into one x vector per
-    integral, and only the columns where an indicator is nonzero are formed:
-        local = tw @ ((v_x^2 E)[:, omega'] @ (chi' sw)[omega']),
-        outer = tw @ (v^2[:, omega] @ (chi sw)[omega]),
-    with E = e^{2s phi} from one ``exp2s_phi`` call on the columns of omega'.
-    The values are those of this order of operations bit for bit, and agree
-    with the full-grid integrals of (v_x^2 E) chi' and v^2 chi to rounding.
+    integral, and only the columns where an indicator is nonzero are formed.
+    The local integral is taken in log space: with L = 2 s phi from one
+    ``log2s_phi`` call on the columns of omega' and its largest value m,
+        log local = m + log(tw @ ((v_x^2 e^{L - m})[:, omega'] @ (chi' sw)[omega'])),
+        outer     = tw @ (v^2[:, omega] @ (chi sw)[omega]),
+    and local = e^m times the mantissa, which underflows to 0 where e^{2s phi}
+    does (T = 1/2 puts 2 s phi near -4e4) while log local stays finite.
+    e^{L - m} is flushed to 0 below the log of the smallest normal.
     """
     _require_caccioppoli_geometry(model.x0, omega_prime, omega)
     chi_p = ControlConfig(*omega_prime).indicator(grid)
@@ -563,12 +637,22 @@ def caccioppoli_check(model, params: WeightParams, grid: SpaceTimeGrid, v: Field
     near, far = _support(chi_p), _support(chi)
     sw = grid.space_weights()
     tw = grid.time_weights()
-    E = exp2s_phi(params, model, grid.t[:, None], grid.x[None, near])
-    local_integrand = _derivative_columns(v.values, grid.h, near)
-    local_integrand *= local_integrand     # (v_x^2) E, built in place
-    local_integrand *= E
-    local = float(tw @ (local_integrand @ (chi_p * sw)[near]))
+    weight = log2s_phi(params, model, grid.t[:, None], grid.x[None, near])
+    shift = float(np.max(weight, initial=-np.inf))   # -inf: no node of omega' inside (0, T)
+    mantissa = 0.0
+    if shift > -np.inf:
+        weight -= shift
+        _exp_flushed(weight)                   # e^{L - m}
+        local_integrand = _derivative_columns(v.values, grid.h, near)
+        local_integrand *= local_integrand     # (v_x^2) e^{L - m}, built in place
+        local_integrand *= weight
+        mantissa = float(tw @ (local_integrand @ (chi_p * sw)[near]))
+    local = mantissa * math.exp(shift)
     outer = float(tw @ (np.square(v.values[:, far]) @ (chi * sw)[far]))
     ratio = np.inf if outer == 0.0 and local > 0.0 else (0.0 if outer == 0.0 else local / outer)
-    return CaccioppoliReport(local_gradient_integral=local,
-                             outer_solution_integral=outer, ratio=float(ratio))
+    if mantissa > 0.0 and outer > 0.0:
+        log_ratio = shift + math.log(mantissa) - math.log(outer)
+    else:                       # as the ratio: 0 with no local integral, else inf
+        log_ratio = -math.inf if mantissa == 0.0 else math.inf
+    return CaccioppoliReport(local_gradient_integral=local, outer_solution_integral=outer,
+                             ratio=float(ratio), log_ratio=log_ratio)

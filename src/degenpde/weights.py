@@ -27,6 +27,7 @@ __all__ = [
     "theta_ddot",
     "psi",
     "psi_prime",
+    "log2s_phi",
     "exp2s_phi",
 ]
 
@@ -199,31 +200,40 @@ def psi_prime(params: WeightParams, model, x):
         return np.where(a > 0.0, params.c1 * (x - model.x0) / np.where(a > 0.0, a, 1.0), 0.0)
 
 
-def exp2s_phi(params: WeightParams, model, t, x):
-    """e^{2 s phi(t,x)}, computed in log space; exactly 0 at t in {0, T}.
+def log2s_phi(params: WeightParams, model, t, x):
+    """2 s phi(t, x), the log of e^{2 s phi}; -inf at t in {0, T}.
 
-    Flushes to 0 whenever 2 s phi falls below the log of the smallest
-    positive normal, which also covers the endpoint limit Theta -> +inf,
-    psi < 0.
+    -inf is the endpoint limit Theta -> +inf with psi < 0.  A weighted
+    integral whose weight underflows (large s Theta) takes its shift
+    ``max 2 s phi`` out of this before exponentiating.
 
-    The weight is separable: ``(2s) [t(T-t)]^-4`` is formed on t's own shape
-    and psi on x's own shape (psi is called once, and not at all when no
-    time is interior); only their product and its exponential take the
-    broadcast shape.  Each entry still goes through
-    ``((2s) * prod**-4) * psi`` and ``exp`` with the same elementwise ufuncs
-    on contiguous arrays, so the bits do not depend on the shapes t and x
-    come in.
+    ``(2s) [t(T-t)]^-4`` is formed on t's own shape and psi on x's own shape
+    (psi is called once, and not at all when no time is interior); only their
+    product takes the broadcast shape.  Each entry goes through
+    ``((2s) * prod**-4) * psi`` with the same elementwise ufuncs on contiguous
+    arrays, so the bits do not depend on the shapes t and x come in.
     """
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
     prod = t * (params.T - t)
     interior = prod > 0.0
-    out = np.zeros(np.broadcast_shapes(t.shape, x.shape))
-    if not interior.any():
-        return out
-    with np.errstate(divide="ignore", over="ignore"):
-        scale = 2.0 * params.s * np.where(interior, prod, 1.0) ** (-THETA_EXPONENT)
-        np.multiply(scale, psi(params, model, x), out=out)
+    out = np.full(np.broadcast_shapes(t.shape, x.shape), -np.inf)
+    if interior.any():
+        with np.errstate(divide="ignore", over="ignore"):
+            scale = 2.0 * params.s * np.where(interior, prod, 1.0) ** (-THETA_EXPONENT)
+            np.multiply(scale, psi(params, model, x), out=out)
         np.copyto(out, -np.inf, where=~interior)
+    return out
+
+
+def exp2s_phi(params: WeightParams, model, t, x):
+    """e^{2 s phi(t,x)}, computed in log space; exactly 0 at t in {0, T}.
+
+    The exponential of ``log2s_phi``, entry for entry.  Flushes to 0 whenever
+    2 s phi falls below the log of the smallest positive normal, which also
+    covers the endpoint limit Theta -> +inf, psi < 0.
+    """
+    out = log2s_phi(params, model, t, x)
+    with np.errstate(over="ignore"):
         _exp_flushed(out)
     return out

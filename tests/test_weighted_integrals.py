@@ -5,7 +5,8 @@ every factor that depends on t alone or on x alone into the time and space
 quadrature vectors, so each integral is one contraction of the field data.
 
 * Exact: each checker equals, bit for bit (``==``), an ``ordered_*``
-  reference that spells out the same contractions on fresh arrays.
+  reference that spells out the same contractions on fresh arrays, whatever
+  the row blocks the scan and the identity check stream through.
 * To rounding: each checker agrees with the integrand-first ``reference_*``
   formula (every product a fresh full-grid array, then the quadrature) within
   1e-13 of the integral of the absolute integrand.
@@ -15,11 +16,13 @@ memory of each call within a few (M+1)x(N+1) fields, and each checker makes
 a fixed number of calls to the public weight and grid functions.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import degenpde.inequalities as inequalities
 import degenpde.weights as weights
 from degenpde import (CoefficientModel, ControlConfig, Field, PotentialModel, SpaceTimeGrid,
                       assemble_operator, caccioppoli_check, carleman_identity_check,
@@ -43,7 +46,7 @@ MODELS = {
 # reference formulas: every product a fresh array
 # ---------------------------------------------------------------------------
 
-def reference_exp2s_phi(params, model, t, x):
+def reference_log2s_phi(params, model, t, x):
     tt, xx = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
     prod = tt * (params.T - tt)
     interior = prod > 0.0
@@ -51,6 +54,11 @@ def reference_exp2s_phi(params, model, t, x):
     ps = psi(params, model, xx[interior]) if np.any(interior) else np.empty(0)
     with np.errstate(divide="ignore", over="ignore"):
         log_arg[interior] = 2.0 * params.s * prod[interior] ** (-THETA_EXPONENT) * ps
+    return log_arg
+
+
+def reference_exp2s_phi(params, model, t, x):
+    log_arg = reference_log2s_phi(params, model, t, x)
     return np.where(log_arg < _LOG_TINY, 0.0, np.exp(np.maximum(log_arg, _LOG_TINY)))
 
 
@@ -164,6 +172,11 @@ def reference_E(log_E):
     return np.where(log_E < _LOG_TINY, 0.0, np.exp(np.maximum(log_E, _LOG_TINY)))
 
 
+def row_dots(rows, vectors):
+    """rows @ vectors with one product per row, as the checkers take row sums."""
+    return np.stack([row @ vectors for row in rows])
+
+
 def support(chi):
     nonzero = np.flatnonzero(chi)
     return slice(nonzero[0], nonzero[-1] + 1)
@@ -216,23 +229,22 @@ def ordered_identity(model, params, grid, w):
     w_x = _derivative(wv, grid.h, axis=1)
     w_t = _derivative(wv, grid.dt, axis=0)
     wi, wxi = wv[ti], w_x[ti]
-    c_plus = (np.column_stack((-s * th_d, s ** 2 * c1 ** 2 * th ** 2))
-              @ np.vstack((psi_x, q2)))
+    c_plus = (-s * th_d)[:, None] * psi_x + (s ** 2 * c1 ** 2 * th ** 2)[:, None] * q2
     L_plus = _div_a_grad(assemble_operator(model, grid), wv)[ti] + c_plus * wi
     L_minus = w_t[ti] - (2.0 * s * c1 * th)[:, None] * d[None, :] * wxi - (s * c1 * th)[:, None] * wi
-    lhs = float(tw @ ((L_plus * L_minus) @ sw))
+    lhs = float(tw @ row_dots(L_plus * L_minus, sw))
     lhs_abs = float(tw @ (np.abs(L_plus * L_minus) @ sw))
 
     rhs, rhs_abs = 0.0, 0.0
     x_vectors = np.column_stack((psi_x * sw, q2 * r2 * sw, q2 * sw))
     t_vectors = (0.5 * s * th_dd, s ** 3 * c1 ** 3 * th ** 3,
                  -2.0 * s ** 2 * c1 ** 2 * (th * th_d))
-    w2_rows = wi ** 2 @ x_vectors
+    w2_rows = row_dots(wi ** 2, x_vectors)
     w2_abs = wi ** 2 @ np.abs(x_vectors)
     for k in range(3):
         rhs += float(tw @ (t_vectors[k] * w2_rows[:, k]))
         rhs_abs += float(tw @ np.abs(t_vectors[k] * w2_abs[:, k]))
-    rhs += float(tw @ ((s * c1 * th) * (wxi ** 2 @ (g2 * sw))))
+    rhs += float(tw @ ((s * c1 * th) * row_dots(wxi ** 2, g2 * sw)))
     rhs_abs += float(tw @ np.abs((s * c1 * th) * (wxi ** 2 @ np.abs(g2 * sw))))
 
     a_b = a[[0, -1]]
@@ -251,17 +263,20 @@ def ordered_identity(model, params, grid, w):
 
 
 def ordered_caccioppoli(model, params, grid, v, omega_prime, omega):
-    """(local, outer) of caccioppoli_check; both integrands are nonnegative."""
+    """(local, outer, log ratio) of caccioppoli_check, the local integral in
+    log space; both integrands are nonnegative."""
     sw = grid.space_weights()
     tw = grid.time_weights()
     chi_p = ControlConfig(*omega_prime).indicator(grid)
     chi = ControlConfig(*omega).indicator(grid)
     near, far = support(chi_p), support(chi)
-    E = reference_exp2s_phi(params, model, grid.t[:, None], grid.x[None, near])
+    log_E = reference_log2s_phi(params, model, grid.t[:, None], grid.x[None, near])
+    shift = np.max(log_E)
     v_x = _derivative(v.values, grid.h, axis=1)[:, near]
-    local = float(tw @ ((v_x ** 2 * E) @ (chi_p * sw)[near]))
+    mantissa = float(tw @ ((v_x ** 2 * reference_E(log_E - shift)) @ (chi_p * sw)[near]))
     outer = float(tw @ (v.values[:, far] ** 2 @ (chi * sw)[far]))
-    return local, outer
+    return (mantissa * math.exp(shift), outer,
+            float(shift) + math.log(mantissa) - math.log(outer))
 
 
 def reference_caccioppoli_outer(grid, v, omega):
@@ -442,14 +457,70 @@ def test_caccioppoli_local_integral_bit_identical(s):
     v = solve_adjoint(model, PotentialModel.zero(), grid, modes[0])
     params = WeightParams.for_model(model, T=2.0, s=s)
     rep = caccioppoli_check(model, params, grid, v, (0.35, 0.45), (0.2, 0.5))
-    local, outer = ordered_caccioppoli(model, params, grid, v, (0.35, 0.45), (0.2, 0.5))
+    local, outer, log_ratio = ordered_caccioppoli(model, params, grid, v, (0.35, 0.45),
+                                                  (0.2, 0.5))
     assert rep.local_gradient_integral == local
     assert rep.outer_solution_integral == outer
+    assert rep.log_ratio == log_ratio
     assert_within_rounding(rep.local_gradient_integral,
                            reference_caccioppoli_local(model, params, grid, v, (0.35, 0.45)),
                            local)
     assert_within_rounding(rep.outer_solution_integral,
                            reference_caccioppoli_outer(grid, v, (0.2, 0.5)), outer)
+
+
+def test_caccioppoli_log_ratio_where_the_weight_underflows():
+    """At T = 1/2, 2 s phi is below -4e4 on omega': e^{2s phi} and the local
+    integral underflow to 0, while the log ratio is measured."""
+    model = MODELS["alpha0.5"]
+    grid = SpaceTimeGrid.create(100, 200, 0.5, X0)
+    _, modes = dirichlet_eigenmodes(assemble_operator(model, grid), 1)
+    v = solve_adjoint(model, PotentialModel.zero(), grid, modes[0])
+    params = WeightParams.for_model(model, T=0.5, s=1.0)
+    assert not np.any(exp2s_phi(params, model, grid.t[:, None], grid.x[None, :]))
+    rep = caccioppoli_check(model, params, grid, v, (0.35, 0.45), (0.2, 0.5))
+    assert rep.local_gradient_integral == 0.0 and rep.ratio == 0.0
+    assert rep.outer_solution_integral > 0.0
+    assert -1e5 < rep.log_ratio < -4e4
+    local, outer, log_ratio = ordered_caccioppoli(model, params, grid, v, (0.35, 0.45),
+                                                  (0.2, 0.5))
+    assert (rep.local_gradient_integral, rep.outer_solution_integral, rep.log_ratio) == (
+        local, outer, log_ratio)
+
+
+# ---------------------------------------------------------------------------
+# row blocks: the streamed checkers give the same bits whatever the blocks
+# ---------------------------------------------------------------------------
+
+# with N = 120 and M = 240, the 239 interior rows split into 239 one-row blocks,
+# 35 blocks of 7 rows or fewer (7 does not divide 239), or one block
+@pytest.mark.parametrize("rows, n_blocks", [(1, 239), (7, 35), (239, 1)])
+def test_scan_bit_identical_across_row_blocks(rows, n_blocks, monkeypatch):
+    model = MODELS["alpha1.5"]
+    params, grid, v, h = scan_inputs(model)
+    row_bytes = 3 * (grid.N + 1) * 8
+    monkeypatch.setattr(inequalities, "_BLOCK_BYTES", rows * row_bytes)
+    assert len(inequalities._row_blocks(grid.M - 1, row_bytes)) == n_blocks
+    rep = carleman_scan(model, params, grid, v, h, s_values=SCAN_S_VALUES)
+    lhs, src, bdy, _ = ordered_scan_integrals(model, params, grid, v, h, SCAN_S_VALUES)
+    assert (rep.lhs.tolist(), rep.rhs_source.tolist(), rep.rhs_boundary.tolist()) == (
+        lhs, src, bdy)
+
+
+@pytest.mark.parametrize("rows, n_blocks", [(1, 239), (7, 35), (239, 1)])
+def test_identity_bit_identical_across_row_blocks(rows, n_blocks, monkeypatch):
+    model = MODELS["alpha1.5"]
+    params, grid, _ = identity_inputs(model, 3.7, c1=1.3)
+    values = np.random.default_rng(7).standard_normal((grid.M + 1, grid.N + 1))
+    values[[0, -1], :] = 0.0
+    values[:, [0, -1]] = 0.0
+    w = Field(grid, values)
+    row_bytes = 3 * (grid.N + 1) * 8
+    monkeypatch.setattr(inequalities, "_BLOCK_BYTES", rows * row_bytes)
+    assert len(inequalities._row_blocks(grid.M - 1, row_bytes)) == n_blocks
+    rep = carleman_identity_check(model, params, grid, w)
+    lhs, rhs, _, _ = ordered_identity(model, params, grid, w)
+    assert (rep.lhs, rep.rhs) == (lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +532,9 @@ def test_scan_peak_memory():
     params, grid, v, h = scan_inputs(model, N=400)
     _, peak = traced_peak(lambda: carleman_scan(model, params, grid, v, h,
                                                 s_values=default_s_values(10)))
-    assert peak / field_units(grid) < 5.7     # 5.16 measured: the stacked integrands, E, phi
+    # 1.05 measured: one block of integrands, phi and E (about 1 MB of integrands)
+    # and v_x, against 5.16 for the integrands, phi and E on every interior row
+    assert peak / field_units(grid) < 1.3
 
 
 def test_exp2s_phi_peak_memory():
@@ -476,7 +549,21 @@ def test_identity_peak_memory():
     model = MODELS["alpha0.5"]
     params, grid, w = identity_inputs(model, 10.0, N=400)
     _, peak = traced_peak(lambda: carleman_identity_check(model, params, grid, w))
-    assert peak / field_units(grid) < 3.4     # 3.09 measured: L+, w_x (then L-), one product
+    # 0.79 measured: L+, w_x (then L-) and the products on one block of rows,
+    # against 3.09 for them on every interior row
+    assert peak / field_units(grid) < 1.0
+
+
+def test_manufactured_pair_peak_memory():
+    """The divergence term comes first, so its scratch field is freed before v_t."""
+    model = MODELS["alpha0.5"]
+    grid = SpaceTimeGrid.create(400, 800, 2.0, X0)
+    _, peak = traced_peak(lambda: manufactured_adjoint_pair(
+        model, PotentialModel.zero(), grid,
+        lambda t, x: t * (2.0 - t) * (x - X0) ** 2 * x * (1.0 - x)))
+    # 3.05 measured, the outputs v and h included: v, the residual and one scratch
+    # field, against 4.05 with v_t first
+    assert peak / field_units(grid) < 3.1
 
 
 def test_caccioppoli_peak_memory():
@@ -497,7 +584,7 @@ def test_caccioppoli_peak_memory():
 # ---------------------------------------------------------------------------
 
 COUNTED = ("psi", "psi_prime", "theta", "theta_dot", "theta_ddot", "exp2s_phi",
-           "assemble_operator")
+           "log2s_phi", "assemble_operator")
 
 
 def count_calls(fn):
@@ -536,7 +623,7 @@ def test_checker_call_counts():
         "assemble_operator": 1}
     params = WeightParams.for_model(model, T=1.0, s=4.0)
     assert count_calls(lambda: caccioppoli_check(
-        model, params, grid, w, (0.35, 0.45), (0.2, 0.5))) == {"psi": 1, "exp2s_phi": 1}
+        model, params, grid, w, (0.35, 0.45), (0.2, 0.5))) == {"psi": 1, "log2s_phi": 1}
 
 
 @pytest.mark.parametrize("cols", [slice(0, 0), slice(0, 1), slice(0, 5), slice(1, 2),
