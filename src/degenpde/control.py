@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random import default_rng
 
 from .grid import Field, SpaceTimeGrid, assemble_operator, dirichlet_eigenmodes, \
     integrate_space, integrate_spacetime
@@ -76,7 +77,7 @@ def estimate_observability(model, potential: PotentialModel, grid: SpaceTimeGrid
     chi = control.indicator(grid)
     op = assemble_operator(model, grid)
     _, modes = dirichlet_eigenmodes(op, n_modes)
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
 
     samples = []
     violation = False

@@ -11,7 +11,8 @@ import io
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+
+from ._lapack import eigh_tridiagonal
 
 __all__ = [
     "SpaceTimeGrid",
@@ -193,7 +194,7 @@ def dirichlet_eigenmodes(op: TridiagonalOperator, k: int):
     """
     d, e = op.interior_tridiag()
     k = min(k, d.size)
-    vals, vecs = eigh_tridiagonal(d, e, select="i", select_range=(d.size - k, d.size - 1))
+    vals, vecs = eigh_tridiagonal(d, e, d.size - k, d.size - 1)
     order = np.argsort(-vals)  # closest to zero first
     vals = vals[order]
     vecs = vecs[:, order]

@@ -26,8 +26,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from numpy.random import default_rng
 
+from ._lapack import eigh_tridiagonal
 from .coefficients import _sided_monotone
 from .grid import Field, SpaceTimeGrid, assemble_operator
 from .solvers import ControlConfig, PotentialModel
@@ -188,11 +189,10 @@ def hp_verify(weight: HardyWeight, grid: SpaceTimeGrid,
     inv_sqrt_m = 1.0 / np.sqrt(m)
     d_sym = k_diag * inv_sqrt_m ** 2
     e_sym = k_off * inv_sqrt_m[:-1] * inv_sqrt_m[1:]
-    lam = eigh_tridiagonal(d_sym, e_sym, select="i", select_range=(0, 0),
-                           eigvals_only=True)[0]
+    lam = eigh_tridiagonal(d_sym, e_sym, 0, 0, eigvals_only=True)[0]
     rayleigh = 1.0 / lam
 
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     n_knots = 8
     basis = _spline_basis(x, n_knots)
     ratios = []

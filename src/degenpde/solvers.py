@@ -34,7 +34,9 @@ Every left-hand side is symmetric positive definite: the interior block of A
 is symmetric, and the dominance check below admits only 1/dt + c/2 > 0, which
 makes L_k strictly diagonally dominant with a positive diagonal.  So L_k/2 is
 factored as L D L^T with LAPACK ``pttrf``, without row interchanges, and a
-step back-substitutes with ``pttrs``.
+step back-substitutes with ``pttrs``.  Both are SciPy's double-precision
+``dpttrf``/``dpttrs`` from its compiled ``_flapack`` extension, which
+``degenpde._lapack`` loads without running SciPy's linalg initialiser.
 
 The halved left-hand sides come from a single-entry table keyed by value on
 their inputs: the off-diagonal, the diagonal without its c term and the rows
@@ -68,8 +70,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, get_lapack_funcs
+from numpy.linalg import LinAlgError
 
+from ._lapack import pttrf, pttrs
 from .grid import Field, SpaceTimeGrid, assemble_operator, integrate_space
 
 __all__ = [
@@ -192,7 +195,7 @@ def _require_dominance(c_min: float, dt: float):
 _level_table = None
 
 
-def _level_factors(pttrf, inv_dt, off, base, c, times, backward):
+def _level_factors(inv_dt, off, base, c, times, backward):
     """Per step through ``times``: the factors of L_next/2 and the value(s) g/2.
 
     L_k/2 = I/(2 dt) - A/4 + C_k/4 has off-diagonal ``off`` and diagonal
@@ -251,8 +254,7 @@ def _propagate(model, potential: PotentialModel, grid: SpaceTimeGrid, start: np.
     # base + c/2 grows with c, so the largest c of each node decides overflow
     _require_finite(base + 0.5 * lhs_c.max(axis=0))
 
-    pttrf, pttrs = get_lapack_funcs(("pttrf", "pttrs"), (d,))
-    factors, steps = _level_factors(pttrf, inv_dt, -0.25 * e, 0.5 * base, c, times, backward)
+    factors, steps = _level_factors(inv_dt, -0.25 * e, 0.5 * base, c, times, backward)
 
     out = np.zeros((grid.M + 1, grid.N + 1))
     out[times[0]] = start

@@ -9,7 +9,8 @@ import pytest
 
 import degenpde
 
-MODULES = ["cli", "coefficients", "control", "grid", "inequalities", "solvers", "weights"]
+MODULES = ["_lapack", "cli", "coefficients", "control", "grid", "inequalities", "solvers",
+           "weights"]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -27,13 +28,23 @@ def test_package_imports_resolve():
     assert [attr for attr in imported if not hasattr(degenpde, attr)] == []
 
 
-def test_import_loads_only_scipy_linalg():
-    # a fresh interpreter: other tests load SciPy subpackages into this one
-    code = ("import sys, degenpde, degenpde.cli; "
-            "print(' '.join(m for m in sys.modules if m.startswith('scipy.')))")
+def run_fresh(code):
+    """The words ``code`` prints in a fresh interpreter: other tests load SciPy into this one."""
     src = str(Path(degenpde.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout.split()
-    assert "scipy.linalg" in out
-    heavy = ("interpolate", "optimize", "sparse", "special", "spatial", "fft")
-    assert [m for m in out if m.split(".")[1] in heavy] == []
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": src}).stdout.split()
+
+
+def test_import_loads_only_the_lapack_extension():
+    out = run_fresh("import sys, degenpde, degenpde.cli; print(*sorted(sys.modules))")
+    assert [m for m in out if m.split(".")[0] == "scipy"] == ["scipy.linalg._flapack"]
+    assert [m for m in ("scipy.linalg", "numpy.f2py", "numpy.testing") if m in out] == []
+    assert "numpy.random" in out
+
+
+@pytest.mark.parametrize("imports", ["degenpde, scipy.linalg", "scipy.linalg, degenpde"])
+def test_one_lapack_module_in_either_import_order(imports):
+    out = run_fresh(f"import {imports}, degenpde._lapack, scipy.linalg.lapack as lapack; "
+                    "print(lapack.dpttrs is degenpde._lapack.pttrs, "
+                    "lapack._flapack is degenpde._lapack._flapack)")
+    assert out == ["True", "True"]

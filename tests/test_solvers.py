@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.linalg import get_lapack_funcs, solve_banded, solveh_banded
+from scipy.linalg import solve_banded, solveh_banded
 
 from degenpde import (CoefficientModel, ControlConfig, Field, PotentialModel,
                       SpaceTimeGrid, energy_trace, solve_adjoint, solve_forward, solvers)
@@ -219,18 +219,15 @@ class TestLevelTable:
     @pytest.fixture
     def factorizations(self, monkeypatch):
         """Calls of each routine that factors a tridiagonal left-hand side."""
+        # pttrf is the only factoring routine solvers imports; the other two stay 0
         counts = {"pttrf": 0, "gttrf": 0, "gtsv": 0}
-        get = solvers.get_lapack_funcs
+        pttrf = solvers.pttrf
 
-        def counting(names, arrays):
-            def wrap(name, routine):
-                def call(*args, **kwargs):
-                    counts[name] += 1
-                    return routine(*args, **kwargs)
-                return call if name in counts else routine
-            return tuple(map(wrap, names, get(names, arrays)))
+        def counting(*args, **kwargs):
+            counts["pttrf"] += 1
+            return pttrf(*args, **kwargs)
 
-        monkeypatch.setattr(solvers, "get_lapack_funcs", counting)
+        monkeypatch.setattr(solvers, "pttrf", counting)
         monkeypatch.setattr(solvers, "_level_table", None)     # no factors from other tests
         return counts
 
@@ -277,7 +274,7 @@ class TestLDLFactors:
     def test_pttrs_solves_a_row_view_in_place(self, n):
         # each step solves into a row of the (M+1, N+1) output through its interior
         # view; with overwrite_b, f2py must hand LAPACK that row, not a copy
-        pttrf, pttrs = get_lapack_funcs(("pttrf", "pttrs"), (np.zeros(1),))
+        pttrf, pttrs = solvers.pttrf, solvers.pttrs
         rng = np.random.default_rng(29)
         off = -rng.uniform(0.5, 1.0, n - 1)
         diag = 2.5 + rng.uniform(0.0, 1.0, n)
