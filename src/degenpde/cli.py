@@ -279,6 +279,11 @@ def build_weight_params(config: dict, model, T: float, s: float) -> WeightParams
 # report emission
 # ---------------------------------------------------------------------------
 
+# null_control_field.csv is written in slices of this many characters (ASCII,
+# so as many bytes), so that no second copy of the whole text is encoded at once
+_CSV_SLICE_CHARS = 1 << 18
+
+
 def _fmt(v) -> str:
     if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
@@ -391,7 +396,12 @@ def run_hp(config: dict, out_dir: Path) -> list:
 
 
 def _identity_profile(T: float, x0: float):
-    return lambda t, x: (t * (T - t)) ** 5 * (x - x0) ** 2 * x * (1.0 - x)
+    def profile(t, x):     # (t (T - t))^5 (x - x0)^2 x (1 - x), left to right
+        out = (t * (T - t)) ** 5 * (x - x0) ** 2
+        out *= x
+        out *= 1.0 - x
+        return out
+    return profile
 
 
 def run_carleman_identity(config: dict, out_dir: Path) -> list:
@@ -421,7 +431,12 @@ def run_carleman_identity(config: dict, out_dir: Path) -> list:
 
 
 def _scan_profile(T: float, x0: float):
-    return lambda t, x: t * (T - t) * (x - x0) ** 2 * x * (1.0 - x)
+    def profile(t, x):     # t (T - t) (x - x0)^2 x (1 - x), left to right
+        out = t * (T - t) * (x - x0) ** 2
+        out *= x
+        out *= 1.0 - x
+        return out
+    return profile
 
 
 def run_carleman_scan(config: dict, out_dir: Path) -> list:
@@ -546,7 +561,11 @@ def run_null_control(config: dict, out_dir: Path) -> list:
             for k in range(sol.residual_history.size)]
     write_csv(out_dir / "null_control.csv",
               ["iteration", "terminal_norm", "cost_functional"], rows, config)
-    (out_dir / "null_control_field.csv").write_text(_config_header(config) + sol.h.to_csv())
+    text = sol.h.to_csv()
+    with open(out_dir / "null_control_field.csv", "w") as f:
+        f.write(_config_header(config))
+        for k in range(0, len(text), _CSV_SLICE_CHARS):
+            f.write(text[k:k + _CSV_SLICE_CHARS])
     return verdicts
 
 

@@ -253,6 +253,17 @@ def _derivative(values: np.ndarray, step: float, axis: int) -> np.ndarray:
     return out
 
 
+def _derivative_part(values: np.ndarray, step: float, axis: int, part: slice) -> np.ndarray:
+    """``_derivative(values, step, axis)`` at the indices ``part`` along ``axis``,
+    differencing only those and the (at least three) indices they read."""
+    n = values.shape[axis]
+    lo = max(min(part.start - 1, n - 3), 0)
+    hi = min(max(part.stop + 1, lo + 3), n)
+    window = np.moveaxis(values, axis, 0)[lo:hi]
+    out = _derivative(window, step, axis=0)[part.start - lo:part.stop - lo]
+    return np.moveaxis(out, 0, axis)
+
+
 def _div_a_grad(op, values: np.ndarray) -> np.ndarray:
     """(a w_x)_x at all nodes; boundary rows by quadratic extrapolation."""
     out = op.apply(values)
@@ -445,13 +456,23 @@ def manufactured_adjoint_pair(model, potential: PotentialModel, grid: SpaceTimeG
     Using the scheme's own operators (centered time differences, assembled
     divergence stencil) makes (v, h) an exact pair at the discrete level,
     so the estimate check is not polluted by solver error.
+
+    h is allocated once and filled in blocks of time rows (``_row_blocks``):
+    each block is (a v_x)_x, plus v_t from the block and one halo row on each
+    side (three rows at least, so rows 0 and M keep their one-sided
+    formulas), minus c v.  Every element goes through the operations of
+    ``_div_a_grad(op, v) + _derivative(v, dt, 0) - c * v`` in that order, so
+    h is that whole-field expression bit for bit, whatever the blocks, and
+    no field-sized temporary is formed beside v and h.
     """
     c = potential.values(grid)
     v = Field.from_function(grid, v_func)
     op = assemble_operator(model, grid)
-    res = _div_a_grad(op, v.values)     # first: its scratch field is freed before v_t
-    res += _derivative(v.values, grid.dt, axis=0)
-    res -= c * v.values
+    res = np.empty_like(v.values)
+    for blk in _row_blocks(grid.M + 1, 3 * (grid.N + 1) * 8):
+        rows = _div_a_grad(op, v.values[blk])
+        rows += _derivative_part(v.values, grid.dt, 0, blk)
+        np.subtract(rows, c[blk] * v.values[blk], out=res[blk])
     return v, Field(grid, res)
 
 
@@ -604,15 +625,6 @@ def _support(chi: np.ndarray) -> slice:
     return slice(nonzero[0], nonzero[-1] + 1) if nonzero.size else slice(0, 0)
 
 
-def _derivative_columns(values: np.ndarray, step: float, cols: slice) -> np.ndarray:
-    """``_derivative(values, step, axis=1)[:, cols]``, differencing only those
-    columns and the (at least three) columns they read."""
-    n = values.shape[1]
-    lo = max(min(cols.start - 1, n - 3), 0)
-    hi = min(max(cols.stop + 1, lo + 3), n)
-    return _derivative(values[:, lo:hi], step, axis=1)[:, cols.start - lo:cols.stop - lo]
-
-
 def caccioppoli_check(model, params: WeightParams, grid: SpaceTimeGrid, v: Field,
                       omega_prime: tuple[float, float],
                       omega: tuple[float, float]) -> CaccioppoliReport:
@@ -643,7 +655,7 @@ def caccioppoli_check(model, params: WeightParams, grid: SpaceTimeGrid, v: Field
     if shift > -np.inf:
         weight -= shift
         _exp_flushed(weight)                   # e^{L - m}
-        local_integrand = _derivative_columns(v.values, grid.h, near)
+        local_integrand = _derivative_part(v.values, grid.h, 1, near)
         local_integrand *= local_integrand     # (v_x^2) e^{L - m}, built in place
         local_integrand *= weight
         mantissa = float(tw @ (local_integrand @ (chi_p * sw)[near]))

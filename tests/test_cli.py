@@ -4,7 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from degenpde.cli import DEFAULT_CONFIG, PRESETS, build_model, main, verdict
+import degenpde.cli as cli
+from degenpde.cli import (DEFAULT_CONFIG, PRESETS, _identity_profile, _scan_profile,
+                          build_model, main, verdict)
+from degenpde.control import synthesize_null_control
 
 LEAVES = [f"{section}.{leaf}" for section, leaves in DEFAULT_CONFIG.items()
           for leaf in leaves]
@@ -339,3 +342,46 @@ class TestDeterminism:
         a = (tmp_path / "a" / "hp.csv").read_text()
         b = (tmp_path / "b" / "hp.csv").read_text()
         assert a != b
+
+
+class TestArtifacts:
+    @pytest.mark.parametrize("slice_chars", [1000, cli._CSV_SLICE_CHARS])
+    def test_null_control_field_csv_bytes(self, tmp_path, monkeypatch, slice_chars):
+        """Written in slices, the file is the header and the field's CSV text."""
+        solutions = []
+
+        def capture(*args, **kwargs):
+            solutions.append(synthesize_null_control(*args, **kwargs))
+            return solutions[-1]
+
+        monkeypatch.setattr(cli, "synthesize_null_control", capture)
+        monkeypatch.setattr(cli, "_CSV_SLICE_CHARS", slice_chars)
+        code, out = run(tmp_path, "null-control", *TINY)
+        assert code == 0
+        config = json.loads((out / "summary.json").read_text())["config"]
+        (sol,) = solutions
+        expected = (cli._config_header(config) + sol.h.to_csv()).encode()
+        assert len(expected) > 20_000        # tens of slices of 1000 characters
+        assert (out / "null_control_field.csv").read_bytes() == expected
+
+
+# the profiles as one-line lambdas, before they were built in place
+REFERENCE_PROFILES = {
+    "scan": lambda T, x0: lambda t, x: t * (T - t) * (x - x0) ** 2 * x * (1.0 - x),
+    "identity": lambda T, x0: lambda t, x: (t * (T - t)) ** 5 * (x - x0) ** 2 * x * (1.0 - x),
+}
+
+
+@pytest.mark.parametrize("name, profile", [("scan", _scan_profile),
+                                           ("identity", _identity_profile)])
+@pytest.mark.parametrize("T, x0", [(0.5, 0.3), (2.0, 0.123), (1.0, 0.5)])
+def test_profiles_bit_identical_to_lambdas(name, profile, T, x0):
+    tt, xx = np.meshgrid(np.linspace(0.0, T, 401), np.linspace(0.0, 1.0, 201), indexing="ij")
+    inputs = (tt.copy(), xx.copy())
+    expected = REFERENCE_PROFILES[name](T, x0)(tt, xx)
+    for args in ((tt, xx), (tt[:, :1], xx[:1])):      # meshgrid, and column and row
+        values = profile(T, x0)(*args)
+        assert np.array_equal(np.broadcast_to(values, expected.shape), expected)
+        assert np.array_equal(np.signbit(np.broadcast_to(values, expected.shape)),
+                              np.signbit(expected))
+    assert np.array_equal(tt, inputs[0]) and np.array_equal(xx, inputs[1])

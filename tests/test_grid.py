@@ -165,8 +165,10 @@ class TestField:
         assert f.values[-1, 5] == pytest.approx(0.25, rel=1e-14)
 
     @pytest.mark.parametrize("N,M,x0", [(10, 5, 0.5), (101, 37, 0.3), (400, 800, 0.123)])
+    # the CLI's profiles are wrapped in lambdas, so every case id is <lambda>k
     @pytest.mark.parametrize("profile", [
-        _identity_profile(1.0, 0.3), _scan_profile(0.5, 0.123),
+        lambda t, x: _identity_profile(1.0, 0.3)(t, x),
+        lambda t, x: _scan_profile(0.5, 0.123)(t, x),
         lambda t, x: x * (1.0 - x) * t, lambda t, x: t + x,
         lambda t, x: np.sin(7 * x) * np.exp(t), lambda t, x: x * (1.0 - x),
     ])

@@ -11,9 +11,11 @@ quadrature vectors, so each integral is one contraction of the field data.
   formula (every product a fresh full-grid array, then the quadrature) within
   1e-13 of the integral of the absolute integrand.
 
-``exp2s_phi`` must equal its reference bit for bit, the buffers must keep the
-memory of each call within a few (M+1)x(N+1) fields, and each checker makes
-a fixed number of calls to the public weight and grid functions.
+``manufactured_adjoint_pair`` must equal its whole-field expression bit for
+bit, whatever the row blocks it fills h in, and ``exp2s_phi`` its reference.
+The buffers must keep the memory of each call within a few (M+1)x(N+1)
+fields, and each checker makes a fixed number of calls to the public weight
+and grid functions.
 """
 
 import math
@@ -28,7 +30,7 @@ from degenpde import (CoefficientModel, ControlConfig, Field, PotentialModel, Sp
                       assemble_operator, caccioppoli_check, carleman_identity_check,
                       carleman_scan, dirichlet_eigenmodes, manufactured_adjoint_pair,
                       solve_adjoint)
-from degenpde.inequalities import (_derivative, _derivative_columns, _div_a_grad, _q2_profile,
+from degenpde.inequalities import (_derivative, _derivative_part, _div_a_grad, _q2_profile,
                                    default_s_values)
 from degenpde.weights import (_LOG_TINY, THETA_EXPONENT, WeightParams, exp2s_phi, psi,
                               psi_prime, theta, theta_ddot, theta_dot)
@@ -507,6 +509,33 @@ def test_scan_bit_identical_across_row_blocks(rows, n_blocks, monkeypatch):
         lhs, src, bdy)
 
 
+# the M + 1 time rows in blocks of one row, of two rows (M is even, so the last
+# block is one row), of M rows and then the last row alone, and in one block
+@pytest.mark.parametrize("M", [10, 800])
+@pytest.mark.parametrize("blocking", ["one row", "two rows", "last row alone", "one block"])
+@pytest.mark.parametrize("potential", ["constant", "sampled"])
+def test_manufactured_pair_bit_identical_across_row_blocks(M, blocking, potential,
+                                                           monkeypatch):
+    model = MODELS["alpha1.5"]
+    grid = SpaceTimeGrid.create(20, M, 2.0, X0)
+    rng = np.random.default_rng(M)
+    values = rng.standard_normal((M + 1, grid.N + 1))
+    pot = (PotentialModel.constant(2.5) if potential == "constant"
+           else PotentialModel.sampled(Field(grid, rng.standard_normal(values.shape))))
+    rows, last = {"one row": (1, 1), "two rows": (2, 1), "last row alone": (M, 1),
+                  "one block": (M + 1, M + 1)}[blocking]
+    row_bytes = 3 * (grid.N + 1) * 8
+    monkeypatch.setattr(inequalities, "_BLOCK_BYTES", rows * row_bytes)
+    blocks = inequalities._row_blocks(M + 1, row_bytes)
+    assert blocks[-1].stop - blocks[-1].start == last
+    v, h = manufactured_adjoint_pair(model, pot, grid, lambda t, x: values)
+    op = assemble_operator(model, grid)
+    expected = _div_a_grad(op, values) + _derivative(values, grid.dt, 0) - pot.values(grid) * values
+    assert np.array_equal(v.values, values)
+    assert np.array_equal(h.values, expected)
+    assert np.array_equal(np.signbit(h.values), np.signbit(expected))
+
+
 @pytest.mark.parametrize("rows, n_blocks", [(1, 239), (7, 35), (239, 1)])
 def test_identity_bit_identical_across_row_blocks(rows, n_blocks, monkeypatch):
     model = MODELS["alpha1.5"]
@@ -554,16 +583,26 @@ def test_identity_peak_memory():
     assert peak / field_units(grid) < 1.0
 
 
-def test_manufactured_pair_peak_memory():
-    """The divergence term comes first, so its scratch field is freed before v_t."""
+def manufactured_pair_peak(N):
+    """Peak of the pair at (N, 2N) in fields, the outputs v and h included."""
     model = MODELS["alpha0.5"]
-    grid = SpaceTimeGrid.create(400, 800, 2.0, X0)
+    grid = SpaceTimeGrid.create(N, 2 * N, 2.0, X0)
     _, peak = traced_peak(lambda: manufactured_adjoint_pair(
         model, PotentialModel.zero(), grid,
         lambda t, x: t * (2.0 - t) * (x - X0) ** 2 * x * (1.0 - x)))
-    # 3.05 measured, the outputs v and h included: v, the residual and one scratch
-    # field, against 4.05 with v_t first
-    assert peak / field_units(grid) < 3.1
+    return peak / field_units(grid)
+
+
+def test_manufactured_pair_peak_memory():
+    """h is filled in row blocks, so only v, h and one block of rows are live."""
+    # 2.46 measured: the two fields of Field.from_function's copy, then v, h and
+    # about 1 MB of block rows; 3.05 with the residual built on the whole field
+    assert manufactured_pair_peak(400) < 2.6
+
+
+def test_manufactured_pair_fine_peak_memory():
+    """At the fine level of the presets the block rows are a tenth of a field."""
+    assert manufactured_pair_peak(800) < 2.25     # 2.12 measured, 3.01 unstreamed
 
 
 def test_caccioppoli_peak_memory():
@@ -630,8 +669,17 @@ def test_checker_call_counts():
                                   slice(5, 16), slice(19, 20), slice(20, 21), slice(0, 21)])
 def test_derivative_columns_bit_identical(cols):
     values = np.random.default_rng(5).standard_normal((9, 21))
-    assert np.array_equal(_derivative_columns(values, 0.05, cols),
+    assert np.array_equal(_derivative_part(values, 0.05, 1, cols),
                           _derivative(values, 0.05, axis=1)[:, cols])
+
+
+@pytest.mark.parametrize("rows", [slice(0, 1), slice(0, 2), slice(1, 2), slice(3, 7),
+                                  slice(7, 8), slice(8, 9), slice(7, 9), slice(0, 9)])
+def test_derivative_rows_bit_identical(rows):
+    """A last row with one halo row has two rows; the window reaches back to three."""
+    values = np.random.default_rng(6).standard_normal((9, 21))
+    assert np.array_equal(_derivative_part(values, 0.05, 0, rows),
+                          _derivative(values, 0.05, axis=0)[rows])
 
 
 def test_caccioppoli_omega_prime_between_nodes():
