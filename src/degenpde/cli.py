@@ -17,6 +17,7 @@ import csv
 import io
 import json
 import math
+import operator
 import sys
 import time
 from pathlib import Path
@@ -202,7 +203,7 @@ def resolve_config(args) -> dict:
     x0 = config["coefficient"]["x0"]
     omega = (config["control"]["omega_lo"], config["control"]["omega_hi"])
     if "hp" in tasks and config["hp"]["weight"] == "coefficient":
-        weight = HardyWeight.from_coefficient(build_model(config))
+        weight = _hardy_weight(config)
         for grid in _hp_levels(config):
             _name_key("hp.weight", _require_hardy_monotone, weight, grid.x)
     if config["weight"]["c2"] is not None and tasks & {
@@ -231,6 +232,12 @@ def validate_config(config: dict):
     if c["theta"] is not None and (c["kind"] == "constant" or c["theta"] > c["alpha"]):
         raise ConfigError("coefficient.theta", f"value {c['theta']!r} needs kind power_law "
                           "and at most coefficient.alpha")
+    # the other kind's key is never read, so a value set for it would be ignored
+    unread = "alpha" if c["kind"] == "constant" else "constant_value"
+    default = DEFAULT_CONFIG["coefficient"][unread]
+    if c[unread] != default:
+        raise ConfigError(f"coefficient.{unread}", f"value {c[unread]!r} is not read under "
+                          f"kind {c['kind']}; leave it at {default!r}")
     for section in ("grid", "hp"):
         N = int(config[section]["N"])
         snapped = _name_key("coefficient.x0", SpaceTimeGrid.create, N, 1, 1.0, c["x0"]).N
@@ -312,10 +319,13 @@ def write_csv(path: Path, header: list, rows: list, config: dict):
     path.write_text(buf.getvalue())
 
 
-def verdict(name: str, ok: bool, value, threshold) -> dict:
-    """A named verdict; a NaN or infinite value or threshold fails it."""
+def verdict(name: str, ok, value=None, threshold=None) -> dict:
+    """A named verdict; a NaN or infinite value or threshold fails it.  ``ok`` is
+    a flag, or "<", "<=" or ">=" to pass when value compares so with threshold."""
     value, threshold = (None if v is None else float(v) for v in (value, threshold))
     measured = all(np.isfinite(v) for v in (value, threshold) if v is not None)
+    if isinstance(ok, str):
+        ok = {"<": operator.lt, "<=": operator.le, ">=": operator.ge}[ok](value, threshold)
     return {"name": name, "pass": bool(ok) and measured,
             "value": value, "threshold": threshold}
 
@@ -337,11 +347,17 @@ def _hp_levels(config: dict) -> list:
     return [coarse, SpaceTimeGrid.create(2 * coarse.N, 1, 1.0, x0)]
 
 
-def _relative_change(coarse: float, fine: float) -> float:
-    """|fine - coarse| / coarse; inf unless coarse is finite and positive."""
-    if np.isfinite(coarse) and coarse > 0.0:
-        return abs(fine - coarse) / coarse
-    return np.inf
+def _stability(name: str, coarse: float, fine: float, tol: float) -> dict:
+    """Passes when |fine - coarse| / coarse < tol; the change is inf unless
+    coarse is finite and positive."""
+    measured = np.isfinite(coarse) and coarse > 0.0
+    return verdict(name, "<", abs(fine - coarse) / coarse if measured else np.inf, tol)
+
+
+def _hardy_weight(config: dict) -> HardyWeight:
+    if config["hp"]["weight"] == "pure_power":
+        return HardyWeight.pure_power(config["hp"]["q"], config["coefficient"]["x0"])
+    return HardyWeight.from_coefficient(build_model(config))
 
 
 # ---------------------------------------------------------------------------
@@ -353,10 +369,10 @@ def run_check_coeff(config: dict, out_dir: Path) -> list:
     grid = build_grid(config, M=1)
     report = check_hypotheses(model, grid)
     verdicts = [
-        verdict("hypothesis_slack", report.slack_ok, report.slack_max, report.slack_tol),
-        verdict("gamma_monotone", report.gamma_monotone_ok, None, None),
-        verdict("theta_monotone", report.theta_monotone_ok, None, None),
-        verdict("degenerate_at_x0", report.degenerate_at_x0, None, None),
+        verdict("hypothesis_slack", "<=", report.slack_max, report.slack_tol),
+        verdict("gamma_monotone", report.gamma_monotone_ok),
+        verdict("theta_monotone", report.theta_monotone_ok),
+        verdict("degenerate_at_x0", report.degenerate_at_x0),
     ]
     x = grid.x
     a = model.eval_a(x)
@@ -369,22 +385,17 @@ def run_check_coeff(config: dict, out_dir: Path) -> list:
 
 def run_hp(config: dict, out_dir: Path) -> list:
     c = config["hp"]
-    if c["weight"] == "pure_power":
-        weight = HardyWeight.pure_power(c["q"], config["coefficient"]["x0"])
-    else:
-        weight = HardyWeight.from_coefficient(build_model(config))
+    weight = _hardy_weight(config)
     grids = _hp_levels(config)
     coarse, fine = (hp_verify(weight, grid, battery_size=int(c["battery_size"]),
                               seed=int(config["run"]["seed"])) for grid in grids)
-    change = _relative_change(coarse.rayleigh_estimate, fine.rayleigh_estimate)
     verdicts = [
-        verdict("rayleigh_below_bound",
-                coarse.rayleigh_estimate <= coarse.paper_bound * 1.05,
+        verdict("rayleigh_below_bound", "<=",
                 coarse.rayleigh_estimate, coarse.paper_bound * 1.05),
-        verdict("battery_below_rayleigh",
-                coarse.battery_max_ratio <= coarse.rayleigh_estimate * 1.02,
+        verdict("battery_below_rayleigh", "<=",
                 coarse.battery_max_ratio, coarse.rayleigh_estimate * 1.02),
-        verdict("rayleigh_stable", change < c["stability_tol"], change, c["stability_tol"]),
+        _stability("rayleigh_stable", coarse.rayleigh_estimate, fine.rayleigh_estimate,
+                   c["stability_tol"]),
     ]
     rows = [[grids[0].N, "paper_bound", coarse.paper_bound]]
     for grid, rep in zip(grids, (coarse, fine)):
@@ -395,9 +406,9 @@ def run_hp(config: dict, out_dir: Path) -> list:
     return verdicts
 
 
-def _identity_profile(T: float, x0: float):
-    def profile(t, x):     # (t (T - t))^5 (x - x0)^2 x (1 - x), left to right
-        out = (t * (T - t)) ** 5 * (x - x0) ** 2
+def _carleman_profile(T: float, x0: float, k: int):
+    def profile(t, x):     # (t (T - t))^k (x - x0)^2 x (1 - x), left to right
+        out = (t * (T - t)) ** k * (x - x0) ** 2
         out *= x
         out *= 1.0 - x
         return out
@@ -414,29 +425,18 @@ def run_carleman_identity(config: dict, out_dir: Path) -> list:
         residuals = []
         for grid in _refinement_pair(config):
             params = build_weight_params(config, model, T, s)
-            w = Field.from_function(grid, _identity_profile(T, model.x0))
+            w = Field.from_function(grid, _carleman_profile(T, model.x0, 5))
             rep = carleman_identity_check(model, params, grid, w)
             residuals.append(rep.residual)
             rows.append([s, grid.N, grid.M, rep.lhs, rep.rhs, rep.residual])
         factor = residuals[0] / residuals[1] if residuals[1] > 0.0 else np.inf
-        verdicts.append(verdict(f"identity_residual_s{s:g}",
-                                residuals[1] < c["residual_tol"],
-                                residuals[1], c["residual_tol"]))
-        verdicts.append(verdict(f"identity_refinement_s{s:g}",
-                                factor >= c["refine_factor_min"],
-                                factor, c["refine_factor_min"]))
+        verdicts.append(verdict(f"identity_residual_s{s:g}", "<", residuals[1],
+                                c["residual_tol"]))
+        verdicts.append(verdict(f"identity_refinement_s{s:g}", ">=", factor,
+                                c["refine_factor_min"]))
     write_csv(out_dir / "carleman_identity.csv",
               ["s", "N", "M", "lhs", "rhs", "residual"], rows, config)
     return verdicts
-
-
-def _scan_profile(T: float, x0: float):
-    def profile(t, x):     # t (T - t) (x - x0)^2 x (1 - x), left to right
-        out = t * (T - t) * (x - x0) ** 2
-        out *= x
-        out *= 1.0 - x
-        return out
-    return profile
 
 
 def run_carleman_scan(config: dict, out_dir: Path) -> list:
@@ -450,7 +450,7 @@ def run_carleman_scan(config: dict, out_dir: Path) -> list:
     for grid in _refinement_pair(config, T):
         params = build_weight_params(config, model, T, s_values[0])
         v, h = manufactured_adjoint_pair(model, potential, grid,
-                                         _scan_profile(T, model.x0))
+                                         _carleman_profile(T, model.x0, 1))
         rep = carleman_scan(model, params, grid, v, h,
                             s_values=s_values, window_tol=c["window_tol"])
         reports.append(rep)
@@ -458,16 +458,14 @@ def run_carleman_scan(config: dict, out_dir: Path) -> list:
             rows.append([grid.N, rep.s_values[k], rep.lhs[k], rep.rhs_source[k],
                          rep.rhs_boundary[k], rep.ratios[k]])
     coarse, fine = reports
-    change = _relative_change(coarse.fitted_C, fine.fitted_C)
     tail = coarse.ratios[coarse.s_values >= coarse.s0_observed]
     nonincreasing = bool(np.all(tail[1:] <= tail[:-1] * (1.0 + c["window_tol"])))
     verdicts = [
         verdict("scan_ratios_finite", bool(np.all(np.isfinite(coarse.ratios))),
-                float(np.max(coarse.ratios)), None),
-        verdict("scan_rhs_positive", not coarse.nonpositive_rhs, None, None),
-        verdict("scan_tail_nonincreasing", nonincreasing, coarse.s0_observed, None),
-        verdict("scan_fitted_C_stable", change < c["stability_tol"],
-                change, c["stability_tol"]),
+                float(np.max(coarse.ratios))),
+        verdict("scan_rhs_positive", not coarse.nonpositive_rhs),
+        verdict("scan_tail_nonincreasing", nonincreasing, coarse.s0_observed),
+        _stability("scan_fitted_C_stable", coarse.fitted_C, fine.fitted_C, c["stability_tol"]),
     ]
     write_csv(out_dir / "carleman_scan.csv",
               ["N", "s", "lhs", "rhs_source", "rhs_boundary", "ratio"], rows, config)
@@ -500,8 +498,7 @@ def run_caccioppoli(config: dict, out_dir: Path) -> list:
         # leaves nothing measured, and the NaN change fails the verdict
         measured = math.isfinite(l1) and math.isfinite(l2)
         change = -math.expm1(-abs(l2 - l1)) if measured else math.nan
-        verdicts.append(verdict(f"caccioppoli_stable_s{s:g}",
-                                change < c["stability_tol"], change, c["stability_tol"]))
+        verdicts.append(verdict(f"caccioppoli_stable_s{s:g}", "<", change, c["stability_tol"]))
     write_csv(out_dir / "caccioppoli.csv",
               ["N", "s", "local_gradient", "outer_solution", "ratio", "log_ratio"],
               rows, config)
@@ -525,14 +522,11 @@ def run_observability(config: dict, out_dir: Path) -> list:
         for desc, ratio in rep.samples:
             rows.append([grid.N, desc, ratio])
     coarse, fine = reports
-    change = _relative_change(coarse.C_T_estimate, fine.C_T_estimate)
     verdicts = [
-        verdict("observability_finite_positive", coarse.C_T_estimate > 0.0,
-                coarse.C_T_estimate, None),
-        verdict("observability_stable", change < c["stability_tol"],
-                change, c["stability_tol"]),
-        verdict("no_backward_uniqueness_violation",
-                not (coarse.violation or fine.violation), None, None),
+        verdict("observability_finite_positive", coarse.C_T_estimate > 0.0, coarse.C_T_estimate),
+        _stability("observability_stable", coarse.C_T_estimate, fine.C_T_estimate,
+                   c["stability_tol"]),
+        verdict("no_backward_uniqueness_violation", not (coarse.violation or fine.violation)),
     ]
     write_csv(out_dir / "observability.csv", ["N", "sample", "ratio"], rows, config)
     return verdicts
@@ -554,8 +548,8 @@ def run_null_control(config: dict, out_dir: Path) -> list:
     verdicts = [
         verdict("terminal_norm_small", sol.converged and ratio <= c["tol"],
                 ratio, c["tol"]),
-        verdict("cost_functional_decreasing", J_decreasing, None, None),
-        verdict("control_supported_in_omega", outside == 0.0, outside, 0.0),
+        verdict("cost_functional_decreasing", J_decreasing),
+        verdict("control_supported_in_omega", "<=", outside, 0.0),
     ]
     rows = [[k, sol.residual_history[k], sol.J_history[k]]
             for k in range(sol.residual_history.size)]

@@ -113,9 +113,7 @@ def estimate_observability(model, potential: PotentialModel, grid: SpaceTimeGrid
     for it in range(n_power):
         v = solve_adjoint(model, potential, grid, z)
         v0 = v.values[0].copy()
-        v0[0] = v0[-1] = 0.0
         z_new = solve_adjoint(model, potential, grid, v0).values[0].copy()
-        z_new[0] = z_new[-1] = 0.0
         nrm = l2_norm(z_new, grid)
         if nrm == 0.0:
             break
@@ -133,9 +131,7 @@ def _hum_operator(model, potential, grid, control, chi, z):
     h = solve_adjoint(model, potential, grid, z)
     h.values *= chi                  # v chi_omega, in the adjoint field nothing else reads
     u = solve_forward(model, potential, grid, np.zeros(grid.N + 1), h=h)
-    uT = u.values[-1].copy()
-    uT[0] = uT[-1] = 0.0
-    return uT, h
+    return u.values[-1].copy(), h
 
 
 def synthesize_null_control(model, potential: PotentialModel, grid: SpaceTimeGrid,
@@ -167,7 +163,6 @@ def synthesize_null_control(model, potential: PotentialModel, grid: SpaceTimeGri
                                converged=True)
 
     b = solve_forward(model, potential, grid, u0).values[-1].copy()
-    b[0] = b[-1] = 0.0
 
     z = np.zeros(grid.N + 1)
     r = -b.copy()                  # r = -b - (Lambda + eps) z at z = 0

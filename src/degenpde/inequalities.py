@@ -199,9 +199,7 @@ def hp_verify(weight: HardyWeight, grid: SpaceTimeGrid,
     for _ in range(battery_size):
         vals = rng.standard_normal(n_knots)
         vals[0] = vals[-1] = 0.0
-        w = basis @ vals
-        w[0] = w[-1] = 0.0
-        wi = w[1:-1]
+        wi = (basis @ vals)[1:-1]
         num = np.dot(m * wi, wi)
         den = _hp_energy(k_diag, k_off, wi)
         ratios.append(0.0 if den == 0.0 else num / den)

@@ -38,13 +38,14 @@ step back-substitutes with ``pttrs``.  Both are SciPy's double-precision
 ``dpttrf``/``dpttrs`` from its compiled ``_flapack`` extension, which
 ``degenpde._lapack`` loads without running SciPy's linalg initialiser.
 
-The halved left-hand sides come from a single-entry table keyed by value on
-their inputs: the off-diagonal, the diagonal without its c term and the rows
-of c (one for constant c, one per level for sampled c).  A level is factored
-the first time a solve needs it (levels 1..M forward, 0..M-1 adjoint), and a
-sampled c's rows g/2 are formed once per direction; for constant c, g/2 is
-the value 1/dt.  So repeated solves on one potential (the HUM iteration)
-factor and form nothing.  ``pttrf`` then ``pttrs`` is ``ptsv``, the routine
+Each potential keeps its halved left-hand sides in one entry keyed by value
+on their inputs: the off-diagonal, the diagonal without its c term and the
+rows of c (one for constant c, one per level for sampled c).  A level is
+factored the first time a solve needs it (levels 1..M forward, 0..M-1
+adjoint), and a sampled c's rows g/2 are formed once per direction; for
+constant c, g/2 is the value 1/dt.  So repeated solves on one potential (the
+HUM iteration) factor and form nothing, whatever other potentials solved in
+between.  ``pttrf`` then ``pttrs`` is ``ptsv``, the routine
 ``scipy.linalg.solveh_banded`` calls on a two-row band; one interior node is
 a division.
 
@@ -67,7 +68,7 @@ check missed: a last solve whose result overflows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -93,6 +94,7 @@ class PotentialModel:
     """
 
     rows: np.ndarray
+    _levels: list = field(default_factory=lambda: [None], init=False, repr=False, compare=False)
 
     @classmethod
     def zero(cls) -> "PotentialModel":
@@ -189,29 +191,23 @@ def _require_dominance(c_min: float, dt: float):
         raise ValueError("Crank-Nicolson system lost diagonal dominance; reduce the time step")
 
 
-# The level table's single entry: the inputs (off, base, rows c) of the halved
-# left-hand sides L_k/2, per row the factors of L_k/2 (None until a solve needs
-# them), and per direction the rows g/2 of a sampled c's steps.
-_level_table = None
-
-
-def _level_factors(inv_dt, off, base, c, times, backward):
+def _level_factors(levels, inv_dt, off, base, c, times, backward):
     """Per step through ``times``: the factors of L_next/2 and the value(s) g/2.
 
     L_k/2 = I/(2 dt) - A/4 + C_k/4 has off-diagonal ``off`` and diagonal
     ``base + c_k/4``, and g/2 = 1/dt + (c_next - c_prev)/4, one value when c has
     one row.  The factors are ``pttrf``'s (d, e) of L D L^T, the same pivots d
     as an LU without interchanges; with one interior node they are the
-    diagonal.  A level is factored, and a direction's rows g/2 formed, the first
-    time a solve needs them.  The entry is reused when its inputs equal these by
-    value, since rows may be edited in place between solves; ``np.array_equal``
-    takes -0.0 == +0.0, which changes no factor and no g.
+    diagonal.  The potential's entry ``levels[0]`` holds the inputs (off, base,
+    rows c), per row the factors (None until a solve needs them) and per
+    direction a sampled c's rows g/2, formed the first time a solve needs them.
+    The entry is reused when its inputs equal these by value, since rows may be
+    edited in place between solves; ``np.array_equal`` takes -0.0 == +0.0,
+    which changes no factor and no g.
     """
-    global _level_table
-    # read once, so that a solve in another thread replacing the entry cannot mix two
-    entry, inputs = _level_table, (off, base, c)
+    entry, inputs = levels[0], (off, base, c)
     if entry is None or not all(map(np.array_equal, entry[:3], inputs)):
-        entry = _level_table = (off, base, c.copy(), [None] * len(c), {})
+        entry = levels[0] = (off, base, c.copy(), [None] * len(c), {})
     off, base, c, factors, g_rows = entry
     sampled = len(c) > 1
     for k in times[1:] if sampled else [0]:
@@ -254,7 +250,8 @@ def _propagate(model, potential: PotentialModel, grid: SpaceTimeGrid, start: np.
     # base + c/2 grows with c, so the largest c of each node decides overflow
     _require_finite(base + 0.5 * lhs_c.max(axis=0))
 
-    factors, steps = _level_factors(inv_dt, -0.25 * e, 0.5 * base, c, times, backward)
+    factors, steps = _level_factors(potential._levels, inv_dt, -0.25 * e, 0.5 * base, c,
+                                    times, backward)
 
     out = np.zeros((grid.M + 1, grid.N + 1))
     out[times[0]] = start

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 import degenpde.cli as cli
-from degenpde.cli import (DEFAULT_CONFIG, PRESETS, _identity_profile, _scan_profile,
-                          build_model, main, verdict)
+from degenpde.cli import DEFAULT_CONFIG, PRESETS, _carleman_profile, build_model, main, verdict
 from degenpde.control import synthesize_null_control
 
 LEAVES = [f"{section}.{leaf}" for section, leaves in DEFAULT_CONFIG.items()
@@ -137,9 +136,12 @@ class TestConfigHandling:
         ("hp", "run.seed", "foo"),
         # a TypeError traceback
         ("caccioppoli", "caccioppoli.omega_prime_lo", "x"),
+        # the other coefficient kind's key, which was silently ignored
+        ("check-coeff --set coefficient.kind=constant", "coefficient.alpha", "1.7"),
+        ("check-coeff", "coefficient.constant_value", "2"),
     ])
     def test_bad_value_exits_1_naming_key(self, tmp_path, capsys, task, key, value):
-        code, _ = run(tmp_path, task, *TINY, "--set", f"{key}={value}")
+        code, _ = run(tmp_path, *task.split(), *TINY, "--set", f"{key}={value}")
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {key}: ")
 
@@ -157,6 +159,9 @@ class TestConfigHandling:
         # a theta that a constant coefficient silently ignored
         ("coefficient.theta", ["--set", "coefficient.kind=constant",
                                "--set", "coefficient.theta=0.3"]),
+        # a preset's alpha, which a constant coefficient would ignore
+        ("coefficient.alpha", ["--preset", "alpha1.5-x0.3",
+                               "--set", "coefficient.kind=constant"]),
     ])
     def test_bad_value_runs_no_task(self, tmp_path, capsys, key, argv):
         code, out = run(tmp_path, "all", *TINY, *argv)
@@ -230,6 +235,16 @@ class TestSubcommands:
     def test_unmeasured_verdict_fails(self, value, threshold):
         assert verdict("v", True, 0.5, 1.0)["pass"]
         assert not verdict("v", True, value, threshold)["pass"]
+        # a flag with a value and no threshold
+        assert verdict("v", True, 0.5)["pass"] and not verdict("v", False, 0.5)["pass"]
+        # a comparison derives the flag from the value and threshold it reports:
+        # "<" fails at equality, "<=" and ">=" pass; none passes an unmeasured value
+        for rule, passes in (("<", [True, False, False]), ("<=", [True, True, False]),
+                             (">=", [False, True, True])):
+            assert [verdict("v", rule, x, 1.0)["pass"] for x in (0.5, 1.0, 2.0)] == passes
+            if threshold is not None:
+                assert not verdict("v", rule, value, threshold)["pass"]
+                assert not verdict("v", rule, threshold, value)["pass"]
 
     def test_check_coeff_passes(self, tmp_path, capsys):
         code, out = run(tmp_path, "check-coeff", "--preset", "alpha0.5-x0.3")
@@ -372,15 +387,14 @@ REFERENCE_PROFILES = {
 }
 
 
-@pytest.mark.parametrize("name, profile", [("scan", _scan_profile),
-                                           ("identity", _identity_profile)])
+@pytest.mark.parametrize("name, k", [("scan", 1), ("identity", 5)])
 @pytest.mark.parametrize("T, x0", [(0.5, 0.3), (2.0, 0.123), (1.0, 0.5)])
-def test_profiles_bit_identical_to_lambdas(name, profile, T, x0):
+def test_profiles_bit_identical_to_lambdas(name, k, T, x0):
     tt, xx = np.meshgrid(np.linspace(0.0, T, 401), np.linspace(0.0, 1.0, 201), indexing="ij")
     inputs = (tt.copy(), xx.copy())
     expected = REFERENCE_PROFILES[name](T, x0)(tt, xx)
     for args in ((tt, xx), (tt[:, :1], xx[:1])):      # meshgrid, and column and row
-        values = profile(T, x0)(*args)
+        values = _carleman_profile(T, x0, k)(*args)
         assert np.array_equal(np.broadcast_to(values, expected.shape), expected)
         assert np.array_equal(np.signbit(np.broadcast_to(values, expected.shape)),
                               np.signbit(expected))

@@ -7,8 +7,7 @@ import pytest
 
 from degenpde import (CoefficientModel, Field, SpaceTimeGrid, assemble_operator,
                       dirichlet_eigenmodes, integrate_space, integrate_spacetime)
-from degenpde.cli import (DEFAULT_CONFIG, PRESETS, _identity_profile, _scan_profile,
-                          build_grid, build_model)
+from degenpde.cli import DEFAULT_CONFIG, PRESETS, _carleman_profile, build_grid, build_model
 
 
 class TestGridConstruction:
@@ -167,8 +166,8 @@ class TestField:
     @pytest.mark.parametrize("N,M,x0", [(10, 5, 0.5), (101, 37, 0.3), (400, 800, 0.123)])
     # the CLI's profiles are wrapped in lambdas, so every case id is <lambda>k
     @pytest.mark.parametrize("profile", [
-        lambda t, x: _identity_profile(1.0, 0.3)(t, x),
-        lambda t, x: _scan_profile(0.5, 0.123)(t, x),
+        lambda t, x: _carleman_profile(1.0, 0.3, 5)(t, x),
+        lambda t, x: _carleman_profile(0.5, 0.123, 1)(t, x),
         lambda t, x: x * (1.0 - x) * t, lambda t, x: t + x,
         lambda t, x: np.sin(7 * x) * np.exp(t), lambda t, x: x * (1.0 - x),
     ])

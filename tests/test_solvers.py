@@ -122,7 +122,10 @@ def one_solve_reference(model, potential, grid, start, sources, backward):
 def assert_steps_exact(field, model, potential, grid, start, sources, backward):
     """``field`` is the one-solve reference bit for bit, and the textbook form
     (I/dt - A/2 + C_next/2) u_next = (I/dt + A/2 - C_prev/2) u + f to rounding:
-    within 1e-12 of each time row's largest magnitude."""
+    within 1e-12 of each time row's largest magnitude.  Its boundary columns are
+    +0.0 exactly, which callers rely on without rewriting them."""
+    ends = field.values[:, [0, -1]]
+    assert np.all(ends == 0.0) and not np.signbit(ends).any()
     assert np.array_equal(field.values,
                           one_solve_reference(model, potential, grid, start, sources, backward))
     if sources is None:
@@ -228,7 +231,6 @@ class TestLevelTable:
             return pttrf(*args, **kwargs)
 
         monkeypatch.setattr(solvers, "pttrf", counting)
-        monkeypatch.setattr(solvers, "_level_table", None)     # no factors from other tests
         return counts
 
     @pytest.mark.parametrize("first, then", [(solve_forward, solve_adjoint),
@@ -246,17 +248,20 @@ class TestLevelTable:
             then(m, pot, g, u0)
             assert factorizations == {"pttrf": g.M + 1, "gttrf": 0, "gtsv": 0}
 
-    def test_interleaved_potentials_and_in_place_edit(self):
+    def test_interleaved_potentials_and_in_place_edit(self, factorizations):
+        # each potential holds its own factors, so interleaved solves factor each once
         m, g = degenerate_setup()
         pots = [sampled_potential(g, 22), sampled_potential(g, 23)]
         rng = np.random.default_rng(24)
         for pot in pots + pots:
             u0 = dirichlet_noise(rng, g)
             assert_steps_exact(solve_forward(m, pot, g, u0), m, pot, g, u0, None, False)
+        assert factorizations["pttrf"] == 2 * g.M
         pot = pots[1]                   # the potential of the last solve, edited in place
         pot.rows[g.M // 2, 1:-1] += 0.25
         u0 = dirichlet_noise(rng, g)
         assert_steps_exact(solve_forward(m, pot, g, u0), m, pot, g, u0, None, False)
+        assert factorizations["pttrf"] == 3 * g.M
 
     @pytest.mark.parametrize("N, x0", [(2, 0.5), (3, 1.0 / 3.0), (60, 0.3)])
     def test_adjoint_then_forward(self, N, x0):
