@@ -123,7 +123,6 @@ class HypothesisReport:
 
     slack_max: float
     slack_tol: float
-    slack_ok: bool
     gamma_monotone_ok: bool
     theta_monotone_ok: bool
     degenerate_at_x0: bool
@@ -177,7 +176,6 @@ def check_hypotheses(model: CoefficientModel, grid) -> HypothesisReport:
     a = model.eval_a(xs)
     slacks, good = _hypothesis_slack(model, xs, a, model.eval_xa_prime(xs))
     slack = np.max(slacks[good]) if np.any(good) else np.inf
-    slack_ok = slack <= slack_tol
 
     d = np.abs(xs - model.x0)
     with np.errstate(divide="ignore"):
@@ -195,7 +193,6 @@ def check_hypotheses(model: CoefficientModel, grid) -> HypothesisReport:
     return HypothesisReport(
         slack_max=float(slack),
         slack_tol=float(slack_tol),
-        slack_ok=bool(slack_ok),
         gamma_monotone_ok=bool(gamma_ok),
         theta_monotone_ok=bool(theta_ok),
         degenerate_at_x0=degenerate_at_x0,

@@ -124,15 +124,17 @@ class Field:
         """Serialize as RFC-4180 CSV with header t,x,value.
 
         Every field is a ``.17g`` number, which never needs quoting, so rows are
-        joined directly rather than through ``csv.writer``.
+        joined directly rather than through ``csv.writer``.  Each time row is one
+        ``%`` of a template that holds its t and x strings, with the bytes of
+        ``f"{v:.17g}"`` for each value.
         """
         buf = io.StringIO()
         buf.write("t,x,value\n")
         xs = [f"{x:.17g}" for x in self.grid.x.tolist()]
         for j, t in enumerate(self.grid.t.tolist()):
             ts = f"{t:.17g}"
-            row = self.values[j].tolist()
-            buf.write("".join([f"{ts},{x},{v:.17g}\n" for x, v in zip(xs, row)]))
+            template = "".join([f"{ts},{x},%.17g\n" for x in xs])
+            buf.write(template % tuple(self.values[j].tolist()))
         return buf.getvalue()
 
 

@@ -11,10 +11,10 @@ forward in the reversed time tau = T - t, where it is again parabolic.
 Crank-Nicolson (rather than backward Euler) keeps the scheme second order,
 which the identity and estimate checkers rely on.
 
-Each solve assembles the operator once and validates every left-hand side
-L_k = I/dt - A/2 + C_k/2 up front with reductions over c: its minimum decides
-diagonal dominance and its per-node maximum decides overflow, so no
-(M+1) x (N-1) temporary is built.
+Each solve assembles the operator once.  A direction's left-hand sides
+L_k = I/dt - A/2 + C_k/2 are validated before its first step with reductions
+over c: the minimum decides diagonal dominance and the per-node maximum
+decides overflow, so no (M+1) x (N-1) temporary is built.
 
 A step from level p to level n solves L_n u_n = R_p u_p + f, with
 R_p = I/dt + A/2 - C_p/2 and f = (f_p + f_n)/2.  Since R_p = G - L_n for the
@@ -38,14 +38,15 @@ step back-substitutes with ``pttrs``.  Both are SciPy's double-precision
 ``dpttrf``/``dpttrs`` from its compiled ``_flapack`` extension, which
 ``degenpde._lapack`` loads without running SciPy's linalg initialiser.
 
-Each potential keeps its halved left-hand sides in one entry keyed by value
-on their inputs: the off-diagonal, the diagonal without its c term and the
-rows of c (one for constant c, one per level for sampled c).  A level is
-factored the first time a solve needs it (levels 1..M forward, 0..M-1
-adjoint), and a sampled c's rows g/2 are formed once per direction; for
-constant c, g/2 is the value 1/dt.  So repeated solves on one potential (the
-HUM iteration) factor and form nothing, whatever other potentials solved in
-between.  ``pttrf`` then ``pttrs`` is ``ptsv``, the routine
+Each potential keeps one entry keyed by value on the operator's
+off-diagonal, its diagonal without the c term and the rows of c (one for
+constant c, one per level for sampled c).  It holds each level's factors,
+made the first time a solve needs them (levels 1..M forward, 0..M-1 adjoint),
+and per direction, keyed on 1/dt and M, the checked lists of factors and g/2
+in step order (a sampled c's rows, or one row of 1/dt).  So repeated solves
+on one potential (the HUM iteration) check, factor and form nothing, whatever
+other potentials solved in between, and the step loop only walks lists.
+``pttrf`` then ``pttrs`` is ``ptsv``, the routine
 ``scipy.linalg.solveh_banded`` calls on a two-row band; one interior node is
 a division.
 
@@ -56,14 +57,15 @@ R_p u_p + f, solved per step with ``solve_banded``, and the discrete adjoint
 identity hold to rounding; a stiff mode (u_n close to -u_p) makes s small,
 but its error stays at the rounding level of u_p.
 
-A non-finite matrix raises ValueError up front and a matrix that ``pttrf``
-finds not positive definite raises LinAlgError.  Non-finite right-hand sides
-are found by one check of the whole field after the last step: every divisor
-of a solve is a finite, positive pivot, so no step turns a non-finite value
-finite, and a non-finite right-hand side leaves a non-finite value in its
-row and every later one.  The same inputs raise
-ValueError as under a check of each right-hand side, plus one case that
-check missed: a last solve whose result overflows.
+A non-finite matrix raises ValueError before the first step and a matrix
+that ``pttrf`` finds not positive definite raises LinAlgError.  Non-finite
+right-hand sides are found by one check of the last row after the last step:
+every divisor of a solve is a finite, positive pivot and every g/2 is finite,
+so a non-finite entry of a right-hand side stays non-finite through the
+solve, the subtraction and every later step at its node, and the last row
+holds it.  The same inputs raise ValueError as under a check of each
+right-hand side, plus one case that check missed: a last solve whose result
+overflows.
 """
 
 from __future__ import annotations
@@ -191,40 +193,49 @@ def _require_dominance(c_min: float, dt: float):
         raise ValueError("Crank-Nicolson system lost diagonal dominance; reduce the time step")
 
 
-def _level_factors(levels, inv_dt, off, base, c, times, backward):
-    """Per step through ``times``: the factors of L_next/2 and the value(s) g/2.
+def _directed_steps(levels, e, base, c, dt, M, backward):
+    """The checked factors of L_next/2 and values g/2 of each step, in step order.
 
-    L_k/2 = I/(2 dt) - A/4 + C_k/4 has off-diagonal ``off`` and diagonal
-    ``base + c_k/4``, and g/2 = 1/dt + (c_next - c_prev)/4, one value when c has
-    one row.  The factors are ``pttrf``'s (d, e) of L D L^T, the same pivots d
-    as an LU without interchanges; with one interior node they are the
-    diagonal.  The potential's entry ``levels[0]`` holds the inputs (off, base,
-    rows c), per row the factors (None until a solve needs them) and per
-    direction a sampled c's rows g/2, formed the first time a solve needs them.
-    The entry is reused when its inputs equal these by value, since rows may be
-    edited in place between solves; ``np.array_equal`` takes -0.0 == +0.0,
-    which changes no factor and no g.
+    L_k/2 = I/(2 dt) - A/4 + C_k/4 has off-diagonal -e/4 and diagonal
+    (base + c_k/2)/2, and g/2 = 1/dt + (c_next - c_prev)/4.  The factors are
+    ``pttrf``'s (d, e) of L D L^T, the same pivots d as an LU without
+    interchanges; with one interior node they are (diagonal, None).  The entry
+    ``levels[0]`` is (e, base, c, factors per row, lists per direction).  It is
+    reused when its inputs equal these by value, since rows may be edited in
+    place between solves; a non-finite input equals nothing, so it is checked
+    again, and ``np.array_equal`` takes -0.0 == +0.0, which changes no check,
+    factor or g.
     """
-    entry, inputs = levels[0], (off, base, c)
+    entry, inputs = levels[0], (e, base, c)
     if entry is None or not all(map(np.array_equal, entry[:3], inputs)):
-        entry = levels[0] = (off, base, c.copy(), [None] * len(c), {})
-    off, base, c, factors, g_rows = entry
+        _require_finite(e)
+        _require_finite(c)
+        entry = levels[0] = (e, base, c.copy(), [None] * len(c), {})
+    e, base, c, factors, directions = entry
+    inv_dt, steps = 1.0 / dt, directions.get(backward)
+    if steps is not None and steps[0] == (inv_dt, M):
+        return steps[1:]
     sampled = len(c) > 1
-    for k in times[1:] if sampled else [0]:
+    lhs_c = (c[:-1] if backward else c[1:]) if sampled else c   # the rows that enter a LHS
+    _require_dominance(lhs_c.min(), dt)
+    # base + c/2 grows with c, so the largest c of each node decides overflow
+    _require_finite(base + 0.5 * lhs_c.max(axis=0))
+    order = (range(M - 1, -1, -1) if backward else range(1, M + 1)) if sampled else [0] * M
+    off, half_base = -0.25 * e, 0.5 * base
+    for k in order:
         if factors[k] is None:
-            diag = base + 0.25 * c[k]
+            diag = half_base + 0.25 * c[k]
             if diag.size == 1:
-                factors[k] = diag
+                factors[k] = diag, None
                 continue
             d, e, info = pttrf(diag, off, overwrite_d=True)
             _check_info(info)
-            factors[k] = (d, e)
-    if not sampled:
-        return [factors[0]] * (len(times) - 1), [inv_dt] * (len(times) - 1)
-    if backward not in g_rows:
-        quarter_c = 0.25 * (c[::-1] if backward else c)      # in step order
-        g_rows[backward] = np.diff(quarter_c, axis=0) + inv_dt
-    return [factors[k] for k in times[1:]], g_rows[backward]
+            factors[k] = d, e
+    # a row of 1/dt, since NumPy multiplies by an array faster than by a float
+    g = (list(np.diff(0.25 * (c[::-1] if backward else c), axis=0) + inv_dt) if sampled
+         else [np.full(base.size, inv_dt)] * M)
+    steps = directions[backward] = (inv_dt, M), [factors[k] for k in order], g
+    return steps[1:]
 
 
 def _propagate(model, potential: PotentialModel, grid: SpaceTimeGrid, start: np.ndarray,
@@ -235,26 +246,14 @@ def _propagate(model, potential: PotentialModel, grid: SpaceTimeGrid, start: np.
     the interior h, one row per time level (None means zero); f = h forward and
     f = -h backward.
     """
-    c = potential.values(grid)[:, 1:-1]          # raises before any work if c does not fit
+    # raises before any work if c does not fit; one row when c is constant
+    c = potential.values(grid)[:len(potential.rows), 1:-1]
     d, e = assemble_operator(model, grid).interior_tridiag()
-    n, inv_dt = d.size, 1.0 / grid.dt
-    _require_finite(e)
-    base = inv_dt - 0.5 * d                      # diagonal of L without its c/2 term
-    times = range(grid.M, -1, -1) if backward else range(grid.M + 1)
-    if potential.rows.shape[0] > 1:
-        lhs_c = c[:-1] if backward else c[1:]    # the rows c(t_next) that enter a LHS
-    else:
-        c = lhs_c = c[:1]
-    _require_finite(c)
-    _require_dominance(lhs_c.min(), grid.dt)
-    # base + c/2 grows with c, so the largest c of each node decides overflow
-    _require_finite(base + 0.5 * lhs_c.max(axis=0))
-
-    factors, steps = _level_factors(potential._levels, inv_dt, -0.25 * e, 0.5 * base, c,
-                                    times, backward)
+    base = 1.0 / grid.dt - 0.5 * d               # diagonal of L without its c/2 term
+    factors, steps = _directed_steps(potential._levels, e, base, c, grid.dt, grid.M, backward)
 
     out = np.zeros((grid.M + 1, grid.N + 1))
-    out[times[0]] = start
+    out[grid.M if backward else 0] = start
     rows = out[:, 1:-1]
     if source is not None:
         # each step's f/2 = +/-(h_prev + h_next)/4, the sum written into the row the
@@ -263,25 +262,27 @@ def _propagate(model, potential: PotentialModel, grid: SpaceTimeGrid, start: np.
         np.add(source[:-1], source[1:], out=summed, dtype=float)
         summed *= 0.25
         combine = np.subtract if backward else np.add
-        acc = np.empty(n)
-    for j_prev, j_next, lu, g in zip(times, times[1:], factors, steps):
+        acc = np.empty(d.size)
+    rows = list(rows[::-1] if backward else rows)     # the row views in step order
+    for u, rhs, (d, e), g in zip(rows, rows[1:], factors, steps):
         # (L/2) s = (g/2) u + f/2 for s = u + u_next, then u_next = s - u
-        u, rhs = rows[j_prev], rows[j_next]
         if source is None:
-            np.multiply(g, u, out=rhs)
+            np.multiply(g, u, rhs)
         else:
-            combine(np.multiply(g, u, out=acc), rhs, out=rhs)
-        # f2py solves a contiguous float64 right-hand side in place under overwrite_b
-        if n > 1:
-            _, info = pttrs(*lu, rhs, overwrite_b=True)
-            _check_info(info)
+            combine(np.multiply(g, u, acc), rhs, rhs)
+        if e is None:
+            rhs /= d
         else:
-            rhs /= lu
-        np.subtract(rhs, u, out=rhs)
-    # A non-finite value stays non-finite through every later step, since every
-    # divisor is finite, so one check of the whole field rejects what a per-step
-    # check of each right-hand side would.
-    _require_finite(out)
+            # f2py solves a contiguous float64 right-hand side in place when the
+            # fourth argument, overwrite_b, is 1
+            _, info = pttrs(d, e, rhs, 1)
+            if info:
+                _check_info(info)
+        np.subtract(rhs, u, rhs)
+    # A non-finite value leaves a non-finite entry in its row and in every later
+    # one, since every divisor is a finite positive pivot, so a check of the last
+    # row rejects what a per-step check of each right-hand side would.
+    _require_finite(rows[-1])
     return Field(grid, out)
 
 

@@ -9,7 +9,7 @@ def grid_for(x0, N=1000):
 
 
 def all_hold(rep):
-    return (rep.slack_ok and rep.gamma_monotone_ok
+    return (rep.slack_max <= rep.slack_tol and rep.gamma_monotone_ok
             and rep.theta_monotone_ok and rep.degenerate_at_x0)
 
 

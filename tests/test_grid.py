@@ -203,3 +203,16 @@ class TestField:
             for i, x in enumerate(g.x):
                 writer.writerow([f"{t:.17g}", f"{x:.17g}", f"{f.values[j, i]:.17g}"])
         assert f.to_csv() == buf.getvalue()
+
+    def test_csv_matches_per_value_format(self):
+        # the row template's %.17g gives the bytes of f"{v:.17g}" on every value kind
+        g = SpaceTimeGrid.create(10, 2, 0.7, 0.5)
+        f = Field.from_function(g, lambda t, x: np.cos(5 * x) / (1.0 + t))
+        f.values[0] = [-0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                       1e16, -1e16, 1e16 + 2, 9007199254740993.0, 1e-5, 0.1]
+        f.values[1, :4] = [np.nan, np.inf, -np.inf, 1.7976931348623157e308]
+        lines = ["t,x,value\n"]
+        for j, t in enumerate(g.t.tolist()):
+            for x, v in zip(g.x.tolist(), f.values[j].tolist()):
+                lines.append(f"{t:.17g},{x:.17g},{v:.17g}\n")
+        assert f.to_csv() == "".join(lines)

@@ -263,6 +263,38 @@ class TestLevelTable:
         assert_steps_exact(solve_forward(m, pot, g, u0), m, pot, g, u0, None, False)
         assert factorizations["pttrf"] == 3 * g.M
 
+    @pytest.mark.parametrize("backward", [False, True])
+    def test_steps_keyed_on_dt(self, backward):
+        # |d|/2 ~ 3e21 absorbs 1/dt, so T = 1 and T = 1.5 share every left-hand side
+        # and factor but not g/2 = 1/dt + (c_next - c_prev)/4; the zeros of the start
+        # make the field show g bit for bit
+        m = CoefficientModel.constant(1e20, 0.5)
+        grids = [SpaceTimeGrid.create(6, 8, T, 0.5) for T in (1.0, 1.5, 1.0)]
+        d = assemble_operator(m, grids[0]).interior_tridiag()[0]
+        assert np.array_equal(1.0 / grids[0].dt - 0.5 * d, 1.0 / grids[1].dt - 0.5 * d)
+        rows = np.random.default_rng(27).uniform(-1.0, 3.0, (9, 7))
+        pot = PotentialModel.sampled(Field(grids[0], rows.copy()))
+        start = np.array([0.0, 0.0, 1.0, 0.0, -2.0, 0.0, 0.0])
+        solve = solve_adjoint if backward else solve_forward
+        fields = []
+        for g in grids:
+            fields.append(solve(m, pot, g, start).values)
+            fresh = PotentialModel.sampled(Field(g, rows.copy()))
+            assert np.array_equal(fields[-1], solve(m, fresh, g, start).values)
+        assert not np.array_equal(fields[0], fields[1])
+
+    @pytest.mark.parametrize("backward", [False, True])
+    def test_constant_steps_keyed_on_M(self, backward):
+        # M steps over T and 2M over 2T share dt, so they share every factor
+        m, g = degenerate_setup(M=20)
+        grids = [g, SpaceTimeGrid.create(g.N, 2 * g.M, 2 * g.T, g.x0), g]
+        pot = PotentialModel.constant(0.7)
+        start = dirichlet_noise(np.random.default_rng(32), g)
+        solve = solve_adjoint if backward else solve_forward
+        for g in grids:
+            assert np.array_equal(solve(m, pot, g, start).values,
+                                  solve(m, PotentialModel.constant(0.7), g, start).values)
+
     @pytest.mark.parametrize("N, x0", [(2, 0.5), (3, 1.0 / 3.0), (60, 0.3)])
     def test_adjoint_then_forward(self, N, x0):
         m, g = degenerate_setup(N=N, x0=x0)
@@ -292,6 +324,11 @@ class TestLDLFactors:
         assert info == 0 and np.shares_memory(x, out)
         ab = np.vstack((np.r_[0.0, off], diag))
         assert np.array_equal(rows[3], solveh_banded(ab, b))
+        # the step loop passes overwrite_b positionally, as the fourth argument
+        b = rows[4].copy()
+        x, info = pttrs(d, e, rows[4], 1)
+        assert info == 0 and np.shares_memory(x, rows[4])
+        assert np.array_equal(rows[4], solveh_banded(ab, b))
 
     @pytest.mark.parametrize("kind", ["constant", "sampled"])
     def test_dominance_edge(self, kind):
@@ -361,6 +398,40 @@ class TestLeftHandSideChecks:
         textbook = banded_reference(m, pot, g, u0, np.zeros((g.M + 1, g.N - 1)), False)
         assert np.all(np.abs(u.values - textbook) <= 1e-12 * np.abs(textbook).max())
 
+    @pytest.mark.parametrize("backward", [False, True])
+    def test_in_place_edits_after_a_solve_are_checked(self, backward):
+        # a solve keeps its direction's checked steps; a later edit of the rows must
+        # still raise: first a NaN, then a c that breaks dominance on a LHS row
+        m, g = degenerate_setup()
+        pot = potentials(g)["sampled"]
+        start = dirichlet_noise(np.random.default_rng(12), g)
+        solve = solve_adjoint if backward else solve_forward
+        first = solve(m, pot, g, start)
+        node, kept = (g.M // 2, g.N // 2), pot.rows[g.M // 2, g.N // 2]
+        pot.rows[node] = np.nan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            solve(m, pot, g, start)
+        pot.rows[node] = kept
+        assert np.array_equal(solve(m, pot, g, start).values, first.values)
+        pot.rows[node] = -2.5 / g.dt
+        with pytest.raises(ValueError, match="dominance"):
+            solve(m, pot, g, start)
+
+    @pytest.mark.parametrize("backward", [False, True])
+    def test_dominance_rechecked_per_direction(self, backward):
+        # the row at the far end of a direction enters a LHS of that direction only
+        m, g = degenerate_setup()
+        pot = potentials(g)["sampled"]
+        start = dirichlet_noise(np.random.default_rng(13), g)
+        solve, other = ((solve_adjoint, solve_forward) if backward
+                        else (solve_forward, solve_adjoint))
+        solve(m, pot, g, start)
+        other(m, pot, g, start)
+        pot.rows[0 if backward else g.M, g.N // 2] = -2.5 / g.dt
+        with pytest.raises(ValueError, match="dominance"):
+            solve(m, pot, g, start)
+        assert_steps_exact(other(m, pot, g, start), m, pot, g, start, None, not backward)
+
     @pytest.mark.parametrize("kind", ["zero", "sampled"])
     def test_repeated_solves_identical(self, kind):
         m, g = degenerate_setup()
@@ -394,7 +465,21 @@ class TestNonFiniteInput:
             else:
                 solve_forward(m, c, g, start, h=h)
 
-    # The field is checked once, after the last step: these pin that a non-finite
+    @pytest.mark.parametrize("row", [0, 20, 40])
+    def test_non_finite_edit_after_solves_raises(self, row):
+        # both directions keep checked steps; an inf written into the rows afterwards,
+        # in a row that enters a LHS or only a right-hand side, raises in both
+        m, g = degenerate_setup()
+        pot = potentials(g)["sampled"]
+        start = dirichlet_noise(np.random.default_rng(8), g)
+        for solve in (solve_forward, solve_adjoint):
+            solve(m, pot, g, start)
+        pot.rows[row, g.N // 2] = np.inf
+        for solve in (solve_forward, solve_adjoint):
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                solve(m, pot, g, start)
+
+    # The last row is checked once, after the last step: these pin that a non-finite
     # value entering any step, the last one included, still raises.
     @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
     @pytest.mark.parametrize("where", ["inf_start", "nan_first_source_row",
