@@ -238,32 +238,26 @@ def _row_dots(rows: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return np.matmul(rows[:, None, :], vectors)[:, 0]
 
 
-def _derivative(values: np.ndarray, step: float, axis: int) -> np.ndarray:
-    """Nodal derivative along ``axis`` (1: d/dx, 0: d/dt): centered interior,
-    one-sided 2nd order at the ends."""
-    v = np.moveaxis(values, axis, 0)
-    out = np.empty_like(values)
-    o = np.moveaxis(out, axis, 0)          # a view: writing o fills out
-    np.subtract(v[2:], v[:-2], out=o[1:-1])
-    o[1:-1] /= 2.0 * step
-    o[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * step)
-    o[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * step)
-    return out
-
-
-def _derivative_part(values: np.ndarray, step: float, axis: int, part: slice) -> np.ndarray:
-    """``_derivative(values, step, axis)`` at the indices ``part`` along ``axis``,
-    differencing only those and the (at least three) indices they read."""
+def _derivative(values: np.ndarray, step: float, axis: int, part=slice(None)) -> np.ndarray:
+    """Nodal derivative along ``axis`` (1: d/dx, 0: d/dt) at the indices ``part``:
+    centered interior, one-sided 2nd order at the ends.  Only ``part`` and the (at
+    least three) indices it reads are differenced, bit for bit as the whole axis."""
     n = values.shape[axis]
-    lo = max(min(part.start - 1, n - 3), 0)
-    hi = min(max(part.stop + 1, lo + 3), n)
-    window = np.moveaxis(values, axis, 0)[lo:hi]
-    out = _derivative(window, step, axis=0)[part.start - lo:part.stop - lo]
-    return np.moveaxis(out, 0, axis)
+    start, stop, _ = part.indices(n)
+    lo = max(min(start - 1, n - 3), 0)
+    v = np.moveaxis(values, axis, 0)[lo:min(max(stop + 1, lo + 3), n)]
+    out = np.empty_like(v)
+    np.subtract(v[2:], v[:-2], out=out[1:-1])
+    out[1:-1] /= 2.0 * step
+    out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * step)
+    out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * step)
+    return np.moveaxis(out[start - lo:stop - lo], 0, axis)
 
 
 def _div_a_grad(op, values: np.ndarray) -> np.ndarray:
-    """(a w_x)_x at all nodes; boundary rows by quadratic extrapolation."""
+    """(a w_x)_x at all nodes; boundary rows by quadratic extrapolation from 4 nodes."""
+    if values.shape[-1] < 4:
+        raise ValueError(f"(a w_x)_x extrapolates from 4 nodes in x, got {values.shape[-1]}")
     out = op.apply(values)
     out[:, 0] = 3.0 * out[:, 1] - 3.0 * out[:, 2] + out[:, 3]
     out[:, -1] = 3.0 * out[:, -2] - 3.0 * out[:, -3] + out[:, -4]
@@ -359,8 +353,8 @@ def carleman_identity_check(model, params: WeightParams, grid: SpaceTimeGrid,
     w_b, wx_b, wt_b = np.empty((3, M - 1, 2))
     for blk in _row_blocks(M - 1, 3 * (N + 1) * 8):
         wi = wv[blk.start + 1:blk.stop + 1]
-        # (a w_x)_x becomes L+ in place, and w_x's buffer becomes L- once the
-        # w_x terms are taken; one more buffer holds each product
+        # (a w_x)_x becomes L+ in place, and w_x's buffer becomes L- once the w_x
+        # terms are taken, w_t differenced into it; one more buffer holds each product
         L_plus = _div_a_grad(op, wi)
         w_x = _derivative(wi, h, axis=1)
         inner = np.multiply(c_psi[blk, None], psi_x)
@@ -429,7 +423,7 @@ class CarlemanReport:
 
     ``fitted_C`` is the largest LHS/RHS ratio past ``s0_observed`` for that
     one profile: a lower bound for the discrete Carleman constant, not a
-    certified value of it.
+    certified value of it; ``window_found`` says whether s0_observed starts a window.
     """
 
     s_values: np.ndarray
@@ -439,6 +433,7 @@ class CarlemanReport:
     ratios: np.ndarray
     fitted_C: float
     s0_observed: float
+    window_found: bool
     nonpositive_rhs: bool
 
 
@@ -469,7 +464,7 @@ def manufactured_adjoint_pair(model, potential: PotentialModel, grid: SpaceTimeG
     res = np.empty_like(v.values)
     for blk in _row_blocks(grid.M + 1, 3 * (grid.N + 1) * 8):
         rows = _div_a_grad(op, v.values[blk])
-        rows += _derivative_part(v.values, grid.dt, 0, blk)
+        rows += _derivative(v.values, grid.dt, 0, blk)
         np.subtract(rows, c[blk] * v.values[blk], out=res[blk])
     return v, Field(grid, res)
 
@@ -482,9 +477,10 @@ def carleman_scan(model, params_base: WeightParams, grid: SpaceTimeGrid, v: Fiel
         LHS          = int int (s Theta a v_x^2 + s^3 Theta^3 (x-x0)^2/a v^2) e^{2s phi}
         RHS_source   = int int h^2 e^{2s phi}
         RHS_boundary = s c1 int [a Theta e^{2s phi} (x-x0) v_x^2]_{x=0}^{x=1} dt
-    s0_observed is the first scan point after which the ratio LHS/RHS is
-    non-increasing within ``window_tol`` over three consecutive points;
-    fitted_C is the largest ratio past s0_observed.  It is measured on the one
+    s0_observed is the first scan point from which every step to the end keeps
+    ratios[k+1] <= ratios[k] (1 + window_tol), over at least three points; with
+    no such window, window_found is False and s0_observed is the last point.
+    fitted_C is the largest ratio at s >= s0_observed.  It is measured on the one
     profile v, so it is a lower bound for the discrete Carleman constant.
 
     Both sides are multiplied by the common positive factor e^{-2s max phi}
@@ -510,8 +506,8 @@ def carleman_scan(model, params_base: WeightParams, grid: SpaceTimeGrid, v: Fiel
     if not 0.0 < model.x0 < 1.0:
         raise ValueError("x0 must be strictly interior")
     s_values = default_s_values() if s_values is None else np.asarray(s_values, dtype=float)
-    if np.any(s_values < 0.0):
-        raise ValueError(f"s must be nonnegative, got {s_values}")
+    if np.any(s_values < 0.0) or np.any(np.diff(s_values) < 0.0):
+        raise ValueError(f"s must be nonnegative and nondecreasing, got {s_values}")
     x = grid.x
     n_rows = grid.M - 1
     interior_t = slice(1, grid.M)
@@ -572,19 +568,18 @@ def carleman_scan(model, params_base: WeightParams, grid: SpaceTimeGrid, v: Fiel
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(rhs > 0.0, lhs_arr / np.where(rhs > 0.0, rhs, 1.0), np.inf)
 
-    s0_observed = float(s_values[-1])
-    for k in range(len(s_values) - 2):
-        tail = ratios[k:]
-        if np.all(tail[1:] <= tail[:-1] * (1.0 + window_tol)):
-            s0_observed = float(s_values[k])
-            break
+    # a window starts one past the last step that rises by more than window_tol
+    rising = np.flatnonzero(~(ratios[1:] <= ratios[:-1] * (1.0 + window_tol)))
+    start = int(rising[-1]) + 1 if rising.size else 0
+    window_found = start <= s_values.size - 3
+    s0_observed = float(s_values[start if window_found else -1])
     past = s_values >= s0_observed
     finite = past & np.isfinite(ratios)
     fitted_C = float(np.max(ratios[finite])) if np.any(finite) else np.inf
     return CarlemanReport(
         s_values=s_values, lhs=lhs_arr, rhs_source=src_arr, rhs_boundary=bdy_arr,
         ratios=ratios, fitted_C=fitted_C, s0_observed=s0_observed,
-        nonpositive_rhs=nonpositive)
+        window_found=window_found, nonpositive_rhs=nonpositive)
 
 
 # ---------------------------------------------------------------------------
@@ -653,7 +648,7 @@ def caccioppoli_check(model, params: WeightParams, grid: SpaceTimeGrid, v: Field
     if shift > -np.inf:
         weight -= shift
         _exp_flushed(weight)                   # e^{L - m}
-        local_integrand = _derivative_part(v.values, grid.h, 1, near)
+        local_integrand = _derivative(v.values, grid.h, 1, near)
         local_integrand *= local_integrand     # (v_x^2) e^{L - m}, built in place
         local_integrand *= weight
         mantissa = float(tw @ (local_integrand @ (chi_p * sw)[near]))

@@ -123,6 +123,8 @@ def test_4_carleman_scan(capsys):
         tag = f"c={cval:g}"
         if not np.all(np.isfinite(coarse.ratios)) or not np.all(np.isfinite(fine.ratios)):
             failures.append(f"{tag}: non-finite ratio")
+        if not coarse.window_found:
+            failures.append(f"{tag}: no window of non-increasing ratios")
         tail = coarse.ratios[coarse.s_values >= coarse.s0_observed]
         if not np.all(tail[1:] <= tail[:-1] * 1.05):
             failures.append(f"{tag}: tail not non-increasing past s0")

@@ -73,6 +73,9 @@ class TestConfigHandling:
         ("hp", "hp.battery_size", "0"),
         ("hp", "hp.battery_size", "-3"),
         ("carleman-scan", "scan.n_s", "2"),
+        # (a w_x)_x extrapolates from four nodes: an IndexError traceback at N = 2
+        ("carleman-identity --set coefficient.x0=0.5", "grid.N", "2"),
+        ("carleman-scan --set coefficient.x0=0.5", "grid.N", "2"),
         # inputs that raised a traceback
         ("carleman-scan", "scan.T", "0"),
         ("caccioppoli", "caccioppoli.T", "-1"),
@@ -80,6 +83,8 @@ class TestConfigHandling:
         ("null-control", "null_control.T", "-0.5"),
         ("carleman-scan", "scan.n_s", "0"),
         ("carleman-scan", "scan.s_ratio", "-1"),
+        # a falling s grid: the tail verdict read its ratios in the scan's order
+        ("carleman-scan", "scan.s_ratio", "0.5"),
         ("observability", "observability.n_modes", "0"),
         ("carleman-identity", "identity.s_values", "3"),
         ("hp", "hp.q", "NaN"),
@@ -313,6 +318,16 @@ class TestSubcommands:
         verdicts = json.loads((out / "summary.json").read_text())["verdicts"]
         assert all(0.5 < v["value"] < 0.8 for v in verdicts)
 
+    @pytest.mark.parametrize("n_s", [3, 5])
+    def test_scan_without_window_fails(self, tmp_path, capsys, n_s):
+        # at N = 20 the ratio rises at every step, so no s0 starts a window
+        code, out = run(tmp_path, "carleman-scan", *TINY, "--set", f"scan.n_s={n_s}")
+        assert code == 2
+        last_s = 1.5 ** (n_s - 1)
+        assert f"[FAIL] scan_tail_nonincreasing  value={last_s:.6g}\n" in capsys.readouterr().out
+        verdicts = json.loads((out / "summary.json").read_text())["verdicts"]
+        assert all(v["pass"] for v in verdicts if v["name"] != "scan_tail_nonincreasing")
+
     def test_verdict_failure_exits_2(self, tmp_path, capsys):
         code, _ = run(tmp_path, "null-control",
                       "--set", "null_control.max_iters=1",
@@ -321,8 +336,9 @@ class TestSubcommands:
         assert "[FAIL] terminal_norm_small" in capsys.readouterr().out
 
     def test_summary_schema(self, tmp_path):
+        # the ratios rise up to s = 7.59, the eighth point, which starts a window
         code, out = run(tmp_path, "carleman-scan", "--set", "grid.N=60",
-                        "--set", "grid.M=120", "--set", "scan.n_s=6")
+                        "--set", "grid.M=120", "--set", "scan.n_s=8")
         assert code == 0
         summary = json.loads((out / "summary.json").read_text())
         assert set(summary) == {"config", "verdicts", "timing"}

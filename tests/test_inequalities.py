@@ -156,6 +156,18 @@ class TestCarlemanIdentity:
         with pytest.raises(ValueError):
             carleman_identity_check(m, params, g, bad_time)
 
+    def test_three_nodes_rejected(self):
+        """(a w_x)_x extrapolates its end values from four nodes: three raise a
+        ValueError, in the identity check and in the manufactured pair."""
+        m = CoefficientModel.power_law(0.5, 0.5)
+        g = SpaceTimeGrid.create(2, 4, 1.0, 0.5)
+        params = WeightParams.for_model(m, T=1.0, s=1.0)
+        w = Field.from_function(g, identity_profile(1.0, 0.5))
+        with pytest.raises(ValueError, match="4 nodes in x, got 3"):
+            carleman_identity_check(m, params, g, w)
+        with pytest.raises(ValueError, match="4 nodes in x, got 3"):
+            manufactured_adjoint_pair(m, PotentialModel.zero(), g, scan_profile(1.0, 0.5))
+
 
 def scan_profile(T, x0):
     return lambda t, x: t * (T - t) * (x - x0) ** 2 * x * (1.0 - x)
@@ -179,13 +191,42 @@ class TestCarlemanScan:
         rep = carleman_scan(m, params, g, v, h)
         assert np.all(np.isfinite(rep.ratios))
         assert not rep.nonpositive_rhs
+        assert rep.window_found
         tail = rep.ratios[rep.s_values >= rep.s0_observed]
-        assert np.all(tail[1:] <= tail[:-1] * 1.05)
+        assert tail.size >= 3 and np.all(tail[1:] <= tail[:-1] * 1.05)
+
+    @pytest.mark.parametrize("n_s", [3, 5])
+    def test_rising_ratios_find_no_window(self, n_s):
+        """At N = 20 every step rises by more than 5%: no window, and s0 and
+        fitted_C fall back to the last scan point, finite."""
+        m, params, pot, g, v, h = self.make_scan(N=20)
+        rep = carleman_scan(m, params, g, v, h, s_values=default_s_values(n_s))
+        assert np.all(rep.ratios[1:] > rep.ratios[:-1] * 1.05)
+        assert rep.window_found is False
+        assert rep.s0_observed == rep.s_values[-1]
+        assert rep.fitted_C == rep.ratios[-1] and np.isfinite(rep.fitted_C)
+
+    def test_window_starts_past_last_rise_and_holds_three_points(self):
+        """At N = 20 the rises fall from step to step; a window_tol between two
+        of them puts s0 one past the last step that rises by more, and a
+        window of two points is none."""
+        m, params, pot, g, v, h = self.make_scan(N=20)
+        s_values = default_s_values(5)
+        ratios = carleman_scan(m, params, g, v, h, s_values=s_values).ratios
+        rises = ratios[1:] / ratios[:-1] - 1.0
+        assert np.all(np.diff(rises) < 0.0)
+        tols = [2.0 * rises[0], *(0.5 * (rises[:-1] + rises[1:]))]
+        for start, tol in enumerate(tols):
+            rep = carleman_scan(m, params, g, v, h, s_values=s_values, window_tol=tol)
+            assert rep.window_found is (start <= 2)
+            assert rep.s0_observed == s_values[start if start <= 2 else -1]
 
     def test_negative_s_rejected(self):
         m, params, pot, g, v, h = self.make_scan(N=20)
         with pytest.raises(ValueError, match="s must be nonnegative"):
             carleman_scan(m, params, g, v, h, s_values=[1.0, -1.0])
+        with pytest.raises(ValueError, match="nondecreasing"):
+            carleman_scan(m, params, g, v, h, s_values=[2.0, 1.0, 3.0])
 
     def test_scaling_invariance(self):
         m, params, pot, g, v, h = self.make_scan()

@@ -30,8 +30,7 @@ from degenpde import (CoefficientModel, ControlConfig, Field, PotentialModel, Sp
                       assemble_operator, caccioppoli_check, carleman_identity_check,
                       carleman_scan, dirichlet_eigenmodes, manufactured_adjoint_pair,
                       solve_adjoint)
-from degenpde.inequalities import (_derivative, _derivative_part, _div_a_grad, _q2_profile,
-                                   default_s_values)
+from degenpde.inequalities import _derivative, _div_a_grad, _q2_profile, default_s_values
 from degenpde.weights import (_LOG_TINY, THETA_EXPONENT, WeightParams, exp2s_phi, psi,
                               psi_prime, theta, theta_ddot, theta_dot)
 
@@ -669,7 +668,7 @@ def test_checker_call_counts():
                                   slice(5, 16), slice(19, 20), slice(20, 21), slice(0, 21)])
 def test_derivative_columns_bit_identical(cols):
     values = np.random.default_rng(5).standard_normal((9, 21))
-    assert np.array_equal(_derivative_part(values, 0.05, 1, cols),
+    assert np.array_equal(_derivative(values, 0.05, 1, cols),
                           _derivative(values, 0.05, axis=1)[:, cols])
 
 
@@ -678,7 +677,7 @@ def test_derivative_columns_bit_identical(cols):
 def test_derivative_rows_bit_identical(rows):
     """A last row with one halo row has two rows; the window reaches back to three."""
     values = np.random.default_rng(6).standard_normal((9, 21))
-    assert np.array_equal(_derivative_part(values, 0.05, 0, rows),
+    assert np.array_equal(_derivative(values, 0.05, 0, rows),
                           _derivative(values, 0.05, axis=0)[rows])
 
 
