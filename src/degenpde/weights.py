@@ -107,50 +107,14 @@ def _power_cell_integral(r_a, r_b, p_a, p_b, shift, gamma_at_zero):
     return np.where(log_branch, C * np.log(r_hi / r_ref), power)
 
 
-def _tabulated_b_table(model):
-    """Cumulative integral of (y - x0)/a on the model's own nodes.
-
-    Cells strictly on one side of x0 with positive endpoint samples take
-    ``_power_cell_integral`` with p = 1/a and shift 1, times the side's sign:
-    the integrand ~ |y - x0|^(1-K) is integrable but its derivative is
-    unbounded for K > 1.  When x0 is a node where a vanishes, the two cells
-    next to it take that rule's fallback gamma = -K.  Cells that straddle x0
-    or touch another zero of a keep the trapezoid rule.  The table equals a
-    per-cell scalar evaluation to rounding, not bit for bit.
-    """
-    nodes = model.nodes
-    a = model.a_values
-    r = nodes - model.x0
-    g = np.zeros_like(nodes)
-    safe = a > 0.0
-    g[safe] = r[safe] / a[safe]
-    increments = 0.5 * (g[:-1] + g[1:]) * np.diff(nodes)
-    power = (r[:-1] * r[1:] > 0.0) & safe[:-1] & safe[1:]
-    u = np.abs(r)
-    i0 = int(np.argmin(u))
-    on_node = u[i0] < 1e-12
-    if on_node and abs(np.interp(model.x0, nodes, a)) < 1e-14:
-        u[i0] = 0.0                   # x0 is this node, and a vanishes there
-        power[max(i0 - 1, 0):i0 + 1] = True
-    with np.errstate(divide="ignore"):
-        p = 1.0 / a                   # inf where a = 0, read only as a fallback's inner value
-    cells = np.flatnonzero(power)
-    increments[cells] = np.sign(r[cells] + r[cells + 1]) * _power_cell_integral(
-        u[cells], u[cells + 1], p[cells], p[cells + 1], 1.0, -model.K)
-    cum = np.concatenate(([0.0], np.cumsum(increments)))
-    return cum - cum[i0] if on_node else cum - np.interp(model.x0, nodes, cum)
-
-
 def b_integral(model, x):
-    """b(x) = integral_{x0}^{x} (y - x0)/a(y) dy >= 0.
+    """b(x) = integral_{x0}^{x} (y - x0)/a(y) dy >= 0, in closed form.
 
-    Closed form |x - x0|^(2 - alpha) / (2 - alpha) for power laws;
-    singularity-aware quadrature on the model's nodes otherwise.
+    For a = scale |x - x0|^alpha this is |x - x0|^(2 - alpha) / ((2 - alpha) scale).
     """
     x = np.asarray(x, dtype=float)
-    if model.alpha is not None:
-        return np.abs(x - model.x0) ** (2.0 - model.alpha) / (2.0 - model.alpha)
-    return np.interp(x, model.nodes, _tabulated_b_table(model))
+    two_minus_alpha = 2.0 - model.alpha
+    return np.abs(x - model.x0) ** two_minus_alpha / (two_minus_alpha * model.scale)
 
 
 def _exp_flushed(log, mask=None):

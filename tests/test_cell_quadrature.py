@@ -1,12 +1,12 @@
 """The vectorised local-power cell integral against the per-cell loops it replaces.
 
-``_hp_matrices`` and ``_tabulated_b_table`` integrate p r^shift over many
-cells with one call of ``weights._power_cell_integral``.  The reference
-functions below keep the scalar rule and the loops that drove it, one cell
-at a time.  Each entry follows the same formulas in the same order, but
-NumPy's array ``**`` and libm's scalar ``pow`` may differ in the last bit, and
-r_hi^e - r_lo^e amplifies that difference for a small exponent e.  The
-tolerance is set from that cancellation, not fitted to the results.
+``_hp_matrices`` integrates p r^shift over many cells with one call of
+``weights._power_cell_integral``.  The reference functions below keep the
+scalar rule and the loops that drove it, one cell at a time.  Each entry
+follows the same formulas in the same order, but NumPy's array ``**`` and
+libm's scalar ``pow`` may differ in the last bit, and r_hi^e - r_lo^e
+amplifies that difference for a small exponent e.  The tolerance is set from
+that cancellation, not fitted to the results.
 """
 
 import numpy as np
@@ -14,7 +14,7 @@ import pytest
 
 from degenpde import CoefficientModel, SpaceTimeGrid
 from degenpde.inequalities import HardyWeight, _hp_matrices
-from degenpde.weights import _power_cell_integral, _tabulated_b_table
+from degenpde.weights import _power_cell_integral
 
 EPS = np.finfo(float).eps
 
@@ -67,43 +67,6 @@ def reference_hp_matrices(weight, grid):
     return k_diag / h, k_off / h, m[1:-1]
 
 
-def reference_b_table(model):
-    nodes = model.nodes
-    a = model.a_values
-    g = np.zeros_like(nodes)
-    safe = a > 0.0
-    g[safe] = (nodes[safe] - model.x0) / a[safe]
-    increments = 0.5 * (g[:-1] + g[1:]) * np.diff(nodes)
-    r = nodes - model.x0
-    for i in range(nodes.size - 1):
-        r_lo, r_hi = r[i], r[i + 1]
-        if r_lo * r_hi <= 0.0 or a[i] <= 0.0 or a[i + 1] <= 0.0:
-            continue
-        u_lo, u_hi = abs(r_lo), abs(r_hi)
-        gamma = np.log(a[i + 1] / a[i]) / np.log(u_hi / u_lo)
-        c = a[i] / u_lo ** gamma
-        expo = 2.0 - gamma
-        if abs(expo) < 1e-10:
-            increments[i] = np.log(u_hi / u_lo) / c
-        else:
-            increments[i] = (u_hi ** expo - u_lo ** expo) / (c * expo)
-    i0 = int(np.argmin(np.abs(nodes - model.x0)))
-    if abs(nodes[i0] - model.x0) < 1e-12 and abs(np.interp(model.x0, nodes, a)) < 1e-14:
-        K = model.K
-        if i0 + 1 < nodes.size:
-            hr = nodes[i0 + 1] - nodes[i0]
-            c = a[i0 + 1] / hr ** K
-            increments[i0] = hr ** (2.0 - K) / (c * (2.0 - K))
-        if i0 - 1 >= 0:
-            hl = nodes[i0] - nodes[i0 - 1]
-            c = a[i0 - 1] / hl ** K
-            increments[i0 - 1] = -hl ** (2.0 - K) / (c * (2.0 - K))
-    cum = np.concatenate(([0.0], np.cumsum(increments)))
-    if abs(nodes[i0] - model.x0) < 1e-12:
-        return cum - cum[i0]
-    return cum - np.interp(model.x0, nodes, cum)
-
-
 # ---------------------------------------------------------------------------
 # inputs
 # ---------------------------------------------------------------------------
@@ -120,30 +83,6 @@ WEIGHTS = {
        for q in (1.05, 1.2, 1.5, 1.95)},
     **{f"coefficient_alpha{al}": (lambda x0, al=al: HardyWeight.from_coefficient(
         CoefficientModel.power_law(al, x0))) for al in (0.5, 1.0, 1.5)},
-}
-
-
-def power_table(alpha, x0, n, center=None):
-    """a = |x - center|^alpha on n nodes; the center is x0 unless given."""
-    nodes = np.linspace(0.0, 1.0, n)
-    r = nodes - (x0 if center is None else center)
-    a = np.abs(r) ** alpha
-    with np.errstate(divide="ignore", invalid="ignore"):    # a' at x0 is not used
-        ap = np.where(r == 0.0, 0.0, alpha * np.abs(r) ** (alpha - 1) * np.sign(r))
-    return CoefficientModel.tabulated(nodes, a, ap, x0=x0, K=alpha)
-
-
-TABLES = {
-    "alpha1.5_x0.5_n4001": lambda: power_table(1.5, 0.5, 4001),
-    "alpha0.5_x0.5_n4001": lambda: power_table(0.5, 0.5, 4001),
-    "alpha1.0_x0.3_n1001": lambda: power_table(1.0, 0.3, 1001),
-    "alpha1.5_x0.123_n101": lambda: power_table(1.5, 0.123, 101),    # x0 is not a node
-    "alpha0.5_x0.123_n101": lambda: power_table(0.5, 0.123, 101),
-    # x0 = 0.3 lies 5.6e-17 below node 3, where a is exactly 0
-    "alpha1.5_x0.3_n11": lambda: power_table(1.5, 0.3, 11, center=np.linspace(0.0, 1.0, 11)[3]),
-    "constant0.7": lambda: CoefficientModel.constant(0.7, 0.3),
-    "constant1": lambda: CoefficientModel.constant(1.0, 0.5),
-    "constant2": lambda: CoefficientModel.constant(2.0, 0.3),
 }
 
 
@@ -169,16 +108,6 @@ def test_hp_matrices_match_per_cell_loops(name, x0, N):
     for new, ref in zip(_hp_matrices(weight, grid), reference_hp_matrices(weight, grid)):
         assert new.shape == ref.shape
         np.testing.assert_allclose(new, ref, rtol=rtol, atol=0.0)
-
-
-@pytest.mark.parametrize("name", sorted(TABLES))
-def test_b_table_matches_per_cell_loop(name):
-    model = TABLES[name]()
-    ref = reference_b_table(model)
-    new = _tabulated_b_table(model)
-    # b = cum - cum(x0) cancels near x0, so entries are compared on the table's scale
-    tol = cancellation_rtol(model.nodes.size, 2.0 - model.K)
-    np.testing.assert_allclose(new, ref, rtol=tol, atol=tol * np.max(np.abs(ref)))
 
 
 def test_cell_integral_branches():

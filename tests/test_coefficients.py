@@ -51,21 +51,23 @@ class TestConstruction:
         with pytest.raises(ValueError):
             CoefficientModel.power_law(alpha, 0.3)
 
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.inf, np.nan])
+    def test_constant_value_out_of_range(self, value):
+        with pytest.raises(ValueError):
+            CoefficientModel.constant(value, 0.3)
+
     @pytest.mark.parametrize("x0", [0.0, 1.0, -0.2, 1.5])
     def test_x0_out_of_range(self, x0):
         with pytest.raises(ValueError):
             CoefficientModel.power_law(0.5, x0)
+        with pytest.raises(ValueError):
+            CoefficientModel.constant(1.0, x0)
 
     def test_theta_range(self):
         with pytest.raises(ValueError):
             CoefficientModel.power_law(0.5, 0.3, theta=0.7)
         m = CoefficientModel.power_law(0.5, 0.3, theta=0.25)
         assert m.theta == 0.25
-
-    def test_tabulated_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            CoefficientModel.tabulated([0.0, 0.5, 1.0], [1.0, 0.0], [0.0, 0.0, 0.0],
-                                       x0=0.5, K=1.0)
 
 
 class TestCheckHypotheses:
@@ -81,21 +83,6 @@ class TestCheckHypotheses:
         sd = check_hypotheses(CoefficientModel.power_law(1.5, 0.5), grid_for(0.5))
         assert all_hold(wd) and all_hold(sd)
 
-    def test_tabulated_bump_breaks_theta_monotonicity(self):
-        # a = |x-0.5|^0.5 plus a smooth bump near 0.7; the quotient
-        # a/|x-0.5|^0.5 rises then falls right of x0
-        nodes = np.linspace(0.0, 1.0, 2001)
-        r = nodes - 0.5
-        bump = 0.05 * np.exp(-200.0 * (nodes - 0.7) ** 2)
-        bump_prime = -400.0 * (nodes - 0.7) * bump
-        a = np.abs(r) ** 0.5 + bump
-        with np.errstate(divide="ignore", invalid="ignore"):
-            a_prime = np.where(r == 0.0, 0.0,
-                               0.5 * np.abs(r) ** (-0.5) * np.sign(r) + bump_prime)
-        m = CoefficientModel.tabulated(nodes, a, a_prime, x0=0.5, K=0.5)
-        rep = check_hypotheses(m, grid_for(0.5, N=2000))
-        assert not rep.theta_monotone_ok
-
     def test_verdicts_stable_under_refinement(self):
         for alpha in (0.5, 1.5):
             m = CoefficientModel.power_law(alpha, 0.3)
@@ -107,3 +94,8 @@ class TestCheckHypotheses:
     def test_constant_not_degenerate_at_x0(self):
         rep = check_hypotheses(CoefficientModel.constant(1.0, 0.5), grid_for(0.5))
         assert not rep.degenerate_at_x0
+        # (x - x0) a' = 0, so the slack is 0 - K; a / |x - x0|^0.5 rises toward x0
+        # from the left, so hypothesis (iii) fails while (ii) holds
+        assert rep.slack_max == -0.5
+        assert rep.gamma_monotone_ok
+        assert not rep.theta_monotone_ok

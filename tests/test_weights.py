@@ -112,33 +112,24 @@ class TestPsi:
             ref, err = quad(integrand, x0, x, points=[x0], limit=200)
             assert b_integral(m, x) == pytest.approx(ref, rel=1e-8, abs=1e-12)
 
-    def test_tabulated_b_close_to_closed_form(self):
-        x0 = 0.5
-        alpha = 1.5
-        nodes = np.linspace(0.0, 1.0, 4001)
-        r = nodes - x0
-        a = np.abs(r) ** alpha
-        with np.errstate(divide="ignore"):
-            ap = np.where(r == 0.0, 0.0, alpha * np.abs(r) ** (alpha - 1) * np.sign(r))
-        tab = CoefficientModel.tabulated(nodes, a, ap, x0=x0, K=alpha)
-        ref = CoefficientModel.power_law(alpha, x0)
-        x = np.linspace(0.0, 1.0, 101)
-        np.testing.assert_allclose(b_integral(tab, x), b_integral(ref, x),
-                                   rtol=2e-4, atol=1e-8)
-
-    def test_constant_table_b_is_exact(self):
-        # a = 2 is a table that does not vanish at x0: b = (x - x0)^2 / 4 on its nodes
+    def test_constant_b_is_exact_on_a_grid(self):
+        # a = 2 does not vanish at x0: b = (x - x0)^2 / 4 at every node of a 200-cell grid
         m = CoefficientModel.constant(2.0, 0.5)
-        np.testing.assert_allclose(b_integral(m, m.nodes), (m.nodes - 0.5) ** 2 / 4.0,
-                                   rtol=0.0, atol=1e-14)
+        x = np.linspace(0.0, 1.0, 201)
+        np.testing.assert_allclose(b_integral(m, x), (x - 0.5) ** 2 / 4.0,
+                                   rtol=0.0, atol=1e-15)
 
 
 class TestPsiPrime:
-    def test_matches_finite_difference_away_from_x0(self):
-        m = CoefficientModel.power_law(1.5, 0.3)
+    @pytest.mark.parametrize("m", [CoefficientModel.power_law(1.5, 0.3),
+                                   CoefficientModel.constant(1.0, 0.3)],
+                             ids=["power_law", "constant"])
+    def test_matches_finite_difference_away_from_x0(self, m):
         p = WeightParams.for_model(m, T=1.0, s=1.0)
         eps = 1e-7
-        for x in (0.1, 0.5, 0.9):
+        # 0.42 is off the nodes of any 0.1-spaced table: there a piecewise-linear b
+        # would give its chord slope, not psi'
+        for x in (0.1, 0.42, 0.5, 0.9):
             fd = (psi(p, m, x + eps) - psi(p, m, x - eps)) / (2 * eps)
             assert psi_prime(p, m, x) == pytest.approx(fd, rel=1e-6)
 
