@@ -2,7 +2,9 @@
 
 ``_hp_matrices`` integrates p r^shift over many cells with one call of
 ``weights._power_cell_integral``.  The reference functions below keep the
-scalar rule and the loops that drove it, one cell at a time.  Each entry
+scalar rule and the loops that drove it, one cell at a time; the closed-form
+``b_integral`` is checked against the same scalar rule summed outward from x0
+cell by cell.  Each entry
 follows the same formulas in the same order, but NumPy's array ``**`` and
 libm's scalar ``pow`` may differ in the last bit, and r_hi^e - r_lo^e
 amplifies that difference for a small exponent e.  The tolerance is set from
@@ -14,7 +16,7 @@ import pytest
 
 from degenpde import CoefficientModel, SpaceTimeGrid
 from degenpde.inequalities import HardyWeight, _hp_matrices
-from degenpde.weights import _power_cell_integral
+from degenpde.weights import _power_cell_integral, b_integral
 
 EPS = np.finfo(float).eps
 
@@ -67,6 +69,28 @@ def reference_hp_matrices(weight, grid):
     return k_diag / h, k_off / h, m[1:-1]
 
 
+def reference_b(model, x):
+    """b = integral over distances [0, |x - x0|] of r / a, summed cell by cell
+    outward from x0 on each side, with 1/a fitted as C r^gamma on every cell."""
+    def inv_a(d):
+        return np.inf if d == 0.0 and model.alpha > 0.0 else 1.0 / (model.scale * d ** model.alpha)
+
+    b = np.zeros(x.size)
+    r = x - model.x0
+    for side in (r >= 0.0, r < 0.0):
+        idx = np.flatnonzero(side)
+        idx = idx[np.argsort(np.abs(r[idx]))]
+        total, d_prev = 0.0, 0.0
+        for i in idx:
+            d = abs(r[i])
+            if d > 0.0:
+                total += reference_power_fit_integral(inv_a(d_prev), inv_a(d), d_prev, d,
+                                                      -model.alpha, 1.0)
+            b[i] = total
+            d_prev = d
+    return b
+
+
 # ---------------------------------------------------------------------------
 # inputs
 # ---------------------------------------------------------------------------
@@ -83,6 +107,20 @@ WEIGHTS = {
        for q in (1.05, 1.2, 1.5, 1.95)},
     **{f"coefficient_alpha{al}": (lambda x0, al=al: HardyWeight.from_coefficient(
         CoefficientModel.power_law(al, x0))) for al in (0.5, 1.0, 1.5)},
+}
+
+
+MODELS = {
+    "alpha1.5_x0.5_n4001": (lambda: CoefficientModel.power_law(1.5, 0.5), 4001),
+    "alpha0.5_x0.5_n4001": (lambda: CoefficientModel.power_law(0.5, 0.5), 4001),
+    "alpha1.0_x0.3_n1001": (lambda: CoefficientModel.power_law(1.0, 0.3), 1001),
+    "alpha1.5_x0.123_n101": (lambda: CoefficientModel.power_law(1.5, 0.123), 101),  # x0 is not a node
+    "alpha0.5_x0.123_n101": (lambda: CoefficientModel.power_law(0.5, 0.123), 101),
+    # x0 = 0.3 lies 5.6e-17 below node 3, so the cell from x0 to node 3 is nearly empty
+    "alpha1.5_x0.3_n11": (lambda: CoefficientModel.power_law(1.5, 0.3), 11),
+    "constant0.7": (lambda: CoefficientModel.constant(0.7, 0.3), 11),
+    "constant1": (lambda: CoefficientModel.constant(1.0, 0.5), 11),
+    "constant2": (lambda: CoefficientModel.constant(2.0, 0.3), 11),
 }
 
 
@@ -108,6 +146,17 @@ def test_hp_matrices_match_per_cell_loops(name, x0, N):
     for new, ref in zip(_hp_matrices(weight, grid), reference_hp_matrices(weight, grid)):
         assert new.shape == ref.shape
         np.testing.assert_allclose(new, ref, rtol=rtol, atol=0.0)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_b_matches_per_cell_loop(name):
+    make, n = MODELS[name]
+    model = make()
+    x = np.linspace(0.0, 1.0, n)
+    ref = reference_b(model, x)
+    # the cell sums telescope, each term off by the cancellation of r_hi^e - r_lo^e
+    tol = cancellation_rtol(n, 2.0 - model.alpha)
+    np.testing.assert_allclose(b_integral(model, x), ref, rtol=tol, atol=tol * np.max(ref))
 
 
 def test_cell_integral_branches():
