@@ -388,8 +388,8 @@ def run_hp(config: dict, out_dir: Path) -> list:
     c = config["hp"]
     weight = _hardy_weight(config)
     grids = _hp_levels(config)
-    coarse, fine = (hp_verify(weight, grid, battery_size=int(c["battery_size"]),
-                              seed=int(config["run"]["seed"])) for grid in grids)
+    coarse, fine = [hp_verify(weight, grid, battery_size=int(c["battery_size"]),
+                              seed=int(config["run"]["seed"])) for grid in grids]
     verdicts = [
         verdict("rayleigh_below_bound", "<=",
                 coarse.rayleigh_estimate, coarse.paper_bound * 1.05),
@@ -416,22 +416,31 @@ def _carleman_profile(T: float, x0: float, k: int):
     return profile
 
 
+# Each level of a refinement-pair task runs in its own function, which returns
+# only the level's report and CSV rows: the level's fields die on return,
+# before the next level samples its own.
+
+def _identity_level(config: dict, model, grid: SpaceTimeGrid, s: float):
+    T = config["grid"]["T"]
+    params = build_weight_params(config, model, T, s)
+    # the profile is a fresh C-contiguous array of the grid's shape, so the field
+    # takes it as its values, where Field.from_function would copy it
+    w = Field(grid, _carleman_profile(T, model.x0, 5)(grid.t[:, None], grid.x[None, :]))
+    rep = carleman_identity_check(model, params, grid, w)
+    return rep, [[s, grid.N, grid.M, rep.lhs, rep.rhs, rep.residual]]
+
+
 def run_carleman_identity(config: dict, out_dir: Path) -> list:
     model = build_model(config)
     c = config["identity"]
-    T = config["grid"]["T"]
     verdicts = []
     rows = []
     for s in c["s_values"]:
-        residuals = []
-        for grid in _refinement_pair(config):
-            params = build_weight_params(config, model, T, s)
-            w = Field.from_function(grid, _carleman_profile(T, model.x0, 5))
-            rep = carleman_identity_check(model, params, grid, w)
-            residuals.append(rep.residual)
-            rows.append([s, grid.N, grid.M, rep.lhs, rep.rhs, rep.residual])
-        factor = residuals[0] / residuals[1] if residuals[1] > 0.0 else np.inf
-        verdicts.append(verdict(f"identity_residual_s{s:g}", "<", residuals[1],
+        (coarse, coarse_rows), (fine, fine_rows) = [
+            _identity_level(config, model, grid, s) for grid in _refinement_pair(config)]
+        rows += coarse_rows + fine_rows
+        factor = coarse.residual / fine.residual if fine.residual > 0.0 else np.inf
+        verdicts.append(verdict(f"identity_residual_s{s:g}", "<", fine.residual,
                                 c["residual_tol"]))
         verdicts.append(verdict(f"identity_refinement_s{s:g}", ">=", factor,
                                 c["refine_factor_min"]))
@@ -440,67 +449,77 @@ def run_carleman_identity(config: dict, out_dir: Path) -> list:
     return verdicts
 
 
+def _scan_level(config: dict, model, potential, grid: SpaceTimeGrid, s_values):
+    c = config["scan"]
+    T = c["T"]
+    params = build_weight_params(config, model, T, s_values[0])
+    v, h = manufactured_adjoint_pair(model, potential, grid, _carleman_profile(T, model.x0, 1))
+    rep = carleman_scan(model, params, grid, v, h,
+                        s_values=s_values, window_tol=c["window_tol"])
+    return rep, [[grid.N, rep.s_values[k], rep.lhs[k], rep.rhs_source[k],
+                  rep.rhs_boundary[k], rep.ratios[k]] for k in range(s_values.size)]
+
+
 def run_carleman_scan(config: dict, out_dir: Path) -> list:
     model = build_model(config)
     potential = build_potential(config)
     c = config["scan"]
-    T = c["T"]
     s_values = default_s_values(int(c["n_s"]), c["s_start"], c["s_ratio"])
-    reports = []
-    rows = []
-    for grid in _refinement_pair(config, T):
-        params = build_weight_params(config, model, T, s_values[0])
-        v, h = manufactured_adjoint_pair(model, potential, grid,
-                                         _carleman_profile(T, model.x0, 1))
-        rep = carleman_scan(model, params, grid, v, h,
-                            s_values=s_values, window_tol=c["window_tol"])
-        reports.append(rep)
-        for k in range(s_values.size):
-            rows.append([grid.N, rep.s_values[k], rep.lhs[k], rep.rhs_source[k],
-                         rep.rhs_boundary[k], rep.ratios[k]])
-    coarse, fine = reports
+    (coarse, coarse_rows), (fine, fine_rows) = [
+        _scan_level(config, model, potential, grid, s_values)
+        for grid in _refinement_pair(config, c["T"])]
+    # fitted_C is a constant only over a window; without one on both levels it
+    # is each level's last ratio, and its change measures nothing
+    stable = _stability("scan_fitted_C_stable", coarse.fitted_C, fine.fitted_C,
+                        c["stability_tol"])
+    stable["pass"] = stable["pass"] and bool(coarse.window_found and fine.window_found)
     verdicts = [
         verdict("scan_ratios_finite", bool(np.all(np.isfinite(coarse.ratios))),
                 float(np.max(coarse.ratios))),
         verdict("scan_rhs_positive", not coarse.nonpositive_rhs),
         verdict("scan_tail_nonincreasing", coarse.window_found, coarse.s0_observed),
-        _stability("scan_fitted_C_stable", coarse.fitted_C, fine.fitted_C, c["stability_tol"]),
+        stable,
     ]
     write_csv(out_dir / "carleman_scan.csv",
-              ["N", "s", "lhs", "rhs_source", "rhs_boundary", "ratio"], rows, config)
+              ["N", "s", "lhs", "rhs_source", "rhs_boundary", "ratio"],
+              coarse_rows + fine_rows, config)
     return verdicts
+
+
+def _caccioppoli_level(config: dict, model, potential, grid: SpaceTimeGrid):
+    c = config["caccioppoli"]
+    omega_p = (c["omega_prime_lo"], c["omega_prime_hi"])
+    omega = (config["control"]["omega_lo"], config["control"]["omega_hi"])
+    op = assemble_operator(model, grid)
+    _, modes = dirichlet_eigenmodes(op, 1)
+    v = solve_adjoint(model, potential, grid, modes[0])
+    reports = []
+    for s in c["s_values"]:
+        params = build_weight_params(config, model, c["T"], s)
+        reports.append(caccioppoli_check(model, params, grid, v, omega_p, omega))
+    return reports, [[grid.N, s, rep.local_gradient_integral, rep.outer_solution_integral,
+                      rep.ratio, rep.log_ratio] for s, rep in zip(c["s_values"], reports)]
 
 
 def run_caccioppoli(config: dict, out_dir: Path) -> list:
     model = build_model(config)
     potential = build_potential(config)
     c = config["caccioppoli"]
-    T = c["T"]
-    omega_p = (c["omega_prime_lo"], c["omega_prime_hi"])
-    omega = (config["control"]["omega_lo"], config["control"]["omega_hi"])
-    log_ratios = {}
-    rows = []
-    for grid in _refinement_pair(config, T):
-        op = assemble_operator(model, grid)
-        _, modes = dirichlet_eigenmodes(op, 1)
-        v = solve_adjoint(model, potential, grid, modes[0])
-        for s in c["s_values"]:
-            params = build_weight_params(config, model, T, s)
-            rep = caccioppoli_check(model, params, grid, v, omega_p, omega)
-            log_ratios.setdefault(s, []).append(rep.log_ratio)
-            rows.append([grid.N, s, rep.local_gradient_integral,
-                         rep.outer_solution_integral, rep.ratio, rep.log_ratio])
+    (coarse, coarse_rows), (fine, fine_rows) = [
+        _caccioppoli_level(config, model, potential, grid)
+        for grid in _refinement_pair(config, c["T"])]
     verdicts = []
-    for s, (l1, l2) in log_ratios.items():
+    for s, r1, r2 in zip(c["s_values"], coarse, fine):
         # |r2 - r1| / max(r1, r2), from the log ratios, which stay finite where
         # e^{2s phi} underflows; an infinite one (an integral that vanishes)
         # leaves nothing measured, and the NaN change fails the verdict
+        l1, l2 = r1.log_ratio, r2.log_ratio
         measured = math.isfinite(l1) and math.isfinite(l2)
         change = -math.expm1(-abs(l2 - l1)) if measured else math.nan
         verdicts.append(verdict(f"caccioppoli_stable_s{s:g}", "<", change, c["stability_tol"]))
     write_csv(out_dir / "caccioppoli.csv",
               ["N", "s", "local_gradient", "outer_solution", "ratio", "log_ratio"],
-              rows, config)
+              coarse_rows + fine_rows, config)
     return verdicts
 
 
@@ -510,17 +529,14 @@ def run_observability(config: dict, out_dir: Path) -> list:
     control = build_control(config)
     c = config["observability"]
     seed = int(config["run"]["seed"])
-    reports = []
-    rows = []
-    for grid in _refinement_pair(config, c["T"]):
-        rep = estimate_observability(model, potential, grid, control,
-                                     n_modes=int(c["n_modes"]),
-                                     n_random=int(c["n_random"]),
-                                     n_power=int(c["n_power"]), seed=seed)
-        reports.append(rep)
-        for desc, ratio in rep.samples:
-            rows.append([grid.N, desc, ratio])
-    coarse, fine = reports
+    grids = _refinement_pair(config, c["T"])
+    coarse, fine = [estimate_observability(model, potential, grid, control,
+                                           n_modes=int(c["n_modes"]),
+                                           n_random=int(c["n_random"]),
+                                           n_power=int(c["n_power"]), seed=seed)
+                    for grid in grids]
+    rows = [[grid.N, desc, ratio] for grid, rep in zip(grids, (coarse, fine))
+            for desc, ratio in rep.samples]
     verdicts = [
         verdict("observability_finite_positive", coarse.C_T_estimate > 0.0, coarse.C_T_estimate),
         _stability("observability_stable", coarse.C_T_estimate, fine.C_T_estimate,

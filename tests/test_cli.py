@@ -1,5 +1,6 @@
 import csv
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 import degenpde.cli as cli
 from degenpde.cli import DEFAULT_CONFIG, PRESETS, _carleman_profile, build_model, main, verdict
 from degenpde.control import synthesize_null_control
+from degenpde.inequalities import carleman_identity_check, manufactured_adjoint_pair
 
 LEAVES = [f"{section}.{leaf}" for section, leaves in DEFAULT_CONFIG.items()
           for leaf in leaves]
@@ -325,8 +327,22 @@ class TestSubcommands:
         assert code == 2
         last_s = 1.5 ** (n_s - 1)
         assert f"[FAIL] scan_tail_nonincreasing  value={last_s:.6g}\n" in capsys.readouterr().out
+        summary = json.loads((out / "summary.json").read_text())
+        verdicts = {v["name"]: v for v in summary["verdicts"]}
+        # without a window fitted_C is each level's last ratio, so its small change
+        # is reported as before but measures no constant
+        stable = verdicts.pop("scan_fitted_C_stable")
+        assert not stable["pass"] and stable["value"] < stable["threshold"] == 0.25
+        del verdicts["scan_tail_nonincreasing"]
+        assert all(v["pass"] for v in verdicts.values())
+
+    def test_repeated_caccioppoli_s_is_checked_per_entry(self, tmp_path):
+        # as in carleman-identity, each entry of s_values gives one verdict
+        code, out = run(tmp_path, "caccioppoli", *TINY,
+                        "--set", "caccioppoli.s_values=[1.0, 1.0]")
+        assert code != 1
         verdicts = json.loads((out / "summary.json").read_text())["verdicts"]
-        assert all(v["pass"] for v in verdicts if v["name"] != "scan_tail_nonincreasing")
+        assert [v["name"] for v in verdicts] == ["caccioppoli_stable_s1"] * 2
 
     def test_verdict_failure_exits_2(self, tmp_path, capsys):
         code, _ = run(tmp_path, "null-control",
@@ -356,6 +372,42 @@ class TestSubcommands:
             assert main([*tiny_all, *extra, "--out", str(out)]) != 1
             bodies.append((out / "carleman_scan.csv").read_text().split("\n", 1)[1])
         assert bodies[0] != bodies[1]
+
+
+class TestLevelLifetime:
+    @pytest.mark.parametrize("task, samplings", [("carleman-identity", 4), ("carleman-scan", 2)])
+    def test_level_fields_die_before_next_level_samples(self, tmp_path, monkeypatch, task,
+                                                        samplings):
+        """When a level samples its profile, no field of an earlier level is alive."""
+        refs = []       # weak references to each field, and its values, a level made or got
+        alive = []      # per profile sampling, how many of them were still alive
+
+        def track(*fields):
+            refs.extend(weakref.ref(obj) for f in fields for obj in (f, f.values))
+
+        def profile(T, x0, k):
+            sample = _carleman_profile(T, x0, k)
+
+            def counted(t, x):
+                alive.append(sum(ref() is not None for ref in refs))
+                return sample(t, x)
+            return counted
+
+        def pair(*args):
+            v, h = manufactured_adjoint_pair(*args)
+            track(v, h)
+            return v, h
+
+        def identity(model, params, grid, w):
+            track(w)
+            return carleman_identity_check(model, params, grid, w)
+
+        monkeypatch.setattr(cli, "_carleman_profile", profile)
+        monkeypatch.setattr(cli, "manufactured_adjoint_pair", pair)
+        monkeypatch.setattr(cli, "carleman_identity_check", identity)
+        code, _ = run(tmp_path, task, *TINY, "--set", "scan.n_s=5")
+        assert code != 1
+        assert refs and alive == [0] * samplings
 
 
 class TestDeterminism:
