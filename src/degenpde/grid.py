@@ -51,7 +51,7 @@ class SpaceTimeGrid:
 
     @classmethod
     def create(cls, N: int, M: int, T: float, x0: float) -> "SpaceTimeGrid":
-        if T <= 0.0:
+        if not 0.0 < T < np.inf:
             raise ValueError(f"T must be positive, got {T}")
         if N < 2 or M < 1:
             raise ValueError(f"need N >= 2 and M >= 1, got N={N}, M={M}")

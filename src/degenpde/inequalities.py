@@ -503,8 +503,6 @@ def carleman_scan(model, params_base: WeightParams, grid: SpaceTimeGrid, v: Fiel
     operations bit for bit, whatever the blocks, and agree with the
     integrand-first formula to rounding.
     """
-    if not 0.0 < model.x0 < 1.0:
-        raise ValueError("x0 must be strictly interior")
     s_values = default_s_values() if s_values is None else np.asarray(s_values, dtype=float)
     if np.any(s_values < 0.0) or np.any(np.diff(s_values) < 0.0):
         raise ValueError(f"s must be nonnegative and nondecreasing, got {s_values}")

@@ -38,14 +38,15 @@ step back-substitutes with ``pttrs``.  Both are SciPy's double-precision
 ``dpttrf``/``dpttrs`` from its compiled ``_flapack`` extension, which
 ``degenpde._lapack`` loads without running SciPy's linalg initialiser.
 
-Each potential keeps one entry keyed by value on the operator's
-off-diagonal, its diagonal without the c term and the rows of c (one for
-constant c, one per level for sampled c).  It holds each level's factors,
-made the first time a solve needs them (levels 1..M forward, 0..M-1 adjoint),
-and per direction, keyed on 1/dt and M, the checked lists of factors and g/2
-in step order (a sampled c's rows, or one row of 1/dt).  So repeated solves
-on one potential (the HUM iteration) check, factor and form nothing, whatever
-other potentials solved in between, and the step loop only walks lists.
+A potential owns its rows of c (one for constant c, one per level for
+sampled c) as a read-only copy, checked finite once when it is made.  It keeps
+one entry keyed by value on the operator's off-diagonal and its diagonal
+without the c term.  The entry holds each level's factors, made the first time
+a solve needs them (levels 1..M forward, 0..M-1 adjoint), and per direction,
+keyed on 1/dt and M, the checked lists of factors and g/2 in step order (a
+sampled c's rows, or one row of 1/dt).  So repeated solves on one potential
+(the HUM iteration) check, factor and form nothing, whatever other potentials
+solved in between, and the step loop only walks lists.
 ``pttrf`` then ``pttrs`` is ``ptsv``, the routine
 ``scipy.linalg.solveh_banded`` calls on a two-row band; one interior node is
 a division.
@@ -92,11 +93,17 @@ class PotentialModel:
     """Bounded zero-order term c(t, x), held as ``rows`` that broadcast over a grid.
 
     One row (a single value) when c is zero or constant, and one row per time
-    level, of shape (M+1, N+1), when c is sampled on a grid.
+    level, of shape (M+1, N+1), when c is sampled on a grid.  ``rows`` is the
+    potential's own read-only copy, checked finite here, boundary columns too.
     """
 
     rows: np.ndarray
     _levels: list = field(default_factory=lambda: [None], init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        rows = np.asarray_chkfinite(self.rows, dtype=float).copy()
+        rows.flags.writeable = False
+        object.__setattr__(self, "rows", rows)
 
     @classmethod
     def zero(cls) -> "PotentialModel":
@@ -132,7 +139,7 @@ class ControlConfig:
         if not 0.0 <= self.omega_lo < self.omega_hi <= 1.0:
             raise ValueError(
                 f"need 0 <= omega_lo < omega_hi <= 1, got ({self.omega_lo}, {self.omega_hi})")
-        if self.epsilon < 0.0:
+        if not 0.0 <= self.epsilon < np.inf:
             raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
 
     def require_x0_inside(self, x0: float):
@@ -171,11 +178,6 @@ def _check_dirichlet(vec: np.ndarray, name: str) -> np.ndarray:
     return out
 
 
-def _require_finite(arr: np.ndarray):
-    if not np.isfinite(arr).all():
-        raise ValueError("array must not contain infs or NaNs")
-
-
 def _check_info(info: int):
     if info > 0:
         raise LinAlgError(f"{info}th leading minor not positive definite")
@@ -200,18 +202,17 @@ def _directed_steps(levels, e, base, c, dt, M, backward):
     (base + c_k/2)/2, and g/2 = 1/dt + (c_next - c_prev)/4.  The factors are
     ``pttrf``'s (d, e) of L D L^T, the same pivots d as an LU without
     interchanges; with one interior node they are (diagonal, None).  The entry
-    ``levels[0]`` is (e, base, c, factors per row, lists per direction).  It is
-    reused when its inputs equal these by value, since rows may be edited in
-    place between solves; a non-finite input equals nothing, so it is checked
-    again, and ``np.array_equal`` takes -0.0 == +0.0, which changes no check,
-    factor or g.
+    ``levels[0]`` is (e, base, factors per row, lists per direction).  c is the
+    potential's read-only rows, checked finite when it was made, so the entry
+    is reused when e and base equal these by value; a non-finite e equals
+    nothing, so it is checked again, and ``np.array_equal`` takes -0.0 == +0.0,
+    which changes no check, factor or g.
     """
-    entry, inputs = levels[0], (e, base, c)
-    if entry is None or not all(map(np.array_equal, entry[:3], inputs)):
-        _require_finite(e)
-        _require_finite(c)
-        entry = levels[0] = (e, base, c.copy(), [None] * len(c), {})
-    e, base, c, factors, directions = entry
+    entry = levels[0]
+    if entry is None or not all(map(np.array_equal, entry[:2], (e, base))):
+        np.asarray_chkfinite(e)
+        entry = levels[0] = (e, base, [None] * len(c), {})
+    e, base, factors, directions = entry
     inv_dt, steps = 1.0 / dt, directions.get(backward)
     if steps is not None and steps[0] == (inv_dt, M):
         return steps[1:]
@@ -219,7 +220,7 @@ def _directed_steps(levels, e, base, c, dt, M, backward):
     lhs_c = (c[:-1] if backward else c[1:]) if sampled else c   # the rows that enter a LHS
     _require_dominance(lhs_c.min(), dt)
     # base + c/2 grows with c, so the largest c of each node decides overflow
-    _require_finite(base + 0.5 * lhs_c.max(axis=0))
+    np.asarray_chkfinite(base + 0.5 * lhs_c.max(axis=0))
     order = (range(M - 1, -1, -1) if backward else range(1, M + 1)) if sampled else [0] * M
     off, half_base = -0.25 * e, 0.5 * base
     for k in order:
@@ -282,7 +283,7 @@ def _propagate(model, potential: PotentialModel, grid: SpaceTimeGrid, start: np.
     # A non-finite value leaves a non-finite entry in its row and in every later
     # one, since every divisor is a finite positive pivot, so a check of the last
     # row rejects what a per-step check of each right-hand side would.
-    _require_finite(rows[-1])
+    np.asarray_chkfinite(rows[-1])
     return Field(grid, out)
 
 

@@ -58,11 +58,13 @@ class WeightParams:
     s: float
 
     def __post_init__(self):
-        if self.T <= 0.0:
+        if not 0.0 < self.T < np.inf:
             raise ValueError(f"T must be positive, got {self.T}")
-        if self.c1 <= 0.0:
+        if not 0.0 < self.c1 < np.inf:
             raise ValueError(f"c1 must be positive, got {self.c1}")
-        if self.s < 0.0:
+        if not np.isfinite(self.c2):
+            raise ValueError(f"c2 must be finite, got {self.c2}")
+        if not 0.0 <= self.s < np.inf:
             raise ValueError(f"s must be nonnegative, got {self.s}")
 
     @classmethod

@@ -32,6 +32,11 @@ class TestGridConstruction:
         with pytest.raises(ValueError):
             SpaceTimeGrid.create(100, 10, 1.0, 0.0)
 
+    @pytest.mark.parametrize("T, x0", [(np.nan, 0.3), (np.inf, 0.3), (1.0, np.nan)])
+    def test_non_finite_arguments(self, T, x0):
+        with pytest.raises(ValueError, match="T must be positive|x0 must lie"):
+            SpaceTimeGrid.create(20, 40, T, x0)
+
 
 class TestOperator:
     @pytest.mark.parametrize("preset", [*sorted(PRESETS), "constant"])

@@ -48,6 +48,16 @@ class TestWeightParams:
         with pytest.raises(ValueError):
             WeightParams(T=1.0, c1=1.0, c2=1.0, s=-2.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["T", "c1", "c2", "s"])
+    def test_non_finite_parameters(self, name, value):
+        # each message names its parameter
+        with pytest.raises(ValueError, match=rf"^{name} must be"):
+            WeightParams(**{"T": 1.0, "c1": 1.0, "c2": 1.0, "s": 1.0, name: value})
+        m = CoefficientModel.power_law(0.5, 0.3)
+        with pytest.raises(ValueError, match=rf"^{name} must be"):
+            WeightParams.for_model(m, **{"T": 1.0, "s": 1.0, name: value})
+
 
 class TestTheta:
     def test_values(self):
