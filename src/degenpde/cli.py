@@ -26,9 +26,9 @@ import numpy as np
 
 from .coefficients import CoefficientModel, _hypothesis_slack, check_hypotheses
 from .control import estimate_observability, synthesize_null_control
-from .grid import Field, SpaceTimeGrid, assemble_operator, dirichlet_eigenmodes
-from .inequalities import (HardyWeight, _require_caccioppoli_geometry,
-                           _require_hardy_monotone, caccioppoli_check,
+from .grid import (Field, SpaceTimeGrid, _require_time_step, assemble_operator,
+                   dirichlet_eigenmodes)
+from .inequalities import (HardyWeight, _require_caccioppoli_geometry, caccioppoli_check,
                            carleman_identity_check, carleman_scan, default_s_values,
                            hp_verify, manufactured_adjoint_pair)
 from .solvers import ControlConfig, PotentialModel, _require_dominance, solve_adjoint
@@ -203,10 +203,8 @@ def resolve_config(args) -> dict:
     tasks = set(TASKS) if args.subcommand == "all" else {args.subcommand}
     x0 = config["coefficient"]["x0"]
     omega = (config["control"]["omega_lo"], config["control"]["omega_hi"])
-    if "hp" in tasks and config["hp"]["weight"] == "coefficient":
-        weight = _hardy_weight(config)
-        for grid in _hp_levels(config):
-            _name_key("hp.weight", _require_hardy_monotone, weight, grid.x)
+    if "hp" in tasks:
+        _name_key("hp.weight", _hardy_weight, config)
     if config["weight"]["c2"] is not None and tasks & {
             "carleman-identity", "carleman-scan", "caccioppoli"}:
         # c2 > c2_min depends on the model alone; T = s = 1 stand for every task's
@@ -245,6 +243,10 @@ def validate_config(config: dict):
         if snapped != N:
             print(f"warning: {section}.N={N} becomes N={snapped} so that x0={c['x0']} "
                   "lies on a grid node", file=sys.stderr)
+    # the finest level of any task has 2 grid.M time steps
+    for section in ("grid", "scan", "caccioppoli", "observability", "null_control"):
+        _name_key(f"{section}.T", _require_time_step, float(config[section]["T"]),
+                  2 * int(config["grid"]["M"]))
     lo, hi = config["control"]["omega_lo"], config["control"]["omega_hi"]
     if not lo < hi:
         raise ConfigError("control.omega_hi", f"omega=({lo}, {hi}) is empty")
@@ -341,13 +343,6 @@ def _refinement_pair(config: dict, T=None) -> list:
     return [coarse, build_grid(config, N=2 * coarse.N, M=2 * coarse.M, T=T)]
 
 
-def _hp_levels(config: dict) -> list:
-    """The hp grids: hp.N, and the fine level that doubles its snapped N."""
-    x0 = config["coefficient"]["x0"]
-    coarse = SpaceTimeGrid.create(int(config["hp"]["N"]), 1, 1.0, x0)
-    return [coarse, SpaceTimeGrid.create(2 * coarse.N, 1, 1.0, x0)]
-
-
 def _stability(name: str, coarse: float, fine: float, tol: float) -> dict:
     """Passes when |fine - coarse| / coarse < tol; the change is inf unless
     coarse is finite and positive."""
@@ -387,7 +382,10 @@ def run_check_coeff(config: dict, out_dir: Path) -> list:
 def run_hp(config: dict, out_dir: Path) -> list:
     c = config["hp"]
     weight = _hardy_weight(config)
-    grids = _hp_levels(config)
+    # hp.N, and the fine level that doubles its snapped N
+    x0 = config["coefficient"]["x0"]
+    grids = [SpaceTimeGrid.create(int(c["N"]), 1, 1.0, x0)]
+    grids.append(SpaceTimeGrid.create(2 * grids[0].N, 1, 1.0, x0))
     coarse, fine = [hp_verify(weight, grid, battery_size=int(c["battery_size"]),
                               seed=int(config["run"]["seed"])) for grid in grids]
     verdicts = [

@@ -93,26 +93,10 @@ class HypothesisReport:
     degenerate_at_x0: bool
 
 
-def _sided_monotone(x: np.ndarray, vals: np.ndarray, x0: float, tol: float):
-    """Check nonincreasing left of x0 / nondecreasing right of x0.
-
-    Returns (ok, failure_interval).  ``tol`` is relative to the largest |value|
-    (at least 1); differences within it count as flat.
-    """
-    scale = np.max(np.abs(vals)) if vals.size else 1.0
-    atol = tol * max(scale, 1.0)
-    left = x < x0
-    right = x > x0
-    for side, mask in (("left", left), ("right", right)):
-        xs, vs = x[mask], vals[mask]
-        if xs.size < 2:
-            continue
-        dv = np.diff(vs)
-        bad = dv > atol if side == "left" else dv < -atol
-        if np.any(bad):
-            k = int(np.argmax(bad))
-            return False, (float(xs[k]), float(xs[k + 1]))
-    return True, None
+def _sided_monotone(x: np.ndarray, vals: np.ndarray, x0: float) -> bool:
+    """Whether vals is nonincreasing left of x0 and nondecreasing right of x0."""
+    left, right = np.diff(vals[x < x0]), np.diff(vals[x > x0])
+    return not (np.any(left > 0.0) or np.any(right < 0.0))
 
 
 def _hypothesis_slack(model: CoefficientModel, x: np.ndarray, a: np.ndarray, xap: np.ndarray):
@@ -148,13 +132,13 @@ def check_hypotheses(model: CoefficientModel, grid) -> HypothesisReport:
     with np.errstate(divide="ignore"):
         gamma_vals = np.where(good, d ** model.K / np.where(good, a, 1.0), np.inf)
         theta_vals = np.where(good, a / d ** model.theta, 0.0)
-    gamma_ok, _ = _sided_monotone(xs[good], gamma_vals[good], model.x0, 0.0)
-    theta_ok, _ = _sided_monotone(xs[good], theta_vals[good], model.x0, 0.0)
+    gamma_ok = _sided_monotone(xs[good], gamma_vals[good], model.x0)
+    theta_ok = _sided_monotone(xs[good], theta_vals[good], model.x0)
     degenerate_at_x0 = bool(abs(model.eval_a(model.x0)) < 1e-14)
     return HypothesisReport(
         slack_max=float(slack),
         slack_tol=1e-12,
-        gamma_monotone_ok=bool(gamma_ok),
-        theta_monotone_ok=bool(theta_ok),
+        gamma_monotone_ok=gamma_ok,
+        theta_monotone_ok=theta_ok,
         degenerate_at_x0=degenerate_at_x0,
     )

@@ -36,6 +36,17 @@ def _snap_N(N: int, x0: float) -> int:
     raise ValueError(f"no admissible N >= {N} puts x0={x0} on a grid node")
 
 
+def _require_time_step(T: float, M: int):
+    """Raise unless T is positive and finite and the step T/M is nonzero with a
+    finite reciprocal, which the time steppers divide by."""
+    if not 0.0 < T < np.inf:
+        raise ValueError(f"T must be positive, got {T}")
+    dt = T / M
+    if dt == 0.0 or 1.0 / dt == np.inf:
+        raise ValueError(f"T={T} over M={M} steps gives the step {dt}, whose reciprocal "
+                         "is infinite")
+
+
 @dataclass(frozen=True)
 class SpaceTimeGrid:
     """Uniform grid: x_i = i/N on [0, 1], t_j = j T / M, with x0 a node."""
@@ -51,10 +62,9 @@ class SpaceTimeGrid:
 
     @classmethod
     def create(cls, N: int, M: int, T: float, x0: float) -> "SpaceTimeGrid":
-        if not 0.0 < T < np.inf:
-            raise ValueError(f"T must be positive, got {T}")
         if N < 2 or M < 1:
             raise ValueError(f"need N >= 2 and M >= 1, got N={N}, M={M}")
+        _require_time_step(T, M)
         if not 0.0 < x0 < 1.0:
             raise ValueError(f"x0 must lie strictly in (0, 1), got {x0}")
         snapped = _snap_N(N, x0)

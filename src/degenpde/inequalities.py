@@ -29,11 +29,10 @@ import numpy as np
 from numpy.random import default_rng
 
 from ._lapack import eigh_tridiagonal
-from .coefficients import _sided_monotone
 from .grid import Field, SpaceTimeGrid, assemble_operator
 from .solvers import ControlConfig, PotentialModel
-from .weights import (WeightParams, _exp_flushed, _power_cell_integral, log2s_phi, psi,
-                      psi_prime, theta, theta_dot, theta_ddot)
+from .weights import (WeightParams, _exp_flushed, log2s_phi, psi, psi_prime, theta, theta_dot,
+                      theta_ddot)
 
 __all__ = [
     "HardyWeight",
@@ -55,36 +54,37 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HardyWeight:
-    """Weight p for the Hardy-Poincare inequality.
+    """Weight p = |x - x0|^gamma for the Hardy-Poincare inequality.
 
-    p is continuous, vanishes exactly at x0, and p / |x - x0|^q must be
-    nonincreasing left of x0 and nondecreasing right of it for some
-    q in (1, 2).
+    p vanishes exactly at x0, and p / |x - x0|^q = |x - x0|^(gamma - q) must be
+    nonincreasing left of x0 and nondecreasing right of it, for q in (1, 2):
+    that holds exactly when gamma >= q.
     """
 
-    p: callable
     q: float
     x0: float
+    gamma: float
 
     def __post_init__(self):
         if not 1.0 < self.q < 2.0:
             raise ValueError(f"q must lie in (1, 2), got {self.q}")
+        if not self.gamma >= self.q:
+            raise ValueError(f"p/|x-x0|^q is not one-sided monotone: gamma={self.gamma} "
+                             f"is below q={self.q}")
 
     @classmethod
     def pure_power(cls, q: float, x0: float) -> "HardyWeight":
-        return cls(p=lambda x: np.abs(np.asarray(x) - x0) ** q, q=q, x0=x0)
+        return cls(q=q, x0=x0, gamma=q)
 
     @classmethod
     def from_coefficient(cls, model) -> "HardyWeight":
-        """The weight (a |x-x0|^4)^(1/3) used to absorb the Theta^(3/2) term;
-        its exponent is q = (4 + theta)/3."""
-        q = (4.0 + model.theta) / 3.0
+        """The weight (a |x-x0|^4)^(1/3) used to absorb the Theta^(3/2) term.
 
-        def p(x):
-            x = np.asarray(x, dtype=float)
-            return (model.eval_a(x) * np.abs(x - model.x0) ** 4) ** (1.0 / 3.0)
-
-        return cls(p=p, q=q, x0=model.x0)
+        For a = scale |x-x0|^alpha that is scale^(1/3) |x-x0|^((4+alpha)/3); the
+        factor scale^(1/3) multiplies stiffness and mass alike and cancels from
+        every ratio, so it is dropped.  The exponent q is (4 + theta)/3.
+        """
+        return cls(q=(4.0 + model.theta) / 3.0, x0=model.x0, gamma=(4.0 + model.alpha) / 3.0)
 
     def paper_bound(self) -> float:
         """min over beta in (1, q) of 1/((beta-1)(q-beta)), at beta=(1+q)/2."""
@@ -100,39 +100,30 @@ class HPReport:
 
 
 def _hp_matrices(weight: HardyWeight, grid: SpaceTimeGrid):
-    """Stiffness and lumped singular mass with exact local-power quadrature.
+    """Stiffness and lumped singular mass, each cell integral in closed form.
 
-    The stiffness cell averages of p and the lumped mass integrals of
-    p/(x-x0)^2 are one ``_power_cell_integral`` call each, p ~ C |r|^gamma
-    through every cell's endpoint values (exact for pure powers; gamma = q on
-    a cell ending at x0).  The blunt alternatives -- midpoint p and nodal
-    p/(x-x0)^2 h -- converge only like h^(q-1) near x0, too slowly for q
-    close to 1.  The entries equal a per-cell scalar evaluation of the rule
-    to rounding, not bit for bit (see ``_power_cell_integral``).
+    The stiffness entry of cell [x_i, x_i+1] is the cell average of
+    p = r^gamma over h, and the lumped mass m_i integrates p/r^2 = r^(gamma-2)
+    over [x_i - h/2, x_i] and [x_i, x_i + h/2], with r = |x - x0|.  No cell
+    straddles x0, which is a node, so the integral of r^(e-1) from distance
+    r_a to r_b is |r_b^e - r_a^e| / e.  The blunt alternatives -- midpoint p
+    and nodal p/(x-x0)^2 h -- converge only like h^(q-1) near x0, too slowly
+    for q close to 1.
     """
     h = grid.h
     d = np.abs(grid.x - weight.x0)
-    pv = np.asarray(weight.p(grid.x), dtype=float)
+
+    def cells(r_a, r_b, e):
+        return np.abs(r_b ** e - r_a ** e) / e
+
     # stiffness: entry per cell [x_i, x_i+1] is (cell average of p) / h
-    p_cell = _power_cell_integral(d[:-1], d[1:], pv[:-1], pv[1:], 0.0, weight.q) / h
-    # lumped mass: m_i integrates p/(x-x0)^2 over [x_i - h/2, x_i] and [x_i, x_i + h/2]
+    p_cell = cells(d[:-1], d[1:], weight.gamma + 1.0) / h
+    # lumped mass: m_i integrates p/r^2 over the half-cells on each side of x_i
     inner = grid.x[1:-1]
-    half_nodes = np.concatenate((inner - 0.5 * h, inner + 0.5 * h))
-    halves = _power_cell_integral(np.abs(half_nodes - weight.x0), np.tile(d[1:-1], 2),
-                                  np.asarray(weight.p(half_nodes), dtype=float),
-                                  np.tile(pv[1:-1], 2), -2.0, weight.q)
-    m = halves[:inner.size] + halves[inner.size:]
+    e = weight.gamma - 1.0
+    m = (cells(np.abs(inner - 0.5 * h - weight.x0), d[1:-1], e)
+         + cells(d[1:-1], np.abs(inner + 0.5 * h - weight.x0), e))
     return (p_cell[:-1] + p_cell[1:]) / h, -p_cell[1:-1] / h, m
-
-
-def _require_hardy_monotone(weight: HardyWeight, x: np.ndarray):
-    """Raise unless p/|x-x0|^q is one-sided monotone on the nodes x."""
-    good = np.abs(x - weight.x0) > 1e-14
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio_vals = np.where(good, weight.p(x) / np.abs(x - weight.x0) ** weight.q, 0.0)
-    ok, interval = _sided_monotone(x[good], ratio_vals[good], weight.x0, 1e-12)
-    if not ok:
-        raise ValueError(f"p/|x-x0|^q is not one-sided monotone near {interval}")
 
 
 def _spline_basis(x: np.ndarray, n_knots: int) -> np.ndarray:
@@ -183,7 +174,6 @@ def hp_verify(weight: HardyWeight, grid: SpaceTimeGrid,
     weight p/(x-x0)^2).
     """
     x = grid.x
-    _require_hardy_monotone(weight, x)
     k_diag, k_off, m = _hp_matrices(weight, grid)
     # symmetrize: M^(-1/2) K M^(-1/2) is tridiagonal with the same eigenvalues
     inv_sqrt_m = 1.0 / np.sqrt(m)

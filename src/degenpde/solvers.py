@@ -94,7 +94,7 @@ class PotentialModel:
 
     One row (a single value) when c is zero or constant, and one row per time
     level, of shape (M+1, N+1), when c is sampled on a grid.  ``rows`` is the
-    potential's own read-only copy, checked finite here, boundary columns too.
+    potential's own read-only copy, checked 2-D and finite here, boundary columns too.
     """
 
     rows: np.ndarray
@@ -102,6 +102,8 @@ class PotentialModel:
 
     def __post_init__(self):
         rows = np.asarray_chkfinite(self.rows, dtype=float).copy()
+        if rows.ndim != 2:
+            raise ValueError(f"potential rows must be 2-D, got shape {rows.shape}")
         rows.flags.writeable = False
         object.__setattr__(self, "rows", rows)
 

@@ -79,36 +79,6 @@ class WeightParams:
         return cls(T=float(T), c1=float(c1), c2=float(c2), s=float(s))
 
 
-def _power_cell_integral(r_a, r_b, p_a, p_b, shift, gamma_at_zero):
-    """Integral of p(r) r^shift over every cell between distances r_a and r_b >= 0.
-
-    The package's one local-power rule: on each cell [r_lo, r_hi], the sorted
-    endpoints, p is modelled as C r^gamma through the endpoint values of p and
-    integrated in closed form.  This is exact for pure powers and keeps full
-    order where the integrand's derivative is unbounded at r = 0.  Where
-    r_lo <= 0 or p(r_lo) <= 0, gamma is ``gamma_at_zero``, C comes from the
-    outer endpoint and the integral starts at 0; where e = gamma + shift + 1 is
-    within 1e-10 of 0, the log branch C log(r_hi / r_lo) is taken.  The
-    formulas and their order are those of a scalar evaluation, but NumPy's
-    array ``**`` is not libm's ``pow``: the two may differ in the last bit,
-    which r_hi^e - r_lo^e amplifies for small e (to about 1e-11 relative at
-    e = 0.05 over 2000 cells).
-    """
-    a_inner = r_a <= r_b
-    r_lo, r_hi = np.where(a_inner, r_a, r_b), np.where(a_inner, r_b, r_a)
-    p_lo, p_hi = np.where(a_inner, p_a, p_b), np.where(a_inner, p_b, p_a)
-    fit = (r_lo > 0.0) & (p_lo > 0.0)
-    gamma = np.full(r_lo.shape, float(gamma_at_zero))
-    gamma[fit] = np.log(p_hi[fit] / p_lo[fit]) / np.log(r_hi[fit] / r_lo[fit])
-    r_ref = np.where(fit, r_lo, r_hi)
-    C = np.where(fit, p_lo, p_hi) / r_ref ** gamma
-    e = gamma + shift + 1.0
-    log_branch = fit & (np.abs(e) < 1e-10)
-    e = np.where(log_branch, 1.0, e)        # keeps the discarded power branch finite there
-    power = C * (r_hi ** e - np.where(fit, r_lo, 0.0) ** e) / e
-    return np.where(log_branch, C * np.log(r_hi / r_ref), power)
-
-
 def b_integral(model, x):
     """b(x) = integral_{x0}^{x} (y - x0)/a(y) dy >= 0, in closed form.
 

@@ -1,14 +1,13 @@
-"""The vectorised local-power cell integral against the per-cell loops it replaces.
+"""The closed-form cell integrals against a per-cell scalar local-power rule.
 
-``_hp_matrices`` integrates p r^shift over many cells with one call of
-``weights._power_cell_integral``.  The reference functions below keep the
-scalar rule and the loops that drove it, one cell at a time; the closed-form
-``b_integral`` is checked against the same scalar rule summed outward from x0
-cell by cell.  Each entry
-follows the same formulas in the same order, but NumPy's array ``**`` and
-libm's scalar ``pow`` may differ in the last bit, and r_hi^e - r_lo^e
-amplifies that difference for a small exponent e.  The tolerance is set from
-that cancellation, not fitted to the results.
+The reference below fits p as C r^gamma through each cell's endpoint values
+and integrates that in closed form, one cell at a time with scalar
+arithmetic.  ``_hp_matrices`` integrates the Hardy weight's exact power
+r^gamma over every cell and half-cell, and ``b_integral`` is checked against
+the same scalar rule summed outward from x0 cell by cell.  NumPy's array
+``**`` and libm's scalar ``pow`` may differ in the last bit, and
+r_hi^e - r_lo^e amplifies that difference for a small exponent e.  The
+tolerance is set from that cancellation, not fitted to the results.
 """
 
 import numpy as np
@@ -16,7 +15,7 @@ import pytest
 
 from degenpde import CoefficientModel, SpaceTimeGrid
 from degenpde.inequalities import HardyWeight, _hp_matrices
-from degenpde.weights import _power_cell_integral, b_integral
+from degenpde.weights import b_integral
 
 EPS = np.finfo(float).eps
 
@@ -45,15 +44,19 @@ def reference_hp_matrices(weight, grid):
     h = grid.h
     x = grid.x
     N = grid.N
-    q = weight.q
-    pv = np.asarray(weight.p(x), dtype=float)
+    gamma = weight.gamma
+
+    def p(y):
+        return abs(y - weight.x0) ** gamma
+
+    pv = np.array([p(y) for y in x])
     d = np.abs(x - weight.x0)
 
     p_cell = np.empty(N)
     for i in range(N):
         lo, hi = sorted((d[i], d[i + 1]))
         p_lo, p_hi = (pv[i], pv[i + 1]) if d[i] <= d[i + 1] else (pv[i + 1], pv[i])
-        p_cell[i] = reference_power_fit_integral(p_lo, p_hi, lo, hi, q, 0.0) / h
+        p_cell[i] = reference_power_fit_integral(p_lo, p_hi, lo, hi, gamma, 0.0) / h
     k_diag = p_cell[:-1] + p_cell[1:]
     k_off = -p_cell[1:-1]
 
@@ -61,11 +64,11 @@ def reference_hp_matrices(weight, grid):
     for i in range(1, N):
         for a_, b_ in ((x[i] - 0.5 * h, x[i]), (x[i], x[i] + 0.5 * h)):
             ra, rb = abs(a_ - weight.x0), abs(b_ - weight.x0)
-            pa = pv[i] if abs(a_ - x[i]) < 1e-15 else float(weight.p(a_))
-            pb = pv[i] if abs(b_ - x[i]) < 1e-15 else float(weight.p(b_))
+            pa = pv[i] if abs(a_ - x[i]) < 1e-15 else p(a_)
+            pb = pv[i] if abs(b_ - x[i]) < 1e-15 else p(b_)
             lo, hi = sorted((ra, rb))
             p_lo, p_hi = (pa, pb) if ra <= rb else (pb, pa)
-            m[i] += reference_power_fit_integral(p_lo, p_hi, lo, hi, q, -2.0)
+            m[i] += reference_power_fit_integral(p_lo, p_hi, lo, hi, gamma, -2.0)
     return k_diag / h, k_off / h, m[1:-1]
 
 
@@ -95,18 +98,14 @@ def reference_b(model, x):
 # inputs
 # ---------------------------------------------------------------------------
 
-def exact_grid(N, x0):
-    """An N-cell grid as requested; the quadrature reads only distances to x0,
-    so x0 need not be a node (N = 3 and 4 leave one or two interior cells)."""
-    return SpaceTimeGrid(N=N, M=1, T=1.0, x0=x0, x0_index=round(x0 * N), requested_N=N,
-                         x=np.linspace(0.0, 1.0, N + 1), t=np.linspace(0.0, 1.0, 2))
-
-
 WEIGHTS = {
     **{f"pure_q{q}": (lambda x0, q=q: HardyWeight.pure_power(q, x0))
        for q in (1.05, 1.2, 1.5, 1.95)},
     **{f"coefficient_alpha{al}": (lambda x0, al=al: HardyWeight.from_coefficient(
         CoefficientModel.power_law(al, x0))) for al in (0.5, 1.0, 1.5)},
+    # theta < alpha gives gamma = (4 + alpha)/3 above q = (4 + theta)/3
+    **{f"coefficient_alpha{al}_theta{th}": (lambda x0, al=al, th=th: HardyWeight.from_coefficient(
+        CoefficientModel.power_law(al, x0, theta=th))) for al, th in ((1.0, 0.2), (1.5, 0.5))},
 }
 
 
@@ -131,18 +130,32 @@ def cancellation_rtol(n_cells, e_min):
     return EPS * (16.0 + 4.0 * n_cells / e_min)
 
 
+def fit_rtol(gamma, r_min):
+    """Relative error of the reference's fitted cell integral of a pure power.
+
+    The fitted exponent log(p_hi / p_lo) / log(r_hi / r_lo) is off by a few eps
+    relative, and the factor (r_hi / r_lo)^gamma of the integral multiplies that
+    by log(r_hi / r_lo) <= log(1 / r_min); r_min is 5.6e-17 where x0 = 0.3 lies
+    that far from its node."""
+    return 4.0 * EPS * gamma * np.log(1.0 / r_min)
+
+
 # ---------------------------------------------------------------------------
 # tests
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("N", [3, 4, 50, 1000])
+@pytest.mark.parametrize("N", [2, 3, 4, 50, 1000])
 @pytest.mark.parametrize("x0", [0.3, 0.5, 0.123])
 @pytest.mark.parametrize("name", sorted(WEIGHTS))
 def test_hp_matrices_match_per_cell_loops(name, x0, N):
     weight = WEIGHTS[name](x0)
-    grid = exact_grid(N, x0)
-    # the smallest exponent is that of the mass cells, e = q - 1
-    rtol = cancellation_rtol(N, weight.q - 1.0)
+    # x0 is a node, as on every grid the package builds, so no cell straddles it;
+    # N snaps up to 10 at x0 = 0.3 and to 1000 at x0 = 0.123
+    grid = SpaceTimeGrid.create(N, 1, 1.0, x0)
+    # the smallest exponent is that of the mass cells, e = gamma - 1
+    d = np.abs(grid.x - x0)
+    rtol = (cancellation_rtol(grid.N, weight.gamma - 1.0)
+            + fit_rtol(weight.gamma, np.min(d[d > 0.0])))
     for new, ref in zip(_hp_matrices(weight, grid), reference_hp_matrices(weight, grid)):
         assert new.shape == ref.shape
         np.testing.assert_allclose(new, ref, rtol=rtol, atol=0.0)
@@ -157,21 +170,3 @@ def test_b_matches_per_cell_loop(name):
     # the cell sums telescope, each term off by the cancellation of r_hi^e - r_lo^e
     tol = cancellation_rtol(n, 2.0 - model.alpha)
     np.testing.assert_allclose(b_integral(model, x), ref, rtol=tol, atol=tol * np.max(ref))
-
-
-def test_cell_integral_branches():
-    # a fitted cell, a fallback cell at r = 0, a fallback cell with p_lo = 0 (integrated
-    # from 0, ignoring r_lo) and a log-branch cell (e = gamma + shift + 1 = 0)
-    p_lo = np.array([0.25, np.inf, 0.0, 1.0])
-    p_hi = np.array([1.0, 4.0, 2.0, 0.5])
-    r_lo = np.array([0.5, 0.0, 0.5, 1.0])
-    r_hi = np.array([1.0, 2.0, 1.0, 2.0])
-    out = _power_cell_integral(r_lo, r_hi, p_lo, p_hi, 0.0, 1.5)
-    np.testing.assert_allclose(out, [(1.0 - 0.125) / 3.0,                # p = r^2
-                                     4.0 / 2.0 ** 1.5 * 2.0 ** 2.5 / 2.5,  # p = C r^1.5 on [0, 2]
-                                     2.0 / 2.5,                          # p = 2 r^1.5 on [0, 1]
-                                     np.log(2.0)],                     # p = 1/r
-                               rtol=4 * EPS)
-    ref = [reference_power_fit_integral(*args, 1.5, 0.0)
-           for args in zip(p_lo, p_hi, r_lo, r_hi)]
-    np.testing.assert_allclose(out, ref, rtol=4 * EPS)

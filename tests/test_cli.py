@@ -134,6 +134,15 @@ class TestConfigHandling:
         ("carleman-scan", "scan.window_tol", "Infinity"),
         ("null-control", "control.epsilon", "Infinity"),
         ("observability", "observability.T", "Infinity"),
+        # a time step of 0 (a ZeroDivisionError traceback) or one whose reciprocal
+        # is infinite (a solver traceback) on the fine level, 2 grid.M steps
+        ("carleman-identity", "grid.T", "5e-324"),
+        ("check-coeff", "grid.T", "1e-310"),
+        ("carleman-scan", "scan.T", "1e-310"),
+        ("caccioppoli", "caccioppoli.T", "5e-324"),
+        ("observability", "observability.T", "5e-324"),
+        ("observability", "observability.T", "1e-310"),
+        ("null-control", "null_control.T", "1e-310"),
         ("carleman-identity", "identity.s_values", "[Infinity]"),
         # an integer beyond the floating-point range: an OverflowError traceback
         pytest.param("hp", "hp.N", "1" + "0" * 400, id="hp-hp.N-10**400"),

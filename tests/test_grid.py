@@ -37,6 +37,16 @@ class TestGridConstruction:
         with pytest.raises(ValueError, match="T must be positive|x0 must lie"):
             SpaceTimeGrid.create(20, 40, T, x0)
 
+    @pytest.mark.parametrize("T", [5e-324, 1e-310, 40 * 5e-309])
+    def test_time_step_without_finite_reciprocal(self, T):
+        # T/M rounds to 0, or is so small that 1/(T/M) overflows
+        with pytest.raises(ValueError, match=f"T={T} over M=40"):
+            SpaceTimeGrid.create(20, 40, T, 0.3)
+
+    def test_smallest_time_step_with_finite_reciprocal(self):
+        g = SpaceTimeGrid.create(20, 40, 40 * 6e-309, 0.3)
+        assert 1.0 / g.dt < np.inf
+
 
 class TestOperator:
     @pytest.mark.parametrize("preset", [*sorted(PRESETS), "constant"])

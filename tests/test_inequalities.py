@@ -27,7 +27,10 @@ class TestHardyPoincare:
         m = CoefficientModel.power_law(0.5, 0.3)
         w = HardyWeight.from_coefficient(m)
         assert w.q == pytest.approx(1.5, rel=1e-14)
-        assert w.p(0.3) == pytest.approx(0.0, abs=1e-14)
+        assert w.gamma == pytest.approx(1.5, rel=1e-14)
+        w = HardyWeight.from_coefficient(CoefficientModel.power_law(1.5, 0.3, theta=0.5))
+        assert w.q == pytest.approx(1.5, rel=1e-14)
+        assert w.gamma == pytest.approx(5.5 / 3.0, rel=1e-14)
 
     @pytest.mark.parametrize("q,x0", [(1.2, 0.3), (1.5, 0.3), (1.8, 0.5)])
     def test_rayleigh_and_battery(self, q, x0):
@@ -56,11 +59,21 @@ class TestHardyPoincare:
             assert num / den <= bound * 1.05
 
     def test_non_monotone_weight_rejected(self):
-        w = HardyWeight(p=lambda x: np.abs(np.asarray(x) - 0.5) ** 1.5
-                        * (1.0 + 0.5 * np.sin(20.0 * np.asarray(x))),
-                        q=1.5, x0=0.5)
-        with pytest.raises(ValueError):
-            hp_verify(w, space_grid(0.5, N=500))
+        # p/|x-x0|^q = |x-x0|^(gamma-q) decreases right of x0 when gamma < q
+        with pytest.raises(ValueError, match="not one-sided monotone"):
+            HardyWeight(q=1.5, x0=0.5, gamma=1.4)
+        with pytest.raises(ValueError, match="not one-sided monotone"):
+            HardyWeight.from_coefficient(CoefficientModel.constant(1.0, 0.5))
+        HardyWeight(q=1.5, x0=0.5, gamma=1.5)
+
+    @pytest.mark.parametrize("alpha, theta", [(1.5, 0.5), (1.0, 0.2)])
+    def test_coefficient_rayleigh_independent_of_theta(self, alpha, theta):
+        # p = (a |x-x0|^4)^(1/3) does not depend on theta, so neither do its matrices
+        grid = space_grid(0.3, N=200)
+        same, below = (hp_verify(HardyWeight.from_coefficient(
+            CoefficientModel.power_law(alpha, 0.3, theta=th)), grid).rayleigh_estimate
+            for th in (alpha, theta))
+        assert below == same
 
     def test_coefficient_preset_verifies(self):
         m = CoefficientModel.power_law(0.5, 0.3)

@@ -616,6 +616,17 @@ class TestPotentialAndControl:
         with pytest.raises(ValueError, match="infs or NaNs"):
             PotentialModel.constant(value)
 
+    def test_potential_rows_must_be_2d(self):
+        # a 1-D row would broadcast as one per time level, or fail as an index error
+        m, g = CoefficientModel.power_law(0.5, 0.3), SpaceTimeGrid.create(20, 40, 0.1, 0.3)
+        with pytest.raises(ValueError, match=r"2-D, got shape \(21,\)"):
+            PotentialModel(np.full(21, 0.5))
+        start = dirichlet_noise(np.random.default_rng(16), g)
+        for solve in (solve_forward, solve_adjoint):
+            np.testing.assert_allclose(
+                solve(m, PotentialModel(np.full((1, 21), 0.5)), g, start).values,
+                solve(m, PotentialModel.constant(0.5), g, start).values, rtol=1e-13, atol=1e-15)
+
     def test_control_config_validation(self):
         with pytest.raises(ValueError):
             ControlConfig(0.5, 0.2)
