@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .coefficients import CoefficientModel, _hypothesis_slack, check_hypotheses
+from .coefficients import CoefficientModel, check_hypotheses
 from .control import estimate_observability, synthesize_null_control
 from .grid import (Field, SpaceTimeGrid, _require_time_step, assemble_operator,
                    dirichlet_eigenmodes)
@@ -32,7 +32,7 @@ from .inequalities import (HardyWeight, _require_caccioppoli_geometry, caccioppo
                            carleman_identity_check, carleman_scan, default_s_values,
                            hp_verify, manufactured_adjoint_pair)
 from .solvers import ControlConfig, PotentialModel, _require_dominance, solve_adjoint
-from .weights import WeightParams
+from .weights import WeightParams, _require_finite_weight
 
 __all__ = ["main", "DEFAULT_CONFIG", "PRESETS"]
 
@@ -209,6 +209,17 @@ def resolve_config(args) -> dict:
             "carleman-identity", "carleman-scan", "caccioppoli"}:
         # c2 > c2_min depends on the model alone; T = s = 1 stand for every task's
         _name_key("weight.c2", build_weight_params, config, build_model(config), 1.0, 1.0)
+    # (k Theta)^3 of the largest s is finite at the finest level's first interior time
+    M = 2 * int(config["grid"]["M"])
+    if "carleman-identity" in tasks:
+        s, c1 = max(config["identity"]["s_values"]), config["weight"]["c1"]
+        _name_key("grid.T", _require_finite_weight, float(config["grid"]["T"]), M,
+                  math.log(s) + math.log(c1), f"s c1, s={s:g}, c1={c1:g}")
+    if "carleman-scan" in tasks:
+        c, n = config["scan"], int(config["scan"]["n_s"]) - 1
+        _name_key("scan.T", _require_finite_weight, float(c["T"]), M,
+                  math.log(c["s_start"]) + n * math.log(c["s_ratio"]),
+                  f"s = s_start s_ratio^{n} = {c['s_start']:g} * {c['s_ratio']:g}^{n}")
     if "caccioppoli" in tasks:
         c = config["caccioppoli"]
         _name_key("caccioppoli.omega_prime_lo", _require_caccioppoli_geometry,
@@ -363,19 +374,16 @@ def _hardy_weight(config: dict) -> HardyWeight:
 def run_check_coeff(config: dict, out_dir: Path) -> list:
     model = build_model(config)
     grid = build_grid(config, M=1)
-    report = check_hypotheses(model, grid)
+    report = check_hypotheses(model)
     verdicts = [
-        verdict("hypothesis_slack", "<=", report.slack_max, report.slack_tol),
+        verdict("hypothesis_slack", "<=", report.slack_max, 0.0),
         verdict("gamma_monotone", report.gamma_monotone_ok),
         verdict("theta_monotone", report.theta_monotone_ok),
         verdict("degenerate_at_x0", report.degenerate_at_x0),
     ]
-    x = grid.x
-    a = model.eval_a(x)
-    xap = model.eval_xa_prime(x)
-    slack, _ = _hypothesis_slack(model, x, a, xap)
+    a = model.eval_a(grid.x)          # (x - x0) a' = alpha a; the slack is the same at every node
     write_csv(out_dir / "check_coeff.csv", ["x", "a", "xa_prime", "slack"],
-              list(zip(x, a, xap, slack)), config)
+              [(*row, report.slack_max) for row in zip(grid.x, a, model.alpha * a)], config)
     return verdicts
 
 

@@ -74,71 +74,28 @@ class CoefficientModel:
             raise ValueError(f"x outside [0, 1]: {x}")
         return self.scale * np.abs(x - self.x0) ** self.alpha
 
-    def eval_xa_prime(self, x):
-        """Evaluate (x - x0) a'(x) = alpha a(x), extended by its limit 0 at x = x0.
-
-        The combination stays bounded even where a' itself blows up (alpha < 1).
-        """
-        return self.alpha * self.eval_a(x)
-
 
 @dataclass(frozen=True)
 class HypothesisReport:
     """Verdicts of the structural checks on a coefficient model."""
 
     slack_max: float
-    slack_tol: float
     gamma_monotone_ok: bool
     theta_monotone_ok: bool
     degenerate_at_x0: bool
 
 
-def _sided_monotone(x: np.ndarray, vals: np.ndarray, x0: float) -> bool:
-    """Whether vals is nonincreasing left of x0 and nondecreasing right of x0."""
-    left, right = np.diff(vals[x < x0]), np.diff(vals[x > x0])
-    return not (np.any(left > 0.0) or np.any(right < 0.0))
+def check_hypotheses(model: CoefficientModel) -> HypothesisReport:
+    """The structural hypotheses, exact for a = scale |x - x0|^alpha; never raises.
 
-
-def _hypothesis_slack(model: CoefficientModel, x: np.ndarray, a: np.ndarray, xap: np.ndarray):
-    """(slack, measured): (x - x0) a'/a - K of hypothesis (i) where measured, else 0.
-
-    The slack is measured away from x0 where a > 0; a and xap sample a and (x - x0) a'.
+    (i) (x - x0) a' <= K a holds with slack alpha - K, as (x - x0) a' = alpha a;
+    (ii) |x - x0|^K / a and (iii) a / |x - x0|^theta are one-sided monotone
+    (nonincreasing left of x0, nondecreasing right) iff alpha <= K and theta <= alpha,
+    so the constant (alpha 0) fails (iii); a vanishes at x0 iff alpha > 0.
     """
-    measured = ~np.isclose(x, model.x0, rtol=0.0, atol=1e-14) & (a > 0.0)
-    return np.where(measured, xap / np.where(measured, a, 1.0) - model.K, 0.0), measured
-
-
-def check_hypotheses(model: CoefficientModel, grid) -> HypothesisReport:
-    """Verify the structural hypotheses on the sample points of a grid.
-
-    Checks, pointwise away from x0:
-      (i)   (x - x0) a' / a <= K + tol,
-      (ii)  |x - x0|^K / a one-sided monotone (decreasing left, increasing right),
-      (iii) a / |x - x0|^theta one-sided monotone the same way.
-
-    Violations are reported in the returned record, never raised.  For the
-    closed form the answers are known analytically: the slack is alpha - K at
-    every point (0 for a power law), and (ii) and (iii) hold iff
-    theta <= alpha <= K, so the constant (alpha 0) fails (iii).
-    """
-    x = grid.x
-    off = ~np.isclose(x, model.x0, rtol=0.0, atol=1e-14)
-    xs = x[off]
-    a = model.eval_a(xs)
-    slacks, good = _hypothesis_slack(model, xs, a, model.eval_xa_prime(xs))
-    slack = np.max(slacks[good]) if np.any(good) else np.inf
-
-    d = np.abs(xs - model.x0)
-    with np.errstate(divide="ignore"):
-        gamma_vals = np.where(good, d ** model.K / np.where(good, a, 1.0), np.inf)
-        theta_vals = np.where(good, a / d ** model.theta, 0.0)
-    gamma_ok = _sided_monotone(xs[good], gamma_vals[good], model.x0)
-    theta_ok = _sided_monotone(xs[good], theta_vals[good], model.x0)
-    degenerate_at_x0 = bool(abs(model.eval_a(model.x0)) < 1e-14)
     return HypothesisReport(
-        slack_max=float(slack),
-        slack_tol=1e-12,
-        gamma_monotone_ok=gamma_ok,
-        theta_monotone_ok=theta_ok,
-        degenerate_at_x0=degenerate_at_x0,
+        slack_max=float(model.alpha - model.K),
+        gamma_monotone_ok=model.alpha <= model.K,
+        theta_monotone_ok=model.theta <= model.alpha,
+        degenerate_at_x0=model.alpha > 0.0,
     )

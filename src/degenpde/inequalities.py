@@ -312,8 +312,7 @@ def carleman_identity_check(model, params: WeightParams, grid: SpaceTimeGrid,
     interior_t = slice(1, M)
 
     a = model.eval_a(x)
-    xa = model.eval_xa_prime(x)          # (x - x0) a'
-    g2 = 2.0 * a - xa                    # 2a - (x-x0)a'; (2-alpha)a for powers
+    g2 = 2.0 * a - model.alpha * a       # 2a - (x-x0)a', as (x - x0) a' = alpha a
     q2 = _q2_profile(model, x)           # (x-x0)^2 / a
     d = x - model.x0
     psi_x = psi(params, model, x)

@@ -109,6 +109,16 @@ def theta(params: WeightParams, t):
     return np.where(prod > 0.0, out, np.inf)
 
 
+def _require_finite_weight(T: float, M: int, log_k: float, k: str):
+    """Raise unless (k Theta)^3, the weighted integrals' largest time factor, and
+    Theta^3 are finite at t = T/M, where Theta peaks; in logs, which cannot overflow."""
+    t = T / M
+    log_theta = -THETA_EXPONENT * (math.log(t) + math.log(T - t))
+    if 3.0 * (max(log_k, 0.0) + log_theta) >= math.log(np.finfo(float).max):
+        raise ValueError(f"T={T:g} makes (k Theta)^3 or Theta^3 overflow at t = T/{M}, "
+                         f"with k = {k}")
+
+
 def theta_dot(params: WeightParams, t):
     t = np.asarray(t, dtype=float)
     prod = t * (params.T - t)

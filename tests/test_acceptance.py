@@ -27,7 +27,7 @@ def test_1_hypothesis_equality(capsys):
     worst = 0.0
     for alpha in (0.25, 0.5, 1.0, 1.5, 1.9):
         m = CoefficientModel.power_law(alpha, 0.3)
-        rep = check_hypotheses(m, SpaceTimeGrid.create(1000, 1, 1.0, 0.3))
+        rep = check_hypotheses(m)
         worst = max(worst, abs(rep.slack_max))
         if abs(rep.slack_max) >= 1e-12:
             failures.append(f"alpha={alpha}: slack={rep.slack_max:.3g}")

@@ -144,6 +144,14 @@ class TestConfigHandling:
         ("observability", "observability.T", "1e-310"),
         ("null-control", "null_control.T", "1e-310"),
         ("carleman-identity", "identity.s_values", "[Infinity]"),
+        # a T whose largest Carleman time factor (s c1 Theta)^3, or (s Theta)^3 in
+        # the scan, overflows at the first interior time: an overflow traceback
+        ("carleman-identity", "grid.T", "1e-12"),
+        ("carleman-scan", "scan.T", "1e-12"),
+        ("carleman-identity", "grid.T", "1e-200"),
+        ("carleman-scan", "scan.T", "1e-200"),
+        # with s c1 < 1 Theta^3 is the factor that overflows first
+        ("carleman-identity --set identity.s_values=[0.01]", "grid.T", "1e-12"),
         # an integer beyond the floating-point range: an OverflowError traceback
         pytest.param("hp", "hp.N", "1" + "0" * 400, id="hp-hp.N-10**400"),
         # the seed: another key named, a traceback, or silently truncated
@@ -160,6 +168,14 @@ class TestConfigHandling:
         code, _ = run(tmp_path, *task.split(), *TINY, "--set", f"{key}={value}")
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {key}: ")
+
+    @pytest.mark.parametrize("task, key, expected", [("carleman-identity", "grid.T", 0),
+                                                     ("carleman-scan", "scan.T", 2)])
+    def test_small_T_above_the_overflow_edge_runs(self, tmp_path, task, key, expected):
+        # at T = 1e-10 (k Theta)^3 is finite: the task runs, and exit 2 is a failed verdict
+        code, out = run(tmp_path, task, *TINY, "--set", f"{key}=1e-10")
+        assert code == expected
+        assert list(out.glob("*.csv"))
 
     @pytest.mark.parametrize("key, argv", [
         ("null_control.u0", ["--set", "null_control.u0=foo"]),
@@ -272,16 +288,19 @@ class TestSubcommands:
 
     @pytest.mark.parametrize("coefficient", [["--preset", "alpha1.5-x0.3"],
                                              ["--set", "coefficient.kind=constant"]])
-    def test_check_coeff_slack_matches_per_node_loop(self, tmp_path, coefficient):
+    def test_check_coeff_slack_is_alpha_minus_K_at_every_node(self, tmp_path, coefficient):
         code, out = run(tmp_path, "check-coeff", *coefficient, "--set", "grid.N=40")
         assert code != 1
         model = build_model(json.loads((out / "summary.json").read_text())["config"])
         rows = list(csv.DictReader((out / "check_coeff.csv").read_text().splitlines()[1:]))
         assert len(rows) == 41
+        # x0 is a node, and its row reads alpha - K like every other: -0.5 for the constant
+        assert sum(np.isclose(float(row["x"]), model.x0, rtol=0.0, atol=1e-14)
+                   for row in rows) == 1
         for row in rows:
-            x, a, xap = (float(row[k]) for k in ("x", "a", "xa_prime"))
-            off = not np.isclose(x, model.x0, rtol=0.0, atol=1e-14)
-            assert float(row["slack"]) == (xap / a - model.K if off and a > 0.0 else 0.0)
+            a = float(row["a"])
+            assert float(row["xa_prime"]) == model.alpha * a
+            assert float(row["slack"]) == model.alpha - model.K
 
     def test_hp_reports_paper_bound(self, tmp_path):
         code, out = run(tmp_path, "hp")

@@ -100,8 +100,7 @@ def reference_identity(model, params, grid, w):
     M, N = grid.M, grid.N
     interior_t = slice(1, M)
     a = model.eval_a(x)
-    xa = model.eval_xa_prime(x)
-    g2 = 2.0 * a - xa
+    g2 = 2.0 * a - model.alpha * a
     q2 = _q2_profile(model, x)
     d = x - model.x0
     psi_x = psi(params, model, x)
@@ -218,7 +217,7 @@ def ordered_identity(model, params, grid, w):
     x, t = grid.x, grid.t
     ti = slice(1, grid.M)
     a = model.eval_a(x)
-    g2 = 2.0 * a - model.eval_xa_prime(x)
+    g2 = 2.0 * a - model.alpha * a
     q2 = _q2_profile(model, x)
     r2 = np.where(a > 0.0, g2 / np.where(a > 0.0, a, 1.0), 0.0)
     d = x - model.x0
