@@ -32,33 +32,27 @@ from .inequalities import (HardyWeight, _require_caccioppoli_geometry, caccioppo
                            carleman_identity_check, carleman_scan, default_s_values,
                            hp_verify, manufactured_adjoint_pair)
 from .solvers import ControlConfig, PotentialModel, _require_dominance, solve_adjoint
-from .weights import WeightParams, _require_finite_weight
+from .weights import _LOG_MAX, WeightParams, _require_finite_theta
 
 __all__ = ["main", "DEFAULT_CONFIG", "PRESETS"]
 
 
 DEFAULT_CONFIG = {
     "coefficient": {
-        "kind": "power_law",      # "power_law" | "constant"
-        "alpha": 0.5,
+        "alpha": 0.5,             # 0 is the constant coefficient a = 1
         "x0": 0.3,
         "theta": None,            # defaults to alpha
-        "constant_value": 1.0,
     },
     "grid": {"N": 200, "M": 400, "T": 1.0},
     "weight": {"c1": 1.0, "c2": None},       # c2 defaults to 1.05 * c2_min
     "potential": {"value": 0.0},              # the constant c
     "control": {"omega_lo": 0.2, "omega_hi": 0.5, "epsilon": 1e-8},
-    "hp": {"q": 1.5, "weight": "pure_power", "battery_size": 20,
-           "N": 1000, "stability_tol": 0.05},
-    "identity": {"s_values": [1.0, 10.0], "residual_tol": 5e-2,
-                 "refine_factor_min": 3.0},
-    "scan": {"T": 2.0, "n_s": 10, "s_start": 1.0, "s_ratio": 1.5,
-             "window_tol": 0.05, "stability_tol": 0.25},
+    "hp": {"q": 1.5, "weight": "pure_power", "battery_size": 20, "N": 1000},
+    "identity": {"s_values": [1.0, 10.0]},
+    "scan": {"T": 2.0, "n_s": 10, "s_start": 1.0, "s_ratio": 1.5},
     "caccioppoli": {"T": 2.0, "omega_prime_lo": 0.35, "omega_prime_hi": 0.45,
-                    "s_values": [1.0, 2.0, 4.0], "stability_tol": 0.2},
-    "observability": {"T": 0.5, "n_modes": 10, "n_random": 10, "n_power": 20,
-                      "stability_tol": 0.25},
+                    "s_values": [1.0, 2.0, 4.0]},
+    "observability": {"T": 0.5, "n_modes": 10, "n_random": 10, "n_power": 20},
     "null_control": {"T": 0.5, "tol": 1e-2, "max_iters": 500},   # datum u0 = x(1 - x)
     "run": {"seed": 0, "out_dir": "reports"},
 }
@@ -121,17 +115,13 @@ def _parse_override(text: str) -> dict:
 # is a number in (0, inf), and None stays admissible.  _RANGES lists the keys
 # whose interval differs from their kind's.  Every number must be finite: a
 # nan or infinite bound or tolerance would let a verdict pass unmeasured.
-_CHOICES = {
-    "coefficient.kind": ("power_law", "constant"),
-    "hp.weight": ("pure_power", "coefficient"),
-}
+_CHOICES = {"hp.weight": ("pure_power", "coefficient")}
 _RANGES = {
-    "coefficient.x0": "(0, 1)", "coefficient.alpha": "(0, 2)", "hp.q": "(1, 2)",
+    "coefficient.x0": "(0, 1)", "coefficient.alpha": "[0, 2)", "hp.q": "(1, 2)",
     "control.omega_lo": "[0, 1]", "control.omega_hi": "[0, 1]",
     "caccioppoli.omega_prime_lo": "[0, 1]", "caccioppoli.omega_prime_hi": "[0, 1]",
-    "control.epsilon": "[0, inf)", "scan.window_tol": "[0, inf)",
-    "observability.n_random": "[0, inf)", "observability.n_power": "[0, inf)",
-    "run.seed": "[0, inf)",
+    "control.epsilon": "[0, inf)", "observability.n_random": "[0, inf)",
+    "observability.n_power": "[0, inf)", "run.seed": "[0, inf)",
     # (a w_x)_x extrapolates its boundary values from four nodes
     "grid.N": "[3, inf)", "grid.M": "[2, inf)", "hp.N": "[2, inf)",
     # the tail verdict of carleman-scan compares three consecutive points, in increasing s
@@ -213,13 +203,15 @@ def resolve_config(args) -> dict:
     M = 2 * int(config["grid"]["M"])
     if "carleman-identity" in tasks:
         s, c1 = max(config["identity"]["s_values"]), config["weight"]["c1"]
-        _name_key("grid.T", _require_finite_weight, float(config["grid"]["T"]), M,
-                  math.log(s) + math.log(c1), f"s c1, s={s:g}, c1={c1:g}")
+        _require_finite_factor("grid.T", float(config["grid"]["T"]), M,
+                               {"identity.s_values": math.log(s), "weight.c1": math.log(c1)},
+                               f"s c1, s={s:g}, c1={c1:g}")
     if "carleman-scan" in tasks:
         c, n = config["scan"], int(config["scan"]["n_s"]) - 1
-        _name_key("scan.T", _require_finite_weight, float(c["T"]), M,
-                  math.log(c["s_start"]) + n * math.log(c["s_ratio"]),
-                  f"s = s_start s_ratio^{n} = {c['s_start']:g} * {c['s_ratio']:g}^{n}")
+        _require_finite_factor("scan.T", float(c["T"]), M,
+                               {"scan.s_start": math.log(c["s_start"]),
+                                "scan.s_ratio": n * math.log(c["s_ratio"])},
+                               f"s = s_start s_ratio^{n} = {c['s_start']:g} * {c['s_ratio']:g}^{n}")
     if "caccioppoli" in tasks:
         c = config["caccioppoli"]
         _name_key("caccioppoli.omega_prime_lo", _require_caccioppoli_geometry,
@@ -234,20 +226,27 @@ def resolve_config(args) -> dict:
     return config
 
 
+def _require_finite_factor(T_key: str, T: float, M: int, log_factors: dict, k: str):
+    """Raise unless Theta^3, k^3, (k Theta)^3 and each factor's cube are finite at
+    t = T/M; k is the product of the factors, given as {key: log factor}, and every
+    cube is taken in logs.  Theta^3 names T_key, any other cube k's largest factor."""
+    log_theta = _name_key(T_key, _require_finite_theta, T, M)
+    log_k = sum(log_factors.values())
+    largest = max(log_factors, key=log_factors.get)
+    if 3.0 * max(log_factors[largest], log_k, log_k + log_theta) >= _LOG_MAX:
+        raise ConfigError(largest, f"k = {k} makes k^3, (k Theta)^3 or a factor's cube "
+                          f"overflow at t = T/{M}")
+
+
 def validate_config(config: dict):
     for section, leaves in DEFAULT_CONFIG.items():
         for leaf, default in leaves.items():
             _check_leaf(f"{section}.{leaf}", default, config[section][leaf])
     c = config["coefficient"]
-    if c["theta"] is not None and (c["kind"] == "constant" or c["theta"] > c["alpha"]):
-        raise ConfigError("coefficient.theta", f"value {c['theta']!r} needs kind power_law "
-                          "and at most coefficient.alpha")
-    # the other kind's key is never read, so a value set for it would be ignored
-    unread = "alpha" if c["kind"] == "constant" else "constant_value"
-    default = DEFAULT_CONFIG["coefficient"][unread]
-    if c[unread] != default:
-        raise ConfigError(f"coefficient.{unread}", f"value {c[unread]!r} is not read under "
-                          f"kind {c['kind']}; leave it at {default!r}")
+    # theta is positive, so no theta is admissible at alpha 0
+    if c["theta"] is not None and c["theta"] > c["alpha"]:
+        raise ConfigError("coefficient.theta",
+                          f"value {c['theta']!r} exceeds coefficient.alpha={c['alpha']!r}")
     for section in ("grid", "hp"):
         N = int(config[section]["N"])
         snapped = _name_key("coefficient.x0", SpaceTimeGrid.create, N, 1, 1.0, c["x0"]).N
@@ -269,8 +268,8 @@ def validate_config(config: dict):
 
 def build_model(config: dict) -> CoefficientModel:
     c = config["coefficient"]
-    if c["kind"] == "constant":
-        return CoefficientModel.constant(c["constant_value"], c["x0"])
+    if c["alpha"] == 0:
+        return CoefficientModel.constant(1.0, c["x0"])
     return CoefficientModel.power_law(c["alpha"], c["x0"], theta=c["theta"])
 
 
@@ -401,8 +400,7 @@ def run_hp(config: dict, out_dir: Path) -> list:
                 coarse.rayleigh_estimate, coarse.paper_bound * 1.05),
         verdict("battery_below_rayleigh", "<=",
                 coarse.battery_max_ratio, coarse.rayleigh_estimate * 1.02),
-        _stability("rayleigh_stable", coarse.rayleigh_estimate, fine.rayleigh_estimate,
-                   c["stability_tol"]),
+        _stability("rayleigh_stable", coarse.rayleigh_estimate, fine.rayleigh_estimate, 0.05),
     ]
     rows = [[grids[0].N, "paper_bound", coarse.paper_bound]]
     for grid, rep in zip(grids, (coarse, fine)):
@@ -438,30 +436,25 @@ def _identity_level(config: dict, model, grid: SpaceTimeGrid, s: float):
 
 def run_carleman_identity(config: dict, out_dir: Path) -> list:
     model = build_model(config)
-    c = config["identity"]
     verdicts = []
     rows = []
-    for s in c["s_values"]:
+    for s in config["identity"]["s_values"]:
         (coarse, coarse_rows), (fine, fine_rows) = [
             _identity_level(config, model, grid, s) for grid in _refinement_pair(config)]
         rows += coarse_rows + fine_rows
         factor = coarse.residual / fine.residual if fine.residual > 0.0 else np.inf
-        verdicts.append(verdict(f"identity_residual_s{s:g}", "<", fine.residual,
-                                c["residual_tol"]))
-        verdicts.append(verdict(f"identity_refinement_s{s:g}", ">=", factor,
-                                c["refine_factor_min"]))
+        verdicts.append(verdict(f"identity_residual_s{s:g}", "<", fine.residual, 0.05))
+        verdicts.append(verdict(f"identity_refinement_s{s:g}", ">=", factor, 3.0))
     write_csv(out_dir / "carleman_identity.csv",
               ["s", "N", "M", "lhs", "rhs", "residual"], rows, config)
     return verdicts
 
 
 def _scan_level(config: dict, model, potential, grid: SpaceTimeGrid, s_values):
-    c = config["scan"]
-    T = c["T"]
+    T = config["scan"]["T"]
     params = build_weight_params(config, model, T, s_values[0])
     v, h = manufactured_adjoint_pair(model, potential, grid, _carleman_profile(T, model.x0, 1))
-    rep = carleman_scan(model, params, grid, v, h,
-                        s_values=s_values, window_tol=c["window_tol"])
+    rep = carleman_scan(model, params, grid, v, h, s_values=s_values, window_tol=0.05)
     return rep, [[grid.N, rep.s_values[k], rep.lhs[k], rep.rhs_source[k],
                   rep.rhs_boundary[k], rep.ratios[k]] for k in range(s_values.size)]
 
@@ -476,8 +469,7 @@ def run_carleman_scan(config: dict, out_dir: Path) -> list:
         for grid in _refinement_pair(config, c["T"])]
     # fitted_C is a constant only over a window; without one on both levels it
     # is each level's last ratio, and its change measures nothing
-    stable = _stability("scan_fitted_C_stable", coarse.fitted_C, fine.fitted_C,
-                        c["stability_tol"])
+    stable = _stability("scan_fitted_C_stable", coarse.fitted_C, fine.fitted_C, 0.25)
     stable["pass"] = stable["pass"] and bool(coarse.window_found and fine.window_found)
     verdicts = [
         verdict("scan_ratios_finite", bool(np.all(np.isfinite(coarse.ratios))),
@@ -522,7 +514,7 @@ def run_caccioppoli(config: dict, out_dir: Path) -> list:
         l1, l2 = r1.log_ratio, r2.log_ratio
         measured = math.isfinite(l1) and math.isfinite(l2)
         change = -math.expm1(-abs(l2 - l1)) if measured else math.nan
-        verdicts.append(verdict(f"caccioppoli_stable_s{s:g}", "<", change, c["stability_tol"]))
+        verdicts.append(verdict(f"caccioppoli_stable_s{s:g}", "<", change, 0.2))
     write_csv(out_dir / "caccioppoli.csv",
               ["N", "s", "local_gradient", "outer_solution", "ratio", "log_ratio"],
               coarse_rows + fine_rows, config)
@@ -545,8 +537,7 @@ def run_observability(config: dict, out_dir: Path) -> list:
             for desc, ratio in rep.samples]
     verdicts = [
         verdict("observability_finite_positive", coarse.C_T_estimate > 0.0, coarse.C_T_estimate),
-        _stability("observability_stable", coarse.C_T_estimate, fine.C_T_estimate,
-                   c["stability_tol"]),
+        _stability("observability_stable", coarse.C_T_estimate, fine.C_T_estimate, 0.25),
         verdict("no_backward_uniqueness_violation", not (coarse.violation or fine.violation)),
     ]
     write_csv(out_dir / "observability.csv", ["N", "sample", "ratio"], rows, config)

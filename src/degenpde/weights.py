@@ -35,6 +35,7 @@ __all__ = [
 THETA_EXPONENT = 4
 
 _LOG_TINY = math.log(np.finfo(float).tiny)
+_LOG_MAX = math.log(np.finfo(float).max)
 
 
 def c2_min(model) -> float:
@@ -109,14 +110,15 @@ def theta(params: WeightParams, t):
     return np.where(prod > 0.0, out, np.inf)
 
 
-def _require_finite_weight(T: float, M: int, log_k: float, k: str):
-    """Raise unless (k Theta)^3, the weighted integrals' largest time factor, and
-    Theta^3 are finite at t = T/M, where Theta peaks; in logs, which cannot overflow."""
+def _require_finite_theta(T: float, M: int) -> float:
+    """log Theta at t = T/M, where Theta peaks; raise unless Theta^3, a factor of the
+    weighted integrals' largest time factor (k Theta)^3, is finite there.  In logs,
+    which cannot overflow."""
     t = T / M
     log_theta = -THETA_EXPONENT * (math.log(t) + math.log(T - t))
-    if 3.0 * (max(log_k, 0.0) + log_theta) >= math.log(np.finfo(float).max):
-        raise ValueError(f"T={T:g} makes (k Theta)^3 or Theta^3 overflow at t = T/{M}, "
-                         f"with k = {k}")
+    if 3.0 * log_theta >= _LOG_MAX:
+        raise ValueError(f"T={T:g} makes Theta^3 overflow at t = T/{M}")
+    return log_theta
 
 
 def theta_dot(params: WeightParams, t):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import degenpde.cli as cli
+from degenpde import CoefficientModel
 from degenpde.cli import DEFAULT_CONFIG, PRESETS, _carleman_profile, build_model, main, verdict
 from degenpde.control import synthesize_null_control
 from degenpde.inequalities import carleman_identity_check, manufactured_adjoint_pair
@@ -48,6 +49,20 @@ class TestConfigHandling:
         code, _ = run(tmp_path, "check-coeff", "--set", "coefficient.alpha=2.5")
         assert code == 1
         assert "coefficient.alpha" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha", ["-0.1", "2"])
+    def test_alpha_outside_0_2_exits_1(self, tmp_path, capsys, alpha):
+        # alpha 0 is admitted, as the constant coefficient; 2 is not
+        code, _ = run(tmp_path, "check-coeff", "--set", f"coefficient.alpha={alpha}")
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: coefficient.alpha: ")
+
+    def test_alpha_0_is_the_constant_coefficient(self):
+        c = {**DEFAULT_CONFIG["coefficient"], "alpha": 0}
+        model = build_model({"coefficient": c})
+        assert model == CoefficientModel.constant(1.0, c["x0"])
+        x = np.linspace(0.0, 1.0, 11)
+        assert np.array_equal(model.eval_a(x), np.ones_like(x))
 
     def test_bad_subcommand_exits_1(self, capsys):
         assert main(["frobnicate"]) == 1
@@ -94,16 +109,18 @@ class TestConfigHandling:
         ("carleman-identity", "weight.c1", "0"),
         ("carleman-scan", "scan.s_start", "-1"),
         ("null-control", "null_control.tol", "0"),
-        # tolerances and counts: a TypeError traceback, another key named, or truncated
-        ("hp", "hp.stability_tol", "x"),
-        ("carleman-identity", "identity.residual_tol", "x"),
-        ("carleman-identity", "identity.refine_factor_min", "-1"),
-        ("carleman-scan", "scan.window_tol", "x"),
-        ("carleman-scan", "scan.stability_tol", "NaN"),
-        ("caccioppoli", "caccioppoli.stability_tol", "x"),
-        ("observability", "observability.stability_tol", "0"),
-        # a deleted key, now unknown
+        # a deleted key, now unknown: the gates are constants, and alpha 0 is the constant
         ("carleman-identity", "weight.c2_margin", "x"),
+        ("hp", "hp.stability_tol", "1"),
+        ("carleman-identity", "identity.residual_tol", "1"),
+        ("carleman-identity", "identity.refine_factor_min", "0"),
+        ("carleman-scan", "scan.window_tol", "1"),
+        ("carleman-scan", "scan.stability_tol", "1"),
+        ("caccioppoli", "caccioppoli.stability_tol", "1"),
+        ("observability", "observability.stability_tol", "1"),
+        ("check-coeff", "coefficient.kind", "constant"),
+        ("check-coeff", "coefficient.constant_value", "1.0"),
+        # counts: a TypeError traceback, another key named, or truncated
         ("observability", "observability.n_random", "-1"),
         ("observability", "observability.n_power", "1.5"),
         ("null-control", "null_control.max_iters", "x"),
@@ -124,14 +141,8 @@ class TestConfigHandling:
         # enumerated keys, checked before any task runs, and a deleted one
         ("carleman-scan", "potential.kind", "bogus"),
         ("hp", "hp.weight", "bogus"),
-        # infinite values: a tolerance that any change passes, a NumPy warning and
-        # the error blamed on potential.value, or a list entry that passes a verdict
-        ("hp", "hp.stability_tol", "Infinity"),
-        ("carleman-scan", "scan.stability_tol", "Infinity"),
-        ("caccioppoli", "caccioppoli.stability_tol", "Infinity"),
-        ("observability", "observability.stability_tol", "Infinity"),
-        ("carleman-identity", "identity.residual_tol", "Infinity"),
-        ("carleman-scan", "scan.window_tol", "Infinity"),
+        # infinite values: a NumPy warning and the error blamed on potential.value,
+        # or a list entry that passes a verdict
         ("null-control", "control.epsilon", "Infinity"),
         ("observability", "observability.T", "Infinity"),
         # a time step of 0 (a ZeroDivisionError traceback) or one whose reciprocal
@@ -152,6 +163,13 @@ class TestConfigHandling:
         ("carleman-scan", "scan.T", "1e-200"),
         # with s c1 < 1 Theta^3 is the factor that overflows first
         ("carleman-identity --set identity.s_values=[0.01]", "grid.T", "1e-12"),
+        # at the default T an s or c1 whose own cube, or whose (k Theta)^3, overflows:
+        # an OverflowError traceback from s ** 3 at k = 1, or T named
+        ("carleman-identity --set weight.c1=1e-150", "identity.s_values", "[1e150]"),
+        ("carleman-identity --set identity.s_values=[1e-150]", "weight.c1", "1e150"),
+        ("carleman-identity", "identity.s_values", "[1e100]"),
+        ("carleman-identity", "weight.c1", "1e100"),
+        ("carleman-scan", "scan.s_ratio", "1e80"),
         # an integer beyond the floating-point range: an OverflowError traceback
         pytest.param("hp", "hp.N", "1" + "0" * 400, id="hp-hp.N-10**400"),
         # the seed: another key named, a traceback, or silently truncated
@@ -160,9 +178,6 @@ class TestConfigHandling:
         ("hp", "run.seed", "foo"),
         # a TypeError traceback
         ("caccioppoli", "caccioppoli.omega_prime_lo", "x"),
-        # the other coefficient kind's key, which was silently ignored
-        ("check-coeff --set coefficient.kind=constant", "coefficient.alpha", "1.7"),
-        ("check-coeff", "coefficient.constant_value", "2"),
     ])
     def test_bad_value_exits_1_naming_key(self, tmp_path, capsys, task, key, value):
         code, _ = run(tmp_path, *task.split(), *TINY, "--set", f"{key}={value}")
@@ -187,13 +202,9 @@ class TestConfigHandling:
         ("control.omega_lo", ["--set", "control.omega_lo=0.32", "--set", "control.omega_hi=0.6"]),
         ("caccioppoli.omega_prime_lo", ["--set", "caccioppoli.omega_prime_lo=0.1"]),
         ("weight.c2", ["--set", "weight.c2=0.1"]),
-        ("hp.weight", ["--set", "coefficient.kind=constant", "--set", "hp.weight=coefficient"]),
+        ("hp.weight", ["--set", "coefficient.alpha=0", "--set", "hp.weight=coefficient"]),
         # a theta that a constant coefficient silently ignored
-        ("coefficient.theta", ["--set", "coefficient.kind=constant",
-                               "--set", "coefficient.theta=0.3"]),
-        # a preset's alpha, which a constant coefficient would ignore
-        ("coefficient.alpha", ["--preset", "alpha1.5-x0.3",
-                               "--set", "coefficient.kind=constant"]),
+        ("coefficient.theta", ["--set", "coefficient.alpha=0", "--set", "coefficient.theta=0.3"]),
     ])
     def test_bad_value_runs_no_task(self, tmp_path, capsys, key, argv):
         code, out = run(tmp_path, "all", *TINY, *argv)
@@ -212,7 +223,14 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("key, value", [
         ("potential.kind", "zero"), ("weight.c2_margin", "0.05"),
-        ("run.format", "csv"), ("null_control.u0", "parabola")])
+        ("run.format", "csv"), ("null_control.u0", "parabola"),
+        # the gates are constants, rejected even at their old defaults
+        ("hp.stability_tol", "0.05"), ("identity.residual_tol", "0.05"),
+        ("identity.refine_factor_min", "3.0"), ("scan.window_tol", "0.05"),
+        ("scan.stability_tol", "0.25"), ("caccioppoli.stability_tol", "0.2"),
+        ("observability.stability_tol", "0.25"),
+        # the constant coefficient is coefficient.alpha=0
+        ("coefficient.kind", "power_law"), ("coefficient.constant_value", "1.0")])
     def test_deleted_key_exits_1(self, tmp_path, capsys, key, value):
         code, out = run(tmp_path, "check-coeff", "--set", f"{key}={value}")
         assert code == 1
@@ -250,7 +268,7 @@ class TestConfigHandling:
     def test_inadmissible_hp_weight_exits_1(self, tmp_path, capsys):
         # (a |x-x0|^4)^(1/3) of a constant a is not |x-x0|^q-monotone
         code, _ = run(tmp_path, "hp", "--set", "hp.weight=coefficient",
-                      "--set", "coefficient.kind=constant", "--set", "hp.N=50")
+                      "--set", "coefficient.alpha=0", "--set", "hp.N=50")
         assert code == 1
         assert capsys.readouterr().err.startswith("error: hp.weight: ")
 
@@ -287,7 +305,7 @@ class TestSubcommands:
         assert slack["pass"] and slack["value"] < 1e-12
 
     @pytest.mark.parametrize("coefficient", [["--preset", "alpha1.5-x0.3"],
-                                             ["--set", "coefficient.kind=constant"]])
+                                             ["--set", "coefficient.alpha=0"]])
     def test_check_coeff_slack_is_alpha_minus_K_at_every_node(self, tmp_path, coefficient):
         code, out = run(tmp_path, "check-coeff", *coefficient, "--set", "grid.N=40")
         assert code != 1
@@ -347,6 +365,27 @@ class TestSubcommands:
         assert all(-3e5 < float(row["log_ratio"]) < -4e4 for row in rows)
         verdicts = json.loads((out / "summary.json").read_text())["verdicts"]
         assert all(0.5 < v["value"] < 0.8 for v in verdicts)
+        # the gate is a constant: the failure cannot be turned green from the command line
+        code, _ = run(tmp_path, "caccioppoli", "--set", "caccioppoli.T=0.5",
+                      "--set", "caccioppoli.stability_tol=1")
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: caccioppoli.stability_tol: ")
+
+    def test_gates_are_constants(self, tmp_path):
+        # every verdict whose threshold is a fixed gate, by name prefix
+        gates = {"rayleigh_stable": 0.05, "identity_residual_s": 0.05,
+                 "identity_refinement_s": 3.0, "scan_fitted_C_stable": 0.25,
+                 "caccioppoli_stable_s": 0.2, "observability_stable": 0.25}
+        code, out = run(tmp_path, "all", *TINY, "--set", "hp.N=50",
+                        "--set", "hp.battery_size=3", "--set", "scan.n_s=5")
+        assert code != 1
+        seen = set()
+        for v in json.loads((out / "summary.json").read_text())["verdicts"]:
+            for prefix, gate in gates.items():
+                if v["name"].startswith(prefix):
+                    assert v["threshold"] == gate, v
+                    seen.add(prefix)
+        assert seen == set(gates)
 
     @pytest.mark.parametrize("n_s", [3, 5])
     def test_scan_without_window_fails(self, tmp_path, capsys, n_s):
@@ -440,11 +479,10 @@ class TestLevelLifetime:
 
 class TestDeterminism:
     def test_hp_csv_byte_identical(self, tmp_path):
-        args = ["hp", "--set", "hp.N=300", "--set", "hp.stability_tol=1.0",
-                "--seed", "3"]
+        args = ["hp", "--set", "hp.N=300", "--seed", "3"]
         code1, out1 = main([*args, "--out", str(tmp_path / "a")]), tmp_path / "a"
         code2, out2 = main([*args, "--out", str(tmp_path / "b")]), tmp_path / "b"
-        assert code1 == 0 and code2 == 0
+        assert code1 == code2 and code1 in (0, 2)
         assert (out1 / "hp.csv").read_bytes() == (out2 / "hp.csv").read_bytes()
 
     def test_seed_changes_battery(self, tmp_path):

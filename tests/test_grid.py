@@ -54,7 +54,7 @@ class TestOperator:
         # the Crank-Nicolson solves factor it as L D L^T, which reads one off-diagonal
         config = copy.deepcopy(DEFAULT_CONFIG)
         if preset == "constant":
-            config["coefficient"]["kind"] = "constant"
+            config["coefficient"]["alpha"] = 0
         else:
             config["coefficient"].update(PRESETS[preset]["coefficient"])
         model = build_model(config)

@@ -3,7 +3,8 @@ import pytest
 from scipy.integrate import quad
 
 from degenpde import CoefficientModel, b_integral, c2_min, exp2s_phi, psi, theta
-from degenpde.weights import WeightParams, psi_prime, theta_ddot, theta_dot
+from degenpde.weights import (WeightParams, _require_finite_theta, psi_prime, theta_ddot,
+                              theta_dot)
 
 
 class TestC2Min:
@@ -66,6 +67,14 @@ class TestTheta:
         assert theta(p, 0.25) == pytest.approx(809.0864197530864, rel=1e-12)
         p2 = WeightParams(T=2.0, c1=1.0, c2=1.0, s=1.0)
         assert theta(p2, 1.0) == pytest.approx(1.0, rel=1e-14)
+
+    def test_log_peak_is_log_theta_at_first_step(self):
+        for T, M in ((1.0, 400), (0.5, 40)):
+            p = WeightParams(T=T, c1=1.0, c2=1.0, s=1.0)
+            assert _require_finite_theta(T, M) == pytest.approx(np.log(theta(p, T / M)),
+                                                                rel=1e-13)
+        with pytest.raises(ValueError, match=r"Theta\^3 overflow"):
+            _require_finite_theta(1e-30, 400)
 
     def test_endpoints_are_infinite(self):
         p = WeightParams(T=1.0, c1=1.0, c2=1.0, s=1.0)
