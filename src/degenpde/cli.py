@@ -26,7 +26,7 @@ import numpy as np
 
 from .coefficients import CoefficientModel, check_hypotheses
 from .control import estimate_observability, synthesize_null_control
-from .grid import (Field, SpaceTimeGrid, _require_time_step, assemble_operator,
+from .grid import (Field, SpaceTimeGrid, _require_time_step, _snap_N, assemble_operator,
                    dirichlet_eigenmodes)
 from .inequalities import (HardyWeight, _require_caccioppoli_geometry, caccioppoli_check,
                            carleman_identity_check, carleman_scan, default_s_values,
@@ -249,7 +249,7 @@ def validate_config(config: dict):
                           f"value {c['theta']!r} exceeds coefficient.alpha={c['alpha']!r}")
     for section in ("grid", "hp"):
         N = int(config[section]["N"])
-        snapped = _name_key("coefficient.x0", SpaceTimeGrid.create, N, 1, 1.0, c["x0"]).N
+        snapped = _name_key("coefficient.x0", _snap_N, N, c["x0"])
         if snapped != N:
             print(f"warning: {section}.N={N} becomes N={snapped} so that x0={c['x0']} "
                   "lies on a grid node", file=sys.stderr)
@@ -630,7 +630,11 @@ def main(argv=None) -> int:
         all_verdicts.extend(TASKS[name](config, out_dir))
         timing[name] = time.perf_counter() - t0
 
-    summary = {"config": config, "verdicts": all_verdicts, "timing": timing}
+    grid_sizes = {f"{k}.N": {"requested": int(config[k]["N"]),
+                             "snapped": _snap_N(int(config[k]["N"]), config["coefficient"]["x0"])}
+                  for k in ("grid", "hp")}
+    summary = {"config": config, "grid_sizes": grid_sizes, "verdicts": all_verdicts,
+               "timing": timing}
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
 
     for v in all_verdicts:

@@ -150,32 +150,34 @@ class Field:
 
 @dataclass(frozen=True)
 class TridiagonalOperator:
-    """Discrete (a u_x)_x with Dirichlet identity rows at i = 0 and i = N.
+    """Discrete (a u_x)_x at the interior nodes; Dirichlet data fix the other two.
 
     Interior stencil: (A u)_i = [a_{i+1/2}(u_{i+1}-u_i) - a_{i-1/2}(u_i-u_{i-1})]/h^2.
     """
 
     grid: SpaceTimeGrid
-    lower: np.ndarray   # sub-diagonal, length N
-    diag: np.ndarray    # length N+1
-    upper: np.ndarray   # super-diagonal, length N
+    diag: np.ndarray    # interior diagonal, length N-1
+    flux: np.ndarray    # a(x_{i+1/2}) / h^2 for each cell, length N
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        """A u for a node vector, or for each row of a (rows, N+1) block.
+        """A u for a node vector, or for each row of a (rows, N+1) block, with 0 at
+        x = 0 and x = 1.
 
-        Both off-diagonal products go through one scratch array; each entry is
-        ``(diag u + upper u) + lower u``, the same three products and two sums.
+        Both flux products go through one scratch array; each interior entry is
+        ``(diag u + flux_right u) + flux_left u``, three products and two sums.
         """
-        out = self.diag * u
-        scratch = np.multiply(self.upper, u[..., 1:])
-        out[..., :-1] += scratch
-        np.multiply(self.lower, u[..., :-1], out=scratch)
-        out[..., 1:] += scratch
+        out = np.zeros(np.shape(u))
+        inner = out[..., 1:-1]
+        np.multiply(self.diag, u[..., 1:-1], out=inner)
+        scratch = np.multiply(self.flux[1:], u[..., 2:])
+        inner += scratch
+        np.multiply(self.flux[:-1], u[..., :-2], out=scratch)
+        inner += scratch
         return out
 
     def interior_tridiag(self):
         """(d, e) of the symmetric interior block, rows/cols 1..N-1."""
-        return self.diag[1:-1].copy(), self.upper[1:-1].copy()
+        return self.diag.copy(), self.flux[1:-1].copy()
 
 
 def assemble_operator(model, grid: SpaceTimeGrid) -> TridiagonalOperator:
@@ -184,18 +186,8 @@ def assemble_operator(model, grid: SpaceTimeGrid) -> TridiagonalOperator:
     if np.any(a_mid <= 0.0):
         raise ValueError("coefficient vanishes at a cell midpoint; x0 must be a node")
     h2 = grid.h ** 2
-    N = grid.N
-    diag = np.zeros(N + 1)
-    lower = np.zeros(N)
-    upper = np.zeros(N)
-    diag[1:N] = -(a_mid[:-1] + a_mid[1:]) / h2
-    upper[1:N] = a_mid[1:N] / h2
-    lower[0:N - 1] = a_mid[0:N - 1] / h2
-    # Dirichlet identity rows
-    diag[0] = diag[N] = 1.0
-    upper[0] = 0.0
-    lower[N - 1] = 0.0
-    return TridiagonalOperator(grid=grid, lower=lower, diag=diag, upper=upper)
+    return TridiagonalOperator(grid=grid, diag=-(a_mid[:-1] + a_mid[1:]) / h2,
+                               flux=a_mid / h2)
 
 
 def dirichlet_eigenmodes(op: TridiagonalOperator, k: int):

@@ -254,13 +254,9 @@ def _div_a_grad(op, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _q2_profile(model, x):
-    """(x - x0)^2 / a, extended by its limit 0 at x0 (finite for K < 2)."""
-    a = model.eval_a(x)
-    d = x - model.x0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(a > 0.0, d ** 2 / np.where(a > 0.0, a, 1.0), 0.0)
-    return out
+def _q2(model, x):
+    """(x - x0)^2 / a in closed form, |x - x0|^(2 - alpha) / scale: 0 at x0, as alpha < 2."""
+    return np.abs(x - model.x0) ** (2.0 - model.alpha) / model.scale
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +285,10 @@ def carleman_identity_check(model, params: WeightParams, grid: SpaceTimeGrid,
     Every factor but w and its derivatives is a function of t alone or of x
     alone.  The coefficients of L+- are outer products of t and x vectors
     with s folded into the t vector; each distributed term f(t) g(x) w^2 is
-    tw @ (f (w^2 @ (g sw))), with the time and space weights tw and sw, and
-    the three w^2 terms share one contraction.  The interior time rows are
+    tw @ (f (w^2 @ (g sw))), with the time and space weights tw and sw; as
+    (x - x0)^2 / a = q2 (``_q2``) and (2a - (x - x0) a') / a = 2 - alpha, the
+    three w^2 terms contract with the two columns psi sw and q2 sw, and the
+    boundary terms are one bracket [f]_{x=0}^{x=1}.  The interior time rows are
     streamed in blocks (``_row_blocks``; w_t reads one halo row on each
     side), so no stencil or product is formed on the whole grid, and every
     row sum is taken one row at a time (``_row_dots``).  The values are those
@@ -302,18 +300,14 @@ def carleman_identity_check(model, params: WeightParams, grid: SpaceTimeGrid,
     if np.max(np.abs(w.values[0])) > 1e-13 or np.max(np.abs(w.values[-1])) > 1e-13:
         raise ValueError("w must vanish at t = 0 and t = T for all x")
 
-    s = params.s
-    c1 = params.c1
-    x = grid.x
-    t = grid.t
-    h = grid.h
-    dt = grid.dt
+    s, c1 = params.s, params.c1
+    x, t, h, dt = grid.x, grid.t, grid.h, grid.dt
     M, N = grid.M, grid.N
     interior_t = slice(1, M)
 
     a = model.eval_a(x)
-    g2 = 2.0 * a - model.alpha * a       # 2a - (x-x0)a', as (x - x0) a' = alpha a
-    q2 = _q2_profile(model, x)           # (x-x0)^2 / a
+    q2 = _q2(model, x)                   # (x-x0)^2 / a
+    g = 2.0 - model.alpha                # (2a - (x-x0)a') / a, as (x - x0) a' = alpha a
     d = x - model.x0
     psi_x = psi(params, model, x)
     psi_p_bdry = psi_prime(params, model, np.array([0.0, 1.0]))
@@ -326,17 +320,16 @@ def carleman_identity_check(model, params: WeightParams, grid: SpaceTimeGrid,
     wv = w.values
     sw = grid.space_weights()
     tw = grid.time_weights()[interior_t]
-    r2 = np.where(a > 0.0, g2 / np.where(a > 0.0, a, 1.0), 0.0)
-    w2_vectors = np.column_stack((psi_x * sw, q2 * r2 * sw, q2 * sw))
-    g2_sw = g2 * sw
+    w2_vectors = np.column_stack((psi_x * sw, q2 * sw))
+    g_a_sw = g * a * sw
     # L+ = (a w_x)_x + (c_psi psi + c_q2 q2) w, as -s phi_t + s^2 a phi_x^2;
     # L- = w_t - c_wx (x - x0) w_x - c_w w, as a phi_x = c1 Theta (x - x0)
     c_psi, c_q2 = -s * th_d, s ** 2 * c1 ** 2 * th ** 2
     c_wx, c_w = 2.0 * s * c1 * th, s * c1 * th
 
-    # per interior row: the three w^2 sums, the w_x^2 sum, the L+ L- sum, and
+    # per interior row: the two w^2 sums, the w_x^2 sum, the L+ L- sum, and
     # w, w_x, w_t at x = 0, 1
-    w2_rows = np.empty((M - 1, 3))
+    w2_rows = np.empty((M - 1, 2))
     wx2_rows = np.empty(M - 1)
     lhs_rows = np.empty(M - 1)
     w_b, wx_b, wt_b = np.empty((3, M - 1, 2))
@@ -354,7 +347,7 @@ def carleman_identity_check(model, params: WeightParams, grid: SpaceTimeGrid,
         np.square(wi, out=inner)
         w2_rows[blk] = _row_dots(inner, w2_vectors)
         np.square(w_x, out=inner)
-        wx2_rows[blk] = _row_dots(inner, g2_sw)
+        wx2_rows[blk] = _row_dots(inner, g_a_sw)
         w_b[blk], wx_b[blk] = wi[:, [0, -1]], w_x[:, [0, -1]]
 
         np.multiply(c_wx[blk, None], d, out=inner)
@@ -372,32 +365,23 @@ def carleman_identity_check(model, params: WeightParams, grid: SpaceTimeGrid,
     lhs = float(tw @ lhs_rows)
     # distributed terms: int int f(t) g(x) w^2 = tw @ (f (w^2 @ (g sw)))
     dt1 = float(tw @ ((0.5 * s * th_dd) * w2_rows[:, 0]))
-    dt2 = float(tw @ ((s ** 3 * c1 ** 3 * th ** 3) * w2_rows[:, 1]))
-    dt3 = float(tw @ ((-2.0 * s ** 2 * c1 ** 2 * (th * th_d)) * w2_rows[:, 2]))
+    dt2 = float(tw @ ((g * s ** 3 * c1 ** 3 * th ** 3) * w2_rows[:, 1]))
+    dt3 = float(tw @ ((-2.0 * s ** 2 * c1 ** 2 * (th * th_d)) * w2_rows[:, 1]))
     dt4 = float(tw @ ((s * c1 * th) * wx2_rows))
 
-    # boundary terms at x = 0, 1; w vanishes there, so every group except the
-    # -s phi_x (a w_x)^2 flux is analytically zero, but all three are assembled
-    # from the data.  The groups at t = 0, T carry factors w and w_x, which
-    # vanish there, so they are not formed.
-    def t_integral_bdry(vals_interior_t):
-        return float(np.dot(tw, vals_interior_t))
-
+    # boundary terms [f]_{x=0}^{x=1} of five products; w vanishes there, so every
+    # product except the -s phi_x (a w_x)^2 flux is analytically zero, but all five
+    # are formed from the data.  The terms at t = 0, T carry factors w and w_x,
+    # which vanish there, so they are not formed.
     a_b = a[[0, -1]]
-    phi_x_b = th[:, None] * psi_p_bdry[None, :]
-    phi_t_b = th_d[:, None] * psi_x[[0, -1]][None, :]
-
-    def bracket(vals):  # [f]_{x=0}^{x=1}
-        return vals[:, 1] - vals[:, 0]
-
-    bt1 = t_integral_bdry(bracket(a_b[None, :] * wx_b * wt_b))
-    bt4 = t_integral_bdry(bracket(
-        -s * phi_x_b * (a_b[None, :] * wx_b) ** 2
-        + s ** 2 * a_b[None, :] * phi_t_b * phi_x_b * w_b ** 2
-        - s ** 3 * a_b[None, :] ** 2 * phi_x_b ** 3 * w_b ** 2))
-    bt5 = t_integral_bdry(bracket(-s * c1 * th[:, None] * a_b[None, :] * w_b * wx_b))
-
-    rhs = (dt1 + dt2 + dt3 + dt4) + (bt1 + bt4 + bt5)
+    phi_x_b = th[:, None] * psi_p_bdry
+    phi_t_b = th_d[:, None] * psi_x[[0, -1]]
+    f = (a_b * wx_b * wt_b
+         - s * phi_x_b * (a_b * wx_b) ** 2
+         + s ** 2 * a_b * phi_t_b * phi_x_b * w_b ** 2
+         - s ** 3 * a_b ** 2 * phi_x_b ** 3 * w_b ** 2
+         - s * c1 * th[:, None] * a_b * w_b * wx_b)
+    rhs = (dt1 + dt2 + dt3 + dt4) + float(tw @ (f[:, 1] - f[:, 0]))
     residual = abs(lhs - rhs) / (abs(lhs) + 1e-300)
     return IdentityReport(lhs=lhs, rhs=rhs, residual=residual)
 
@@ -507,7 +491,7 @@ def carleman_scan(model, params_base: WeightParams, grid: SpaceTimeGrid, v: Fiel
     # max of th psi over the grid, exactly: th > 0 and rounding is monotone, so
     # each column's largest product is at the smallest th where psi < 0
     phi_max = float(np.max(np.where(psi_x < 0.0, th.min() * psi_x, th.max() * psi_x)))
-    x_factors = (a * sw, _q2_profile(model, x) * sw, sw)
+    x_factors = (a * sw, _q2(model, x) * sw, sw)
     bdry_a = a[[0, -1]] * (x[[0, -1]] - model.x0)
 
     # per s and interior row: the (P, Q, H) row sums and E at x = 0, 1

@@ -73,15 +73,30 @@ class TestConfigHandling:
         assert "coefficient.x0" in capsys.readouterr().err
 
     def test_snapped_grid_is_warned(self, tmp_path, capsys):
-        assert run(tmp_path, "check-coeff")[0] == 0
+        code, out = run(tmp_path, "check-coeff")
+        assert code == 0
         on_node = capsys.readouterr()
         assert on_node.err == ""
-        code, _ = run(tmp_path, "check-coeff", "--set", "coefficient.x0=0.123")
+        assert json.loads((out / "summary.json").read_text())["grid_sizes"] == {
+            "grid.N": {"requested": 200, "snapped": 200},
+            "hp.N": {"requested": 1000, "snapped": 1000}}
+        code, out = run(tmp_path, "check-coeff", "--set", "coefficient.x0=0.123")
         assert code == 0
         snapped = capsys.readouterr()
         assert len(snapped.err.splitlines()) == 1
         assert "grid.N=200" in snapped.err and "N=1000" in snapped.err
         assert snapped.out == on_node.out
+        assert json.loads((out / "summary.json").read_text())["grid_sizes"] == {
+            "grid.N": {"requested": 200, "snapped": 1000},
+            "hp.N": {"requested": 1000, "snapped": 1000}}
+
+    def test_unread_huge_grid_size_is_not_built(self, tmp_path):
+        # check-coeff reads no hp grid: hp.N is snapped without building one, which
+        # at 1e12 nodes would end in a MemoryError traceback
+        code, out = run(tmp_path, "check-coeff", "--set", "hp.N=1e12")
+        assert code == 0
+        sizes = json.loads((out / "summary.json").read_text())["grid_sizes"]
+        assert sizes["hp.N"] == {"requested": 10 ** 12, "snapped": 10 ** 12}
 
     @pytest.mark.parametrize("task, key, value", [
         # lists and counts that would let a verdict pass without checking anything
@@ -424,7 +439,9 @@ class TestSubcommands:
                         "--set", "grid.M=120", "--set", "scan.n_s=8")
         assert code == 0
         summary = json.loads((out / "summary.json").read_text())
-        assert set(summary) == {"config", "verdicts", "timing"}
+        assert set(summary) == {"config", "grid_sizes", "verdicts", "timing"}
+        assert summary["grid_sizes"] == {"grid.N": {"requested": 60, "snapped": 60},
+                                         "hp.N": {"requested": 1000, "snapped": 1000}}
         for v in summary["verdicts"]:
             assert set(v) == {"name", "pass", "value", "threshold"}
 

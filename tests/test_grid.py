@@ -58,12 +58,18 @@ class TestOperator:
         else:
             config["coefficient"].update(PRESETS[preset]["coefficient"])
         model = build_model(config)
-        for N in (20, config["grid"]["N"]):
-            op = assemble_operator(model, build_grid(config, N=N, M=1))
-            block = op.apply(np.eye(op.diag.size))[1:-1, 1:-1]
+        for N in (3, 20, config["grid"]["N"]):
+            grid = build_grid(config, N=N, M=1)
+            op = assemble_operator(model, grid)
+            block = op.apply(np.eye(grid.N + 1))[1:-1, 1:-1]
             assert np.array_equal(block, block.T)
             d, e = op.interior_tridiag()
             assert np.array_equal(np.diag(block), d) and np.array_equal(np.diag(block, 1), e)
+            # every solve and eigen solve reads these bits: the diagonal is summed from
+            # the midpoint values of a, not from the fluxes, which rounds differently
+            a_mid, h2 = model.eval_a(grid.x_mid), grid.h ** 2
+            assert np.array_equal(d, -(a_mid[:-1] + a_mid[1:]) / h2)
+            assert np.array_equal(e, a_mid[1:-1] / h2)
 
     def test_laplacian_eigenvalues(self):
         m = CoefficientModel.constant(1.0, 0.5)
@@ -84,15 +90,10 @@ class TestOperator:
         a_left = 0.05 ** 0.5
         a_right = 0.05 ** 0.5
         h2 = g.h ** 2
-        assert op.diag[i0] == pytest.approx(-(a_left + a_right) / h2, rel=1e-14)
-        assert op.upper[i0] == pytest.approx(a_right / h2, rel=1e-14)
-        assert op.lower[i0 - 1] == pytest.approx(a_left / h2, rel=1e-14)
-
-    def test_interior_symmetry(self):
-        m = CoefficientModel.power_law(1.5, 0.3)
-        g = SpaceTimeGrid.create(50, 1, 1.0, 0.3)
-        op = assemble_operator(m, g)
-        np.testing.assert_allclose(op.upper[1:-1], op.lower[1:-1], rtol=0.0, atol=0.0)
+        # diag holds the interior nodes 1..N-1, flux the cells [x_i, x_i+1]
+        assert op.diag[i0 - 1] == pytest.approx(-(a_left + a_right) / h2, rel=1e-14)
+        assert op.flux[i0] == pytest.approx(a_right / h2, rel=1e-14)
+        assert op.flux[i0 - 1] == pytest.approx(a_left / h2, rel=1e-14)
 
     def test_negative_semidefinite(self):
         m = CoefficientModel.power_law(0.5, 0.3)
@@ -121,11 +122,13 @@ class TestOperator:
 
     @pytest.mark.parametrize("alpha", [0.5, 1.5])
     def test_apply_bit_identical_to_fresh_products(self, alpha):
-        """One scratch array gives the bits of the two fresh off-diagonal products."""
+        """One scratch array gives the bits of the two fresh flux products, and the
+        boundary entries are 0 whatever u holds there."""
         def reference_apply(op, u):
-            out = op.diag * u
-            out[..., :-1] += op.upper * u[..., 1:]
-            out[..., 1:] += op.lower * u[..., :-1]
+            out = np.zeros(u.shape)
+            out[..., 1:-1] = op.diag * u[..., 1:-1]
+            out[..., 1:-1] += op.flux[1:] * u[..., 2:]
+            out[..., 1:-1] += op.flux[:-1] * u[..., :-2]
             return out
 
         g = SpaceTimeGrid.create(60, 120, 1.0, 0.3)

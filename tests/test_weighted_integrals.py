@@ -9,7 +9,9 @@ quadrature vectors, so each integral is one contraction of the field data.
   the row blocks the scan and the identity check stream through.
 * To rounding: each checker agrees with the integrand-first ``reference_*``
   formula (every product a fresh full-grid array, then the quadrature) within
-  1e-13 of the integral of the absolute integrand.
+  1e-13 of the integral of the absolute integrand.  The reference formulas
+  divide by a where the checkers read the closed forms of the quotients,
+  which agree with them to rounding.
 
 ``manufactured_adjoint_pair`` must equal its whole-field expression bit for
 bit, whatever the row blocks it fills h in, and ``exp2s_phi`` its reference.
@@ -30,7 +32,7 @@ from degenpde import (CoefficientModel, ControlConfig, Field, PotentialModel, Sp
                       assemble_operator, caccioppoli_check, carleman_identity_check,
                       carleman_scan, dirichlet_eigenmodes, manufactured_adjoint_pair,
                       solve_adjoint)
-from degenpde.inequalities import _derivative, _div_a_grad, _q2_profile, default_s_values
+from degenpde.inequalities import _derivative, _div_a_grad, _q2, default_s_values
 from degenpde.weights import (_LOG_TINY, THETA_EXPONENT, WeightParams, exp2s_phi, psi,
                               psi_prime, theta, theta_ddot, theta_dot)
 
@@ -46,6 +48,12 @@ MODELS = {
 # ---------------------------------------------------------------------------
 # reference formulas: every product a fresh array
 # ---------------------------------------------------------------------------
+
+def quotient(num, a):
+    """num / a, extended by 0 where a vanishes (at x0, where num does too)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(a > 0.0, num / np.where(a > 0.0, a, 1.0), 0.0)
+
 
 def reference_log2s_phi(params, model, t, x):
     tt, xx = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
@@ -68,7 +76,7 @@ def reference_scan_integrals(model, params_base, grid, v, h, s_values):
     x = grid.x
     t = grid.t
     a = model.eval_a(x)
-    q2 = _q2_profile(model, x)
+    q2 = quotient((x - model.x0) ** 2, a)
     v_x = _derivative(v.values, grid.h, axis=1)
     th_full = np.zeros(grid.M + 1)
     th_full[1:-1] = theta(params_base, t[1:-1])
@@ -100,9 +108,9 @@ def reference_identity(model, params, grid, w):
     M, N = grid.M, grid.N
     interior_t = slice(1, M)
     a = model.eval_a(x)
-    g2 = 2.0 * a - model.alpha * a
-    q2 = _q2_profile(model, x)
+    g2 = 2.0 * a - model.alpha * a       # 2a - (x - x0) a'
     d = x - model.x0
+    q2 = quotient(d ** 2, a)
     psi_x = psi(params, model, x)
     psi_p_bdry = psi_prime(params, model, np.array([0.0, 1.0]))
     th = theta(params, t[interior_t])
@@ -129,7 +137,7 @@ def reference_identity(model, params, grid, w):
         return float(np.dot(grid.time_weights(), per_t))
 
     lhs = st_integral(L_plus * L_minus)
-    r2 = np.where(a > 0.0, g2 / np.where(a > 0.0, a, 1.0), 0.0)
+    r2 = quotient(g2, a)
     dt1 = st_integral(0.5 * s * th_dd[:, None] * psi_x[None, :] * wi ** 2)
     dt2 = st_integral(s ** 3 * c1 ** 3 * th[:, None] ** 3
                       * (q2 * r2)[None, :] * wi ** 2)
@@ -193,7 +201,7 @@ def ordered_scan_integrals(model, params_base, grid, v, h, s_values):
     th = theta(params_base, grid.t[ti])
     v_x = _derivative(v.values, grid.h, axis=1)[ti]
     stack = np.stack((v_x ** 2 * (a * sw),
-                      v.values[ti] ** 2 * (_q2_profile(model, x) * sw),
+                      v.values[ti] ** 2 * (_q2(model, x) * sw),
                       h.values[ti] ** 2 * sw), axis=1)
     phi = th[:, None] * psi(params_base, model, x)[None, :]
     phi_shift = phi - np.max(phi)
@@ -217,9 +225,7 @@ def ordered_identity(model, params, grid, w):
     x, t = grid.x, grid.t
     ti = slice(1, grid.M)
     a = model.eval_a(x)
-    g2 = 2.0 * a - model.alpha * a
-    q2 = _q2_profile(model, x)
-    r2 = np.where(a > 0.0, g2 / np.where(a > 0.0, a, 1.0), 0.0)
+    q2 = _q2(model, x)
     d = x - model.x0
     psi_x = psi(params, model, x)
     th, th_d, th_dd = theta(params, t[ti]), theta_dot(params, t[ti]), theta_ddot(params, t[ti])
@@ -235,29 +241,32 @@ def ordered_identity(model, params, grid, w):
     lhs = float(tw @ row_dots(L_plus * L_minus, sw))
     lhs_abs = float(tw @ (np.abs(L_plus * L_minus) @ sw))
 
+    # the w^2 terms contract with psi sw and q2 sw; (2a - (x - x0) a') / a = 2 - alpha
     rhs, rhs_abs = 0.0, 0.0
-    x_vectors = np.column_stack((psi_x * sw, q2 * r2 * sw, q2 * sw))
-    t_vectors = (0.5 * s * th_dd, s ** 3 * c1 ** 3 * th ** 3,
-                 -2.0 * s ** 2 * c1 ** 2 * (th * th_d))
+    x_vectors = np.column_stack((psi_x * sw, q2 * sw))
+    terms = ((0.5 * s * th_dd, 0), ((2.0 - model.alpha) * s ** 3 * c1 ** 3 * th ** 3, 1),
+             (-2.0 * s ** 2 * c1 ** 2 * (th * th_d), 1))
     w2_rows = row_dots(wi ** 2, x_vectors)
     w2_abs = wi ** 2 @ np.abs(x_vectors)
-    for k in range(3):
-        rhs += float(tw @ (t_vectors[k] * w2_rows[:, k]))
-        rhs_abs += float(tw @ np.abs(t_vectors[k] * w2_abs[:, k]))
-    rhs += float(tw @ ((s * c1 * th) * row_dots(wxi ** 2, g2 * sw)))
-    rhs_abs += float(tw @ np.abs((s * c1 * th) * (wxi ** 2 @ np.abs(g2 * sw))))
+    for t_vector, k in terms:
+        rhs += float(tw @ (t_vector * w2_rows[:, k]))
+        rhs_abs += float(tw @ np.abs(t_vector * w2_abs[:, k]))
+    g_a_sw = (2.0 - model.alpha) * a * sw
+    rhs += float(tw @ ((s * c1 * th) * row_dots(wxi ** 2, g_a_sw)))
+    rhs_abs += float(tw @ np.abs((s * c1 * th) * (wxi ** 2 @ np.abs(g_a_sw))))
 
+    # one bracket [f]_{x=0}^{x=1} of the five boundary products
     a_b = a[[0, -1]]
     wx_b, wt_b, w_b = wxi[:, [0, -1]], w_t[ti][:, [0, -1]], wi[:, [0, -1]]
     phi_x_b = th[:, None] * psi_prime(params, model, np.array([0.0, 1.0]))[None, :]
     phi_t_b = th_d[:, None] * psi_x[[0, -1]][None, :]
     boundary = [a_b[None, :] * wx_b * wt_b,
-                -s * phi_x_b * (a_b[None, :] * wx_b) ** 2
-                + s ** 2 * a_b[None, :] * phi_t_b * phi_x_b * w_b ** 2
-                - s ** 3 * a_b[None, :] ** 2 * phi_x_b ** 3 * w_b ** 2,
+                -s * phi_x_b * (a_b[None, :] * wx_b) ** 2,
+                s ** 2 * a_b[None, :] * phi_t_b * phi_x_b * w_b ** 2,
+                -s ** 3 * a_b[None, :] ** 2 * phi_x_b ** 3 * w_b ** 2,
                 -s * c1 * th[:, None] * a_b[None, :] * w_b * wx_b]
-    bt = [float(np.dot(tw, vals[:, 1] - vals[:, 0])) for vals in boundary]
-    rhs = rhs + (bt[0] + bt[1] + bt[2])
+    f = boundary[0] + boundary[1] + boundary[2] + boundary[3] + boundary[4]
+    rhs += float(tw @ (f[:, 1] - f[:, 0]))
     rhs_abs += sum(float(tw @ np.abs(vals).sum(axis=1)) for vals in boundary)
     return lhs, rhs, lhs_abs, rhs_abs
 
@@ -333,6 +342,22 @@ def traced_peak(fn):
 # ---------------------------------------------------------------------------
 # bit identity
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_closed_forms_are_the_quotients(name):
+    """The checkers' closed forms agree with the general quotients by a to rounding:
+    (x - x0)^2 / a = |x - x0|^(2 - alpha) / scale, 0 at x0, and
+    (2a - (x - x0) a') / a = 2 - alpha."""
+    model = MODELS[name]
+    x = SpaceTimeGrid.create(120, 1, 1.0, X0).x
+    a = model.eval_a(x)
+    q2 = _q2(model, x)
+    np.testing.assert_allclose(q2, quotient((x - X0) ** 2, a), rtol=1e-15, atol=0.0)
+    assert q2[np.argmin(np.abs(x - X0))] == 0.0
+    on = a > 0.0
+    np.testing.assert_allclose(quotient(2.0 * a - model.alpha * a, a)[on], 2.0 - model.alpha,
+                               rtol=1e-15, atol=0.0)
+
 
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_scan_integrals_bit_identical(name):
