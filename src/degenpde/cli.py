@@ -6,7 +6,8 @@ header, so artifacts are self-describing) plus a JSON summary with verdicts,
 and prints a human-readable pass/fail line per verdict.
 
 Exit status: 0 all verdicts pass, 2 at least one verdict failed,
-1 usage or configuration error (the message names the offending key).
+1 usage or configuration error, or a grid too large to allocate (the
+message names the offending key).
 """
 
 from __future__ import annotations
@@ -627,7 +628,18 @@ def main(argv=None) -> int:
     timing = {}
     for name in names:
         t0 = time.perf_counter()
-        all_verdicts.extend(TASKS[name](config, out_dir))
+        try:
+            all_verdicts.extend(TASKS[name](config, out_dir))
+        except MemoryError as exc:
+            # an in-range size too large for this machine: no fixed upper end
+            # on the sizes could know what a machine holds
+            section = "hp" if name == "hp" else "grid"
+            sizes = f"{section}.N={int(config[section]['N'])}"
+            if section == "grid":
+                sizes += f", grid.M={int(config['grid']['M'])}"
+            print(f"error: {section}.N: {sizes} is too large to allocate ({exc})",
+                  file=sys.stderr)
+            return 1
         timing[name] = time.perf_counter() - t0
 
     grid_sizes = {f"{k}.N": {"requested": int(config[k]["N"]),

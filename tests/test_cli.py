@@ -187,6 +187,11 @@ class TestConfigHandling:
         ("carleman-scan", "scan.s_ratio", "1e80"),
         # an integer beyond the floating-point range: an OverflowError traceback
         pytest.param("hp", "hp.N", "1" + "0" * 400, id="hp-hp.N-10**400"),
+        # an in-range size too large to allocate: a MemoryError traceback (10^12
+        # nodes fail at the first allocation, before any memory is touched)
+        ("check-coeff", "grid.N", "1e12"),
+        ("hp", "hp.N", "1e12"),
+        ("all", "grid.N", "1e12"),
         # the seed: another key named, a traceback, or silently truncated
         ("hp", "run.seed", "-1"),
         ("hp", "run.seed", "1.5"),

@@ -56,11 +56,14 @@ class TestObservability:
 
     def test_seed_reproducibility(self):
         m, pot, g, ctrl = degenerate_setup(N=60, M=80)
-        r1 = estimate_observability(m, pot, g, ctrl, n_modes=3, n_random=3,
-                                    n_power=3, seed=5)
-        r2 = estimate_observability(m, pot, g, ctrl, n_modes=3, n_random=3,
-                                    n_power=3, seed=5)
+        r1, r2, other = (estimate_observability(m, pot, g, ctrl, n_modes=3, n_random=3,
+                                                n_power=3, seed=seed) for seed in (5, 5, 6))
+        assert r1.samples == r2.samples
         assert r1.C_T_estimate == r2.C_T_estimate
+        mine, theirs = ([ratio for desc, ratio in r.samples if desc.startswith("random_")]
+                        for r in (r1, other))
+        assert len(mine) == len(theirs) == 3
+        assert all(a != b for a, b in zip(mine, theirs))
 
 
 class TestNullControl:
