@@ -621,7 +621,11 @@ def main(argv=None) -> int:
         return 1
 
     out_dir = Path(config["run"]["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:      # e.g. a file where it or a parent must go
+        print(f"error: run.out_dir: cannot create {out_dir} ({exc})", file=sys.stderr)
+        return 1
     names = list(TASKS) if args.subcommand == "all" else [args.subcommand]
 
     all_verdicts = []

@@ -6,8 +6,8 @@ Four checkers live here:
       int p/(x-x0)^2 w^2 <= C int p (w')^2
   for degenerate weights p, via a random test battery and the sharp discrete
   constant from a generalized eigenvalue problem.  The battery members are
-  not-a-knot cubics through 8 equally spaced knots, each a product with one
-  basis matrix of cardinal splines per grid (``_spline_basis``).
+  the piecewise-linear interpolants of random values at 8 equally spaced
+  knots, read at the grid nodes.
 * ``carleman_identity_check`` -- the exact decomposition of <L+ w, L- w>
   into distributed terms and the boundary terms at x = 0, 1 for the
   conjugated operators (those at t = 0, T vanish for admissible w).
@@ -126,37 +126,6 @@ def _hp_matrices(weight: HardyWeight, grid: SpaceTimeGrid):
     return (p_cell[:-1] + p_cell[1:]) / h, -p_cell[1:-1] / h, m
 
 
-def _spline_basis(x: np.ndarray, n_knots: int) -> np.ndarray:
-    """The (x.size, n_knots) values at x of the not-a-knot cubic cardinal
-    splines on n_knots >= 4 equally spaced knots of [0, 1].
-
-    Column k is the spline through the k-th unit vector, so ``basis @ vals``
-    is the spline through vals, as ``scipy.interpolate.CubicSpline`` builds it
-    by default.  The knot slopes solve the C^2 conditions at the interior knots
-    and the not-a-knot (C^3) conditions at the second and second-to-last knots;
-    the spline is then cubic Hermite on each cell.
-    """
-    h = 1.0 / (n_knots - 1)
-    lhs = np.zeros((n_knots, n_knots))
-    rhs = np.zeros((n_knots, n_knots))
-    for j in range(1, n_knots - 1):
-        lhs[j, j - 1:j + 2] = 1.0, 4.0, 1.0
-        rhs[j, j - 1], rhs[j, j + 1] = -3.0 / h, 3.0 / h
-    lhs[0, :2] = 1.0, 2.0
-    lhs[-1, -2:] = 2.0, 1.0
-    rhs[0, :3] = np.array([-5.0, 4.0, 1.0]) / (2.0 * h)
-    rhs[-1, -3:] = np.array([-1.0, -4.0, 5.0]) / (2.0 * h)
-    slopes = np.linalg.solve(lhs, rhs)
-    pos = x / h
-    cell = np.clip(np.floor(pos).astype(int), 0, n_knots - 2)
-    u = (pos - cell)[:, None]
-    eye = np.eye(n_knots)
-    return ((1.0 + 2.0 * u) * (1.0 - u) ** 2 * eye[cell]
-            + u ** 2 * (3.0 - 2.0 * u) * eye[cell + 1]
-            + h * u * (1.0 - u) ** 2 * slopes[cell]
-            - h * u ** 2 * (1.0 - u) * slopes[cell + 1])
-
-
 def _hp_energy(k_diag, k_off, w):
     out = np.dot(k_diag * w, w)
     out += 2.0 * np.dot(k_off * w[:-1], w[1:])
@@ -167,15 +136,15 @@ def hp_verify(weight: HardyWeight, grid: SpaceTimeGrid,
               battery_size: int = 20, seed: int = 0) -> HPReport:
     """Verify the Hardy-Poincare inequality for the weight p on a grid.
 
-    Battery members are random not-a-knot cubic splines through 8 equally
-    spaced knots, vanishing at 0 and 1 (free at x0), each one product with a
-    single basis matrix built per grid.  The 6 interior knot values are uniform
-    draws on [-1, 1] from ``random.Random(seed)``, whose stream Python keeps
-    fixed for an int seed across versions.  The sharp discrete constant is
-    1/lambda_min of the generalized pair (stiffness with weight p, mass with
-    weight p/(x-x0)^2).
+    Battery members are the piecewise-linear interpolants of random values at
+    8 equally spaced knots, vanishing at 0 and 1 (free at x0), taken at the
+    grid nodes.  The 6 interior knot values are uniform draws on [-1, 1] from
+    ``random.Random(seed)``, whose stream Python keeps fixed for an int seed
+    across versions.  A member enters the pencil only through its nodal values,
+    so its ratio is a Rayleigh quotient of the pair, at most (up to rounding) the
+    sharp discrete constant, 1/lambda_min of the generalized pair (stiffness with
+    weight p, mass with weight p/(x-x0)^2).
     """
-    x = grid.x
     k_diag, k_off, m = _hp_matrices(weight, grid)
     # symmetrize: M^(-1/2) K M^(-1/2) is tridiagonal with the same eigenvalues
     inv_sqrt_m = 1.0 / np.sqrt(m)
@@ -185,13 +154,12 @@ def hp_verify(weight: HardyWeight, grid: SpaceTimeGrid,
     rayleigh = 1.0 / lam
 
     rng = random.Random(seed)
-    n_knots = 8
-    basis = _spline_basis(x, n_knots)
+    knots = np.linspace(0.0, 1.0, 8)
     ratios = []
     for _ in range(battery_size):
-        vals = np.zeros(n_knots)
-        vals[1:-1] = [rng.uniform(-1.0, 1.0) for _ in range(n_knots - 2)]
-        wi = (basis @ vals)[1:-1]
+        vals = np.zeros(knots.size)
+        vals[1:-1] = [rng.uniform(-1.0, 1.0) for _ in range(knots.size - 2)]
+        wi = np.interp(grid.x, knots, vals)[1:-1]
         num = np.dot(m * wi, wi)
         den = _hp_energy(k_diag, k_off, wi)
         ratios.append(0.0 if den == 0.0 else num / den)

@@ -241,6 +241,18 @@ class TestConfigHandling:
         assert capsys.readouterr().err.startswith(f"error: {key}: ")
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("below", [(), ("sub",)], ids=["file", "below-file"])
+    @pytest.mark.parametrize("flag", ["--out", "--set"])
+    def test_out_dir_that_cannot_be_made_exits_1(self, tmp_path, capsys, below, flag):
+        # a file where the directory, or one of its parents, must go
+        blocker = tmp_path / "file"
+        blocker.write_text("kept")
+        out = blocker.joinpath(*below)
+        argv = ["--out", str(out)] if flag == "--out" else ["--set", f"run.out_dir={out}"]
+        assert main(["check-coeff", *argv]) == 1
+        assert capsys.readouterr().err.startswith(f"error: run.out_dir: cannot create {out} (")
+        assert blocker.read_text() == "kept"
+
     @pytest.mark.parametrize("key, value", [
         ("potential.kind", "zero"), ("weight.c2_margin", "0.05"),
         ("run.format", "csv"), ("null_control.u0", "parabola"),

@@ -6,7 +6,7 @@ import pytest
 from degenpde import (CoefficientModel, Field, HardyWeight, PotentialModel,
                       SpaceTimeGrid, caccioppoli_check, carleman_identity_check,
                       carleman_scan, hp_verify, manufactured_adjoint_pair)
-from degenpde.inequalities import _hp_energy, _hp_matrices, _spline_basis, default_s_values
+from degenpde.inequalities import _hp_energy, _hp_matrices, default_s_values
 from degenpde.weights import WeightParams
 
 
@@ -83,49 +83,25 @@ class TestHardyPoincare:
         rep = hp_verify(w, space_grid(0.3))
         assert rep.rayleigh_estimate <= w.paper_bound() * 1.05
 
-    def test_battery_matches_cubic_spline_battery(self):
-        from scipy.interpolate import CubicSpline
-
-        weight, grid = HardyWeight.pure_power(1.5, 0.3), space_grid(0.3, N=400)
+    @pytest.mark.parametrize("N", [400, 700])
+    def test_battery_is_the_hat_function_interpolant(self, N):
+        # each member rebuilt as a sum of hat functions on the knots j/7; at N = 700
+        # the knots are the nodes 100 j, at N = 400 they fall between nodes
+        weight, grid = HardyWeight.pure_power(1.5, 0.3), space_grid(0.3, N=N)
         rep = hp_verify(weight, grid, battery_size=20, seed=3)
         k_diag, k_off, m = _hp_matrices(weight, grid)
+        hats = np.maximum(0.0, 1.0 - np.abs(7.0 * grid.x[:, None] - np.arange(8.0)))
         rng = random.Random(3)
         expected = []
         for _ in range(20):
-            vals = [0.0, *(rng.uniform(-1.0, 1.0) for _ in range(6)), 0.0]
-            wi = CubicSpline(np.linspace(0.0, 1.0, 8), vals)(grid.x)[1:-1]
+            vals = np.array([0.0, *(rng.uniform(-1.0, 1.0) for _ in range(6)), 0.0])
+            w = hats @ vals
+            if N == 700:
+                np.testing.assert_allclose(w[::100], vals, rtol=0.0, atol=1e-14)
+                assert w[0] == 0.0 and w[-1] == 0.0
+            wi = w[1:-1]
             expected.append(np.dot(m * wi, wi) / _hp_energy(k_diag, k_off, wi))
-        np.testing.assert_allclose(rep.battery_ratios, expected, rtol=1e-9, atol=0.0)
-
-
-class TestSplineBasis:
-    KNOTS = np.linspace(0.0, 1.0, 8)
-
-    @pytest.mark.parametrize("n_nodes", [2, 51, 200, 801])
-    def test_matches_cubic_spline(self, n_nodes):
-        from scipy.interpolate import CubicSpline
-
-        x = np.linspace(0.0, 1.0, n_nodes)
-        basis = _spline_basis(x, 8)
-        rng = np.random.default_rng(n_nodes)
-        for _ in range(20):
-            vals = rng.standard_normal(8)
-            expected = CubicSpline(self.KNOTS, vals)(x)
-            np.testing.assert_allclose(basis @ vals, expected,
-                                       rtol=0.0, atol=1e-13 * np.max(np.abs(expected)))
-
-    @pytest.mark.parametrize("coeffs", [[1.0], [2.0, -1.0], [-3.0, 0.5, 2.0],
-                                        [4.0, -7.0, 2.5, 0.25]])
-    def test_reproduces_cubic_polynomials(self, coeffs):
-        x = np.linspace(0.0, 1.0, 333)
-        np.testing.assert_allclose(_spline_basis(x, 8) @ np.polyval(coeffs, self.KNOTS),
-                                   np.polyval(coeffs, x), rtol=0.0, atol=1e-14)
-
-    @pytest.mark.parametrize("n_knots", [4, 8, 13])
-    def test_cardinal_at_the_knots(self, n_knots):
-        knots = np.linspace(0.0, 1.0, n_knots)
-        np.testing.assert_allclose(_spline_basis(knots, n_knots), np.eye(n_knots),
-                                   rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(rep.battery_ratios, expected, rtol=1e-10, atol=0.0)
 
 
 def identity_profile(T, x0, kappa=5):
