@@ -49,8 +49,11 @@ def reference_hp_matrices(weight, grid):
     def p(y):
         return abs(y - weight.x0) ** gamma
 
-    pv = np.array([p(y) for y in x])
+    # distances from the x0 node, which is 0 from itself even where linspace
+    # puts it a rounding error off x0
     d = np.abs(x - weight.x0)
+    d[grid.x0_index] = 0.0
+    pv = d ** gamma
 
     p_cell = np.empty(N)
     for i in range(N):
@@ -63,9 +66,11 @@ def reference_hp_matrices(weight, grid):
     m = np.zeros(N + 1)
     for i in range(1, N):
         for a_, b_ in ((x[i] - 0.5 * h, x[i]), (x[i], x[i] + 0.5 * h)):
-            ra, rb = abs(a_ - weight.x0), abs(b_ - weight.x0)
-            pa = pv[i] if abs(a_ - x[i]) < 1e-15 else p(a_)
-            pb = pv[i] if abs(b_ - x[i]) < 1e-15 else p(b_)
+            at_a, at_b = abs(a_ - x[i]) < 1e-15, abs(b_ - x[i]) < 1e-15
+            ra = d[i] if at_a else abs(a_ - weight.x0)
+            rb = d[i] if at_b else abs(b_ - weight.x0)
+            pa = pv[i] if at_a else p(a_)
+            pb = pv[i] if at_b else p(b_)
             lo, hi = sorted((ra, rb))
             p_lo, p_hi = (pa, pb) if ra <= rb else (pb, pa)
             m[i] += reference_power_fit_integral(p_lo, p_hi, lo, hi, gamma, -2.0)
@@ -135,8 +140,8 @@ def fit_rtol(gamma, r_min):
 
     The fitted exponent log(p_hi / p_lo) / log(r_hi / r_lo) is off by a few eps
     relative, and the factor (r_hi / r_lo)^gamma of the integral multiplies that
-    by log(r_hi / r_lo) <= log(1 / r_min); r_min is 5.6e-17 where x0 = 0.3 lies
-    that far from its node."""
+    by log(r_hi / r_lo) <= log(1 / r_min), r_min the least positive distance
+    of a node from the x0 node."""
     return 4.0 * EPS * gamma * np.log(1.0 / r_min)
 
 
@@ -154,6 +159,7 @@ def test_hp_matrices_match_per_cell_loops(name, x0, N):
     grid = SpaceTimeGrid.create(N, 1, 1.0, x0)
     # the smallest exponent is that of the mass cells, e = gamma - 1
     d = np.abs(grid.x - x0)
+    d[grid.x0_index] = 0.0
     rtol = (cancellation_rtol(grid.N, weight.gamma - 1.0)
             + fit_rtol(weight.gamma, np.min(d[d > 0.0])))
     for new, ref in zip(_hp_matrices(weight, grid), reference_hp_matrices(weight, grid)):

@@ -83,26 +83,82 @@ class TestHardyPoincare:
         rep = hp_verify(w, space_grid(0.3))
         assert rep.rayleigh_estimate <= w.paper_bound() * 1.05
 
-    @pytest.mark.parametrize("N", [400, 700])
-    def test_battery_is_the_hat_function_interpolant(self, N):
-        # each member rebuilt as a sum of hat functions on the knots j/7; at N = 700
-        # the knots are the nodes 100 j, at N = 400 they fall between nodes
-        weight, grid = HardyWeight.pure_power(1.5, 0.3), space_grid(0.3, N=N)
+    @pytest.mark.parametrize("N, q, x0", [(400, 1.5, 0.3), (700, 1.5, 0.3), (14, 1.2, 0.5),
+                                          (1000, 1.8, 0.5), (1400, 1.2, 0.5)])
+    def test_battery_is_the_hat_function_interpolant(self, N, q, x0):
+        # each member rebuilt as a sum of hat functions on the knots j/7; when 7
+        # divides N the knots are the nodes N/7 * j, otherwise some fall between nodes
+        weight, grid = HardyWeight.pure_power(q, x0), space_grid(x0, N=N)
         rep = hp_verify(weight, grid, battery_size=20, seed=3)
         k_diag, k_off, m = _hp_matrices(weight, grid)
         hats = np.maximum(0.0, 1.0 - np.abs(7.0 * grid.x[:, None] - np.arange(8.0)))
+        step, rem = divmod(grid.N, 7)
         rng = random.Random(3)
         expected = []
         for _ in range(20):
             vals = np.array([0.0, *(rng.uniform(-1.0, 1.0) for _ in range(6)), 0.0])
             w = hats @ vals
-            if N == 700:
-                np.testing.assert_allclose(w[::100], vals, rtol=0.0, atol=1e-14)
-                assert w[0] == 0.0 and w[-1] == 0.0
+            if rem == 0:
+                np.testing.assert_allclose(w[::step], vals, rtol=0.0, atol=1e-14)
+            assert w[0] == 0.0 and w[-1] == 0.0
             wi = w[1:-1]
             expected.append(np.dot(m * wi, wi) / _hp_energy(k_diag, k_off, wi))
         np.testing.assert_allclose(rep.battery_ratios, expected, rtol=1e-10, atol=0.0)
 
+    def test_battery_follows_its_seed(self):
+        weight, grid = HardyWeight.pure_power(1.5, 0.3), space_grid(0.3, N=200)
+        first, again, other = (hp_verify(weight, grid, battery_size=5, seed=s).battery_ratios
+                               for s in (4, 4, 5))
+        np.testing.assert_array_equal(first, again)
+        assert np.all(first != other)
+
+    def test_empty_battery(self):
+        rep = hp_verify(HardyWeight.pure_power(1.5, 0.3), space_grid(0.3, N=200),
+                        battery_size=0)
+        assert rep.battery_ratios.size == 0 and rep.battery_max_ratio == 0.0
+
+    @pytest.mark.parametrize("q, x0", [(1.2, 0.3), (1.5, 0.5), (1.8, 0.3)])
+    def test_matrices_are_the_cell_integrals(self, q, x0):
+        # stiffness from the cell averages of p, lumped mass from p/r^2 over the
+        # half-cells around each interior node, both by adaptive quadrature
+        from scipy.integrate import quad
+
+        weight, grid = HardyWeight.pure_power(q, x0), space_grid(x0, N=40)
+        k_diag, k_off, m = _hp_matrices(weight, grid)
+        x, h = grid.x, grid.h
+
+        def integral(e, a, b):
+            # the integral of |y - x0|^e over [a, b], split at x0; a piece ending at
+            # x0 goes to quad's algebraic end-point weight, since r^e is singular for e < 0
+            cuts = [a, *([x0] if a < x0 < b else []), b]
+            total = 0.0
+            for lo, hi in zip(cuts[:-1], cuts[1:]):
+                if abs(lo - x0) < 1e-12 or abs(hi - x0) < 1e-12:
+                    wvar = (e, 0.0) if abs(lo - x0) < 1e-12 else (0.0, e)
+                    total += quad(lambda y: 1.0, lo, hi, weight="alg", wvar=wvar)[0]
+                else:
+                    total += quad(lambda y: abs(y - x0) ** e, lo, hi,
+                                  epsabs=0.0, epsrel=1e-12)[0]
+            return total
+
+        p_cell = np.array([integral(q, a, b) / h for a, b in zip(x[:-1], x[1:])])
+        mass = np.array([integral(q - 2.0, xi - h / 2, xi + h / 2) for xi in x[1:-1]])
+        np.testing.assert_allclose(k_diag, (p_cell[:-1] + p_cell[1:]) / h, rtol=1e-9)
+        np.testing.assert_allclose(k_off, -p_cell[1:-1] / h, rtol=1e-9)
+        np.testing.assert_allclose(m, mass, rtol=1e-9)
+
+    @pytest.mark.parametrize("q, x0", [(1.2, 0.3), (1.5, 0.5), (1.8, 0.3)])
+    def test_rayleigh_is_the_dense_pencil_constant(self, q, x0):
+        # 1 / smallest eigenvalue of the dense generalized pair K w = lambda M w
+        from scipy.linalg import eigh
+
+        weight, grid = HardyWeight.pure_power(q, x0), space_grid(x0, N=200)
+        k_diag, k_off, m = _hp_matrices(weight, grid)
+        stiff = np.diag(k_diag) + np.diag(k_off, 1) + np.diag(k_off, -1)
+        lam = eigh(stiff, np.diag(m), eigvals_only=True, subset_by_index=[0, 0])[0]
+        rep = hp_verify(weight, grid)
+        assert rep.rayleigh_estimate == pytest.approx(1.0 / lam, rel=1e-9)
+        assert np.all(rep.battery_ratios <= rep.rayleigh_estimate * (1.0 + 1e-9))
 
 def identity_profile(T, x0, kappa=5):
     return lambda t, x: (t * (T - t)) ** kappa * (x - x0) ** 2 * x * (1.0 - x)
