@@ -6,8 +6,8 @@ header, so artifacts are self-describing) plus a JSON summary with verdicts,
 and prints a human-readable pass/fail line per verdict.
 
 Exit status: 0 all verdicts pass, 2 at least one verdict failed,
-1 usage or configuration error, or a grid too large to allocate (the
-message names the offending key).
+1 usage or configuration error, a grid too large to allocate, or a report
+file that cannot be written (the message names the offending key).
 """
 
 from __future__ import annotations
@@ -354,11 +354,11 @@ def _refinement_pair(config: dict, T=None) -> list:
     return [coarse, build_grid(config, N=2 * coarse.N, M=2 * coarse.M, T=T)]
 
 
-def _stability(name: str, coarse: float, fine: float, tol: float) -> dict:
-    """Passes when |fine - coarse| / coarse < tol; the change is inf unless
-    coarse is finite and positive."""
-    measured = np.isfinite(coarse) and coarse > 0.0
-    return verdict(name, "<", abs(fine - coarse) / coarse if measured else np.inf, tol)
+def _level_pair(name: str, coarse: float, fine: float, tol: float, measured=True) -> dict:
+    """Passes when |fine - coarse| / coarse < tol and both levels measured; the
+    change is inf unless coarse is finite and positive."""
+    change = abs(fine - coarse) / coarse if np.isfinite(coarse) and coarse > 0.0 else np.inf
+    return verdict(name, measured and change < tol, change, tol)
 
 
 def _hardy_weight(config: dict) -> HardyWeight:
@@ -401,7 +401,7 @@ def run_hp(config: dict, out_dir: Path) -> list:
                 coarse.rayleigh_estimate, coarse.paper_bound * 1.05),
         verdict("battery_below_rayleigh", "<=",
                 coarse.battery_max_ratio, coarse.rayleigh_estimate * 1.02),
-        _stability("rayleigh_stable", coarse.rayleigh_estimate, fine.rayleigh_estimate, 0.05),
+        _level_pair("rayleigh_stable", coarse.rayleigh_estimate, fine.rayleigh_estimate, 0.05),
     ]
     rows = [[grids[0].N, "paper_bound", coarse.paper_bound]]
     for grid, rep in zip(grids, (coarse, fine)):
@@ -468,16 +468,15 @@ def run_carleman_scan(config: dict, out_dir: Path) -> list:
     (coarse, coarse_rows), (fine, fine_rows) = [
         _scan_level(config, model, potential, grid, s_values)
         for grid in _refinement_pair(config, c["T"])]
-    # fitted_C is a constant only over a window; without one on both levels it
-    # is each level's last ratio, and its change measures nothing
-    stable = _stability("scan_fitted_C_stable", coarse.fitted_C, fine.fitted_C, 0.25)
-    stable["pass"] = stable["pass"] and bool(coarse.window_found and fine.window_found)
     verdicts = [
         verdict("scan_ratios_finite", bool(np.all(np.isfinite(coarse.ratios))),
                 float(np.max(coarse.ratios))),
         verdict("scan_rhs_positive", not coarse.nonpositive_rhs),
         verdict("scan_tail_nonincreasing", coarse.window_found, coarse.s0_observed),
-        stable,
+        # fitted_C is a constant only over a window; without one on both levels it
+        # is each level's last ratio, and its change measures nothing
+        _level_pair("scan_fitted_C_stable", coarse.fitted_C, fine.fitted_C, 0.25,
+                    measured=coarse.window_found and fine.window_found),
     ]
     write_csv(out_dir / "carleman_scan.csv",
               ["N", "s", "lhs", "rhs_source", "rhs_boundary", "ratio"],
@@ -507,15 +506,13 @@ def run_caccioppoli(config: dict, out_dir: Path) -> list:
     (coarse, coarse_rows), (fine, fine_rows) = [
         _caccioppoli_level(config, model, potential, grid)
         for grid in _refinement_pair(config, c["T"])]
-    verdicts = []
-    for s, r1, r2 in zip(c["s_values"], coarse, fine):
-        # |r2 - r1| / max(r1, r2), from the log ratios, which stay finite where
-        # e^{2s phi} underflows; an infinite one (an integral that vanishes)
-        # leaves nothing measured, and the NaN change fails the verdict
-        l1, l2 = r1.log_ratio, r2.log_ratio
-        measured = math.isfinite(l1) and math.isfinite(l2)
-        change = -math.expm1(-abs(l2 - l1)) if measured else math.nan
-        verdicts.append(verdict(f"caccioppoli_stable_s{s:g}", "<", change, 0.2))
+    # the fine ratio relative to the coarse one, from the log ratios, which stay
+    # finite where e^{2s phi} underflows; inf past the floating-point range, and
+    # where both log ratios are infinite
+    steps = [r2.log_ratio - r1.log_ratio for r1, r2 in zip(coarse, fine)]
+    verdicts = [_level_pair(f"caccioppoli_stable_s{s:g}", 1.0,
+                            math.exp(d) if d <= _LOG_MAX else math.inf, 0.2)
+                for s, d in zip(c["s_values"], steps)]
     write_csv(out_dir / "caccioppoli.csv",
               ["N", "s", "local_gradient", "outer_solution", "ratio", "log_ratio"],
               coarse_rows + fine_rows, config)
@@ -538,7 +535,7 @@ def run_observability(config: dict, out_dir: Path) -> list:
             for desc, ratio in rep.samples]
     verdicts = [
         verdict("observability_finite_positive", coarse.C_T_estimate > 0.0, coarse.C_T_estimate),
-        _stability("observability_stable", coarse.C_T_estimate, fine.C_T_estimate, 0.25),
+        _level_pair("observability_stable", coarse.C_T_estimate, fine.C_T_estimate, 0.25),
         verdict("no_backward_uniqueness_violation", not (coarse.violation or fine.violation)),
     ]
     write_csv(out_dir / "observability.csv", ["N", "sample", "ratio"], rows, config)
@@ -628,30 +625,34 @@ def main(argv=None) -> int:
         return 1
     names = list(TASKS) if args.subcommand == "all" else [args.subcommand]
 
-    all_verdicts = []
-    timing = {}
-    for name in names:
-        t0 = time.perf_counter()
-        try:
-            all_verdicts.extend(TASKS[name](config, out_dir))
-        except MemoryError as exc:
-            # an in-range size too large for this machine: no fixed upper end
-            # on the sizes could know what a machine holds
-            section = "hp" if name == "hp" else "grid"
-            sizes = f"{section}.N={int(config[section]['N'])}"
-            if section == "grid":
-                sizes += f", grid.M={int(config['grid']['M'])}"
-            print(f"error: {section}.N: {sizes} is too large to allocate ({exc})",
-                  file=sys.stderr)
-            return 1
-        timing[name] = time.perf_counter() - t0
-
     grid_sizes = {f"{k}.N": {"requested": int(config[k]["N"]),
                              "snapped": _snap_N(int(config[k]["N"]), config["coefficient"]["x0"])}
                   for k in ("grid", "hp")}
-    summary = {"config": config, "grid_sizes": grid_sizes, "verdicts": all_verdicts,
-               "timing": timing}
-    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
+    all_verdicts = []
+    timing = {}
+    try:
+        for name in names:
+            t0 = time.perf_counter()
+            try:
+                all_verdicts.extend(TASKS[name](config, out_dir))
+            except MemoryError as exc:
+                # an in-range size too large for this machine: no fixed upper end
+                # on the sizes could know what a machine holds
+                section = "hp" if name == "hp" else "grid"
+                sizes = f"{section}.N={int(config[section]['N'])}"
+                if section == "grid":
+                    sizes += f", grid.M={int(config['grid']['M'])}"
+                print(f"error: {section}.N: {sizes} is too large to allocate ({exc})",
+                      file=sys.stderr)
+                return 1
+            timing[name] = time.perf_counter() - t0
+        summary = {"config": config, "grid_sizes": grid_sizes, "verdicts": all_verdicts,
+                   "timing": timing}
+        (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
+    except OSError as exc:      # the only I/O of a run is writing its reports
+        print(f"error: run.out_dir: cannot write {exc.filename or out_dir} ({exc.strerror})",
+              file=sys.stderr)
+        return 1
 
     for v in all_verdicts:
         status = "PASS" if v["pass"] else "FAIL"

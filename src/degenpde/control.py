@@ -115,8 +115,8 @@ def estimate_observability(model, potential: PotentialModel, grid: SpaceTimeGrid
     # power iteration on S*S (S: vT -> v(0); symmetric propagator)
     z = best_vT if best_vT is not None else modes[0]
     for it in range(n_power):
-        v = solve_adjoint(model, potential, grid, z)
-        v0 = v.values[0].copy()
+        # no field stays bound across the second solve
+        v0 = solve_adjoint(model, potential, grid, z).values[0].copy()
         z_new = solve_adjoint(model, potential, grid, v0).values[0].copy()
         nrm = l2_norm(z_new, grid)
         if nrm == 0.0:

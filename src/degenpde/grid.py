@@ -56,7 +56,6 @@ class SpaceTimeGrid:
     T: float
     x0: float
     x0_index: int
-    requested_N: int
     x: np.ndarray = field(repr=False)
     t: np.ndarray = field(repr=False)
 
@@ -72,7 +71,7 @@ class SpaceTimeGrid:
         x = np.linspace(0.0, 1.0, snapped + 1)
         t = np.linspace(0.0, T, M + 1)
         return cls(N=snapped, M=M, T=float(T), x0=float(x0),
-                   x0_index=x0_index, requested_N=N, x=x, t=t)
+                   x0_index=x0_index, x=x, t=t)
 
     @property
     def h(self) -> float:

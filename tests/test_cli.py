@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import weakref
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 import degenpde.cli as cli
-from degenpde import CoefficientModel
+from degenpde import CoefficientModel, SpaceTimeGrid
 from degenpde.cli import DEFAULT_CONFIG, PRESETS, _carleman_profile, build_model, main, verdict
 from degenpde.control import synthesize_null_control
 from degenpde.inequalities import carleman_identity_check, manufactured_adjoint_pair
@@ -253,6 +254,17 @@ class TestConfigHandling:
         assert capsys.readouterr().err.startswith(f"error: run.out_dir: cannot create {out} (")
         assert blocker.read_text() == "kept"
 
+    @pytest.mark.parametrize("name", ["check_coeff.csv", "summary.json"])
+    def test_file_that_cannot_be_written_exits_1(self, tmp_path, capsys, name):
+        # a directory where a CSV or summary.json must go
+        blocker = tmp_path / "reports" / name
+        blocker.mkdir(parents=True)
+        code, _ = run(tmp_path, "check-coeff")
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: run.out_dir: cannot write {blocker} (")
+        assert "Traceback" not in captured.err and "verdicts passed" not in captured.out
+
     @pytest.mark.parametrize("key, value", [
         ("potential.kind", "zero"), ("weight.c2_margin", "0.05"),
         ("run.format", "csv"), ("null_control.u0", "parabola"),
@@ -434,6 +446,53 @@ class TestSubcommands:
         assert not stable["pass"] and stable["value"] < stable["threshold"] == 0.25
         del verdicts["scan_tail_nonincreasing"]
         assert all(v["pass"] for v in verdicts.values())
+
+    # a level's report that measured nothing: a coarse value that is not positive
+    # and finite, no s-window on the fine level, an integral that vanishes
+    @pytest.mark.parametrize("task, level, field, value", [
+        *[("hp", "coarse", "rayleigh_estimate", x) for x in (0.0, -1.0, np.nan)],
+        *[("observability", "coarse", "C_T_estimate", x) for x in (0.0, -1.0, np.nan)],
+        ("carleman-scan", "fine", "window_found", False),
+        *[("caccioppoli", level, "log_ratio", x)
+          for level in ("coarse", "fine") for x in (np.inf, -np.inf)],
+    ])
+    def test_level_pair_that_measured_nothing_fails(self, tmp_path, monkeypatch, task, level,
+                                                    field, value):
+        """A stability verdict that passes on its levels' reports fails once one
+        level's report measured nothing; the scan's value stays finite."""
+        # the library call whose report a level reads, the verdicts' name prefix,
+        # and options at which they pass
+        call, prefix, argv = {
+            "hp": ("hp_verify", "rayleigh_stable", ["--set", "hp.battery_size=3"]),
+            "observability": ("estimate_observability", "observability_stable", TINY),
+            "carleman-scan": ("carleman_scan", "scan_fitted_C_stable",
+                              ["--set", "grid.N=60", "--set", "grid.M=120", "--set", "scan.n_s=8"]),
+            "caccioppoli": ("caccioppoli_check", "caccioppoli_stable_s",
+                            ["--set", "grid.N=60", "--set", "grid.M=120"]),
+        }[task]
+
+        def stability_verdicts(name):
+            code, out = run(tmp_path / name, task, *argv)
+            assert code != 1
+            return [v for v in json.loads((out / "summary.json").read_text())["verdicts"]
+                    if v["name"].startswith(prefix)]
+
+        assert all(v["pass"] for v in stability_verdicts("measured"))
+        real, coarse_N = getattr(cli, call), []
+
+        def patched(*args, **kwargs):
+            rep = real(*args, **kwargs)
+            N = next(arg.N for arg in args if isinstance(arg, SpaceTimeGrid))
+            coarse_N[:] = coarse_N or [N]         # the coarse level runs first
+            if (N == coarse_N[0]) == (level == "coarse"):
+                rep = dataclasses.replace(rep, **{field: value})
+            return rep
+
+        monkeypatch.setattr(cli, call, patched)
+        verdicts = stability_verdicts("nothing")
+        assert verdicts and not any(v["pass"] for v in verdicts)
+        if task == "carleman-scan":
+            assert all(np.isfinite(v["value"]) for v in verdicts)
 
     def test_repeated_caccioppoli_s_is_checked_per_entry(self, tmp_path):
         # as in carleman-identity, each entry of s_values gives one verdict

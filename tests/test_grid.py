@@ -19,7 +19,6 @@ class TestGridConstruction:
     def test_snapping_adjusts_N_upward(self):
         g = SpaceTimeGrid.create(100, 10, 1.0, 1.0 / 3.0)
         assert g.N == 102
-        assert g.requested_N == 100
         assert g.x0_index == 34
 
     def test_midpoints_avoid_x0(self):
