@@ -97,9 +97,9 @@ def _merge_section(base: dict, update: dict, prefix: str):
 
 def _parse_override(text: str) -> dict:
     """``a.b=v`` as the section ``{"a": {"b": v}}``; v is JSON, else a string."""
-    if "=" not in text:
+    key, eq, raw = text.partition("=")
+    if not (eq and key.strip()):
         raise ConfigError(text, "override must have the form key=value")
-    key, raw = text.split("=", 1)
     try:
         value = json.loads(raw)
     except json.JSONDecodeError:

@@ -179,14 +179,27 @@ def hp_verify(weight: HardyWeight, grid: SpaceTimeGrid,
 # shared discrete derivative and row-streaming helpers
 # ---------------------------------------------------------------------------
 
-# The streamed checkers work on blocks of interior time rows holding about this
-# many bytes of per-row data, so that a block's arrays stay in a 2 MB L2 cache.
+# The streamed checkers work on blocks of time rows whose per-row arrays hold
+# about this many bytes together, so that a block's arrays stay in a 2 MB L2 cache.
 _BLOCK_BYTES = 1 << 20
+
+# The bytes per node of one time row that a block holds, counted as float64
+# arrays of N + 1 values (8 bytes a node) and boolean ones (1 byte a node):
+#   carleman_scan: the stacked P, Q, H integrands (three), phi - max phi, E,
+#     v_x and the flush mask, 6 1/8 arrays;
+#   carleman_identity_check: L+ from op.apply and its scratch, w_x, inner and
+#     the c_q2 q2 temporary, 5 arrays;
+#   manufactured_adjoint_pair: op.apply's output and its scratch, the
+#     t-derivative and c v, 4 arrays.
+_SCAN_NODE_BYTES = 6 * 8 + 1
+_IDENTITY_NODE_BYTES = 5 * 8
+_PAIR_NODE_BYTES = 4 * 8
 
 
 def _row_blocks(n_rows: int, row_bytes: int) -> list[slice]:
     """Consecutive slices covering range(n_rows), each of about _BLOCK_BYTES
-    of rows that take ``row_bytes`` each, and at least one row."""
+    of rows that take ``row_bytes`` each (a checker's node bytes above times
+    N + 1), and at least one row."""
     size = max(1, _BLOCK_BYTES // row_bytes)
     return [slice(r, min(r + size, n_rows)) for r in range(0, n_rows, size)]
 
@@ -306,7 +319,7 @@ def carleman_identity_check(model, params: WeightParams, grid: SpaceTimeGrid,
     wx2_rows = np.empty(M - 1)
     lhs_rows = np.empty(M - 1)
     w_b, wx_b, wt_b = np.empty((3, M - 1, 2))
-    for blk in _row_blocks(M - 1, 3 * (N + 1) * 8):
+    for blk in _row_blocks(M - 1, _IDENTITY_NODE_BYTES * (N + 1)):
         wi = wv[blk.start + 1:blk.stop + 1]
         # (a w_x)_x becomes L+ in place, and w_x's buffer becomes L- once the w_x
         # terms are taken, w_t differenced into it; one more buffer holds each product
@@ -408,7 +421,7 @@ def manufactured_adjoint_pair(model, potential: PotentialModel, grid: SpaceTimeG
     v = Field.from_function(grid, v_func)
     op = assemble_operator(model, grid)
     res = np.empty_like(v.values)
-    for blk in _row_blocks(grid.M + 1, 3 * (grid.N + 1) * 8):
+    for blk in _row_blocks(grid.M + 1, _PAIR_NODE_BYTES * (grid.N + 1)):
         rows = _div_a_grad(op, v.values[blk])
         rows += _derivative(v.values, grid.dt, 0, blk)
         np.subtract(rows, c[blk] * v.values[blk], out=res[blk])
@@ -471,7 +484,7 @@ def carleman_scan(model, params_base: WeightParams, grid: SpaceTimeGrid, v: Fiel
     row_sums = np.empty((s_values.size, n_rows, 3))
     E_bdry = np.empty((s_values.size, n_rows, 2))
     bdry_x = np.empty((n_rows, 2))
-    blocks = _row_blocks(n_rows, 3 * x.size * 8)
+    blocks = _row_blocks(n_rows, _SCAN_NODE_BYTES * x.size)
     # one set of block buffers, reused by every block: the s-invariant
     # integrands (P, Q, H) as one (3, N+1) block per row, phi - max phi and E
     size = blocks[0].stop - blocks[0].start

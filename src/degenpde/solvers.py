@@ -234,9 +234,14 @@ def _directed_steps(levels, e, base, c, dt, M, backward):
             d, e, info = pttrf(diag, off, overwrite_d=True)
             _check_info(info)
             factors[k] = d, e
+    if sampled:
+        # g/2 in one buffer: in the normal range a quarter of the difference is
+        # the difference of the quarters
+        g = np.diff(c[::-1] if backward else c, axis=0)
+        g *= 0.25
+        g += inv_dt
     # a row of 1/dt, since NumPy multiplies by an array faster than by a float
-    g = (list(np.diff(0.25 * (c[::-1] if backward else c), axis=0) + inv_dt) if sampled
-         else [np.full(base.size, inv_dt)] * M)
+    g = list(g) if sampled else [np.full(base.size, inv_dt)] * M
     steps = directions[backward] = (inv_dt, M), [factors[k] for k in order], g
     return steps[1:]
 

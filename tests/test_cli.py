@@ -226,12 +226,34 @@ class TestConfigHandling:
         ("hp.weight", ["--set", "coefficient.alpha=0", "--set", "hp.weight=coefficient"]),
         # a theta that a constant coefficient silently ignored
         ("coefficient.theta", ["--set", "coefficient.alpha=0", "--set", "coefficient.theta=0.3"]),
+        # an override that is not key=value is named whole; an empty key named nothing
+        ("=3", ["--set", "=3"]),
+        (" =3", ["--set", " =3"]),
+        ("foo", ["--set", "foo"]),
+        ("grid", ["--set", "grid=5"]),
+        # an empty omega, named by its upper end
+        ("control.omega_hi", ["--set", "control.omega_lo=0.6"]),
     ])
     def test_bad_value_runs_no_task(self, tmp_path, capsys, key, argv):
         code, out = run(tmp_path, "all", *TINY, *argv)
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {key}: ")
         assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("content, message", [
+        (None, "cannot read"), ("directory", "cannot read"),
+        ("{", "invalid JSON in"), ("[1, 2]", "top level must be an object")],
+        ids=["missing", "directory", "invalid-json", "list"])
+    def test_config_file_that_cannot_be_used_exits_1(self, tmp_path, capsys, content, message):
+        cfg = tmp_path / "cfg.json"
+        if content == "directory":
+            cfg.mkdir()
+        elif content is not None:
+            cfg.write_text(content)
+        code, out = run(tmp_path, "all", "--config", str(cfg))
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: --config: {message}")
+        assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [*((key, "NaN") for key in LEAVES),
                                             ("run.out_dir", "5")])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import degenpde.control as control
 from degenpde import (CoefficientModel, ControlConfig, PotentialModel, SpaceTimeGrid,
                       estimate_observability, synthesize_null_control)
 from degenpde.control import _observation_ratio
@@ -53,6 +54,14 @@ class TestObservability:
         _, peak = traced_peak(estimate)
         # 1.56 fields measured at N = 100, M = 200; 2.56 with the first field bound
         assert peak / ((g.M + 1) * (g.N + 1) * 8) < 2.0
+
+    def test_unobserved_solution_is_a_violation(self, monkeypatch):
+        # an observation that vanishes while v(0) does not: no ratio is recorded
+        monkeypatch.setattr(control, "integrate_spacetime", lambda values, grid: 0.0)
+        m, pot, g, ctrl = degenerate_setup(N=20, M=40)
+        rep = estimate_observability(m, pot, g, ctrl, n_modes=2, n_random=2, n_power=2)
+        assert rep.violation
+        assert rep.samples == [] and rep.C_T_estimate == 0.0
 
     def test_x0_must_lie_in_omega(self):
         m, pot, g, _ = degenerate_setup(N=60, M=80)
@@ -112,6 +121,32 @@ class TestNullControl:
         sol2 = synthesize_null_control(m, pot, g, ctrl, 2.0 * u0, tol=1e-30, max_iters=4)
         np.testing.assert_allclose(sol2.h.values, 2.0 * sol1.h.values,
                                    rtol=1e-9, atol=1e-13)
+
+    def test_stalled_functional_stops_unconverged(self):
+        # a tolerance no terminal state reaches: CG stops when J drops by < 1e-10
+        m, pot, g, ctrl = degenerate_setup(N=20, M=40)
+        sol = synthesize_null_control(m, pot, g, ctrl, g.x * (1.0 - g.x),
+                                      tol=1e-30, max_iters=500)
+        J = sol.J_history
+        assert not sol.converged
+        assert 0 < sol.cg_iterations < 500 and J.size == sol.cg_iterations + 1   # 36 here
+        assert abs(J[-2] - J[-1]) < 1e-10 * abs(J[-2])
+        assert np.all(np.diff(J[:-1]) < 0.0)
+
+    def test_nonpositive_curvature_stops_before_a_step(self, monkeypatch):
+        # Lambda + eps I with Lambda = -I is negative definite: p^T A p <= 0 at once
+        hum = control._hum_operator
+
+        def negated(*args):
+            _, h = hum(*args)
+            return -args[-1], h
+        monkeypatch.setattr(control, "_hum_operator", negated)
+        m, pot, g, ctrl = degenerate_setup(N=20, M=40)
+        sol = synthesize_null_control(m, pot, g, ctrl, g.x * (1.0 - g.x), max_iters=500)
+        assert sol.cg_iterations == 0 and not sol.converged
+        assert sol.J_history.tolist() == [0.0]
+        assert not np.any(sol.h.values)
+        assert sol.terminal_norm == pytest.approx(sol.residual_history[0], rel=1e-12)
 
     def test_invalid_tolerance(self):
         m, pot, g, ctrl = degenerate_setup(N=60, M=80)

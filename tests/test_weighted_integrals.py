@@ -523,7 +523,7 @@ def test_caccioppoli_log_ratio_where_the_weight_underflows():
 def test_scan_bit_identical_across_row_blocks(rows, n_blocks, monkeypatch):
     model = MODELS["alpha1.5"]
     params, grid, v, h = scan_inputs(model)
-    row_bytes = 3 * (grid.N + 1) * 8
+    row_bytes = inequalities._SCAN_NODE_BYTES * (grid.N + 1)
     monkeypatch.setattr(inequalities, "_BLOCK_BYTES", rows * row_bytes)
     assert len(inequalities._row_blocks(grid.M - 1, row_bytes)) == n_blocks
     rep = carleman_scan(model, params, grid, v, h, s_values=SCAN_S_VALUES)
@@ -547,7 +547,7 @@ def test_manufactured_pair_bit_identical_across_row_blocks(M, blocking, potentia
            else PotentialModel.sampled(Field(grid, rng.standard_normal(values.shape))))
     rows, last = {"one row": (1, 1), "two rows": (2, 1), "last row alone": (M, 1),
                   "one block": (M + 1, M + 1)}[blocking]
-    row_bytes = 3 * (grid.N + 1) * 8
+    row_bytes = inequalities._PAIR_NODE_BYTES * (grid.N + 1)
     monkeypatch.setattr(inequalities, "_BLOCK_BYTES", rows * row_bytes)
     blocks = inequalities._row_blocks(M + 1, row_bytes)
     assert blocks[-1].stop - blocks[-1].start == last
@@ -567,7 +567,7 @@ def test_identity_bit_identical_across_row_blocks(rows, n_blocks, monkeypatch):
     values[[0, -1], :] = 0.0
     values[:, [0, -1]] = 0.0
     w = Field(grid, values)
-    row_bytes = 3 * (grid.N + 1) * 8
+    row_bytes = inequalities._IDENTITY_NODE_BYTES * (grid.N + 1)
     monkeypatch.setattr(inequalities, "_BLOCK_BYTES", rows * row_bytes)
     assert len(inequalities._row_blocks(grid.M - 1, row_bytes)) == n_blocks
     rep = carleman_identity_check(model, params, grid, w)
@@ -584,9 +584,10 @@ def test_scan_peak_memory():
     params, grid, v, h = scan_inputs(model, N=400)
     _, peak = traced_peak(lambda: carleman_scan(model, params, grid, v, h,
                                                 s_values=default_s_values(10)))
-    # 1.05 measured: one block of integrands, phi and E (about 1 MB of integrands)
-    # and v_x, against 5.16 for the integrands, phi and E on every interior row
-    assert peak / field_units(grid) < 1.3
+    # 0.63 measured: one block of about 1 MB (the integrands, phi, E, v_x and the
+    # flush mask), against 1.05 for blocks of 1 MB of integrands alone and 5.16
+    # for the integrands, phi and E on every interior row
+    assert peak / field_units(grid) < 0.8
 
 
 def test_exp2s_phi_peak_memory():
@@ -601,9 +602,10 @@ def test_identity_peak_memory():
     model = MODELS["alpha0.5"]
     params, grid, w = identity_inputs(model, 10.0, N=400)
     _, peak = traced_peak(lambda: carleman_identity_check(model, params, grid, w))
-    # 0.79 measured: L+, w_x (then L-) and the products on one block of rows,
-    # against 3.09 for them on every interior row
-    assert peak / field_units(grid) < 1.0
+    # 0.52 measured: L+, w_x (then L-) and the products on one block of about
+    # 1 MB, against 0.79 for blocks of 1 MB of three rows and 3.09 for them on
+    # every interior row
+    assert peak / field_units(grid) < 0.65
 
 
 def manufactured_pair_peak(N):
@@ -618,14 +620,15 @@ def manufactured_pair_peak(N):
 
 def test_manufactured_pair_peak_memory():
     """h is filled in row blocks, so only v, h and one block of rows are live."""
-    # 2.46 measured: the two fields of Field.from_function's copy, then v, h and
-    # about 1 MB of block rows; 3.05 with the residual built on the whole field
-    assert manufactured_pair_peak(400) < 2.6
+    # 2.36 measured: the two fields of Field.from_function's copy, then v, h and
+    # about 1 MB of block rows; 2.46 for blocks of 1 MB of three rows, and 3.05
+    # with the residual built on the whole field
+    assert manufactured_pair_peak(400) < 2.45
 
 
 def test_manufactured_pair_fine_peak_memory():
     """At the fine level of the presets the block rows are a tenth of a field."""
-    assert manufactured_pair_peak(800) < 2.25     # 2.12 measured, 3.01 unstreamed
+    assert manufactured_pair_peak(800) < 2.25     # 2.09 measured, 3.01 unstreamed
 
 
 def test_caccioppoli_peak_memory():
