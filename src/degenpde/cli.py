@@ -49,10 +49,8 @@ DEFAULT_CONFIG = {
     "potential": {"value": 0.0},              # the constant c
     "control": {"omega_lo": 0.2, "omega_hi": 0.5, "epsilon": 1e-8},
     "hp": {"q": 1.5, "weight": "pure_power", "battery_size": 20, "N": 1000},
-    "identity": {"s_values": [1.0, 10.0]},
-    "scan": {"T": 2.0, "n_s": 10, "s_start": 1.0, "s_ratio": 1.5},
-    "caccioppoli": {"T": 2.0, "omega_prime_lo": 0.35, "omega_prime_hi": 0.45,
-                    "s_values": [1.0, 2.0, 4.0]},
+    "scan": {"T": 2.0, "n_s": 10},
+    "caccioppoli": {"T": 2.0, "omega_prime_lo": 0.35, "omega_prime_hi": 0.45},
     "observability": {"T": 0.5, "n_modes": 10, "n_random": 10, "n_power": 20},
     "null_control": {"T": 0.5, "tol": 1e-2, "max_iters": 500},   # datum u0 = x(1 - x)
     "run": {"seed": 0, "out_dir": "reports"},
@@ -110,8 +108,7 @@ def _parse_override(text: str) -> dict:
 
 
 # Every leaf of DEFAULT_CONFIG is checked by the type of its default.  A string
-# is one of _CHOICES[key], or any string for a key without choices.  A list is
-# non-empty and each entry follows its first default entry's rule.  An int is
+# is one of _CHOICES[key], or any string for a key without choices.  An int is
 # an integer in [1, inf).  A float, or a None that selects a derived default,
 # is a number in (0, inf), and None stays admissible.  _RANGES lists the keys
 # whose interval differs from their kind's.  Every number must be finite: a
@@ -126,7 +123,7 @@ _RANGES = {
     # (a w_x)_x extrapolates its boundary values from four nodes
     "grid.N": "[3, inf)", "grid.M": "[2, inf)", "hp.N": "[2, inf)",
     # the tail verdict of carleman-scan compares three consecutive points, in increasing s
-    "scan.n_s": "[3, inf)", "scan.s_ratio": "[1, inf)",
+    "scan.n_s": "[3, inf)",
     # c > -2/dt is checked per solving task in resolve_config, c2 > c2_min per model
     "potential.value": "(-inf, inf)", "weight.c2": "(-inf, inf)",
 }
@@ -136,11 +133,6 @@ def _check_leaf(key: str, default, value):
     if isinstance(default, str):
         if not isinstance(value, str) or key in _CHOICES and value not in _CHOICES[key]:
             raise ConfigError(key, f"unsupported value {value!r}")
-    elif isinstance(default, list):
-        if not (isinstance(value, list) and value):
-            raise ConfigError(key, f"a non-empty list is required, got {value!r}")
-        for entry in value:
-            _check_leaf(key, default[0], entry)
     elif not (default is None and value is None):
         if value is None or isinstance(value, (str, bool, dict, list)):
             raise ConfigError(key, f"a number is required, got {value!r}")
@@ -203,16 +195,17 @@ def resolve_config(args) -> dict:
     # (k Theta)^3 of the largest s is finite at the finest level's first interior time
     M = 2 * int(config["grid"]["M"])
     if "carleman-identity" in tasks:
-        s, c1 = max(config["identity"]["s_values"]), config["weight"]["c1"]
-        _require_finite_factor("grid.T", float(config["grid"]["T"]), M,
-                               {"identity.s_values": math.log(s), "weight.c1": math.log(c1)},
+        T, s, c1 = float(config["grid"]["T"]), max(_IDENTITY_S), config["weight"]["c1"]
+        _require_finite_factor("grid.T", T, M, "weight.c1", math.log(s) + math.log(c1),
                                f"s c1, s={s:g}, c1={c1:g}")
+        # the profile (t (T - t))^5 peaks at (T^2 / 4)^5 = (T / 2)^10
+        if 10.0 * math.log(0.5 * T) >= _LOG_MAX:
+            raise ConfigError("grid.T", f"T={T:g} makes the identity's profile "
+                              "(t (T - t))^5 overflow")
     if "carleman-scan" in tasks:
-        c, n = config["scan"], int(config["scan"]["n_s"]) - 1
-        _require_finite_factor("scan.T", float(c["T"]), M,
-                               {"scan.s_start": math.log(c["s_start"]),
-                                "scan.s_ratio": n * math.log(c["s_ratio"])},
-                               f"s = s_start s_ratio^{n} = {c['s_start']:g} * {c['s_ratio']:g}^{n}")
+        n = int(config["scan"]["n_s"]) - 1
+        _require_finite_factor("scan.T", float(config["scan"]["T"]), M, "scan.n_s",
+                               n * math.log(1.5), f"s = 1.5^{n}")
     if "caccioppoli" in tasks:
         c = config["caccioppoli"]
         _name_key("caccioppoli.omega_prime_lo", _require_caccioppoli_geometry,
@@ -227,16 +220,12 @@ def resolve_config(args) -> dict:
     return config
 
 
-def _require_finite_factor(T_key: str, T: float, M: int, log_factors: dict, k: str):
-    """Raise unless Theta^3, k^3, (k Theta)^3 and each factor's cube are finite at
-    t = T/M; k is the product of the factors, given as {key: log factor}, and every
-    cube is taken in logs.  Theta^3 names T_key, any other cube k's largest factor."""
+def _require_finite_factor(T_key: str, T: float, M: int, k_key: str, log_k: float, k: str):
+    """Raise unless Theta^3, k^3 and (k Theta)^3 are finite at t = T/M, every cube
+    taken in logs.  Theta^3 names T_key, any other cube k_key, the key that sets k."""
     log_theta = _name_key(T_key, _require_finite_theta, T, M)
-    log_k = sum(log_factors.values())
-    largest = max(log_factors, key=log_factors.get)
-    if 3.0 * max(log_factors[largest], log_k, log_k + log_theta) >= _LOG_MAX:
-        raise ConfigError(largest, f"k = {k} makes k^3, (k Theta)^3 or a factor's cube "
-                          f"overflow at t = T/{M}")
+    if 3.0 * max(log_k, log_k + log_theta) >= _LOG_MAX:
+        raise ConfigError(k_key, f"k = {k} makes k^3 or (k Theta)^3 overflow at t = T/{M}")
 
 
 def validate_config(config: dict):
@@ -435,11 +424,17 @@ def _identity_level(config: dict, model, grid: SpaceTimeGrid, s: float):
     return rep, [[s, grid.N, grid.M, rep.lhs, rep.rhs, rep.residual]]
 
 
+# the large parameters each check samples; constants, like the gates, so that no
+# key can move a failing check onto a value where it passes
+_IDENTITY_S = (1.0, 10.0)
+_CACCIOPPOLI_S = (1.0, 2.0, 4.0)
+
+
 def run_carleman_identity(config: dict, out_dir: Path) -> list:
     model = build_model(config)
     verdicts = []
     rows = []
-    for s in config["identity"]["s_values"]:
+    for s in _IDENTITY_S:
         (coarse, coarse_rows), (fine, fine_rows) = [
             _identity_level(config, model, grid, s) for grid in _refinement_pair(config)]
         rows += coarse_rows + fine_rows
@@ -463,11 +458,10 @@ def _scan_level(config: dict, model, potential, grid: SpaceTimeGrid, s_values):
 def run_carleman_scan(config: dict, out_dir: Path) -> list:
     model = build_model(config)
     potential = build_potential(config)
-    c = config["scan"]
-    s_values = default_s_values(int(c["n_s"]), c["s_start"], c["s_ratio"])
+    s_values = default_s_values(int(config["scan"]["n_s"]))
     (coarse, coarse_rows), (fine, fine_rows) = [
         _scan_level(config, model, potential, grid, s_values)
-        for grid in _refinement_pair(config, c["T"])]
+        for grid in _refinement_pair(config, config["scan"]["T"])]
     verdicts = [
         verdict("scan_ratios_finite", bool(np.all(np.isfinite(coarse.ratios))),
                 float(np.max(coarse.ratios))),
@@ -492,27 +486,30 @@ def _caccioppoli_level(config: dict, model, potential, grid: SpaceTimeGrid):
     _, modes = dirichlet_eigenmodes(op, 1)
     v = solve_adjoint(model, potential, grid, modes[0])
     reports = []
-    for s in c["s_values"]:
+    for s in _CACCIOPPOLI_S:
         params = build_weight_params(config, model, c["T"], s)
         reports.append(caccioppoli_check(model, params, grid, v, omega_p, omega))
     return reports, [[grid.N, s, rep.local_gradient_integral, rep.outer_solution_integral,
-                      rep.ratio, rep.log_ratio] for s, rep in zip(c["s_values"], reports)]
+                      rep.ratio, rep.log_ratio] for s, rep in zip(_CACCIOPPOLI_S, reports)]
 
 
 def run_caccioppoli(config: dict, out_dir: Path) -> list:
     model = build_model(config)
     potential = build_potential(config)
-    c = config["caccioppoli"]
     (coarse, coarse_rows), (fine, fine_rows) = [
         _caccioppoli_level(config, model, potential, grid)
-        for grid in _refinement_pair(config, c["T"])]
+        for grid in _refinement_pair(config, config["caccioppoli"]["T"])]
     # the fine ratio relative to the coarse one, from the log ratios, which stay
     # finite where e^{2s phi} underflows; inf past the floating-point range, and
-    # where both log ratios are infinite
-    steps = [r2.log_ratio - r1.log_ratio for r1, r2 in zip(coarse, fine)]
+    # where both log ratios are infinite.  Between finite log ratios the step is
+    # the shifts' change plus the rests', which keeps what a huge shift rounds
+    # away from each log ratio.
+    steps = [(r2.log_shift - r1.log_shift) + (r2.log_rest - r1.log_rest)
+             if math.isfinite(r1.log_ratio) and math.isfinite(r2.log_ratio)
+             else r2.log_ratio - r1.log_ratio for r1, r2 in zip(coarse, fine)]
     verdicts = [_level_pair(f"caccioppoli_stable_s{s:g}", 1.0,
                             math.exp(d) if d <= _LOG_MAX else math.inf, 0.2)
-                for s, d in zip(c["s_values"], steps)]
+                for s, d in zip(_CACCIOPPOLI_S, steps)]
     write_csv(out_dir / "caccioppoli.csv",
               ["N", "s", "local_gradient", "outer_solution", "ratio", "log_ratio"],
               coarse_rows + fine_rows, config)

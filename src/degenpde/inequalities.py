@@ -437,8 +437,10 @@ def carleman_scan(model, params_base: WeightParams, grid: SpaceTimeGrid, v: Fiel
         RHS_source   = int int h^2 e^{2s phi}
         RHS_boundary = s c1 int [a Theta e^{2s phi} (x-x0) v_x^2]_{x=0}^{x=1} dt
     s0_observed is the first scan point from which every step to the end keeps
-    ratios[k+1] <= ratios[k] (1 + window_tol), over at least three points; with
-    no such window, window_found is False and s0_observed is the last point.
+    ratios[k+1] <= ratios[k] (1 + window_tol), over at least three points whose
+    ratios are finite and positive; with no such window, window_found is False
+    and s0_observed is the last point.  nonpositive_rhs is set when some RHS is
+    not positive, NaN included.
     fitted_C is the largest ratio at s >= s0_observed.  It is measured on the one
     profile v, so it is a lower bound for the discrete Carleman constant.
 
@@ -521,13 +523,16 @@ def carleman_scan(model, params_base: WeightParams, grid: SpaceTimeGrid, v: Fiel
     src_arr = np.asarray(src_arr)
     bdy_arr = np.asarray(bdy_arr)
     rhs = src_arr + bdy_arr
-    nonpositive = bool(np.any(rhs <= 0.0))
+    nonpositive = bool(np.any(~(rhs > 0.0)))          # a NaN is not positive
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(rhs > 0.0, lhs_arr / np.where(rhs > 0.0, rhs, 1.0), np.inf)
 
-    # a window starts one past the last step that rises by more than window_tol
-    rising = np.flatnonzero(~(ratios[1:] <= ratios[:-1] * (1.0 + window_tol)))
-    start = int(rising[-1]) + 1 if rising.size else 0
+    # a window starts one past the last step that rises by more than window_tol,
+    # and past the last ratio that is not finite and positive (an integral that
+    # is NaN, or has underflowed to 0, measures nothing)
+    breaks = np.append(~(ratios[1:] <= ratios[:-1] * (1.0 + window_tol)), False)
+    breaks |= ~(np.isfinite(ratios) & (ratios > 0.0))
+    start = int(np.flatnonzero(breaks)[-1]) + 1 if breaks.any() else 0
     window_found = start <= s_values.size - 3
     s0_observed = float(s_values[start if window_found else -1])
     past = s_values >= s0_observed
@@ -549,13 +554,19 @@ class CaccioppoliReport:
 
     ``log_ratio`` is formed in log space, so it stays finite where the local
     integral underflows to 0 (large s Theta); it is -inf when the local
-    integrand vanishes and +inf when only the outer one does.
+    integrand vanishes and +inf when only the outer one does.  It is
+    ``log_shift + log_rest`` to rounding: the shift m of the weight's log and
+    log(mantissa) - log(outer).  Where |m| is huge, log_ratio rounds away what
+    the rest holds, and the two parts keep it.  log_rest is log_ratio's
+    infinity wherever log_ratio is infinite.
     """
 
     local_gradient_integral: float
     outer_solution_integral: float
     ratio: float
     log_ratio: float
+    log_shift: float
+    log_rest: float
 
 
 def _require_caccioppoli_geometry(x0: float, omega_prime: tuple[float, float],
@@ -613,8 +624,11 @@ def caccioppoli_check(model, params: WeightParams, grid: SpaceTimeGrid, v: Field
     outer = float(tw @ (np.square(v.values[:, far]) @ (chi * sw)[far]))
     ratio = np.inf if outer == 0.0 and local > 0.0 else (0.0 if outer == 0.0 else local / outer)
     if mantissa > 0.0 and outer > 0.0:
-        log_ratio = shift + math.log(mantissa) - math.log(outer)
+        log_mantissa, log_outer = math.log(mantissa), math.log(outer)
+        log_ratio = shift + log_mantissa - log_outer
+        log_rest = log_mantissa - log_outer
     else:                       # as the ratio: 0 with no local integral, else inf
-        log_ratio = -math.inf if mantissa == 0.0 else math.inf
+        log_ratio = log_rest = -math.inf if mantissa == 0.0 else math.inf
     return CaccioppoliReport(local_gradient_integral=local, outer_solution_integral=outer,
-                             ratio=float(ratio), log_ratio=log_ratio)
+                             ratio=float(ratio), log_ratio=log_ratio,
+                             log_shift=shift, log_rest=log_rest)

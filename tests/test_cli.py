@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import degenpde.cli as cli
-from degenpde import CoefficientModel, SpaceTimeGrid
+from degenpde import CoefficientModel, Field, SpaceTimeGrid
 from degenpde.cli import DEFAULT_CONFIG, PRESETS, _carleman_profile, build_model, main, verdict
 from degenpde.control import synthesize_null_control
 from degenpde.inequalities import carleman_identity_check, manufactured_adjoint_pair
@@ -26,10 +26,11 @@ def run(tmp_path, *argv):
 
 class TestConfigHandling:
     def test_defaults_complete(self):
-        for section in ("coefficient", "grid", "weight", "potential", "control",
-                        "hp", "identity", "scan", "caccioppoli", "observability",
-                        "null_control", "run"):
-            assert section in DEFAULT_CONFIG
+        # the identity section held only its s samples, which are constants now
+        assert list(DEFAULT_CONFIG) == ["coefficient", "grid", "weight", "potential", "control",
+                                        "hp", "scan", "caccioppoli", "observability",
+                                        "null_control", "run"]
+        assert len(LEAVES) == 30
 
     def test_presets_cover_grid(self):
         assert len(PRESETS) == 6
@@ -99,6 +100,8 @@ class TestConfigHandling:
         sizes = json.loads((out / "summary.json").read_text())["grid_sizes"]
         assert sizes["hp.N"] == {"requested": 10 ** 12, "snapped": 10 ** 12}
 
+    # the cases that name identity.s_values, caccioppoli.s_values, scan.s_start or
+    # scan.s_ratio exit 1 as an unknown key: the checks sample s from constants
     @pytest.mark.parametrize("task, key, value", [
         # lists and counts that would let a verdict pass without checking anything
         ("carleman-identity", "identity.s_values", "[]"),
@@ -178,14 +181,17 @@ class TestConfigHandling:
         ("carleman-identity", "grid.T", "1e-200"),
         ("carleman-scan", "scan.T", "1e-200"),
         # with s c1 < 1 Theta^3 is the factor that overflows first
-        ("carleman-identity --set identity.s_values=[0.01]", "grid.T", "1e-12"),
-        # at the default T an s or c1 whose own cube, or whose (k Theta)^3, overflows:
-        # an OverflowError traceback from s ** 3 at k = 1, or T named
-        ("carleman-identity --set weight.c1=1e-150", "identity.s_values", "[1e150]"),
-        ("carleman-identity --set identity.s_values=[1e-150]", "weight.c1", "1e150"),
-        ("carleman-identity", "identity.s_values", "[1e100]"),
+        ("carleman-identity --set weight.c1=0.001", "grid.T", "1e-12"),
+        # at the default T a k whose (k Theta)^3, or whose own cube, overflows names
+        # the key that sets k: weight.c1 (k = 10 c1) or scan.n_s (k = 1.5^(n_s - 1))
         ("carleman-identity", "weight.c1", "1e100"),
-        ("carleman-scan", "scan.s_ratio", "1e80"),
+        ("carleman-identity", "weight.c1", "1e102"),
+        ("carleman-scan", "scan.n_s", "560"),
+        ("carleman-scan", "scan.n_s", "600"),
+        # a T at which the identity's profile (t (T - t))^5 overflows: a traceback
+        # from carleman_identity_check, which found w not vanishing at x = 0 and 1
+        ("carleman-identity", "grid.T", "1.4e31"),
+        ("carleman-identity", "grid.T", "1e40"),
         # an integer beyond the floating-point range: an OverflowError traceback
         pytest.param("hp", "hp.N", "1" + "0" * 400, id="hp-hp.N-10**400"),
         # an in-range size too large to allocate: a MemoryError traceback (10^12
@@ -287,6 +293,7 @@ class TestConfigHandling:
         assert captured.err.startswith(f"error: run.out_dir: cannot write {blocker} (")
         assert "Traceback" not in captured.err and "verdicts passed" not in captured.out
 
+    @pytest.mark.parametrize("via", ["--set", "--config"])
     @pytest.mark.parametrize("key, value", [
         ("potential.kind", "zero"), ("weight.c2_margin", "0.05"),
         ("run.format", "csv"), ("null_control.u0", "parabola"),
@@ -296,9 +303,17 @@ class TestConfigHandling:
         ("scan.stability_tol", "0.25"), ("caccioppoli.stability_tol", "0.2"),
         ("observability.stability_tol", "0.25"),
         # the constant coefficient is coefficient.alpha=0
-        ("coefficient.kind", "power_law"), ("coefficient.constant_value", "1.0")])
-    def test_deleted_key_exits_1(self, tmp_path, capsys, key, value):
-        code, out = run(tmp_path, "check-coeff", "--set", f"{key}={value}")
+        ("coefficient.kind", "power_law"), ("coefficient.constant_value", "1.0"),
+        # the s samples are constants, rejected even at their old defaults
+        ("identity.s_values", "[1.0, 10.0]"), ("caccioppoli.s_values", "[1.0, 2.0, 4.0]"),
+        ("scan.s_start", "1.0"), ("scan.s_ratio", "1.5")])
+    def test_deleted_key_exits_1(self, tmp_path, capsys, key, value, via):
+        argv = ["--set", f"{key}={value}"]
+        if via == "--config":
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(cli._parse_override(f"{key}={value}")))
+            argv = ["--config", str(cfg)]
+        code, out = run(tmp_path, "check-coeff", *argv)
         assert code == 1
         assert capsys.readouterr().err == f"error: {key}: unknown configuration key\n"
         assert not out.exists()
@@ -516,13 +531,21 @@ class TestSubcommands:
         if task == "carleman-scan":
             assert all(np.isfinite(v["value"]) for v in verdicts)
 
-    def test_repeated_caccioppoli_s_is_checked_per_entry(self, tmp_path):
-        # as in carleman-identity, each entry of s_values gives one verdict
-        code, out = run(tmp_path, "caccioppoli", *TINY,
-                        "--set", "caccioppoli.s_values=[1.0, 1.0]")
-        assert code != 1
-        verdicts = json.loads((out / "summary.json").read_text())["verdicts"]
-        assert [v["name"] for v in verdicts] == ["caccioppoli_stable_s1"] * 2
+    @pytest.mark.parametrize("key", ["weight.c2", "weight.c1"])
+    def test_caccioppoli_huge_weight_shift_is_measured(self, tmp_path, key):
+        """At c1 or c2 = 1e20 the largest 2 s phi, the shift m, is so large that
+        both levels' log ratios round to the same value; the level change is taken
+        from the shifts' change and the rests', so the unresolved weight fails at
+        c2 = 1e16 and 1e20 alike, where it passed with a change of 0."""
+        values = []
+        for scale in ("1e16", "1e20"):
+            code, out = run(tmp_path / scale, "caccioppoli", *TINY, "--set", f"{key}={scale}")
+            assert code == 2
+            verdicts = json.loads((out / "summary.json").read_text())["verdicts"]
+            assert len(verdicts) == 3 and not any(v["pass"] for v in verdicts)
+            values.append([v["value"] for v in verdicts])
+        np.testing.assert_allclose(values[1], values[0], rtol=1e-6)
+        assert min(values[0]) > 0.2
 
     def test_verdict_failure_exits_2(self, tmp_path, capsys):
         code, _ = run(tmp_path, "null-control",
@@ -554,6 +577,76 @@ class TestSubcommands:
             assert main([*tiny_all, *extra, "--out", str(out)]) != 1
             bodies.append((out / "carleman_scan.csv").read_text().split("\n", 1)[1])
         assert bodies[0] != bodies[1]
+
+
+def _nan_source(pair):
+    v, h = pair
+    return v, Field(h.grid, np.full_like(h.values, np.nan))
+
+
+# the verdicts of `all` that restate their inputs (ROADMAP.md item 22): the first
+# two never fail, the next two fail exactly when coefficient.alpha is 0, and the
+# last three cannot fail on an admissible run whose fields are finite
+RESTATEMENTS = {"hypothesis_slack", "gamma_monotone", "theta_monotone", "degenerate_at_x0",
+                "battery_below_rayleigh", "no_backward_uniqueness_violation",
+                "control_supported_in_omega"}
+TINY_HP = ["--set", "hp.N=50", "--set", "hp.battery_size=3"]
+TINY_SCAN = [*TINY, "--set", "scan.n_s=5"]
+# every other verdict of `all`, with one input under which it fails: the task, its
+# options, and optionally the cli call whose every result is replaced, and how
+FAILING_INPUTS = {
+    # q near 1 drifts toward the unattained sharp constant: 11% per doubling
+    "hp-q1.2": ("hp", [*TINY_HP, "--set", "hp.q=1.2"], None,
+                {"rayleigh_stable"}),
+    "hp-above-bound": ("hp", TINY_HP, ("hp_verify", lambda rep: dataclasses.replace(
+        rep, rayleigh_estimate=2.0 * rep.paper_bound)), {"rayleigh_below_bound"}),
+    "identity-coarse": ("carleman-identity", ["--set", "grid.N=10", "--set", "grid.M=4"], None,
+                        {"identity_residual_s1", "identity_residual_s10"}),
+    "identity-no-refinement": ("carleman-identity", TINY, ("carleman_identity_check",
+                               lambda rep: dataclasses.replace(rep, residual=0.01)),
+                               {"identity_refinement_s1", "identity_refinement_s10"}),
+    # the ratios rise at every step, so no s starts a window
+    "scan-tiny": ("carleman-scan", TINY_SCAN, None,
+                  {"scan_tail_nonincreasing", "scan_fitted_C_stable"}),
+    "scan-nan-source": ("carleman-scan", TINY_SCAN, ("manufactured_adjoint_pair", _nan_source),
+                        {"scan_ratios_finite", "scan_rhs_positive"}),
+    # the known resolution limit: the weight's peak lies between nodes
+    "caccioppoli-T0.5": ("caccioppoli", [*TINY, "--set", "caccioppoli.T=0.5"], None,
+                         {"caccioppoli_stable_s1", "caccioppoli_stable_s2",
+                          "caccioppoli_stable_s4"}),
+    "observability-zero": ("observability", TINY, ("estimate_observability",
+                           lambda rep: dataclasses.replace(rep, C_T_estimate=0.0)),
+                           {"observability_finite_positive", "observability_stable"}),
+    "null-control-one-iteration": ("null-control", [*TINY, "--set", "null_control.max_iters=1"],
+                                   None, {"terminal_norm_small"}),
+    "null-control-rising-cost": ("null-control", TINY, ("synthesize_null_control", lambda sol:
+                                 dataclasses.replace(sol, J_history=sol.J_history[::-1])),
+                                 {"cost_functional_decreasing"}),
+}
+
+
+class TestEveryVerdictCanFail:
+    def test_every_verdict_is_failable_or_a_restatement(self, tmp_path):
+        code, out = run(tmp_path, "all", *TINY_SCAN, *TINY_HP)
+        assert code != 1
+        names = [v["name"] for v in json.loads((out / "summary.json").read_text())["verdicts"]]
+        failable = [name for _, _, _, fails in FAILING_INPUTS.values() for name in fails]
+        assert len(names) == len(set(names)) == 24
+        assert len(failable) == len(set(failable)) and not RESTATEMENTS & set(failable)
+        assert set(names) == RESTATEMENTS | set(failable)
+
+    @pytest.mark.parametrize("name", FAILING_INPUTS)
+    def test_input_fails_its_verdicts(self, tmp_path, monkeypatch, name):
+        task, argv, patch, fails = FAILING_INPUTS[name]
+        if patch is not None:
+            call, change = patch
+            real = getattr(cli, call)
+            monkeypatch.setattr(cli, call, lambda *args, **kwargs: change(real(*args, **kwargs)))
+        code, out = run(tmp_path, task, *argv)
+        assert code == 2
+        summary = json.loads((out / "summary.json").read_text())
+        verdicts = {v["name"]: v["pass"] for v in summary["verdicts"]}
+        assert fails <= set(verdicts) and not any(verdicts[n] for n in fails)
 
 
 class TestLevelLifetime:

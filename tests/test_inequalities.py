@@ -267,6 +267,26 @@ class TestCarlemanScan:
             assert rep.window_found is (start <= 2)
             assert rep.s0_observed == s_values[start if start <= 2 else -1]
 
+    @pytest.mark.parametrize("fault", ["v_zero", "h_nan"])
+    def test_unmeasured_integrals_find_no_window(self, fault):
+        """An LHS that is 0 at every s (as when it underflows) or an RHS that is
+        NaN gives ratios that are not finite and positive: they hold no window,
+        and a NaN RHS counts as not positive."""
+        m, params, pot, g, v, h = self.make_scan(N=20)
+        if fault == "v_zero":
+            v = Field(g, np.zeros_like(v.values))
+        else:
+            values = h.values.copy()
+            values[g.M // 2] = np.nan
+            h = Field(g, values)
+        rep = carleman_scan(m, params, g, v, h, s_values=default_s_values(5))
+        if fault == "v_zero":
+            assert np.all(rep.lhs == 0.0) and np.all(rep.ratios == 0.0)
+        else:
+            assert np.all(np.isnan(rep.rhs_source)) and np.all(rep.ratios == np.inf)
+        assert rep.window_found is False
+        assert rep.nonpositive_rhs is (fault == "h_nan")
+
     def test_negative_s_rejected(self):
         m, params, pot, g, v, h = self.make_scan(N=20)
         with pytest.raises(ValueError, match="s must be nonnegative"):
