@@ -51,8 +51,7 @@ DEFAULT_CONFIG = {
     "hp": {"q": 1.5, "weight": "pure_power", "battery_size": 20, "N": 1000},
     "scan": {"T": 2.0, "n_s": 10},
     "caccioppoli": {"T": 2.0, "omega_prime_lo": 0.35, "omega_prime_hi": 0.45},
-    "observability": {"T": 0.5, "n_modes": 10, "n_random": 10, "n_power": 20},
-    "null_control": {"T": 0.5, "tol": 1e-2, "max_iters": 500},   # datum u0 = x(1 - x)
+    "observability": {"n_modes": 10, "n_random": 10, "n_power": 20},
     "run": {"seed": 0, "out_dir": "reports"},
 }
 
@@ -198,23 +197,32 @@ def resolve_config(args) -> dict:
         T, s, c1 = float(config["grid"]["T"]), max(_IDENTITY_S), config["weight"]["c1"]
         _require_finite_factor("grid.T", T, M, "weight.c1", math.log(s) + math.log(c1),
                                f"s c1, s={s:g}, c1={c1:g}")
-        # the profile (t (T - t))^5 peaks at (T^2 / 4)^5 = (T / 2)^10
-        if 10.0 * math.log(0.5 * T) >= _LOG_MAX:
-            raise ConfigError("grid.T", f"T={T:g} makes the identity's profile "
-                              "(t (T - t))^5 overflow")
+        # the profile w = (t (T - t))^5 S(x) peaks in t at (T/2)^10, and |S|, |S'| <= 1:
+        # w^2 and w_x^2, the largest squares the identity forms, are at most (T/2)^20
+        if 20.0 * math.log(0.5 * T) >= _LOG_MAX:
+            raise ConfigError("grid.T", f"T={T:g} makes the bound (T/2)^20 on w^2 overflow")
     if "carleman-scan" in tasks:
-        n = int(config["scan"]["n_s"]) - 1
-        _require_finite_factor("scan.T", float(config["scan"]["T"]), M, "scan.n_s",
-                               n * math.log(1.5), f"s = 1.5^{n}")
+        T, n = float(config["scan"]["T"]), int(config["scan"]["n_s"]) - 1
+        _require_finite_factor("scan.T", T, M, "scan.n_s", n * math.log(1.5), f"s = 1.5^{n}")
+        # the profile v = t (T - t) S(x) peaks in t at (T/2)^2, with |S| <= 1, and at
+        # T >= 1/2 its source h = v_t + (a v_x)_x - c v has |h| <= (10 + |c|) (T/2)^2, as
+        # |(a S')'| <= 9.5; the integral of h^2 over [0, T] x [0, 1] is the largest
+        # quantity the scan forms.  Where the c term dominates, it names potential.value
+        c = config["potential"]["value"]
+        if math.log(T) + 2.0 * math.log(10.0 + abs(c)) + 4.0 * math.log(0.5 * T) >= _LOG_MAX:
+            raise ConfigError("potential.value" if abs(c) > 10.0 else "scan.T",
+                              f"T={T:g} and c={c:g} make the bound T ((10 + |c|) (T/2)^2)^2 "
+                              "on the integral of h^2 overflow")
     if "caccioppoli" in tasks:
         c = config["caccioppoli"]
         _name_key("caccioppoli.omega_prime_lo", _require_caccioppoli_geometry,
                   x0, (c["omega_prime_lo"], c["omega_prime_hi"]), omega)
     # c > -2/dt on the coarse grid of each task that solves with c; its fine grid halves dt
-    for section in ("caccioppoli", "observability", "null_control"):
-        if section.replace("_", "-") in tasks:
+    for T, solving in ((config["caccioppoli"]["T"], {"caccioppoli"}),
+                       (_CONTROL_T, {"observability", "null-control"})):
+        if tasks & solving:
             _name_key("potential.value", _require_dominance, config["potential"]["value"],
-                      float(config[section]["T"]) / int(config["grid"]["M"]))
+                      float(T) / int(config["grid"]["M"]))
     if tasks & {"observability", "null-control"}:
         _name_key("control.omega_lo", ControlConfig(*omega).require_x0_inside, x0)
     return config
@@ -244,7 +252,7 @@ def validate_config(config: dict):
             print(f"warning: {section}.N={N} becomes N={snapped} so that x0={c['x0']} "
                   "lies on a grid node", file=sys.stderr)
     # the finest level of any task has 2 grid.M time steps
-    for section in ("grid", "scan", "caccioppoli", "observability", "null_control"):
+    for section in ("grid", "scan", "caccioppoli"):
         _name_key(f"{section}.T", _require_time_step, float(config[section]["T"]),
                   2 * int(config["grid"]["M"]))
     lo, hi = config["control"]["omega_lo"], config["control"]["omega_hi"]
@@ -357,10 +365,11 @@ def _hardy_weight(config: dict) -> HardyWeight:
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations; each returns verdicts plus csv rows
+# subcommand implementations; each writes its CSV and returns its verdicts and a
+# dict that says what it ran (empty where there is nothing more to say)
 # ---------------------------------------------------------------------------
 
-def run_check_coeff(config: dict, out_dir: Path) -> list:
+def run_check_coeff(config: dict, out_dir: Path) -> tuple[list, dict]:
     model = build_model(config)
     grid = build_grid(config, M=1)
     report = check_hypotheses(model)
@@ -373,10 +382,10 @@ def run_check_coeff(config: dict, out_dir: Path) -> list:
     a = model.eval_a(grid.x)          # (x - x0) a' = alpha a; the slack is the same at every node
     write_csv(out_dir / "check_coeff.csv", ["x", "a", "xa_prime", "slack"],
               [(*row, report.slack_max) for row in zip(grid.x, a, model.alpha * a)], config)
-    return verdicts
+    return verdicts, {}
 
 
-def run_hp(config: dict, out_dir: Path) -> list:
+def run_hp(config: dict, out_dir: Path) -> tuple[list, dict]:
     c = config["hp"]
     weight = _hardy_weight(config)
     # hp.N, and the fine level that doubles its snapped N
@@ -398,7 +407,7 @@ def run_hp(config: dict, out_dir: Path) -> list:
         for k, ratio in enumerate(rep.battery_ratios):
             rows.append([grid.N, f"battery_{k}", ratio])
     write_csv(out_dir / "hp.csv", ["N", "sample", "ratio"], rows, config)
-    return verdicts
+    return verdicts, {}
 
 
 def _carleman_profile(T: float, x0: float, k: int):
@@ -430,7 +439,7 @@ _IDENTITY_S = (1.0, 10.0)
 _CACCIOPPOLI_S = (1.0, 2.0, 4.0)
 
 
-def run_carleman_identity(config: dict, out_dir: Path) -> list:
+def run_carleman_identity(config: dict, out_dir: Path) -> tuple[list, dict]:
     model = build_model(config)
     verdicts = []
     rows = []
@@ -443,7 +452,7 @@ def run_carleman_identity(config: dict, out_dir: Path) -> list:
         verdicts.append(verdict(f"identity_refinement_s{s:g}", ">=", factor, 3.0))
     write_csv(out_dir / "carleman_identity.csv",
               ["s", "N", "M", "lhs", "rhs", "residual"], rows, config)
-    return verdicts
+    return verdicts, {}
 
 
 def _scan_level(config: dict, model, potential, grid: SpaceTimeGrid, s_values):
@@ -455,7 +464,7 @@ def _scan_level(config: dict, model, potential, grid: SpaceTimeGrid, s_values):
                   rep.rhs_boundary[k], rep.ratios[k]] for k in range(s_values.size)]
 
 
-def run_carleman_scan(config: dict, out_dir: Path) -> list:
+def run_carleman_scan(config: dict, out_dir: Path) -> tuple[list, dict]:
     model = build_model(config)
     potential = build_potential(config)
     s_values = default_s_values(int(config["scan"]["n_s"]))
@@ -463,7 +472,9 @@ def run_carleman_scan(config: dict, out_dir: Path) -> list:
         _scan_level(config, model, potential, grid, s_values)
         for grid in _refinement_pair(config, config["scan"]["T"])]
     verdicts = [
-        verdict("scan_ratios_finite", bool(np.all(np.isfinite(coarse.ratios))),
+        # a ratio of 0 is an LHS that underflowed, and measures nothing
+        verdict("scan_ratios_finite",
+                bool(np.all(np.isfinite(coarse.ratios) & (coarse.ratios > 0.0))),
                 float(np.max(coarse.ratios))),
         verdict("scan_rhs_positive", not coarse.nonpositive_rhs),
         verdict("scan_tail_nonincreasing", coarse.window_found, coarse.s0_observed),
@@ -475,7 +486,7 @@ def run_carleman_scan(config: dict, out_dir: Path) -> list:
     write_csv(out_dir / "carleman_scan.csv",
               ["N", "s", "lhs", "rhs_source", "rhs_boundary", "ratio"],
               coarse_rows + fine_rows, config)
-    return verdicts
+    return verdicts, {}
 
 
 def _caccioppoli_level(config: dict, model, potential, grid: SpaceTimeGrid):
@@ -493,7 +504,7 @@ def _caccioppoli_level(config: dict, model, potential, grid: SpaceTimeGrid):
                       rep.ratio, rep.log_ratio] for s, rep in zip(_CACCIOPPOLI_S, reports)]
 
 
-def run_caccioppoli(config: dict, out_dir: Path) -> list:
+def run_caccioppoli(config: dict, out_dir: Path) -> tuple[list, dict]:
     model = build_model(config)
     potential = build_potential(config)
     (coarse, coarse_rows), (fine, fine_rows) = [
@@ -513,16 +524,24 @@ def run_caccioppoli(config: dict, out_dir: Path) -> list:
     write_csv(out_dir / "caccioppoli.csv",
               ["N", "s", "local_gradient", "outer_solution", "ratio", "log_ratio"],
               coarse_rows + fine_rows, config)
-    return verdicts
+    return verdicts, {}
 
 
-def run_observability(config: dict, out_dir: Path) -> list:
+# the horizon T of the observability inequality and, by HUM duality, of the null
+# control; the CG stopping tolerance on ||u(T)|| / ||u0||, which terminal_norm_small
+# reports as its gate; and the iteration cap: constants, as no key may loosen a gate
+_CONTROL_T = 0.5
+_NULL_CONTROL_TOL = 1e-2
+_NULL_CONTROL_MAX_ITERS = 500
+
+
+def run_observability(config: dict, out_dir: Path) -> tuple[list, dict]:
     model = build_model(config)
     potential = build_potential(config)
     control = build_control(config)
     c = config["observability"]
     seed = int(config["run"]["seed"])
-    grids = _refinement_pair(config, c["T"])
+    grids = _refinement_pair(config, _CONTROL_T)
     coarse, fine = [estimate_observability(model, potential, grid, control,
                                            n_modes=int(c["n_modes"]),
                                            n_random=int(c["n_random"]),
@@ -536,24 +555,25 @@ def run_observability(config: dict, out_dir: Path) -> list:
         verdict("no_backward_uniqueness_violation", not (coarse.violation or fine.violation)),
     ]
     write_csv(out_dir / "observability.csv", ["N", "sample", "ratio"], rows, config)
-    return verdicts
+    return verdicts, {}
 
 
-def run_null_control(config: dict, out_dir: Path) -> list:
+def run_null_control(config: dict, out_dir: Path) -> tuple[list, dict]:
     model = build_model(config)
     potential = build_potential(config)
     control = build_control(config)
-    c = config["null_control"]
-    grid = build_grid(config, T=c["T"])
+    grid = build_grid(config, T=_CONTROL_T)
     u0 = grid.x * (1.0 - grid.x)
     sol = synthesize_null_control(model, potential, grid, control, u0,
-                                  tol=c["tol"], max_iters=int(c["max_iters"]))
+                                  tol=_NULL_CONTROL_TOL, max_iters=_NULL_CONTROL_MAX_ITERS)
     ratio = sol.terminal_norm / sol.initial_norm
-    J_decreasing = bool(np.all(np.diff(sol.J_history) < 0.0)) if sol.J_history.size > 1 else True
+    # one J value is a CG that took no step: its control is 0, and no decrease of J
+    # was measured (the free decay of u0 can meet the tolerance on its own)
+    J_decreasing = sol.J_history.size > 1 and bool(np.all(np.diff(sol.J_history) < 0.0))
     chi = control.indicator(grid)
     outside = float(np.max(np.abs(sol.h.values[:, chi == 0.0]))) if np.any(chi == 0.0) else 0.0
     verdicts = [
-        verdict("terminal_norm_small", sol.converged, ratio, c["tol"]),
+        verdict("terminal_norm_small", sol.converged, ratio, _NULL_CONTROL_TOL),
         verdict("cost_functional_decreasing", J_decreasing),
         verdict("control_supported_in_omega", "<=", outside, 0.0),
     ]
@@ -566,7 +586,7 @@ def run_null_control(config: dict, out_dir: Path) -> list:
         f.write(_config_header(config))
         for k in range(0, len(text), _CSV_SLICE_CHARS):
             f.write(text[k:k + _CSV_SLICE_CHARS])
-    return verdicts
+    return verdicts, {"cg_iterations": sol.cg_iterations, "stop_reason": sol.stop_reason}
 
 
 TASKS = {
@@ -626,12 +646,13 @@ def main(argv=None) -> int:
                              "snapped": _snap_N(int(config[k]["N"]), config["coefficient"]["x0"])}
                   for k in ("grid", "hp")}
     all_verdicts = []
+    diagnostics = {}
     timing = {}
     try:
         for name in names:
             t0 = time.perf_counter()
             try:
-                all_verdicts.extend(TASKS[name](config, out_dir))
+                verdicts, ran = TASKS[name](config, out_dir)
             except MemoryError as exc:
                 # an in-range size too large for this machine: no fixed upper end
                 # on the sizes could know what a machine holds
@@ -643,8 +664,11 @@ def main(argv=None) -> int:
                       file=sys.stderr)
                 return 1
             timing[name] = time.perf_counter() - t0
+            all_verdicts.extend(verdicts)
+            if ran:
+                diagnostics[name] = ran
         summary = {"config": config, "grid_sizes": grid_sizes, "verdicts": all_verdicts,
-                   "timing": timing}
+                   "diagnostics": diagnostics, "timing": timing}
         (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
     except OSError as exc:      # the only I/O of a run is writing its reports
         print(f"error: run.out_dir: cannot write {exc.filename or out_dir} ({exc.strerror})",

@@ -47,6 +47,8 @@ class ControlSolution:
     residual_history: np.ndarray = field(repr=False)
     J_history: np.ndarray = field(repr=False)
     converged: bool = True
+    # what ended CG: "tolerance", "J-drop" (J stalled), "pAp<=0" or "max_iters"
+    stop_reason: str = "tolerance"
 
 
 def _observation_ratio(model, potential, grid, control, vT, chi):
@@ -174,7 +176,7 @@ def synthesize_null_control(model, potential: PotentialModel, grid: SpaceTimeGri
     res_hist = []
     J_hist = []
     rr = dot(r, r)
-    converged = False
+    stop_reason = "max_iters"
     iterations = 0
 
     for it in range(max_iters):
@@ -184,16 +186,18 @@ def synthesize_null_control(model, potential: PotentialModel, grid: SpaceTimeGri
         # J(z) = 1/2 z^T (Lambda + eps) z + b^T z = 1/2 z^T (-b - r) + b^T z
         J_hist.append(0.5 * (dot(z, b) - dot(z, r)))
         if terminal_norm <= tol * initial_norm:
-            converged = True
+            stop_reason = "tolerance"
             break
         if it > 0:
             rel_drop = abs(J_hist[-2] - J_hist[-1]) / max(abs(J_hist[-2]), 1e-300)
             if rel_drop < 1e-10:
+                stop_reason = "J-drop"
                 break
         Ap, _ = _hum_operator(model, potential, grid, control, chi, p)
         Ap = Ap + eps * p
         pAp = dot(p, Ap)
         if pAp <= 0.0:
+            stop_reason = "pAp<=0"
             break
         alpha = rr / pAp
         z = z + alpha * p
@@ -212,4 +216,6 @@ def synthesize_null_control(model, potential: PotentialModel, grid: SpaceTimeGri
                            cg_iterations=iterations,
                            residual_history=np.asarray(res_hist),
                            J_history=np.asarray(J_hist),
-                           converged=converged and terminal_norm <= tol * initial_norm)
+                           converged=(stop_reason == "tolerance"
+                                      and terminal_norm <= tol * initial_norm),
+                           stop_reason=stop_reason)

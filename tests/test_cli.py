@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import struct
 import weakref
 
 import numpy as np
@@ -26,11 +27,11 @@ def run(tmp_path, *argv):
 
 class TestConfigHandling:
     def test_defaults_complete(self):
-        # the identity section held only its s samples, which are constants now
+        # the identity section held only its s samples, which are constants now, and
+        # the null_control section a horizon, a CG gate and a cap, constants too
         assert list(DEFAULT_CONFIG) == ["coefficient", "grid", "weight", "potential", "control",
-                                        "hp", "scan", "caccioppoli", "observability",
-                                        "null_control", "run"]
-        assert len(LEAVES) == 30
+                                        "hp", "scan", "caccioppoli", "observability", "run"]
+        assert len(LEAVES) == 26
 
     def test_presets_cover_grid(self):
         assert len(PRESETS) == 6
@@ -127,6 +128,7 @@ class TestConfigHandling:
         # inputs whose error named another key
         ("carleman-identity", "weight.c1", "0"),
         ("carleman-scan", "scan.s_start", "-1"),
+        # the horizons, null_control.tol and max_iters are constants now: an unknown key
         ("null-control", "null_control.tol", "0"),
         # a deleted key, now unknown: the gates are constants, and alpha 0 is the constant
         ("carleman-identity", "weight.c2_margin", "x"),
@@ -188,10 +190,17 @@ class TestConfigHandling:
         ("carleman-identity", "weight.c1", "1e102"),
         ("carleman-scan", "scan.n_s", "560"),
         ("carleman-scan", "scan.n_s", "600"),
-        # a T at which the identity's profile (t (T - t))^5 overflows: a traceback
-        # from carleman_identity_check, which found w not vanishing at x = 0 and 1
+        # a T at which the largest quantity a check forms overflows: the identity's
+        # square of its profile (an overflow traceback, and from 1.4e31 a ValueError
+        # from carleman_identity_check, which found w not vanishing at x = 0 and 1), the
+        # time integral of the scan's h^2 (an overflow traceback)
+        ("carleman-identity", "grid.T", "1e16"),
         ("carleman-identity", "grid.T", "1.4e31"),
         ("carleman-identity", "grid.T", "1e40"),
+        ("carleman-scan", "scan.T", "1e70"),
+        ("carleman-scan", "scan.T", "1e80"),
+        # a constant potential whose c v term of h overflows it (an overflow traceback)
+        ("carleman-scan", "potential.value", "1e200"),
         # an integer beyond the floating-point range: an OverflowError traceback
         pytest.param("hp", "hp.N", "1" + "0" * 400, id="hp-hp.N-10**400"),
         # an in-range size too large to allocate: a MemoryError traceback (10^12
@@ -218,6 +227,43 @@ class TestConfigHandling:
         code, out = run(tmp_path, task, *TINY, "--set", f"{key}=1e-10")
         assert code == expected
         assert list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("task, extra, key, named, runs", [
+        ("carleman-identity", [], "grid.T", "grid.T", 5e15),
+        ("carleman-scan", [], "scan.T", "scan.T", 1e60),
+        # h carries -c v: where |c| > 10 dominates the bound, the rule names c's key
+        ("carleman-scan", ["--set", "potential.value=1000"], "scan.T", "potential.value", 1e60),
+        ("carleman-scan", [], "potential.value", "potential.value", 1e150)],
+        ids=["grid.T", "scan.T", "scan.T-c1000", "potential.value"])
+    def test_largest_admitted_value_runs(self, tmp_path, capsys, task, extra, key, named, runs):
+        """The largest value of key that the task's overflow rule admits runs with
+        every floating-point warning an error, and the next float exits 1 naming the
+        key the rule blames; a value that ran before the rule is admitted."""
+        argv = [task, *TINY, "--set", "scan.n_s=5", *extra]
+
+        def as_float(bits):
+            return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+        def admitted(bits):
+            try:
+                cli.resolve_config(cli._build_parser().parse_args(
+                    [*argv, "--set", f"{key}={as_float(bits)!r}"]))
+            except cli.ConfigError:
+                return False
+            return True
+
+        # positive floats are ordered as their bit patterns, so bisect those
+        lo, hi = (struct.unpack("<q", struct.pack("<d", T))[0] for T in (1.0, 1e300))
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if admitted(mid) else (lo, mid)
+        assert as_float(lo) > runs
+        code, out = run(tmp_path, *argv, "--set", f"{key}={as_float(lo)!r}")
+        assert code == 2 and list(out.glob("*.csv"))
+        code, _ = run(tmp_path, *argv, "--set", f"{key}={as_float(hi)!r}")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {named}: T=") and err.endswith(" overflow\n")
 
     @pytest.mark.parametrize("key, argv", [
         ("null_control.u0", ["--set", "null_control.u0=foo"]),
@@ -306,7 +352,11 @@ class TestConfigHandling:
         ("coefficient.kind", "power_law"), ("coefficient.constant_value", "1.0"),
         # the s samples are constants, rejected even at their old defaults
         ("identity.s_values", "[1.0, 10.0]"), ("caccioppoli.s_values", "[1.0, 2.0, 4.0]"),
-        ("scan.s_start", "1.0"), ("scan.s_ratio", "1.5")])
+        ("scan.s_start", "1.0"), ("scan.s_ratio", "1.5"),
+        # the control horizon and the null control's CG gate and cap are constants; a
+        # loose gate stopped CG at iteration 0 and passed every verdict on a zero control
+        ("observability.T", "0.5"), ("null_control.T", "0.5"), ("control.T", "0.5"),
+        ("null_control.tol", "0.5"), ("null_control.max_iters", "500")])
     def test_deleted_key_exits_1(self, tmp_path, capsys, key, value, via):
         argv = ["--set", f"{key}={value}"]
         if via == "--config":
@@ -456,7 +506,8 @@ class TestSubcommands:
         # every verdict whose threshold is a fixed gate, by name prefix
         gates = {"rayleigh_stable": 0.05, "identity_residual_s": 0.05,
                  "identity_refinement_s": 3.0, "scan_fitted_C_stable": 0.25,
-                 "caccioppoli_stable_s": 0.2, "observability_stable": 0.25}
+                 "caccioppoli_stable_s": 0.2, "observability_stable": 0.25,
+                 "terminal_norm_small": 0.01}
         code, out = run(tmp_path, "all", *TINY, "--set", "hp.N=50",
                         "--set", "hp.battery_size=3", "--set", "scan.n_s=5")
         assert code != 1
@@ -467,6 +518,16 @@ class TestSubcommands:
                     assert v["threshold"] == gate, v
                     seen.add(prefix)
         assert seen == set(gates)
+
+    def test_underflowed_scan_ratios_fail(self, tmp_path, capsys):
+        # at scan.T = 1e60 every LHS underflows to 0, so every ratio is 0: finite, but
+        # not a measurement
+        code, out = run(tmp_path, "carleman-scan", *TINY, "--set", "scan.n_s=5",
+                        "--set", "scan.T=1e60")
+        assert code == 2
+        assert "[FAIL] scan_ratios_finite  value=0\n" in capsys.readouterr().out
+        rows = list(csv.DictReader((out / "carleman_scan.csv").read_text().splitlines()[1:]))
+        assert len(rows) == 10 and all(float(row["lhs"]) == 0.0 for row in rows)
 
     @pytest.mark.parametrize("n_s", [3, 5])
     def test_scan_without_window_fails(self, tmp_path, capsys, n_s):
@@ -548,11 +609,11 @@ class TestSubcommands:
         assert min(values[0]) > 0.2
 
     def test_verdict_failure_exits_2(self, tmp_path, capsys):
-        code, _ = run(tmp_path, "null-control",
-                      "--set", "null_control.max_iters=1",
+        # a large epsilon penalizes the terminal datum: J stalls at ||u(T)|| / ||u0|| = 0.0193
+        code, _ = run(tmp_path, "null-control", "--set", "control.epsilon=1e-2",
                       "--set", "grid.N=60", "--set", "grid.M=80")
         assert code == 2
-        assert "[FAIL] terminal_norm_small" in capsys.readouterr().out
+        assert "[FAIL] terminal_norm_small  value=0.0192853" in capsys.readouterr().out
 
     def test_summary_schema(self, tmp_path):
         # the ratios rise up to s = 7.59, the eighth point, which starts a window
@@ -560,12 +621,45 @@ class TestSubcommands:
                         "--set", "grid.M=120", "--set", "scan.n_s=8")
         assert code == 0
         summary = json.loads((out / "summary.json").read_text())
-        assert set(summary) == {"config", "grid_sizes", "verdicts", "timing"}
+        assert set(summary) == {"config", "grid_sizes", "verdicts", "diagnostics", "timing"}
+        assert summary["diagnostics"] == {}
         assert summary["grid_sizes"] == {"grid.N": {"requested": 60, "snapped": 60},
                                          "hp.N": {"requested": 1000, "snapped": 1000}}
         for v in summary["verdicts"]:
             assert set(v) == {"name", "pass", "value", "threshold"}
 
+    @pytest.mark.parametrize("alpha, iterations, code", [
+        ("0.5", 3, 0),
+        # a = 1: the free decay of u0, about exp(-pi^2 / 2), meets the tolerance, so CG
+        # takes no step and the control is 0; no decrease of J is measured, which fails
+        ("0", 0, 2)])
+    def test_summary_reports_the_hum_solve(self, tmp_path, alpha, iterations, code):
+        exit_code, out = run(tmp_path, "null-control", *TINY,
+                             "--set", f"coefficient.alpha={alpha}")
+        assert exit_code == code
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["diagnostics"] == {
+            "null-control": {"cg_iterations": iterations, "stop_reason": "tolerance"}}
+        verdicts = {v["name"]: v["pass"] for v in summary["verdicts"]}
+        assert verdicts == {"terminal_norm_small": True, "cost_functional_decreasing": code == 0,
+                            "control_supported_in_omega": True}
+
+    def test_one_horizon_for_both_control_tasks(self, tmp_path, monkeypatch):
+        # the observability inequality and, by HUM duality, the null control share T
+        monkeypatch.setattr(cli, "_CONTROL_T", 0.25)
+        horizons = []
+        real = cli.estimate_observability
+
+        def capture(model, potential, grid, *args, **kwargs):
+            horizons.append(grid.T)
+            return real(model, potential, grid, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "estimate_observability", capture)
+        code, out = run(tmp_path, "all", *TINY_SCAN, *TINY_HP)
+        assert code != 1
+        assert horizons == [0.25, 0.25]
+        last_row = (out / "null_control_field.csv").read_text().splitlines()[-1]
+        assert float(last_row.split(",")[0]) == 0.25
 
     def test_potential_value_reaches_scan(self, tmp_path):
         # potential.value alone sets c; it was ignored unless potential.kind=constant
@@ -617,7 +711,8 @@ FAILING_INPUTS = {
     "observability-zero": ("observability", TINY, ("estimate_observability",
                            lambda rep: dataclasses.replace(rep, C_T_estimate=0.0)),
                            {"observability_finite_positive", "observability_stable"}),
-    "null-control-one-iteration": ("null-control", [*TINY, "--set", "null_control.max_iters=1"],
+    # a large epsilon penalizes the terminal datum: J stalls at a ratio of 0.0189
+    "null-control-large-epsilon": ("null-control", [*TINY, "--set", "control.epsilon=1e-2"],
                                    None, {"terminal_norm_small"}),
     "null-control-rising-cost": ("null-control", TINY, ("synthesize_null_control", lambda sol:
                                  dataclasses.replace(sol, J_history=sol.J_history[::-1])),

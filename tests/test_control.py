@@ -84,7 +84,7 @@ class TestNullControl:
     def test_zero_initial_data(self):
         m, pot, g, ctrl = degenerate_setup(N=60, M=80)
         sol = synthesize_null_control(m, pot, g, ctrl, np.zeros(g.N + 1))
-        assert sol.cg_iterations == 0
+        assert sol.cg_iterations == 0 and sol.stop_reason == "tolerance"
         assert sol.terminal_norm == 0.0
         assert np.all(sol.h.values == 0.0)
 
@@ -102,7 +102,7 @@ class TestNullControl:
         m, pot, g, ctrl = degenerate_setup(N=200, M=400)
         sol = synthesize_null_control(m, pot, g, ctrl, g.x * (1.0 - g.x),
                                       tol=1e-2, max_iters=500)
-        assert sol.converged
+        assert sol.converged and sol.stop_reason == "tolerance"
         assert sol.terminal_norm <= 1e-2 * sol.initial_norm
         assert np.all(np.diff(sol.J_history) < 0.0)
 
@@ -121,6 +121,8 @@ class TestNullControl:
         sol2 = synthesize_null_control(m, pot, g, ctrl, 2.0 * u0, tol=1e-30, max_iters=4)
         np.testing.assert_allclose(sol2.h.values, 2.0 * sol1.h.values,
                                    rtol=1e-9, atol=1e-13)
+        assert sol1.stop_reason == sol2.stop_reason == "max_iters"
+        assert sol1.cg_iterations == 4 and not sol1.converged
 
     def test_stalled_functional_stops_unconverged(self):
         # a tolerance no terminal state reaches: CG stops when J drops by < 1e-10
@@ -128,7 +130,7 @@ class TestNullControl:
         sol = synthesize_null_control(m, pot, g, ctrl, g.x * (1.0 - g.x),
                                       tol=1e-30, max_iters=500)
         J = sol.J_history
-        assert not sol.converged
+        assert not sol.converged and sol.stop_reason == "J-drop"
         assert 0 < sol.cg_iterations < 500 and J.size == sol.cg_iterations + 1   # 36 here
         assert abs(J[-2] - J[-1]) < 1e-10 * abs(J[-2])
         assert np.all(np.diff(J[:-1]) < 0.0)
@@ -144,6 +146,7 @@ class TestNullControl:
         m, pot, g, ctrl = degenerate_setup(N=20, M=40)
         sol = synthesize_null_control(m, pot, g, ctrl, g.x * (1.0 - g.x), max_iters=500)
         assert sol.cg_iterations == 0 and not sol.converged
+        assert sol.stop_reason == "pAp<=0"
         assert sol.J_history.tolist() == [0.0]
         assert not np.any(sol.h.values)
         assert sol.terminal_norm == pytest.approx(sol.residual_history[0], rel=1e-12)
