@@ -126,6 +126,9 @@ _RANGES = {
     # c > -2/dt is checked per solving task in resolve_config, c2 > c2_min per model
     "potential.value": "(-inf, inf)", "weight.c2": "(-inf, inf)",
 }
+# the most float64 values one array can hold: NumPy refuses more with a ValueError
+# before it tries to allocate, where a size it tries and fails is a MemoryError
+_MAX_FLOATS = np.iinfo(np.intp).max // 8
 
 
 def _check_leaf(key: str, default, value):
@@ -245,13 +248,19 @@ def validate_config(config: dict):
     if c["theta"] is not None and c["theta"] > c["alpha"]:
         raise ConfigError("coefficient.theta",
                           f"value {c['theta']!r} exceeds coefficient.alpha={c['alpha']!r}")
+    # the finest level of any task doubles the snapped N and grid.M
+    nodes = {"grid.M": 2 * int(config["grid"]["M"]) + 1}
     for section in ("grid", "hp"):
         N = int(config[section]["N"])
         snapped = _name_key("coefficient.x0", _snap_N, N, c["x0"])
         if snapped != N:
             print(f"warning: {section}.N={N} becomes N={snapped} so that x0={c['x0']} "
                   "lies on a grid node", file=sys.stderr)
-    # the finest level of any task has 2 grid.M time steps
+        nodes[f"{section}.N"] = 2 * snapped + 1
+    for key, n in nodes.items():
+        if n > _MAX_FLOATS:
+            raise ConfigError(key, f"its finest level has more nodes than the {_MAX_FLOATS} "
+                              "float64 values an array can hold")
     for section in ("grid", "scan", "caccioppoli"):
         _name_key(f"{section}.T", _require_time_step, float(config[section]["T"]),
                   2 * int(config["grid"]["M"]))
@@ -458,7 +467,8 @@ def run_carleman_identity(config: dict, out_dir: Path) -> tuple[list, dict]:
 def _scan_level(config: dict, model, potential, grid: SpaceTimeGrid, s_values):
     T = config["scan"]["T"]
     params = build_weight_params(config, model, T, s_values[0])
-    v, h = manufactured_adjoint_pair(model, potential, grid, _carleman_profile(T, model.x0, 1))
+    v = _carleman_profile(T, model.x0, 1)
+    h = manufactured_adjoint_pair(model, potential, grid, v)
     rep = carleman_scan(model, params, grid, v, h, s_values=s_values, window_tol=0.05)
     return rep, [[grid.N, rep.s_values[k], rep.lhs[k], rep.rhs_source[k],
                   rep.rhs_boundary[k], rep.ratios[k]] for k in range(s_values.size)]

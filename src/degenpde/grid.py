@@ -41,7 +41,10 @@ def _require_time_step(T: float, M: int):
     finite reciprocal, which the time steppers divide by."""
     if not 0.0 < T < np.inf:
         raise ValueError(f"T must be positive, got {T}")
-    dt = T / M
+    try:
+        dt = T / M
+    except OverflowError:       # an integer M beyond the floating-point range
+        raise ValueError(f"T={T} over M steps: M is beyond the floating-point range")
     if dt == 0.0 or 1.0 / dt == np.inf:
         raise ValueError(f"T={T} over M={M} steps gives the step {dt}, whose reciprocal "
                          "is infinite")
@@ -49,7 +52,7 @@ def _require_time_step(T: float, M: int):
 
 @dataclass(frozen=True)
 class SpaceTimeGrid:
-    """Uniform grid: x_i = i/N on [0, 1], t_j = j T / M, with x0 a node."""
+    """Uniform grid: x_i = i/N on [0, 1], t_j = j T / M, with x0 a node, exactly."""
 
     N: int
     M: int
@@ -69,6 +72,7 @@ class SpaceTimeGrid:
         snapped = _snap_N(N, x0)
         x0_index = round(x0 * snapped)
         x = np.linspace(0.0, 1.0, snapped + 1)
+        x[x0_index] = x0      # linspace may put it a rounding error off (N = 40, x0 = 0.3)
         t = np.linspace(0.0, T, M + 1)
         return cls(N=snapped, M=M, T=float(T), x0=float(x0),
                    x0_index=x0_index, x=x, t=t)
@@ -97,6 +101,16 @@ class SpaceTimeGrid:
         return w
 
 
+def _sample_rows(f, grid: SpaceTimeGrid, rows: slice = slice(None)) -> np.ndarray:
+    """f(t, x) on the time rows ``rows`` and every node: f is called once on a
+    column of those times and a row of nodes, and its float values broadcast to
+    the rows' shape, read-only where they are a broadcast.  For an elementwise
+    f, the rows of a block are those of the whole grid, bit for bit."""
+    t = grid.t[rows, None]
+    return np.broadcast_to(np.asarray(f(t, grid.x[None, :]), dtype=float),
+                           (t.shape[0], grid.N + 1))
+
+
 @dataclass
 class Field:
     """Function sampled on the space-time grid; values[j, i] ~ f(t_j, x_i)."""
@@ -121,9 +135,7 @@ class Field:
         values are then those of f on the full meshgrid arrays, bit for bit,
         without building those arrays.  The field owns a writable copy.
         """
-        values = f(grid.t[:, None], grid.x[None, :])
-        return cls(grid, np.array(np.broadcast_to(values, (grid.M + 1, grid.N + 1)),
-                                  dtype=float, order="C"))
+        return cls(grid, np.array(_sample_rows(f, grid), order="C"))
 
     def is_dirichlet(self, tol: float = 0.0) -> bool:
         return bool(np.all(np.abs(self.values[:, 0]) <= tol)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._lapack import eigh_tridiagonal
-from .grid import Field, SpaceTimeGrid, assemble_operator
+from .grid import Field, SpaceTimeGrid, _sample_rows, assemble_operator
 from .solvers import ControlConfig, PotentialModel
 from .weights import (WeightParams, _exp_flushed, log2s_phi, psi, psi_prime, theta, theta_dot,
                       theta_ddot)
@@ -111,10 +111,7 @@ def _hp_matrices(weight: HardyWeight, grid: SpaceTimeGrid):
     for q close to 1.
     """
     h = grid.h
-    d = np.abs(grid.x - weight.x0)
-    # linspace may put the x0 node a rounding error off x0 (N = 40, x0 = 0.3),
-    # and r^(gamma-1) of 1e-17 is not small for gamma near 1
-    d[grid.x0_index] = 0.0
+    d = np.abs(grid.x - weight.x0)      # 0 at the x0 node, which is x0 exactly
 
     def cells(r_a, r_b, e):
         return np.abs(r_b ** e - r_a ** e) / e
@@ -186,14 +183,14 @@ _BLOCK_BYTES = 1 << 20
 # The bytes per node of one time row that a block holds, counted as float64
 # arrays of N + 1 values (8 bytes a node) and boolean ones (1 byte a node):
 #   carleman_scan: the stacked P, Q, H integrands (three), phi - max phi, E,
-#     v_x and the flush mask, 6 1/8 arrays;
+#     the sampled v rows, v_x and the flush mask, 7 1/8 arrays;
 #   carleman_identity_check: L+ from op.apply and its scratch, w_x, inner and
 #     the c_q2 q2 temporary, 5 arrays;
-#   manufactured_adjoint_pair: op.apply's output and its scratch, the
-#     t-derivative and c v, 4 arrays.
-_SCAN_NODE_BYTES = 6 * 8 + 1
+#   manufactured_adjoint_pair: the sampled v rows with their halo, op.apply's
+#     output and its scratch, the t-derivative and c v, 5 arrays.
+_SCAN_NODE_BYTES = 7 * 8 + 1
 _IDENTITY_NODE_BYTES = 5 * 8
-_PAIR_NODE_BYTES = 4 * 8
+_PAIR_NODE_BYTES = 5 * 8
 
 
 def _row_blocks(n_rows: int, row_bytes: int) -> list[slice]:
@@ -214,20 +211,29 @@ def _row_dots(rows: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return np.matmul(rows[:, None, :], vectors)[:, 0]
 
 
-def _derivative(values: np.ndarray, step: float, axis: int, part=slice(None)) -> np.ndarray:
-    """Nodal derivative along ``axis`` (1: d/dx, 0: d/dt) at the indices ``part``:
-    centered interior, one-sided 2nd order at the ends.  Only ``part`` and the (at
-    least three) indices it reads are differenced, bit for bit as the whole axis."""
-    n = values.shape[axis]
+def _halo(part: slice, n: int) -> slice:
+    """The indices of range(n) that a nodal derivative at ``part`` reads: one
+    halo index on each side, and at least three, so the ends keep their
+    one-sided formulas."""
     start, stop, _ = part.indices(n)
     lo = max(min(start - 1, n - 3), 0)
-    v = np.moveaxis(values, axis, 0)[lo:min(max(stop + 1, lo + 3), n)]
+    return slice(lo, min(max(stop + 1, lo + 3), n))
+
+
+def _derivative(values: np.ndarray, step: float, axis: int, part=slice(None)) -> np.ndarray:
+    """Nodal derivative along ``axis`` (1: d/dx, 0: d/dt) at the indices ``part``:
+    centered interior, one-sided 2nd order at the ends.  Only ``part`` and the
+    indices it reads (``_halo``) are differenced, bit for bit as the whole axis."""
+    n = values.shape[axis]
+    start, stop, _ = part.indices(n)
+    window = _halo(part, n)
+    v = np.moveaxis(values, axis, 0)[window]
     out = np.empty_like(v)
     np.subtract(v[2:], v[:-2], out=out[1:-1])
     out[1:-1] /= 2.0 * step
     out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * step)
     out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * step)
-    return np.moveaxis(out[start - lo:stop - lo], 0, axis)
+    return np.moveaxis(out[start - window.start:stop - window.start], 0, axis)
 
 
 def _div_a_grad(op, values: np.ndarray) -> np.ndarray:
@@ -402,33 +408,34 @@ def default_s_values(n: int = 12, start: float = 1.0, ratio: float = 1.5) -> np.
 
 
 def manufactured_adjoint_pair(model, potential: PotentialModel, grid: SpaceTimeGrid,
-                              v_func) -> tuple[Field, Field]:
-    """Sample v and build h as the discrete residual of v_t + (a v_x)_x - c v.
+                              v_func) -> Field:
+    """h, the discrete residual v_t + (a v_x)_x - c v of the profile v = v_func(t, x).
 
     Using the scheme's own operators (centered time differences, assembled
     divergence stencil) makes (v, h) an exact pair at the discrete level,
     so the estimate check is not polluted by solver error.
 
-    h is allocated once and filled in blocks of time rows (``_row_blocks``):
-    each block is (a v_x)_x, plus v_t from the block and one halo row on each
-    side (three rows at least, so rows 0 and M keep their one-sided
-    formulas), minus c v.  Every element goes through the operations of
-    ``_div_a_grad(op, v) + _derivative(v, dt, 0) - c * v`` in that order, so
-    h is that whole-field expression bit for bit, whatever the blocks, and
-    no field-sized temporary is formed beside v and h.
+    v is never a field.  h is allocated once and filled in blocks of time rows
+    (``_row_blocks``); each block samples v_func, which must be elementwise as
+    ``Field.from_function`` requires, on its rows and the halo rows v_t reads
+    (``_halo``).  Every element goes through the operations of
+    ``_div_a_grad(op, v) + _derivative(v, dt, 0) - c * v`` in that order, so h
+    is that whole-field expression bit for bit, whatever the blocks.
     """
     c = potential.values(grid)
-    v = Field.from_function(grid, v_func)
     op = assemble_operator(model, grid)
-    res = np.empty_like(v.values)
+    res = np.empty((grid.M + 1, grid.N + 1))
     for blk in _row_blocks(grid.M + 1, _PAIR_NODE_BYTES * (grid.N + 1)):
-        rows = _div_a_grad(op, v.values[blk])
-        rows += _derivative(v.values, grid.dt, 0, blk)
-        np.subtract(rows, c[blk] * v.values[blk], out=res[blk])
-    return v, Field(grid, res)
+        window = _halo(blk, grid.M + 1)
+        v = _sample_rows(v_func, grid, window)
+        own = slice(blk.start - window.start, blk.stop - window.start)
+        rows = _div_a_grad(op, v[own])
+        rows += _derivative(v, grid.dt, 0, own)
+        np.subtract(rows, c[blk] * v[own], out=res[blk])
+    return Field(grid, res)
 
 
-def carleman_scan(model, params_base: WeightParams, grid: SpaceTimeGrid, v: Field,
+def carleman_scan(model, params_base: WeightParams, grid: SpaceTimeGrid, v,
                   h: Field, s_values=None, window_tol: float = 0.05) -> CarlemanReport:
     """Sweep the weighted estimate over s and fit the stability constant.
 
@@ -443,6 +450,9 @@ def carleman_scan(model, params_base: WeightParams, grid: SpaceTimeGrid, v: Fiel
     not positive, NaN included.
     fitted_C is the largest ratio at s >= s0_observed.  It is measured on the one
     profile v, so it is a lower bound for the discrete Carleman constant.
+
+    v is the profile v(t, x) of ``manufactured_adjoint_pair``, not a field: each
+    block of rows samples it beside its rows of h (``_sample_rows``).
 
     Both sides are multiplied by the common positive factor e^{-2s max phi}
     before integrating, i.e. the exponential weight is evaluated as
@@ -497,12 +507,13 @@ def carleman_scan(model, params_base: WeightParams, grid: SpaceTimeGrid, v: Fiel
         n = blk.stop - blk.start
         stack, phi_shift, E, flushed = stack_buf[:n], phi_buf[:n], E_buf[:n], flushed_buf[:n]
         rows = slice(blk.start + 1, blk.stop + 1)
-        v_x = _derivative(v.values[rows], grid.h, axis=1)
-        for k, f in enumerate((v_x, v.values[rows], h.values[rows])):
+        v_rows = _sample_rows(v, grid, rows)
+        v_x = _derivative(v_rows, grid.h, axis=1)
+        for k, f in enumerate((v_x, v_rows, h.values[rows])):
             np.multiply(f, f, out=stack[:, k])
             stack[:, k] *= x_factors[k]
         bdry_x[blk] = bdry_a * v_x[:, [0, -1]] ** 2
-        del v_x
+        del v_rows, v_x
         np.multiply(th[blk, None], psi_x[None, :], out=phi_shift)
         phi_shift -= phi_max
         for k, s in enumerate(s_values):
@@ -602,7 +613,9 @@ def caccioppoli_check(model, params: WeightParams, grid: SpaceTimeGrid, v: Field
         outer     = tw @ (v^2[:, omega] @ (chi sw)[omega]),
     and local = e^m times the mantissa, which underflows to 0 where e^{2s phi}
     does (T = 1/2 puts 2 s phi near -4e4) while log local stays finite.
-    e^{L - m} is flushed to 0 below the log of the smallest normal.
+    e^{L - m} is flushed to 0 below the log of the smallest normal.  The outer
+    integral is taken first, so its v^2 is gone before L and the local
+    integrand are formed.
     """
     _require_caccioppoli_geometry(model.x0, omega_prime, omega)
     chi_p = ControlConfig(*omega_prime).indicator(grid)
@@ -610,6 +623,7 @@ def caccioppoli_check(model, params: WeightParams, grid: SpaceTimeGrid, v: Field
     near, far = _support(chi_p), _support(chi)
     sw = grid.space_weights()
     tw = grid.time_weights()
+    outer = float(tw @ (np.square(v.values[:, far]) @ (chi * sw)[far]))
     weight = log2s_phi(params, model, grid.t[:, None], grid.x[None, near])
     shift = float(np.max(weight, initial=-np.inf))   # -inf: no node of omega' inside (0, T)
     mantissa = 0.0
@@ -621,7 +635,6 @@ def caccioppoli_check(model, params: WeightParams, grid: SpaceTimeGrid, v: Field
         local_integrand *= weight
         mantissa = float(tw @ (local_integrand @ (chi_p * sw)[near]))
     local = mantissa * math.exp(shift)
-    outer = float(tw @ (np.square(v.values[:, far]) @ (chi * sw)[far]))
     ratio = np.inf if outer == 0.0 and local > 0.0 else (0.0 if outer == 0.0 else local / outer)
     if mantissa > 0.0 and outer > 0.0:
         log_mantissa, log_outer = math.log(mantissa), math.log(outer)

@@ -116,8 +116,9 @@ def test_4_carleman_scan(capsys):
         for N in (200, 400):
             g = SpaceTimeGrid.create(N, 2 * N, T, x0)
             params = WeightParams.for_model(m, T=T, s=1.0)
-            v, h = manufactured_adjoint_pair(
-                m, pot, g, lambda t, x: t * (T - t) * (x - x0) ** 2 * x * (1 - x))
+            def v(t, x):
+                return t * (T - t) * (x - x0) ** 2 * x * (1 - x)
+            h = manufactured_adjoint_pair(m, pot, g, v)
             reports.append(carleman_scan(m, params, g, v, h, s_values=s_values))
         coarse, fine = reports
         tag = f"c={cval:g}"

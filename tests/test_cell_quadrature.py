@@ -49,10 +49,7 @@ def reference_hp_matrices(weight, grid):
     def p(y):
         return abs(y - weight.x0) ** gamma
 
-    # distances from the x0 node, which is 0 from itself even where linspace
-    # puts it a rounding error off x0
-    d = np.abs(x - weight.x0)
-    d[grid.x0_index] = 0.0
+    d = np.abs(x - weight.x0)       # 0 at the x0 node, which the grid puts at x0 exactly
     pv = d ** gamma
 
     p_cell = np.empty(N)
@@ -159,7 +156,6 @@ def test_hp_matrices_match_per_cell_loops(name, x0, N):
     grid = SpaceTimeGrid.create(N, 1, 1.0, x0)
     # the smallest exponent is that of the mass cells, e = gamma - 1
     d = np.abs(grid.x - x0)
-    d[grid.x0_index] = 0.0
     rtol = (cancellation_rtol(grid.N, weight.gamma - 1.0)
             + fit_rtol(weight.gamma, np.min(d[d > 0.0])))
     for new, ref in zip(_hp_matrices(weight, grid), reference_hp_matrices(weight, grid)):

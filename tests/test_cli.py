@@ -208,6 +208,12 @@ class TestConfigHandling:
         ("check-coeff", "grid.N", "1e12"),
         ("hp", "hp.N", "1e12"),
         ("all", "grid.N", "1e12"),
+        # a finest level of more nodes than an array can hold: a ValueError traceback
+        # from np.linspace, or an OverflowError one from T / M
+        ("null-control --set grid.T=1e10", "grid.M", "1e307"),
+        ("null-control", "grid.M", "1e308"),
+        ("all", "grid.N", "1e19"),
+        ("hp", "hp.N", "1e19"),
         # the seed: another key named, a traceback, or silently truncated
         ("hp", "run.seed", "-1"),
         ("hp", "run.seed", "1.5"),
@@ -673,9 +679,8 @@ class TestSubcommands:
         assert bodies[0] != bodies[1]
 
 
-def _nan_source(pair):
-    v, h = pair
-    return v, Field(h.grid, np.full_like(h.values, np.nan))
+def _nan_source(h):
+    return Field(h.grid, np.full_like(h.values, np.nan))
 
 
 # the verdicts of `all` that restate their inputs (ROADMAP.md item 22): the first
@@ -745,28 +750,36 @@ class TestEveryVerdictCanFail:
 
 
 class TestLevelLifetime:
-    @pytest.mark.parametrize("task, samplings", [("carleman-identity", 4), ("carleman-scan", 2)])
+    @pytest.mark.parametrize("task, levels", [("carleman-identity", 4), ("carleman-scan", 2)])
     def test_level_fields_die_before_next_level_samples(self, tmp_path, monkeypatch, task,
-                                                        samplings):
-        """When a level samples its profile, no field of an earlier level is alive."""
-        refs = []       # weak references to each field, and its values, a level made or got
-        alive = []      # per profile sampling, how many of them were still alive
+                                                        levels):
+        """When a level samples its profile, no field of an earlier level is alive.
+
+        Each level builds its profile once; the scan's profile is sampled once
+        per row block, while the level's own h is alive, so only the fields of
+        earlier levels are counted."""
+        # (level, weak reference) for each field, and its values, that a level made or got
+        refs = []
+        alive = []      # per profile sampling, how many fields of earlier levels were alive
+        built = []      # one entry per level, as it builds its profile
 
         def track(*fields):
-            refs.extend(weakref.ref(obj) for f in fields for obj in (f, f.values))
+            refs.extend((len(built), weakref.ref(obj)) for f in fields for obj in (f, f.values))
 
         def profile(T, x0, k):
             sample = _carleman_profile(T, x0, k)
+            built.append(k)
+            level = len(built)
 
             def counted(t, x):
-                alive.append(sum(ref() is not None for ref in refs))
+                alive.append(sum(lvl < level and ref() is not None for lvl, ref in refs))
                 return sample(t, x)
             return counted
 
         def pair(*args):
-            v, h = manufactured_adjoint_pair(*args)
-            track(v, h)
-            return v, h
+            h = manufactured_adjoint_pair(*args)
+            track(h)
+            return h
 
         def identity(model, params, grid, w):
             track(w)
@@ -777,7 +790,8 @@ class TestLevelLifetime:
         monkeypatch.setattr(cli, "carleman_identity_check", identity)
         code, _ = run(tmp_path, task, *TINY, "--set", "scan.n_s=5")
         assert code != 1
-        assert refs and alive == [0] * samplings
+        assert len(built) == levels and len(refs) == 2 * levels
+        assert len(alive) >= levels and not any(alive)
 
 
 class TestDeterminism:

@@ -16,6 +16,16 @@ class TestGridConstruction:
         assert g.N == 100
         assert g.x[g.x0_index] == pytest.approx(0.3, abs=1e-15)
 
+    @pytest.mark.parametrize("x0", [0.3, 0.5, 1.0 / 3.0, 0.7])
+    def test_x0_node_is_x0_exactly(self, x0):
+        # linspace alone puts it 5.6e-17 off at N = 20 and 40 for x0 = 0.3, where
+        # a = |x - x0|^0.5 read 7.45e-9 at the degeneracy point
+        for N in range(20, 4001):
+            g = SpaceTimeGrid.create(N, 1, 1.0, x0)
+            assert g.x[g.x0_index] == x0
+        g = SpaceTimeGrid.create(20, 1, 1.0, 0.3)
+        assert CoefficientModel.power_law(0.5, 0.3).eval_a(g.x)[g.x0_index] == 0.0
+
     def test_snapping_adjusts_N_upward(self):
         g = SpaceTimeGrid.create(100, 10, 1.0, 1.0 / 3.0)
         assert g.N == 102
@@ -41,6 +51,11 @@ class TestGridConstruction:
         # T/M rounds to 0, or is so small that 1/(T/M) overflows
         with pytest.raises(ValueError, match=f"T={T} over M=40"):
             SpaceTimeGrid.create(20, 40, T, 0.3)
+
+    def test_time_step_of_an_integer_beyond_the_float_range(self):
+        # T / M raised an OverflowError, which no caller names a key for
+        with pytest.raises(ValueError, match="beyond the floating-point range"):
+            SpaceTimeGrid.create(20, 2 * 10 ** 308, 1.0, 0.3)
 
     def test_smallest_time_step_with_finite_reciprocal(self):
         g = SpaceTimeGrid.create(20, 40, 40 * 6e-309, 0.3)

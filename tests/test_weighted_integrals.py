@@ -14,7 +14,8 @@ quadrature vectors, so each integral is one contraction of the field data.
   which agree with them to rounding.
 
 ``manufactured_adjoint_pair`` must equal its whole-field expression bit for
-bit, whatever the row blocks it fills h in, and ``exp2s_phi`` its reference.
+bit, whatever the row blocks it fills h in and samples its profile v on, and
+``exp2s_phi`` its reference.
 The buffers must keep the memory of each call within a few (M+1)x(N+1)
 fields, and each checker makes a fixed number of calls to the public weight
 and grid functions.
@@ -26,6 +27,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import degenpde.cli as cli
 import degenpde.inequalities as inequalities
 import degenpde.weights as weights
 from degenpde import (CoefficientModel, ControlConfig, Field, PotentialModel, SpaceTimeGrid,
@@ -72,7 +74,8 @@ def reference_exp2s_phi(params, model, t, x):
 
 
 def reference_scan_integrals(model, params_base, grid, v, h, s_values):
-    """(lhs, rhs_source, rhs_boundary) per s."""
+    """(lhs, rhs_source, rhs_boundary) per s, with v sampled as a field."""
+    v = Field.from_function(grid, v)
     x = grid.x
     t = grid.t
     a = model.eval_a(x)
@@ -191,8 +194,9 @@ def support(chi):
 
 
 def ordered_scan_integrals(model, params_base, grid, v, h, s_values):
-    """(lhs, rhs_source, rhs_boundary, |rhs_boundary| integrand) per s; the
-    lhs and source integrands are nonnegative."""
+    """(lhs, rhs_source, rhs_boundary, |rhs_boundary| integrand) per s, with v
+    sampled as a field; the lhs and source integrands are nonnegative."""
+    v = Field.from_function(grid, v)
     x = grid.x
     ti = slice(1, grid.M)
     a = model.eval_a(x)
@@ -305,11 +309,19 @@ def assert_within_rounding(value, reference, absolute):
 # ---------------------------------------------------------------------------
 
 def scan_inputs(model, N=120, T=2.0):
+    """(params, grid, the profile v, its source h)."""
     grid = SpaceTimeGrid.create(N, 2 * N, T, X0)
     params = WeightParams.for_model(model, T=T, s=1.0)
-    v, h = manufactured_adjoint_pair(model, PotentialModel.zero(), grid,
-                                     lambda t, x: t * (T - t) * (x - X0) ** 2 * x * (1.0 - x))
-    return params, grid, v, h
+
+    def v(t, x):
+        return t * (T - t) * (x - X0) ** 2 * x * (1.0 - x)
+    return params, grid, v, manufactured_adjoint_pair(model, PotentialModel.zero(), grid, v)
+
+
+def row_profile(grid, values):
+    """The profile whose samples on any time rows of grid are those rows of the
+    arbitrary (M+1, N+1) array values, each row found by its time."""
+    return lambda t, x: values[np.searchsorted(grid.t, t[:, 0])]
 
 
 def identity_inputs(model, s, N=120, T=1.0, c1=1.0):
@@ -551,10 +563,9 @@ def test_manufactured_pair_bit_identical_across_row_blocks(M, blocking, potentia
     monkeypatch.setattr(inequalities, "_BLOCK_BYTES", rows * row_bytes)
     blocks = inequalities._row_blocks(M + 1, row_bytes)
     assert blocks[-1].stop - blocks[-1].start == last
-    v, h = manufactured_adjoint_pair(model, pot, grid, lambda t, x: values)
+    h = manufactured_adjoint_pair(model, pot, grid, row_profile(grid, values))
     op = assemble_operator(model, grid)
     expected = _div_a_grad(op, values) + _derivative(values, grid.dt, 0) - pot.values(grid) * values
-    assert np.array_equal(v.values, values)
     assert np.array_equal(h.values, expected)
     assert np.array_equal(np.signbit(h.values), np.signbit(expected))
 
@@ -584,10 +595,21 @@ def test_scan_peak_memory():
     params, grid, v, h = scan_inputs(model, N=400)
     _, peak = traced_peak(lambda: carleman_scan(model, params, grid, v, h,
                                                 s_values=default_s_values(10)))
-    # 0.63 measured: one block of about 1 MB (the integrands, phi, E, v_x and the
-    # flush mask), against 1.05 for blocks of 1 MB of integrands alone and 5.16
-    # for the integrands, phi and E on every interior row
+    # 0.62 measured: one block of about 1 MB (the integrands, phi, E, the sampled
+    # v rows, v_x and the flush mask), against 1.05 for blocks of 1 MB of
+    # integrands alone and 5.16 for the integrands, phi and E on every interior row
     assert peak / field_units(grid) < 0.8
+
+
+def test_scan_task_peak_memory(tmp_path):
+    """The carleman-scan task never holds its profile v as a field: each row block
+    samples it, in the pair and in the scan, so a level holds h and one block."""
+    argv = ["carleman-scan", "--set", "grid.N=400", "--set", "grid.M=800", "--out", str(tmp_path)]
+    config = cli.resolve_config(cli._build_parser().parse_args(argv))
+    _, peak = traced_peak(lambda: cli.run_carleman_scan(config, tmp_path))
+    # in fields of the fine level, (N, M) = (800, 1600): 1.20 measured, the fine h
+    # and about 1 MB of block rows, against 2.20 with v a field beside h
+    assert peak / field_units(SpaceTimeGrid.create(800, 1600, 2.0, X0)) < 1.5
 
 
 def test_exp2s_phi_peak_memory():
@@ -609,7 +631,7 @@ def test_identity_peak_memory():
 
 
 def manufactured_pair_peak(N):
-    """Peak of the pair at (N, 2N) in fields, the outputs v and h included."""
+    """Peak of the pair at (N, 2N) in fields, the output h included."""
     model = MODELS["alpha0.5"]
     grid = SpaceTimeGrid.create(N, 2 * N, 2.0, X0)
     _, peak = traced_peak(lambda: manufactured_adjoint_pair(
@@ -619,20 +641,21 @@ def manufactured_pair_peak(N):
 
 
 def test_manufactured_pair_peak_memory():
-    """h is filled in row blocks, so only v, h and one block of rows are live."""
-    # 2.36 measured: the two fields of Field.from_function's copy, then v, h and
-    # about 1 MB of block rows; 2.46 for blocks of 1 MB of three rows, and 3.05
-    # with the residual built on the whole field
-    assert manufactured_pair_peak(400) < 2.45
+    """h is filled in row blocks, each sampling v on its own rows, so only h and
+    one block of rows are live."""
+    # 1.38 measured: h and about 1 MB of block rows; 2.36 with v sampled as a
+    # field first, and 3.05 with the residual built on the whole field as well
+    assert manufactured_pair_peak(400) < 1.5
 
 
 def test_manufactured_pair_fine_peak_memory():
     """At the fine level of the presets the block rows are a tenth of a field."""
-    assert manufactured_pair_peak(800) < 2.25     # 2.09 measured, 3.01 unstreamed
+    assert manufactured_pair_peak(800) < 1.2     # 1.10 measured, 2.09 with v a field
 
 
 def test_caccioppoli_peak_memory():
-    """E, v_x and v^2 are formed only on the columns of omega' and omega."""
+    """E, v_x and v^2 are formed only on the columns of omega' and omega, and v^2
+    only before the other two."""
     model = MODELS["alpha0.5"]
     grid = SpaceTimeGrid.create(400, 800, 2.0, X0)
     _, modes = dirichlet_eigenmodes(assemble_operator(model, grid), 1)
@@ -640,7 +663,9 @@ def test_caccioppoli_peak_memory():
     params = WeightParams.for_model(model, T=2.0, s=1.0)
     _, peak = traced_peak(
         lambda: caccioppoli_check(model, params, grid, v, (0.35, 0.45), (0.2, 0.5)))
-    assert peak / field_units(grid) < 0.9     # 0.54 measured
+    # 0.33 measured: the outer v^2 is gone before L and the local integrand are
+    # formed, against 0.54 with all three held at once
+    assert peak / field_units(grid) < 0.4
 
 
 # ---------------------------------------------------------------------------
