@@ -27,11 +27,11 @@ import numpy as np
 
 from .coefficients import CoefficientModel, check_hypotheses
 from .control import estimate_observability, synthesize_null_control
-from .grid import (Field, SpaceTimeGrid, _require_time_step, _snap_N, assemble_operator,
+from .grid import (SpaceTimeGrid, _require_time_step, _snap_N, assemble_operator,
                    dirichlet_eigenmodes)
-from .inequalities import (HardyWeight, _require_caccioppoli_geometry, caccioppoli_check,
-                           carleman_identity_check, carleman_scan, default_s_values,
-                           hp_verify, manufactured_adjoint_pair)
+from .inequalities import (_S_RATIO, HardyWeight, _require_caccioppoli_geometry,
+                           caccioppoli_check, carleman_identity_check, carleman_scan,
+                           default_s_values, hp_verify, manufactured_adjoint_pair)
 from .solvers import ControlConfig, PotentialModel, _require_dominance, solve_adjoint
 from .weights import _LOG_MAX, WeightParams, _require_finite_theta
 
@@ -206,7 +206,8 @@ def resolve_config(args) -> dict:
             raise ConfigError("grid.T", f"T={T:g} makes the bound (T/2)^20 on w^2 overflow")
     if "carleman-scan" in tasks:
         T, n = float(config["scan"]["T"]), int(config["scan"]["n_s"]) - 1
-        _require_finite_factor("scan.T", T, M, "scan.n_s", n * math.log(1.5), f"s = 1.5^{n}")
+        _require_finite_factor("scan.T", T, M, "scan.n_s", n * math.log(_S_RATIO),
+                               f"s = {_S_RATIO:g}^{n}")
         # the profile v = t (T - t) S(x) peaks in t at (T/2)^2, with |S| <= 1, and at
         # T >= 1/2 its source h = v_t + (a v_x)_x - c v has |h| <= (10 + |c|) (T/2)^2, as
         # |(a S')'| <= 9.5; the integral of h^2 over [0, T] x [0, 1] is the largest
@@ -429,16 +430,13 @@ def _carleman_profile(T: float, x0: float, k: int):
 
 
 # Each level of a refinement-pair task runs in its own function, which returns
-# only the level's report and CSV rows: the level's fields die on return,
-# before the next level samples its own.
+# only the level's report and CSV rows: what the level holds (Caccioppoli's
+# adjoint field) dies on return, before the next level builds its own.
 
 def _identity_level(config: dict, model, grid: SpaceTimeGrid, s: float):
     T = config["grid"]["T"]
     params = build_weight_params(config, model, T, s)
-    # the profile is a fresh C-contiguous array of the grid's shape, so the field
-    # takes it as its values, where Field.from_function would copy it
-    w = Field(grid, _carleman_profile(T, model.x0, 5)(grid.t[:, None], grid.x[None, :]))
-    rep = carleman_identity_check(model, params, grid, w)
+    rep = carleman_identity_check(model, params, grid, _carleman_profile(T, model.x0, 5))
     return rep, [[s, grid.N, grid.M, rep.lhs, rep.rhs, rep.residual]]
 
 
@@ -467,9 +465,8 @@ def run_carleman_identity(config: dict, out_dir: Path) -> tuple[list, dict]:
 def _scan_level(config: dict, model, potential, grid: SpaceTimeGrid, s_values):
     T = config["scan"]["T"]
     params = build_weight_params(config, model, T, s_values[0])
-    v = _carleman_profile(T, model.x0, 1)
-    h = manufactured_adjoint_pair(model, potential, grid, v)
-    rep = carleman_scan(model, params, grid, v, h, s_values=s_values, window_tol=0.05)
+    pair = manufactured_adjoint_pair(model, potential, grid, _carleman_profile(T, model.x0, 1))
+    rep = carleman_scan(model, params, grid, pair, s_values=s_values, window_tol=0.05)
     return rep, [[grid.N, rep.s_values[k], rep.lhs[k], rep.rhs_source[k],
                   rep.rhs_boundary[k], rep.ratios[k]] for k in range(s_values.size)]
 

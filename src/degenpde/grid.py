@@ -137,10 +137,6 @@ class Field:
         """
         return cls(grid, np.array(_sample_rows(f, grid), order="C"))
 
-    def is_dirichlet(self, tol: float = 0.0) -> bool:
-        return bool(np.all(np.abs(self.values[:, 0]) <= tol)
-                    and np.all(np.abs(self.values[:, -1]) <= tol))
-
     def to_csv(self) -> str:
         """Serialize as RFC-4180 CSV with header t,x,value.
 

@@ -182,15 +182,13 @@ _BLOCK_BYTES = 1 << 20
 
 # The bytes per node of one time row that a block holds, counted as float64
 # arrays of N + 1 values (8 bytes a node) and boolean ones (1 byte a node):
-#   carleman_scan: the stacked P, Q, H integrands (three), phi - max phi, E,
-#     the sampled v rows, v_x and the flush mask, 7 1/8 arrays;
-#   carleman_identity_check: L+ from op.apply and its scratch, w_x, inner and
-#     the c_q2 q2 temporary, 5 arrays;
-#   manufactured_adjoint_pair: the sampled v rows with their halo, op.apply's
-#     output and its scratch, the t-derivative and c v, 5 arrays.
-_SCAN_NODE_BYTES = 7 * 8 + 1
-_IDENTITY_NODE_BYTES = 5 * 8
-_PAIR_NODE_BYTES = 5 * 8
+#   carleman_scan: the stacked P, Q, H integrands (three), phi - max phi, E and
+#     the flush mask; the pair's sampled v rows with their halo, its h rows from
+#     op.apply, op.apply's scratch, the t-derivative and c v; and v_x, 11 1/8 arrays;
+#   carleman_identity_check: the sampled w rows with their halo, L+ from
+#     op.apply and its scratch, w_x, inner and the c_q2 q2 temporary, 6 arrays.
+_SCAN_NODE_BYTES = 11 * 8 + 1
+_IDENTITY_NODE_BYTES = 6 * 8
 
 
 def _row_blocks(n_rows: int, row_bytes: int) -> list[slice]:
@@ -263,16 +261,18 @@ class IdentityReport:
 
 
 def carleman_identity_check(model, params: WeightParams, grid: SpaceTimeGrid,
-                            w: Field) -> IdentityReport:
+                            w) -> IdentityReport:
     """Check the distributed + boundary decomposition of <L+ w, L- w>.
 
     The conjugated operators are
         L+ w = (a w_x)_x - s phi_t w + s^2 a phi_x^2 w,
         L- w = w_t - 2 s a phi_x w_x - s (a phi_x)_x w,
     with the exact simplifications a phi_x = c1 Theta (x - x0) and
-    (a phi_x)_x = c1 Theta.  w must vanish on the spatial boundary for all t
-    and at t = 0, T for all x; integrands carrying unbounded Theta powers
-    are then zero at the time endpoints and are set so.
+    (a phi_x)_x = c1 Theta.  w is the profile w(t, x), elementwise as
+    ``Field.from_function`` requires, and never a field.  It must vanish (a NaN
+    does not) on the spatial boundary for all t and at t = 0, T for all x;
+    integrands carrying unbounded Theta powers are then zero at the time
+    endpoints and are set so.
 
     Every factor but w and its derivatives is a function of t alone or of x
     alone.  The coefficients of L+- are outer products of t and x vectors
@@ -281,20 +281,19 @@ def carleman_identity_check(model, params: WeightParams, grid: SpaceTimeGrid,
     (x - x0)^2 / a = q2 (``_q2``) and (2a - (x - x0) a') / a = 2 - alpha, the
     three w^2 terms contract with the two columns psi sw and q2 sw, and the
     boundary terms are one bracket [f]_{x=0}^{x=1}.  The interior time rows are
-    streamed in blocks (``_row_blocks``; w_t reads one halo row on each
-    side), so no stencil or product is formed on the whole grid, and every
-    row sum is taken one row at a time (``_row_dots``).  The values are those
-    of this order of operations bit for bit, whatever the blocks, and agree
-    with the integrand-first formulas to rounding.
+    streamed in blocks (``_row_blocks``), each sampling w on its rows and the
+    halo row on each side that w_t reads, so no stencil or product is formed on
+    the whole grid, and every row sum is taken one row at a time
+    (``_row_dots``).  The values are those of this order of operations bit for
+    bit, whatever the blocks, and agree with the integrand-first formulas to
+    rounding.
     """
-    if not w.is_dirichlet(1e-13):
-        raise ValueError("w must vanish at x = 0 and x = 1 for all t")
-    if np.max(np.abs(w.values[0])) > 1e-13 or np.max(np.abs(w.values[-1])) > 1e-13:
+    M, N = grid.M, grid.N
+    if not np.all(np.abs(_sample_rows(w, grid, slice(0, M + 1, M))) <= 1e-13):
         raise ValueError("w must vanish at t = 0 and t = T for all x")
 
     s, c1 = params.s, params.c1
     x, t, h, dt = grid.x, grid.t, grid.h, grid.dt
-    M, N = grid.M, grid.N
     interior_t = slice(1, M)
 
     a = model.eval_a(x)
@@ -309,7 +308,6 @@ def carleman_identity_check(model, params: WeightParams, grid: SpaceTimeGrid,
     th_dd = theta_ddot(params, t[interior_t])
 
     op = assemble_operator(model, grid)
-    wv = w.values
     sw = grid.space_weights()
     tw = grid.time_weights()[interior_t]
     w2_vectors = np.column_stack((psi_x * sw, q2 * sw))
@@ -326,7 +324,10 @@ def carleman_identity_check(model, params: WeightParams, grid: SpaceTimeGrid,
     lhs_rows = np.empty(M - 1)
     w_b, wx_b, wt_b = np.empty((3, M - 1, 2))
     for blk in _row_blocks(M - 1, _IDENTITY_NODE_BYTES * (N + 1)):
-        wi = wv[blk.start + 1:blk.stop + 1]
+        wv = _sample_rows(w, grid, slice(blk.start, blk.stop + 2))   # the rows blk + 1 and a halo
+        if not np.all(np.abs(wv[:, [0, -1]]) <= 1e-13):
+            raise ValueError("w must vanish at x = 0 and x = 1 for all t")
+        wi = wv[1:-1]
         # (a w_x)_x becomes L+ in place, and w_x's buffer becomes L- once the w_x
         # terms are taken, w_t differenced into it; one more buffer holds each product
         L_plus = _div_a_grad(op, wi)
@@ -345,7 +346,7 @@ def carleman_identity_check(model, params: WeightParams, grid: SpaceTimeGrid,
         np.multiply(c_wx[blk, None], d, out=inner)
         inner *= w_x
         L_minus = w_x
-        np.subtract(wv[blk.start + 2:blk.stop + 2], wv[blk.start:blk.stop], out=L_minus)
+        np.subtract(wv[2:], wv[:-2], out=L_minus)
         L_minus /= 2.0 * dt                      # w_t
         wt_b[blk] = L_minus[:, [0, -1]]
         L_minus -= inner
@@ -402,41 +403,46 @@ class CarlemanReport:
     nonpositive_rhs: bool
 
 
-def default_s_values(n: int = 12, start: float = 1.0, ratio: float = 1.5) -> np.ndarray:
+_S_RATIO = 1.5         # the ratio of the scan's geometric s ladder
+
+
+def default_s_values(n: int = 12, start: float = 1.0, ratio: float = _S_RATIO) -> np.ndarray:
     """Geometric scan grid for the large parameter."""
     return start * ratio ** np.arange(n)
 
 
-def manufactured_adjoint_pair(model, potential: PotentialModel, grid: SpaceTimeGrid,
-                              v_func) -> Field:
-    """h, the discrete residual v_t + (a v_x)_x - c v of the profile v = v_func(t, x).
+def manufactured_adjoint_pair(model, potential: PotentialModel, grid: SpaceTimeGrid, v_func):
+    """pair(rows) -> (v, h) on the time rows ``rows``: the profile v = v_func(t, x)
+    and its discrete residual h = v_t + (a v_x)_x - c v.
 
     Using the scheme's own operators (centered time differences, assembled
     divergence stencil) makes (v, h) an exact pair at the discrete level,
     so the estimate check is not polluted by solver error.
 
-    v is never a field.  h is allocated once and filled in blocks of time rows
-    (``_row_blocks``); each block samples v_func, which must be elementwise as
-    ``Field.from_function`` requires, on its rows and the halo rows v_t reads
-    (``_halo``).  Every element goes through the operations of
-    ``_div_a_grad(op, v) + _derivative(v, dt, 0) - c * v`` in that order, so h
-    is that whole-field expression bit for bit, whatever the blocks.
+    The operator is assembled, c read and the grid checked here; neither v nor
+    h is ever a field.  Each call samples v_func, which must be elementwise as
+    ``Field.from_function`` requires, on ``rows`` and the halo rows v_t reads
+    (``_halo``), and puts every element through the operations of
+    ``_div_a_grad(op, v) + _derivative(v, dt, 0) - c * v`` in that order: its
+    rows are those of that whole-field expression bit for bit.
     """
     c = potential.values(grid)
     op = assemble_operator(model, grid)
-    res = np.empty((grid.M + 1, grid.N + 1))
-    for blk in _row_blocks(grid.M + 1, _PAIR_NODE_BYTES * (grid.N + 1)):
-        window = _halo(blk, grid.M + 1)
+    _div_a_grad(op, c[:0])      # no rows: rejects a grid too small for the stencil
+
+    def pair(rows: slice):
+        window = _halo(rows, grid.M + 1)
         v = _sample_rows(v_func, grid, window)
-        own = slice(blk.start - window.start, blk.stop - window.start)
-        rows = _div_a_grad(op, v[own])
-        rows += _derivative(v, grid.dt, 0, own)
-        np.subtract(rows, c[blk] * v[own], out=res[blk])
-    return Field(grid, res)
+        own = slice(rows.start - window.start, rows.stop - window.start)
+        h = _div_a_grad(op, v[own])
+        h += _derivative(v, grid.dt, 0, own)
+        h -= c[rows] * v[own]
+        return v[own], h
+    return pair
 
 
-def carleman_scan(model, params_base: WeightParams, grid: SpaceTimeGrid, v,
-                  h: Field, s_values=None, window_tol: float = 0.05) -> CarlemanReport:
+def carleman_scan(model, params_base: WeightParams, grid: SpaceTimeGrid, pair,
+                  s_values=None, window_tol: float = 0.05) -> CarlemanReport:
     """Sweep the weighted estimate over s and fit the stability constant.
 
     For each s:
@@ -451,8 +457,8 @@ def carleman_scan(model, params_base: WeightParams, grid: SpaceTimeGrid, v,
     fitted_C is the largest ratio at s >= s0_observed.  It is measured on the one
     profile v, so it is a lower bound for the discrete Carleman constant.
 
-    v is the profile v(t, x) of ``manufactured_adjoint_pair``, not a field: each
-    block of rows samples it beside its rows of h (``_sample_rows``).
+    pair is the row sampler of ``manufactured_adjoint_pair``: each block of
+    rows calls it once for its rows of v and h, so neither is ever a field.
 
     Both sides are multiplied by the common positive factor e^{-2s max phi}
     before integrating, i.e. the exponential weight is evaluated as
@@ -475,8 +481,8 @@ def carleman_scan(model, params_base: WeightParams, grid: SpaceTimeGrid, v,
     integrand-first formula to rounding.
     """
     s_values = default_s_values() if s_values is None else np.asarray(s_values, dtype=float)
-    if np.any(s_values < 0.0) or np.any(np.diff(s_values) < 0.0):
-        raise ValueError(f"s must be nonnegative and nondecreasing, got {s_values}")
+    if not np.all(np.isfinite(s_values) & (s_values >= 0.0)) or np.any(np.diff(s_values) < 0.0):
+        raise ValueError(f"s must be nonnegative, nondecreasing and finite, got {s_values}")
     x = grid.x
     n_rows = grid.M - 1
     interior_t = slice(1, grid.M)
@@ -506,14 +512,13 @@ def carleman_scan(model, params_base: WeightParams, grid: SpaceTimeGrid, v,
     for blk in blocks:
         n = blk.stop - blk.start
         stack, phi_shift, E, flushed = stack_buf[:n], phi_buf[:n], E_buf[:n], flushed_buf[:n]
-        rows = slice(blk.start + 1, blk.stop + 1)
-        v_rows = _sample_rows(v, grid, rows)
+        v_rows, h_rows = pair(slice(blk.start + 1, blk.stop + 1))
         v_x = _derivative(v_rows, grid.h, axis=1)
-        for k, f in enumerate((v_x, v_rows, h.values[rows])):
+        for k, f in enumerate((v_x, v_rows, h_rows)):
             np.multiply(f, f, out=stack[:, k])
             stack[:, k] *= x_factors[k]
         bdry_x[blk] = bdry_a * v_x[:, [0, -1]] ** 2
-        del v_rows, v_x
+        del v_rows, h_rows, v_x
         np.multiply(th[blk, None], psi_x[None, :], out=phi_shift)
         phi_shift -= phi_max
         for k, s in enumerate(s_values):

@@ -6,7 +6,7 @@ line on the live terminal (bypassing capture) before asserting.
 
 import numpy as np
 
-from degenpde import (CoefficientModel, ControlConfig, Field, HardyWeight,
+from degenpde import (CoefficientModel, ControlConfig, HardyWeight,
                       PotentialModel, SpaceTimeGrid, carleman_identity_check,
                       carleman_scan, check_hypotheses, estimate_observability,
                       hp_verify, manufactured_adjoint_pair, solve_adjoint,
@@ -86,8 +86,7 @@ def test_3_carleman_identity(capsys):
                 residuals = []
                 for N, M in ((200, 400), (400, 800)):
                     g = SpaceTimeGrid.create(N, M, T, x0)
-                    w = Field.from_function(g, make(T, x0))
-                    residuals.append(carleman_identity_check(m, params, g, w).residual)
+                    residuals.append(carleman_identity_check(m, params, g, make(T, x0)).residual)
                 factor = residuals[0] / residuals[1]
                 worst_res = max(worst_res, residuals[1])
                 worst_factor = min(worst_factor, factor)
@@ -118,8 +117,8 @@ def test_4_carleman_scan(capsys):
             params = WeightParams.for_model(m, T=T, s=1.0)
             def v(t, x):
                 return t * (T - t) * (x - x0) ** 2 * x * (1 - x)
-            h = manufactured_adjoint_pair(m, pot, g, v)
-            reports.append(carleman_scan(m, params, g, v, h, s_values=s_values))
+            pair = manufactured_adjoint_pair(m, pot, g, v)
+            reports.append(carleman_scan(m, params, g, pair, s_values=s_values))
         coarse, fine = reports
         tag = f"c={cval:g}"
         if not np.all(np.isfinite(coarse.ratios)) or not np.all(np.isfinite(fine.ratios)):

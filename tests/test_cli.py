@@ -2,16 +2,14 @@ import csv
 import dataclasses
 import json
 import struct
-import weakref
 
 import numpy as np
 import pytest
 
 import degenpde.cli as cli
-from degenpde import CoefficientModel, Field, SpaceTimeGrid
+from degenpde import CoefficientModel, SpaceTimeGrid
 from degenpde.cli import DEFAULT_CONFIG, PRESETS, _carleman_profile, build_model, main, verdict
 from degenpde.control import synthesize_null_control
-from degenpde.inequalities import carleman_identity_check, manufactured_adjoint_pair
 
 LEAVES = [f"{section}.{leaf}" for section, leaves in DEFAULT_CONFIG.items()
           for leaf in leaves]
@@ -679,8 +677,11 @@ class TestSubcommands:
         assert bodies[0] != bodies[1]
 
 
-def _nan_source(h):
-    return Field(h.grid, np.full_like(h.values, np.nan))
+def _nan_source(pair):
+    def nan_pair(rows):
+        v, h = pair(rows)
+        return v, np.full_like(h, np.nan)
+    return nan_pair
 
 
 # the verdicts of `all` that restate their inputs (ROADMAP.md item 22): the first
@@ -747,51 +748,6 @@ class TestEveryVerdictCanFail:
         summary = json.loads((out / "summary.json").read_text())
         verdicts = {v["name"]: v["pass"] for v in summary["verdicts"]}
         assert fails <= set(verdicts) and not any(verdicts[n] for n in fails)
-
-
-class TestLevelLifetime:
-    @pytest.mark.parametrize("task, levels", [("carleman-identity", 4), ("carleman-scan", 2)])
-    def test_level_fields_die_before_next_level_samples(self, tmp_path, monkeypatch, task,
-                                                        levels):
-        """When a level samples its profile, no field of an earlier level is alive.
-
-        Each level builds its profile once; the scan's profile is sampled once
-        per row block, while the level's own h is alive, so only the fields of
-        earlier levels are counted."""
-        # (level, weak reference) for each field, and its values, that a level made or got
-        refs = []
-        alive = []      # per profile sampling, how many fields of earlier levels were alive
-        built = []      # one entry per level, as it builds its profile
-
-        def track(*fields):
-            refs.extend((len(built), weakref.ref(obj)) for f in fields for obj in (f, f.values))
-
-        def profile(T, x0, k):
-            sample = _carleman_profile(T, x0, k)
-            built.append(k)
-            level = len(built)
-
-            def counted(t, x):
-                alive.append(sum(lvl < level and ref() is not None for lvl, ref in refs))
-                return sample(t, x)
-            return counted
-
-        def pair(*args):
-            h = manufactured_adjoint_pair(*args)
-            track(h)
-            return h
-
-        def identity(model, params, grid, w):
-            track(w)
-            return carleman_identity_check(model, params, grid, w)
-
-        monkeypatch.setattr(cli, "_carleman_profile", profile)
-        monkeypatch.setattr(cli, "manufactured_adjoint_pair", pair)
-        monkeypatch.setattr(cli, "carleman_identity_check", identity)
-        code, _ = run(tmp_path, task, *TINY, "--set", "scan.n_s=5")
-        assert code != 1
-        assert len(built) == levels and len(refs) == 2 * levels
-        assert len(alive) >= levels and not any(alive)
 
 
 class TestDeterminism:

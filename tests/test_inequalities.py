@@ -172,8 +172,7 @@ class TestCarlemanIdentity:
         residuals = []
         for N, M in ((100, 200), (200, 400)):
             g = SpaceTimeGrid.create(N, M, T, 0.3)
-            w = Field.from_function(g, identity_profile(T, 0.3))
-            rep = carleman_identity_check(m, params, g, w)
+            rep = carleman_identity_check(m, params, g, identity_profile(T, 0.3))
             residuals.append(rep.residual)
         assert residuals[1] < 5e-2
         assert residuals[0] / residuals[1] >= 3.0
@@ -184,7 +183,7 @@ class TestCarlemanIdentity:
         m = CoefficientModel.power_law(0.5, 0.3)
         T = 1.0
         g = SpaceTimeGrid.create(100, 200, T, 0.3)
-        w = Field.from_function(g, identity_profile(T, 0.3))
+        w = identity_profile(T, 0.3)
         scale = abs(carleman_identity_check(
             m, WeightParams.for_model(m, T=T, s=1.0), g, w).lhs)
         rep = carleman_identity_check(m, WeightParams.for_model(m, T=T, s=0.0), g, w)
@@ -195,12 +194,19 @@ class TestCarlemanIdentity:
         m = CoefficientModel.power_law(0.5, 0.3)
         g = SpaceTimeGrid.create(50, 50, 1.0, 0.3)
         params = WeightParams.for_model(m, T=1.0, s=1.0)
-        bad_space = Field.from_function(g, lambda t, x: (t * (1 - t)) ** 5 * (x + 0.1))
-        with pytest.raises(ValueError):
-            carleman_identity_check(m, params, g, bad_space)
-        bad_time = Field.from_function(g, lambda t, x: x * (1 - x))
-        with pytest.raises(ValueError):
-            carleman_identity_check(m, params, g, bad_time)
+        with pytest.raises(ValueError, match="x = 0 and x = 1"):
+            carleman_identity_check(m, params, g, lambda t, x: (t * (1 - t)) ** 5 * (x + 0.1))
+        with pytest.raises(ValueError, match="t = 0 and t = T"):
+            carleman_identity_check(m, params, g, lambda t, x: x * (1 - x))
+        # a NaN is not small: on the t = 0 row away from x = 0, 1, and at x = 1 on
+        # an interior row, it raises instead of giving a NaN residual
+        g = SpaceTimeGrid.create(20, 40, 1.0, 0.3)
+        for t_nan, x_nan, where in ((0.0, 0.5, "t = 0"), (0.5, 1.0, "x = 1")):
+            def with_nan(t, x, t_nan=t_nan, x_nan=x_nan):
+                return identity_profile(1.0, 0.3)(t, x) + np.where(
+                    (t == t_nan) & (x == x_nan), np.nan, 0.0)
+            with pytest.raises(ValueError, match=where):
+                carleman_identity_check(m, params, g, with_nan)
 
     def test_three_nodes_rejected(self):
         """(a w_x)_x extrapolates its end values from four nodes: three raise a
@@ -208,7 +214,7 @@ class TestCarlemanIdentity:
         m = CoefficientModel.power_law(0.5, 0.5)
         g = SpaceTimeGrid.create(2, 4, 1.0, 0.5)
         params = WeightParams.for_model(m, T=1.0, s=1.0)
-        w = Field.from_function(g, identity_profile(1.0, 0.5))
+        w = identity_profile(1.0, 0.5)
         with pytest.raises(ValueError, match="4 nodes in x, got 3"):
             carleman_identity_check(m, params, g, w)
         with pytest.raises(ValueError, match="4 nodes in x, got 3"):
@@ -225,16 +231,15 @@ class TestCarlemanScan:
         g = SpaceTimeGrid.create(N, 2 * N, T, x0)
         pot = PotentialModel.zero() if cval == 0.0 else PotentialModel.constant(cval)
         params = WeightParams.for_model(m, T=T, s=1.0)
-        v = scan_profile(T, x0)
-        return m, params, pot, g, v, manufactured_adjoint_pair(m, pot, g, v)
+        return m, params, pot, g, manufactured_adjoint_pair(m, pot, g, scan_profile(T, x0))
 
     def test_default_s_values_geometric(self):
         s = default_s_values(5, 1.0, 1.5)
         np.testing.assert_allclose(s, [1.0, 1.5, 2.25, 3.375, 5.0625], rtol=1e-14)
 
     def test_ratios_finite_and_tail_nonincreasing(self):
-        m, params, pot, g, v, h = self.make_scan()
-        rep = carleman_scan(m, params, g, v, h)
+        m, params, pot, g, pair = self.make_scan()
+        rep = carleman_scan(m, params, g, pair)
         assert np.all(np.isfinite(rep.ratios))
         assert not rep.nonpositive_rhs
         assert rep.window_found
@@ -245,8 +250,8 @@ class TestCarlemanScan:
     def test_rising_ratios_find_no_window(self, n_s):
         """At N = 20 every step rises by more than 5%: no window, and s0 and
         fitted_C fall back to the last scan point, finite."""
-        m, params, pot, g, v, h = self.make_scan(N=20)
-        rep = carleman_scan(m, params, g, v, h, s_values=default_s_values(n_s))
+        m, params, pot, g, pair = self.make_scan(N=20)
+        rep = carleman_scan(m, params, g, pair, s_values=default_s_values(n_s))
         assert np.all(rep.ratios[1:] > rep.ratios[:-1] * 1.05)
         assert rep.window_found is False
         assert rep.s0_observed == rep.s_values[-1]
@@ -256,14 +261,14 @@ class TestCarlemanScan:
         """At N = 20 the rises fall from step to step; a window_tol between two
         of them puts s0 one past the last step that rises by more, and a
         window of two points is none."""
-        m, params, pot, g, v, h = self.make_scan(N=20)
+        m, params, pot, g, pair = self.make_scan(N=20)
         s_values = default_s_values(5)
-        ratios = carleman_scan(m, params, g, v, h, s_values=s_values).ratios
+        ratios = carleman_scan(m, params, g, pair, s_values=s_values).ratios
         rises = ratios[1:] / ratios[:-1] - 1.0
         assert np.all(np.diff(rises) < 0.0)
         tols = [2.0 * rises[0], *(0.5 * (rises[:-1] + rises[1:]))]
         for start, tol in enumerate(tols):
-            rep = carleman_scan(m, params, g, v, h, s_values=s_values, window_tol=tol)
+            rep = carleman_scan(m, params, g, pair, s_values=s_values, window_tol=tol)
             assert rep.window_found is (start <= 2)
             assert rep.s0_observed == s_values[start if start <= 2 else -1]
 
@@ -272,15 +277,15 @@ class TestCarlemanScan:
         """An LHS that is 0 at every s (as when it underflows) or an RHS that is
         NaN gives ratios that are not finite and positive: they hold no window,
         and a NaN RHS counts as not positive."""
-        m, params, pot, g, v, h = self.make_scan(N=20)
-        if fault == "v_zero":
-            def v(t, x):
-                return 0.0 * t * x
-        else:
-            values = h.values.copy()
-            values[g.M // 2] = np.nan
-            h = Field(g, values)
-        rep = carleman_scan(m, params, g, v, h, s_values=default_s_values(5))
+        m, params, pot, g, real = self.make_scan(N=20)
+
+        def pair(rows):
+            v, h = real(rows)
+            if fault == "v_zero":
+                return np.zeros_like(v), h
+            h[np.arange(rows.start, rows.stop) == g.M // 2] = np.nan
+            return v, h
+        rep = carleman_scan(m, params, g, pair, s_values=default_s_values(5))
         if fault == "v_zero":
             assert np.all(rep.lhs == 0.0) and np.all(rep.ratios == 0.0)
         else:
@@ -289,41 +294,50 @@ class TestCarlemanScan:
         assert rep.nonpositive_rhs is (fault == "h_nan")
 
     def test_negative_s_rejected(self):
-        m, params, pot, g, v, h = self.make_scan(N=20)
+        m, params, pot, g, pair = self.make_scan(N=20)
         with pytest.raises(ValueError, match="s must be nonnegative"):
-            carleman_scan(m, params, g, v, h, s_values=[1.0, -1.0])
+            carleman_scan(m, params, g, pair, s_values=[1.0, -1.0])
         with pytest.raises(ValueError, match="nondecreasing"):
-            carleman_scan(m, params, g, v, h, s_values=[2.0, 1.0, 3.0])
+            carleman_scan(m, params, g, pair, s_values=[2.0, 1.0, 3.0])
+
+    @pytest.mark.parametrize("s_values", [[1.0, np.nan, 2.0, 3.0], [1.0, 2.0, np.inf],
+                                          [np.nan, np.nan, np.nan]])
+    def test_non_finite_s_rejected(self, s_values):
+        m, params, pot, g, pair = self.make_scan(N=20)
+        with pytest.raises(ValueError, match="finite"):
+            carleman_scan(m, params, g, pair, s_values=s_values)
 
     def test_scaling_invariance(self):
-        m, params, pot, g, v, h = self.make_scan()
-        rep1 = carleman_scan(m, params, g, v, h)
-        h3 = Field(g, 3.0 * h.values)
-        rep2 = carleman_scan(m, params, g, lambda t, x: 3.0 * v(t, x), h3)
+        m, params, pot, g, pair = self.make_scan()
+        rep1 = carleman_scan(m, params, g, pair)
+        v = scan_profile(g.T, g.x0)
+        pair3 = manufactured_adjoint_pair(m, pot, g, lambda t, x: 3.0 * v(t, x))
+        rep2 = carleman_scan(m, params, g, pair3)
         np.testing.assert_allclose(rep2.ratios, rep1.ratios, rtol=1e-12)
 
     def test_potential_absorbed(self):
-        _, params, _, _, _, _ = self.make_scan()
+        _, params, _, _, _ = self.make_scan()
         reps = {}
         for cval in (0.0, 1.0):
-            m, params, pot, g, v, h = self.make_scan(cval=cval)
-            reps[cval] = carleman_scan(m, params, g, v, h)
+            m, params, pot, g, pair = self.make_scan(cval=cval)
+            reps[cval] = carleman_scan(m, params, g, pair)
         assert np.isfinite(reps[1.0].fitted_C)
         assert reps[1.0].fitted_C <= 4.0 * reps[0.0].fitted_C
         assert reps[0.0].fitted_C <= 4.0 * reps[1.0].fitted_C
 
     def test_manufactured_pair_is_discrete_solution(self):
-        m, params, pot, g, v, h = self.make_scan()
+        m, params, pot, g, pair = self.make_scan()
         from degenpde.grid import assemble_operator
         from degenpde.inequalities import _derivative, _div_a_grad
         op = assemble_operator(m, g)
-        v = Field.from_function(g, v).values
-        res = _derivative(v, g.dt, axis=0) + _div_a_grad(op, v) - h.values
+        v, h = pair(slice(0, g.M + 1))
+        assert np.array_equal(v, Field.from_function(g, scan_profile(g.T, g.x0)).values)
+        res = _derivative(v, g.dt, axis=0) + _div_a_grad(op, v) - h
         assert np.max(np.abs(res)) < 1e-10
 
     @pytest.mark.parametrize("M", [100, 400])    # fewer and more time levels than g.M = 200
     def test_manufactured_pair_rejects_potential_from_another_grid(self, M):
-        m, _, _, g, _, _ = self.make_scan()
+        m, _, _, g, _ = self.make_scan()
         pot = PotentialModel.sampled(Field.zeros(SpaceTimeGrid.create(g.N, M, g.T, g.x0)))
         with pytest.raises(ValueError, match=rf"\({M + 1}, 101\).*\(201, 101\)"):
             manufactured_adjoint_pair(m, pot, g, scan_profile(g.T, g.x0))

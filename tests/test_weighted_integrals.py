@@ -13,12 +13,12 @@ quadrature vectors, so each integral is one contraction of the field data.
   divide by a where the checkers read the closed forms of the quotients,
   which agree with them to rounding.
 
-``manufactured_adjoint_pair`` must equal its whole-field expression bit for
-bit, whatever the row blocks it fills h in and samples its profile v on, and
+The row sampler of ``manufactured_adjoint_pair`` must give the rows of its
+whole-field expression bit for bit, whatever the rows asked for, and
 ``exp2s_phi`` its reference.
-The buffers must keep the memory of each call within a few (M+1)x(N+1)
-fields, and each checker makes a fixed number of calls to the public weight
-and grid functions.
+No Carleman check may hold a manufactured (M+1)x(N+1) field: the buffers keep
+the memory of each call within a few row blocks or fields, and each checker
+makes a fixed number of calls to the public weight and grid functions.
 """
 
 import math
@@ -73,9 +73,14 @@ def reference_exp2s_phi(params, model, t, x):
     return np.where(log_arg < _LOG_TINY, 0.0, np.exp(np.maximum(log_arg, _LOG_TINY)))
 
 
-def reference_scan_integrals(model, params_base, grid, v, h, s_values):
-    """(lhs, rhs_source, rhs_boundary) per s, with v sampled as a field."""
-    v = Field.from_function(grid, v)
+def whole_pair(grid, pair):
+    """The fields v and h of a row sampler, from one call on every row."""
+    return [Field(grid, np.array(f)) for f in pair(slice(0, grid.M + 1))]
+
+
+def reference_scan_integrals(model, params_base, grid, pair, s_values):
+    """(lhs, rhs_source, rhs_boundary) per s, with v and h sampled as fields."""
+    v, h = whole_pair(grid, pair)
     x = grid.x
     t = grid.t
     a = model.eval_a(x)
@@ -105,7 +110,7 @@ def reference_scan_integrals(model, params_base, grid, v, h, s_values):
 
 
 def reference_identity(model, params, grid, w):
-    """(lhs, rhs) of carleman_identity_check."""
+    """(lhs, rhs) of carleman_identity_check, with w sampled as a field."""
     s, c1 = params.s, params.c1
     x, t, h, dt = grid.x, grid.t, grid.h, grid.dt
     M, N = grid.M, grid.N
@@ -120,7 +125,7 @@ def reference_identity(model, params, grid, w):
     th_d = theta_dot(params, t[interior_t])
     th_dd = theta_ddot(params, t[interior_t])
     op = assemble_operator(model, grid)
-    wv = w.values
+    wv = Field.from_function(grid, w).values
     w_x = _derivative(wv, h, axis=1)
     w_t = _derivative(wv, dt, axis=0)
     div_a_grad_w = _div_a_grad(op, wv)
@@ -193,10 +198,10 @@ def support(chi):
     return slice(nonzero[0], nonzero[-1] + 1)
 
 
-def ordered_scan_integrals(model, params_base, grid, v, h, s_values):
+def ordered_scan_integrals(model, params_base, grid, pair, s_values):
     """(lhs, rhs_source, rhs_boundary, |rhs_boundary| integrand) per s, with v
-    sampled as a field; the lhs and source integrands are nonnegative."""
-    v = Field.from_function(grid, v)
+    and h sampled as fields; the lhs and source integrands are nonnegative."""
+    v, h = whole_pair(grid, pair)
     x = grid.x
     ti = slice(1, grid.M)
     a = model.eval_a(x)
@@ -223,8 +228,9 @@ def ordered_scan_integrals(model, params_base, grid, v, h, s_values):
 
 
 def ordered_identity(model, params, grid, w):
-    """(lhs, rhs, |lhs|, |rhs|) of carleman_identity_check, the last two the
-    integrals of |L+ L-| and the sum over the terms of their absolute integrands."""
+    """(lhs, rhs, |lhs|, |rhs|) of carleman_identity_check, with w sampled as a
+    field, the last two the integrals of |L+ L-| and the sum over the terms of
+    their absolute integrands."""
     s, c1 = params.s, params.c1
     x, t = grid.x, grid.t
     ti = slice(1, grid.M)
@@ -235,7 +241,7 @@ def ordered_identity(model, params, grid, w):
     th, th_d, th_dd = theta(params, t[ti]), theta_dot(params, t[ti]), theta_ddot(params, t[ti])
     sw = grid.space_weights()
     tw = grid.time_weights()[ti]
-    wv = w.values
+    wv = Field.from_function(grid, w).values
     w_x = _derivative(wv, grid.h, axis=1)
     w_t = _derivative(wv, grid.dt, axis=0)
     wi, wxi = wv[ti], w_x[ti]
@@ -308,14 +314,16 @@ def assert_within_rounding(value, reference, absolute):
 # inputs, as the CLI builds them
 # ---------------------------------------------------------------------------
 
+def scan_profile(T):
+    return lambda t, x: t * (T - t) * (x - X0) ** 2 * x * (1.0 - x)
+
+
 def scan_inputs(model, N=120, T=2.0):
-    """(params, grid, the profile v, its source h)."""
+    """(params, grid, the row sampler of the profile v and its source h)."""
     grid = SpaceTimeGrid.create(N, 2 * N, T, X0)
     params = WeightParams.for_model(model, T=T, s=1.0)
-
-    def v(t, x):
-        return t * (T - t) * (x - X0) ** 2 * x * (1.0 - x)
-    return params, grid, v, manufactured_adjoint_pair(model, PotentialModel.zero(), grid, v)
+    return params, grid, manufactured_adjoint_pair(model, PotentialModel.zero(), grid,
+                                                   scan_profile(T))
 
 
 def row_profile(grid, values):
@@ -327,9 +335,7 @@ def row_profile(grid, values):
 def identity_inputs(model, s, N=120, T=1.0, c1=1.0):
     grid = SpaceTimeGrid.create(N, 2 * N, T, X0)
     params = WeightParams.for_model(model, T=T, s=s, c1=c1)
-    w = Field.from_function(
-        grid, lambda t, x: (t * (T - t)) ** 5 * (x - X0) ** 2 * x * (1.0 - x))
-    return params, grid, w
+    return params, grid, lambda t, x: (t * (T - t)) ** 5 * (x - X0) ** 2 * x * (1.0 - x)
 
 
 # e^{2s(phi - max phi)} flushes to 0 on 4% of the grid at s = 0.1 and on 93% at s = 2384
@@ -374,14 +380,14 @@ def test_closed_forms_are_the_quotients(name):
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_scan_integrals_bit_identical(name):
     model = MODELS[name]
-    params, grid, v, h = scan_inputs(model)
+    params, grid, pair = scan_inputs(model)
     s_values = SCAN_S_VALUES
-    rep = carleman_scan(model, params, grid, v, h, s_values=s_values)
-    lhs, src, bdy, bdy_abs = ordered_scan_integrals(model, params, grid, v, h, s_values)
+    rep = carleman_scan(model, params, grid, pair, s_values=s_values)
+    lhs, src, bdy, bdy_abs = ordered_scan_integrals(model, params, grid, pair, s_values)
     assert rep.lhs.tolist() == lhs
     assert rep.rhs_source.tolist() == src
     assert rep.rhs_boundary.tolist() == bdy
-    ref_lhs, ref_src, ref_bdy = reference_scan_integrals(model, params, grid, v, h, s_values)
+    ref_lhs, ref_src, ref_bdy = reference_scan_integrals(model, params, grid, pair, s_values)
     assert_within_rounding(rep.lhs, ref_lhs, lhs)
     assert_within_rounding(rep.rhs_source, ref_src, src)
     assert_within_rounding(rep.rhs_boundary, ref_bdy, bdy_abs)
@@ -390,7 +396,7 @@ def test_scan_integrals_bit_identical(name):
 def test_scan_s_range_flushes_part_of_the_weight():
     """The s range of the scan test covers no flushing, partial and heavy flushing."""
     model = MODELS["alpha0.5"]
-    params, grid, _, _ = scan_inputs(model)
+    params, grid, _ = scan_inputs(model)
     th = theta(params, grid.t[1:-1])[:, None]
     phi = th * psi(params, model, grid.x)[None, :]
     shifted = phi - phi.max()
@@ -422,7 +428,7 @@ def test_identity_bit_identical_on_rough_data(name):
     values = np.random.default_rng(7).standard_normal((grid.M + 1, grid.N + 1))
     values[[0, -1], :] = 0.0
     values[:, [0, -1]] = 0.0
-    w = Field(grid, values)
+    w = row_profile(grid, values)
     rep = carleman_identity_check(model, params, grid, w)
     lhs, rhs, lhs_abs, rhs_abs = ordered_identity(model, params, grid, w)
     assert (rep.lhs, rep.rhs) == (lhs, rhs)
@@ -534,23 +540,22 @@ def test_caccioppoli_log_ratio_where_the_weight_underflows():
 @pytest.mark.parametrize("rows, n_blocks", [(1, 239), (7, 35), (239, 1)])
 def test_scan_bit_identical_across_row_blocks(rows, n_blocks, monkeypatch):
     model = MODELS["alpha1.5"]
-    params, grid, v, h = scan_inputs(model)
+    params, grid, pair = scan_inputs(model)
     row_bytes = inequalities._SCAN_NODE_BYTES * (grid.N + 1)
     monkeypatch.setattr(inequalities, "_BLOCK_BYTES", rows * row_bytes)
     assert len(inequalities._row_blocks(grid.M - 1, row_bytes)) == n_blocks
-    rep = carleman_scan(model, params, grid, v, h, s_values=SCAN_S_VALUES)
-    lhs, src, bdy, _ = ordered_scan_integrals(model, params, grid, v, h, SCAN_S_VALUES)
+    rep = carleman_scan(model, params, grid, pair, s_values=SCAN_S_VALUES)
+    lhs, src, bdy, _ = ordered_scan_integrals(model, params, grid, pair, SCAN_S_VALUES)
     assert (rep.lhs.tolist(), rep.rhs_source.tolist(), rep.rhs_boundary.tolist()) == (
         lhs, src, bdy)
 
 
-# the M + 1 time rows in blocks of one row, of two rows (M is even, so the last
-# block is one row), of M rows and then the last row alone, and in one block
+# the M + 1 time rows asked for in blocks of one row, of two rows (M is even, so
+# the last block is one row), of M rows and then the last row alone, and in one block
 @pytest.mark.parametrize("M", [10, 800])
 @pytest.mark.parametrize("blocking", ["one row", "two rows", "last row alone", "one block"])
 @pytest.mark.parametrize("potential", ["constant", "sampled"])
-def test_manufactured_pair_bit_identical_across_row_blocks(M, blocking, potential,
-                                                           monkeypatch):
+def test_manufactured_pair_bit_identical_across_row_blocks(M, blocking, potential):
     model = MODELS["alpha1.5"]
     grid = SpaceTimeGrid.create(20, M, 2.0, X0)
     rng = np.random.default_rng(M)
@@ -559,15 +564,15 @@ def test_manufactured_pair_bit_identical_across_row_blocks(M, blocking, potentia
            else PotentialModel.sampled(Field(grid, rng.standard_normal(values.shape))))
     rows, last = {"one row": (1, 1), "two rows": (2, 1), "last row alone": (M, 1),
                   "one block": (M + 1, M + 1)}[blocking]
-    row_bytes = inequalities._PAIR_NODE_BYTES * (grid.N + 1)
-    monkeypatch.setattr(inequalities, "_BLOCK_BYTES", rows * row_bytes)
-    blocks = inequalities._row_blocks(M + 1, row_bytes)
+    blocks = [slice(r, min(r + rows, M + 1)) for r in range(0, M + 1, rows)]
     assert blocks[-1].stop - blocks[-1].start == last
-    h = manufactured_adjoint_pair(model, pot, grid, row_profile(grid, values))
+    pair = manufactured_adjoint_pair(model, pot, grid, row_profile(grid, values))
+    v, h = (np.concatenate(parts) for parts in zip(*map(pair, blocks)))
     op = assemble_operator(model, grid)
     expected = _div_a_grad(op, values) + _derivative(values, grid.dt, 0) - pot.values(grid) * values
-    assert np.array_equal(h.values, expected)
-    assert np.array_equal(np.signbit(h.values), np.signbit(expected))
+    assert np.array_equal(v, values)
+    assert np.array_equal(h, expected)
+    assert np.array_equal(np.signbit(h), np.signbit(expected))
 
 
 @pytest.mark.parametrize("rows, n_blocks", [(1, 239), (7, 35), (239, 1)])
@@ -577,7 +582,7 @@ def test_identity_bit_identical_across_row_blocks(rows, n_blocks, monkeypatch):
     values = np.random.default_rng(7).standard_normal((grid.M + 1, grid.N + 1))
     values[[0, -1], :] = 0.0
     values[:, [0, -1]] = 0.0
-    w = Field(grid, values)
+    w = row_profile(grid, values)
     row_bytes = inequalities._IDENTITY_NODE_BYTES * (grid.N + 1)
     monkeypatch.setattr(inequalities, "_BLOCK_BYTES", rows * row_bytes)
     assert len(inequalities._row_blocks(grid.M - 1, row_bytes)) == n_blocks
@@ -592,24 +597,36 @@ def test_identity_bit_identical_across_row_blocks(rows, n_blocks, monkeypatch):
 
 def test_scan_peak_memory():
     model = MODELS["alpha0.5"]
-    params, grid, v, h = scan_inputs(model, N=400)
-    _, peak = traced_peak(lambda: carleman_scan(model, params, grid, v, h,
+    params, grid, pair = scan_inputs(model, N=400)
+    _, peak = traced_peak(lambda: carleman_scan(model, params, grid, pair,
                                                 s_values=default_s_values(10)))
-    # 0.62 measured: one block of about 1 MB (the integrands, phi, E, the sampled
-    # v rows, v_x and the flush mask), against 1.05 for blocks of 1 MB of
-    # integrands alone and 5.16 for the integrands, phi and E on every interior row
-    assert peak / field_units(grid) < 0.8
+    # 0.56 measured: one block of about 1 MB (the integrands, phi, E, the flush
+    # mask, the pair's v and h rows and their temporaries, and v_x), against 0.62
+    # for the scan alone beside an h field, with blocks of 7 1/8 arrays
+    assert peak / field_units(grid) < 0.7
+
+
+def task_peak(task, tmp_path):
+    """Peak of a CLI task at grid.N = 400, in fields of its fine level (800, 1600)."""
+    argv = [task, "--set", "grid.N=400", "--set", "grid.M=800", "--out", str(tmp_path)]
+    config = cli.resolve_config(cli._build_parser().parse_args(argv))
+    _, peak = traced_peak(lambda: cli.TASKS[task](config, tmp_path))
+    return peak / field_units(SpaceTimeGrid.create(800, 1600, 2.0, X0))
 
 
 def test_scan_task_peak_memory(tmp_path):
-    """The carleman-scan task never holds its profile v as a field: each row block
-    samples it, in the pair and in the scan, so a level holds h and one block."""
-    argv = ["carleman-scan", "--set", "grid.N=400", "--set", "grid.M=800", "--out", str(tmp_path)]
-    config = cli.resolve_config(cli._build_parser().parse_args(argv))
-    _, peak = traced_peak(lambda: cli.run_carleman_scan(config, tmp_path))
-    # in fields of the fine level, (N, M) = (800, 1600): 1.20 measured, the fine h
-    # and about 1 MB of block rows, against 2.20 with v a field beside h
-    assert peak / field_units(SpaceTimeGrid.create(800, 1600, 2.0, X0)) < 1.5
+    """The carleman-scan task holds no manufactured field: each row block calls the
+    pair for its rows of v and h."""
+    # 0.18 measured: about 1 MB of block rows, against 1.20 with h a field
+    # and 2.20 with v a field beside it
+    assert task_peak("carleman-scan", tmp_path) < 0.25
+
+
+def test_identity_task_peak_memory(tmp_path):
+    """The carleman-identity task holds no manufactured field: each row block
+    samples its rows of w."""
+    # 0.15 measured: about 1 MB of block rows, against 1.15 with w a field
+    assert task_peak("carleman-identity", tmp_path) < 0.25
 
 
 def test_exp2s_phi_peak_memory():
@@ -624,33 +641,40 @@ def test_identity_peak_memory():
     model = MODELS["alpha0.5"]
     params, grid, w = identity_inputs(model, 10.0, N=400)
     _, peak = traced_peak(lambda: carleman_identity_check(model, params, grid, w))
-    # 0.52 measured: L+, w_x (then L-) and the products on one block of about
-    # 1 MB, against 0.79 for blocks of 1 MB of three rows and 3.09 for them on
-    # every interior row
+    # 0.52 measured: the sampled w rows, L+, w_x (then L-) and the products on
+    # one block of about 1 MB, against 0.79 for blocks of 1 MB of three rows and
+    # 3.09 for them on every interior row
     assert peak / field_units(grid) < 0.65
 
 
-def manufactured_pair_peak(N):
-    """Peak of the pair at (N, 2N) in fields, the output h included."""
+def pair_peaks(N):
+    """The pair at (N, 2N): the peak of making it, in fields, and of one call on
+    the scan's first block of interior rows, in arrays of that block's shape."""
     model = MODELS["alpha0.5"]
     grid = SpaceTimeGrid.create(N, 2 * N, 2.0, X0)
-    _, peak = traced_peak(lambda: manufactured_adjoint_pair(
-        model, PotentialModel.zero(), grid,
-        lambda t, x: t * (2.0 - t) * (x - X0) ** 2 * x * (1.0 - x)))
-    return peak / field_units(grid)
+    pair, made = traced_peak(lambda: manufactured_adjoint_pair(
+        model, PotentialModel.zero(), grid, scan_profile(2.0)))
+    block = inequalities._row_blocks(grid.M - 1, inequalities._SCAN_NODE_BYTES * (grid.N + 1))[0]
+    rows = slice(block.start + 1, block.stop + 1)
+    _, called = traced_peak(lambda: pair(rows))
+    return made / field_units(grid), called / ((rows.stop - rows.start) * (grid.N + 1) * 8)
 
 
 def test_manufactured_pair_peak_memory():
-    """h is filled in row blocks, each sampling v on its own rows, so only h and
-    one block of rows are live."""
-    # 1.38 measured: h and about 1 MB of block rows; 2.36 with v sampled as a
-    # field first, and 3.05 with the residual built on the whole field as well
-    assert manufactured_pair_peak(400) < 1.5
+    """Making the pair samples nothing, and a call stays within the five arrays of
+    the scan's block budget that it is counted for (``_SCAN_NODE_BYTES``): its
+    rows of v with their halo and of h, and one temporary at a time, beside
+    NumPy's iteration buffers."""
+    made, called = pair_peaks(400)
+    assert made < 0.01          # 0.004 measured: the operator's N-vectors
+    assert called < 5.0         # 4.46 measured; the pair filled a whole h field before
 
 
 def test_manufactured_pair_fine_peak_memory():
-    """At the fine level of the presets the block rows are a tenth of a field."""
-    assert manufactured_pair_peak(800) < 1.2     # 1.10 measured, 2.09 with v a field
+    """At the fine level of the presets the scan's blocks are half as many rows."""
+    made, called = pair_peaks(800)
+    assert made < 0.01          # 0.002 measured
+    assert called < 5.0         # 4.59 measured
 
 
 def test_caccioppoli_peak_memory():
@@ -701,19 +725,20 @@ def count_calls(fn):
 def test_checker_call_counts():
     """Each checker makes the calls it made before its integrals were folded."""
     model = MODELS["alpha1.5"]
-    params, grid, v, h = scan_inputs(model, N=40)
+    params, grid, pair = scan_inputs(model, N=40)
     assert count_calls(lambda: manufactured_adjoint_pair(
         model, PotentialModel.zero(), grid, lambda t, x: t * x * (1.0 - x))) == {
         "assemble_operator": 1}
-    assert count_calls(lambda: carleman_scan(model, params, grid, v, h,
+    assert count_calls(lambda: carleman_scan(model, params, grid, pair,
                                              s_values=SCAN_S_VALUES)) == {"psi": 1, "theta": 1}
     params, grid, w = identity_inputs(model, 3.7, N=40)
     assert count_calls(lambda: carleman_identity_check(model, params, grid, w)) == {
         "psi": 1, "psi_prime": 1, "theta": 1, "theta_dot": 1, "theta_ddot": 1,
         "assemble_operator": 1}
     params = WeightParams.for_model(model, T=1.0, s=4.0)
+    v = Field.from_function(grid, w)
     assert count_calls(lambda: caccioppoli_check(
-        model, params, grid, w, (0.35, 0.45), (0.2, 0.5))) == {"psi": 1, "log2s_phi": 1}
+        model, params, grid, v, (0.35, 0.45), (0.2, 0.5))) == {"psi": 1, "log2s_phi": 1}
 
 
 @pytest.mark.parametrize("cols", [slice(0, 0), slice(0, 1), slice(0, 5), slice(1, 2),
