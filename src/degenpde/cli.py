@@ -45,7 +45,6 @@ DEFAULT_CONFIG = {
         "theta": None,            # defaults to alpha
     },
     "grid": {"N": 200, "M": 400, "T": 1.0},
-    "weight": {"c1": 1.0, "c2": None},       # c2 defaults to 1.05 * c2_min
     "potential": {"value": 0.0},              # the constant c
     "control": {"omega_lo": 0.2, "omega_hi": 0.5, "epsilon": 1e-8},
     "hp": {"q": 1.5, "weight": "pure_power", "battery_size": 20, "N": 1000},
@@ -123,8 +122,8 @@ _RANGES = {
     "grid.N": "[3, inf)", "grid.M": "[2, inf)", "hp.N": "[2, inf)",
     # the tail verdict of carleman-scan compares three consecutive points, in increasing s
     "scan.n_s": "[3, inf)",
-    # c > -2/dt is checked per solving task in resolve_config, c2 > c2_min per model
-    "potential.value": "(-inf, inf)", "weight.c2": "(-inf, inf)",
+    # c > -2/dt is checked per solving task in resolve_config
+    "potential.value": "(-inf, inf)",
 }
 # the most float64 values one array can hold: NumPy refuses more with a ValueError
 # before it tries to allocate, where a size it tries and fails is a MemoryError
@@ -190,16 +189,11 @@ def resolve_config(args) -> dict:
     omega = (config["control"]["omega_lo"], config["control"]["omega_hi"])
     if "hp" in tasks:
         _name_key("hp.weight", _hardy_weight, config)
-    if config["weight"]["c2"] is not None and tasks & {
-            "carleman-identity", "carleman-scan", "caccioppoli"}:
-        # c2 > c2_min depends on the model alone; T = s = 1 stand for every task's
-        _name_key("weight.c2", build_weight_params, config, build_model(config), 1.0, 1.0)
     # (k Theta)^3 of the largest s is finite at the finest level's first interior time
     M = 2 * int(config["grid"]["M"])
     if "carleman-identity" in tasks:
-        T, s, c1 = float(config["grid"]["T"]), max(_IDENTITY_S), config["weight"]["c1"]
-        _require_finite_factor("grid.T", T, M, "weight.c1", math.log(s) + math.log(c1),
-                               f"s c1, s={s:g}, c1={c1:g}")
+        T, s = float(config["grid"]["T"]), max(_IDENTITY_S)
+        _require_finite_factor("grid.T", T, M, "grid.T", math.log(s), f"s = {s:g}")
         # the profile w = (t (T - t))^5 S(x) peaks in t at (T/2)^10, and |S|, |S'| <= 1:
         # w^2 and w_x^2, the largest squares the identity forms, are at most (T/2)^20
         if 20.0 * math.log(0.5 * T) >= _LOG_MAX:
@@ -219,6 +213,9 @@ def resolve_config(args) -> dict:
                               "on the integral of h^2 overflow")
     if "caccioppoli" in tasks:
         c = config["caccioppoli"]
+        if 2.0 * math.log(0.5 * c["T"]) >= _LOG_MAX:     # Theta is a power of t (T - t)
+            raise ConfigError("caccioppoli.T", f"T={c['T']:g} makes (T/2)^2, the peak of "
+                              "t (T - t), overflow")
         _name_key("caccioppoli.omega_prime_lo", _require_caccioppoli_geometry,
                   x0, (c["omega_prime_lo"], c["omega_prime_hi"]), omega)
     # c > -2/dt on the coarse grid of each task that solves with c; its fine grid halves dt
@@ -298,9 +295,9 @@ def build_control(config: dict) -> ControlConfig:
     return ControlConfig(c["omega_lo"], c["omega_hi"], epsilon=c["epsilon"])
 
 
-def build_weight_params(config: dict, model, T: float, s: float) -> WeightParams:
-    w = config["weight"]
-    return WeightParams.for_model(model, T=T, s=s, c1=w["c1"], c2=w["c2"])
+def build_weight_params(model, T: float, s: float) -> WeightParams:
+    """The weight at s, with every check's constants c1 = 1 and c2 = 1.05 c2_min."""
+    return WeightParams.for_model(model, T=T, s=s)
 
 
 # ---------------------------------------------------------------------------
@@ -435,13 +432,14 @@ def _carleman_profile(T: float, x0: float, k: int):
 
 def _identity_level(config: dict, model, grid: SpaceTimeGrid, s: float):
     T = config["grid"]["T"]
-    params = build_weight_params(config, model, T, s)
+    params = build_weight_params(model, T, s)
     rep = carleman_identity_check(model, params, grid, _carleman_profile(T, model.x0, 5))
     return rep, [[s, grid.N, grid.M, rep.lhs, rep.rhs, rep.residual]]
 
 
-# the large parameters each check samples; constants, like the gates, so that no
-# key can move a failing check onto a value where it passes
+# the large parameters each check samples; constants, like the gates and the weight's
+# c1 and c2 (c1 reaches e^{2 s phi} only through s c1), so that no key can move a
+# failing check onto a value where it passes
 _IDENTITY_S = (1.0, 10.0)
 _CACCIOPPOLI_S = (1.0, 2.0, 4.0)
 
@@ -464,7 +462,7 @@ def run_carleman_identity(config: dict, out_dir: Path) -> tuple[list, dict]:
 
 def _scan_level(config: dict, model, potential, grid: SpaceTimeGrid, s_values):
     T = config["scan"]["T"]
-    params = build_weight_params(config, model, T, s_values[0])
+    params = build_weight_params(model, T, s_values[0])
     pair = manufactured_adjoint_pair(model, potential, grid, _carleman_profile(T, model.x0, 1))
     rep = carleman_scan(model, params, grid, pair, s_values=s_values, window_tol=0.05)
     return rep, [[grid.N, rep.s_values[k], rep.lhs[k], rep.rhs_source[k],
@@ -505,7 +503,7 @@ def _caccioppoli_level(config: dict, model, potential, grid: SpaceTimeGrid):
     v = solve_adjoint(model, potential, grid, modes[0])
     reports = []
     for s in _CACCIOPPOLI_S:
-        params = build_weight_params(config, model, c["T"], s)
+        params = build_weight_params(model, c["T"], s)
         reports.append(caccioppoli_check(model, params, grid, v, omega_p, omega))
     return reports, [[grid.N, s, rep.local_gradient_integral, rep.outer_solution_integral,
                       rep.ratio, rep.log_ratio] for s, rep in zip(_CACCIOPPOLI_S, reports)]

@@ -25,11 +25,12 @@ def run(tmp_path, *argv):
 
 class TestConfigHandling:
     def test_defaults_complete(self):
-        # the identity section held only its s samples, which are constants now, and
-        # the null_control section a horizon, a CG gate and a cap, constants too
-        assert list(DEFAULT_CONFIG) == ["coefficient", "grid", "weight", "potential", "control",
+        # the identity section held only its s samples, which are constants now, the
+        # null_control section a horizon, a CG gate and a cap, and the weight section
+        # the weight constants c1 and c2, constants too
+        assert list(DEFAULT_CONFIG) == ["coefficient", "grid", "potential", "control",
                                         "hp", "scan", "caccioppoli", "observability", "run"]
-        assert len(LEAVES) == 26
+        assert len(LEAVES) == 24
 
     def test_presets_cover_grid(self):
         assert len(PRESETS) == 6
@@ -124,7 +125,6 @@ class TestConfigHandling:
         ("carleman-identity", "identity.s_values", "3"),
         ("hp", "hp.q", "NaN"),
         # inputs whose error named another key
-        ("carleman-identity", "weight.c1", "0"),
         ("carleman-scan", "scan.s_start", "-1"),
         # the horizons, null_control.tol and max_iters are constants now: an unknown key
         ("null-control", "null_control.tol", "0"),
@@ -155,8 +155,6 @@ class TestConfigHandling:
         ("check-coeff", "coefficient.theta", "x"),
         ("check-coeff", "coefficient.theta", "2"),
         ("check-coeff", "coefficient.theta", "NaN"),
-        ("carleman-identity", "weight.c2", "abc"),
-        ("carleman-identity", "weight.c2", "Infinity"),
         # enumerated keys, checked before any task runs, and a deleted one
         ("carleman-scan", "potential.kind", "bogus"),
         ("hp", "hp.weight", "bogus"),
@@ -174,18 +172,14 @@ class TestConfigHandling:
         ("observability", "observability.T", "1e-310"),
         ("null-control", "null_control.T", "1e-310"),
         ("carleman-identity", "identity.s_values", "[Infinity]"),
-        # a T whose largest Carleman time factor (s c1 Theta)^3, or (s Theta)^3 in
-        # the scan, overflows at the first interior time: an overflow traceback
+        # a T whose largest Carleman time factor (s Theta)^3 overflows at the first
+        # interior time: an overflow traceback
         ("carleman-identity", "grid.T", "1e-12"),
         ("carleman-scan", "scan.T", "1e-12"),
         ("carleman-identity", "grid.T", "1e-200"),
         ("carleman-scan", "scan.T", "1e-200"),
-        # with s c1 < 1 Theta^3 is the factor that overflows first
-        ("carleman-identity --set weight.c1=0.001", "grid.T", "1e-12"),
         # at the default T a k whose (k Theta)^3, or whose own cube, overflows names
-        # the key that sets k: weight.c1 (k = 10 c1) or scan.n_s (k = 1.5^(n_s - 1))
-        ("carleman-identity", "weight.c1", "1e100"),
-        ("carleman-identity", "weight.c1", "1e102"),
+        # the key that sets k: scan.n_s (k = 1.5^(n_s - 1))
         ("carleman-scan", "scan.n_s", "560"),
         ("carleman-scan", "scan.n_s", "600"),
         # a T at which the largest quantity a check forms overflows: the identity's
@@ -199,6 +193,9 @@ class TestConfigHandling:
         ("carleman-scan", "scan.T", "1e80"),
         # a constant potential whose c v term of h overflows it (an overflow traceback)
         ("carleman-scan", "potential.value", "1e200"),
+        # a T whose peak (T/2)^2 of t (T - t), in the weight, overflows: an overflow
+        # traceback, or a warning and a pass without -W error
+        ("caccioppoli", "caccioppoli.T", "2.7e154"),
         # an integer beyond the floating-point range: an OverflowError traceback
         pytest.param("hp", "hp.N", "1" + "0" * 400, id="hp-hp.N-10**400"),
         # an in-range size too large to allocate: a MemoryError traceback (10^12
@@ -237,8 +234,9 @@ class TestConfigHandling:
         ("carleman-scan", [], "scan.T", "scan.T", 1e60),
         # h carries -c v: where |c| > 10 dominates the bound, the rule names c's key
         ("carleman-scan", ["--set", "potential.value=1000"], "scan.T", "potential.value", 1e60),
-        ("carleman-scan", [], "potential.value", "potential.value", 1e150)],
-        ids=["grid.T", "scan.T", "scan.T-c1000", "potential.value"])
+        ("carleman-scan", [], "potential.value", "potential.value", 1e150),
+        ("caccioppoli", [], "caccioppoli.T", "caccioppoli.T", 2.68e154)],
+        ids=["grid.T", "scan.T", "scan.T-c1000", "potential.value", "caccioppoli.T"])
     def test_largest_admitted_value_runs(self, tmp_path, capsys, task, extra, key, named, runs):
         """The largest value of key that the task's overflow rule admits runs with
         every floating-point warning an error, and the next float exits 1 naming the
@@ -278,7 +276,6 @@ class TestConfigHandling:
         # task-dependent rules, which fired only once their task ran
         ("control.omega_lo", ["--set", "control.omega_lo=0.32", "--set", "control.omega_hi=0.6"]),
         ("caccioppoli.omega_prime_lo", ["--set", "caccioppoli.omega_prime_lo=0.1"]),
-        ("weight.c2", ["--set", "weight.c2=0.1"]),
         ("hp.weight", ["--set", "coefficient.alpha=0", "--set", "hp.weight=coefficient"]),
         # a theta that a constant coefficient silently ignored
         ("coefficient.theta", ["--set", "coefficient.alpha=0", "--set", "coefficient.theta=0.3"]),
@@ -360,17 +357,26 @@ class TestConfigHandling:
         # the control horizon and the null control's CG gate and cap are constants; a
         # loose gate stopped CG at iteration 0 and passed every verdict on a zero control
         ("observability.T", "0.5"), ("null_control.T", "0.5"), ("control.T", "0.5"),
-        ("null_control.tol", "0.5"), ("null_control.max_iters", "500")])
+        ("null_control.tol", "0.5"), ("null_control.max_iters", "500"),
+        # the weight constants: c1 reaches e^{2 s phi} only through s c1, and
+        # weight.c1=1e-3 passed the known failure caccioppoli.T=0.5 3/3; the other
+        # values are ones that the type, range, c2 > c2_min and overflow rules rejected
+        ("weight.c1", "1e-3"), ("weight.c1", "1.0"), ("weight.c1", "0"),
+        ("weight.c1", "1e100"), ("weight.c2", "0.1"), ("weight.c2", "abc"),
+        ("weight.c2", "Infinity"), ("weight.c2", "null")])
     def test_deleted_key_exits_1(self, tmp_path, capsys, key, value, via):
         argv = ["--set", f"{key}={value}"]
         if via == "--config":
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps(cli._parse_override(f"{key}={value}")))
             argv = ["--config", str(cfg)]
-        code, out = run(tmp_path, "check-coeff", *argv)
-        assert code == 1
-        assert capsys.readouterr().err == f"error: {key}: unknown configuration key\n"
-        assert not out.exists()
+        # and on the known failure, which caccioppoli.s_values=[1e-6] and
+        # weight.c1=1e-3 each turned into a pass
+        for task in (["check-coeff"], ["caccioppoli", "--set", "caccioppoli.T=0.5"]):
+            code, out = run(tmp_path, *task, *argv)
+            assert code == 1
+            assert capsys.readouterr().err == f"error: {key}: unknown configuration key\n"
+            assert not out.exists()
 
     @pytest.mark.parametrize("task", ["hp", "carleman-scan"])
     def test_unstable_potential_runs_tasks_that_never_solve(self, tmp_path, task):
@@ -383,7 +389,6 @@ class TestConfigHandling:
         ("hp", ["--set", "control.omega_lo=0.32", "--set", "control.omega_hi=0.6"]),
         ("check-coeff", ["--set", "control.omega_lo=0.32", "--set", "control.omega_hi=0.6"]),
         ("observability", ["--set", "caccioppoli.omega_prime_lo=0.1"]),
-        ("check-coeff", ["--set", "weight.c2=0.1"]),
     ])
     def test_task_rules_bind_only_their_tasks(self, tmp_path, task, argv):
         code, out = run(tmp_path, task, *TINY, "--set", "hp.N=50", *argv)
@@ -596,21 +601,20 @@ class TestSubcommands:
         if task == "carleman-scan":
             assert all(np.isfinite(v["value"]) for v in verdicts)
 
-    @pytest.mark.parametrize("key", ["weight.c2", "weight.c1"])
-    def test_caccioppoli_huge_weight_shift_is_measured(self, tmp_path, key):
-        """At c1 or c2 = 1e20 the largest 2 s phi, the shift m, is so large that
-        both levels' log ratios round to the same value; the level change is taken
-        from the shifts' change and the rests', so the unresolved weight fails at
-        c2 = 1e16 and 1e20 alike, where it passed with a change of 0."""
-        values = []
-        for scale in ("1e16", "1e20"):
-            code, out = run(tmp_path / scale, "caccioppoli", *TINY, "--set", f"{key}={scale}")
-            assert code == 2
-            verdicts = json.loads((out / "summary.json").read_text())["verdicts"]
-            assert len(verdicts) == 3 and not any(v["pass"] for v in verdicts)
-            values.append([v["value"] for v in verdicts])
-        np.testing.assert_allclose(values[1], values[0], rtol=1e-6)
-        assert min(values[0]) > 0.2
+    @pytest.mark.parametrize("T", ["1e-2", "1e-3"])
+    def test_caccioppoli_huge_weight_shift_is_measured(self, tmp_path, T):
+        """At caccioppoli.T = 1e-2 or 1e-3 the largest 2 s phi, the shift m, is
+        -1.9e18 or -1.9e26 at s = 1, so large that both levels' log ratios round to
+        the same value; the level change is taken from the shifts' change and the
+        rests', so the unresolved weight fails where the log ratios' change is 0."""
+        code, out = run(tmp_path, "caccioppoli", *TINY, "--set", f"caccioppoli.T={T}")
+        assert code == 2
+        rows = list(csv.DictReader((out / "caccioppoli.csv").read_text().splitlines()[1:]))
+        assert len(rows) == 6 and float(rows[0]["log_ratio"]) < -1e18
+        assert [row["log_ratio"] for row in rows[:3]] == [row["log_ratio"] for row in rows[3:]]
+        verdicts = json.loads((out / "summary.json").read_text())["verdicts"]
+        assert len(verdicts) == 3 and not any(v["pass"] for v in verdicts)
+        assert min(v["value"] for v in verdicts) > 0.2
 
     def test_verdict_failure_exits_2(self, tmp_path, capsys):
         # a large epsilon penalizes the terminal datum: J stalls at ||u(T)|| / ||u0|| = 0.0193
