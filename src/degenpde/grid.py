@@ -104,11 +104,13 @@ class SpaceTimeGrid:
 def _sample_rows(f, grid: SpaceTimeGrid, rows: slice = slice(None)) -> np.ndarray:
     """f(t, x) on the time rows ``rows`` and every node: f is called once on a
     column of those times and a row of nodes, and its float values broadcast to
-    the rows' shape, read-only where they are a broadcast.  For an elementwise
-    f, the rows of a block are those of the whole grid, bit for bit."""
+    the rows' shape, read-only where they are a broadcast (an array of f's that
+    has that shape is returned as it is).  For an elementwise f, the rows of a
+    block are those of the whole grid, bit for bit."""
     t = grid.t[rows, None]
-    return np.broadcast_to(np.asarray(f(t, grid.x[None, :]), dtype=float),
-                           (t.shape[0], grid.N + 1))
+    values = np.asarray(f(t, grid.x[None, :]), dtype=float)
+    shape = (t.shape[0], grid.N + 1)
+    return values if values.shape == shape else np.broadcast_to(values, shape)
 
 
 @dataclass
@@ -173,7 +175,8 @@ class TridiagonalOperator:
         Both flux products go through one scratch array; each interior entry is
         ``(diag u + flux_right u) + flux_left u``, three products and two sums.
         """
-        out = np.zeros(np.shape(u))
+        out = np.empty(np.shape(u))
+        out[..., 0] = out[..., -1] = 0.0
         inner = out[..., 1:-1]
         np.multiply(self.diag, u[..., 1:-1], out=inner)
         scratch = np.multiply(self.flux[1:], u[..., 2:])

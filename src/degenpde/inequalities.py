@@ -31,8 +31,8 @@ import numpy as np
 from ._lapack import eigh_tridiagonal
 from .grid import Field, SpaceTimeGrid, _sample_rows, assemble_operator
 from .solvers import ControlConfig, PotentialModel
-from .weights import (WeightParams, _exp_flushed, log2s_phi, psi, psi_prime, theta, theta_dot,
-                      theta_ddot)
+from .weights import (_LOG_TINY, WeightParams, _exp_flushed, log2s_phi, psi, psi_prime, theta,
+                      theta_dot, theta_ddot)
 
 __all__ = [
     "HardyWeight",
@@ -183,8 +183,9 @@ _BLOCK_BYTES = 1 << 20
 # The bytes per node of one time row that a block holds, counted as float64
 # arrays of N + 1 values (8 bytes a node) and boolean ones (1 byte a node):
 #   carleman_scan: the stacked P, Q, H integrands (three), phi - max phi, E and
-#     the flush mask; the pair's sampled v rows with their halo, its h rows from
-#     op.apply, op.apply's scratch, the t-derivative and c v; and v_x, 11 1/8 arrays;
+#     the flush mask (used only by a block whose log E straddles log tiny); the
+#     pair's sampled v rows with their halo, its h rows from op.apply, op.apply's
+#     scratch, the t-derivative and c v; and v_x, 11 1/8 arrays;
 #   carleman_identity_check: the sampled w rows with their halo, L+ from
 #     op.apply and its scratch, w_x, inner and the c_q2 q2 temporary, 6 arrays.
 _SCAN_NODE_BYTES = 11 * 8 + 1
@@ -219,19 +220,22 @@ def _halo(part: slice, n: int) -> slice:
 
 
 def _derivative(values: np.ndarray, step: float, axis: int, part=slice(None)) -> np.ndarray:
-    """Nodal derivative along ``axis`` (1: d/dx, 0: d/dt) at the indices ``part``:
-    centered interior, one-sided 2nd order at the ends.  Only ``part`` and the
-    indices it reads (``_halo``) are differenced, bit for bit as the whole axis."""
+    """Nodal derivative of a 2-D array along ``axis`` (1: d/dx, 0: d/dt) at the
+    indices ``part``: centered interior, one-sided 2nd order at the ends.  Only
+    ``part`` and the indices it reads (``_halo``) are differenced, bit for bit as
+    the whole axis."""
     n = values.shape[axis]
     start, stop, _ = part.indices(n)
     window = _halo(part, n)
-    v = np.moveaxis(values, axis, 0)[window]
+    v = (values.T if axis else values)[window]
     out = np.empty_like(v)
+    two_step = 2.0 * step
     np.subtract(v[2:], v[:-2], out=out[1:-1])
-    out[1:-1] /= 2.0 * step
-    out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * step)
-    out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * step)
-    return np.moveaxis(out[start - window.start:stop - window.start], 0, axis)
+    out[1:-1] /= two_step
+    out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / two_step
+    out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / two_step
+    out = out[start - window.start:stop - window.start]
+    return out.T if axis else out
 
 
 def _div_a_grad(op, values: np.ndarray) -> np.ndarray:
@@ -242,6 +246,13 @@ def _div_a_grad(op, values: np.ndarray) -> np.ndarray:
     out[:, 0] = 3.0 * out[:, 1] - 3.0 * out[:, 2] + out[:, 3]
     out[:, -1] = 3.0 * out[:, -2] - 3.0 * out[:, -3] + out[:, -4]
     return out
+
+
+def _require_interior_row(grid: SpaceTimeGrid):
+    """Raise unless the grid has a time row strictly inside (0, T), where the
+    Carleman weights live."""
+    if grid.M < 2:
+        raise ValueError(f"no interior time row: M={grid.M} steps leave none inside (0, T)")
 
 
 def _q2(model, x):
@@ -289,6 +300,7 @@ def carleman_identity_check(model, params: WeightParams, grid: SpaceTimeGrid,
     rounding.
     """
     M, N = grid.M, grid.N
+    _require_interior_row(grid)
     if not np.all(np.abs(_sample_rows(w, grid, slice(0, M + 1, M))) <= 1e-13):
         raise ValueError("w must vanish at t = 0 and t = T for all x")
 
@@ -375,7 +387,8 @@ def carleman_identity_check(model, params: WeightParams, grid: SpaceTimeGrid,
          - s ** 3 * a_b ** 2 * phi_x_b ** 3 * w_b ** 2
          - s * c1 * th[:, None] * a_b * w_b * wx_b)
     rhs = (dt1 + dt2 + dt3 + dt4) + float(tw @ (f[:, 1] - f[:, 0]))
-    residual = abs(lhs - rhs) / (abs(lhs) + 1e-300)
+    # a zero <L+ w, L- w> measures nothing: a residual of 0 there is 0/0
+    residual = abs(lhs - rhs) / (abs(lhs) + 1e-300) if lhs != 0.0 else math.inf
     return IdentityReport(lhs=lhs, rhs=rhs, residual=residual)
 
 
@@ -466,7 +479,11 @@ def carleman_scan(model, params_base: WeightParams, grid: SpaceTimeGrid, pair,
     weight e^{2s phi} would underflow for large s Theta (for T = 1/2 its log
     is below -2000 already at s = 1).  E is flushed to 0 below the log of the
     smallest normal; it vanishes at t = 0, T, so only the interior time rows
-    are formed.
+    are formed.  A block's least and greatest log E are its corner products
+    (its extreme Theta times psi's extremes) put through the same operations,
+    exact as rounding is monotone: a block wholly above the threshold takes
+    the exponential alone, one wholly below is zero, and only one that
+    straddles it (or whose bound is NaN) builds the flush mask.
 
     Every factor but E and the fields is a function of t alone or of x alone.
     The x factors and the space weights sw are folded into the s-invariant
@@ -483,6 +500,9 @@ def carleman_scan(model, params_base: WeightParams, grid: SpaceTimeGrid, pair,
     s_values = default_s_values() if s_values is None else np.asarray(s_values, dtype=float)
     if not np.all(np.isfinite(s_values) & (s_values >= 0.0)) or np.any(np.diff(s_values) < 0.0):
         raise ValueError(f"s must be nonnegative, nondecreasing and finite, got {s_values}")
+    if not s_values.size:
+        raise ValueError("no s value to scan")
+    _require_interior_row(grid)
     x = grid.x
     n_rows = grid.M - 1
     interior_t = slice(1, grid.M)
@@ -495,6 +515,7 @@ def carleman_scan(model, params_base: WeightParams, grid: SpaceTimeGrid, pair,
     # max of th psi over the grid, exactly: th > 0 and rounding is monotone, so
     # each column's largest product is at the smallest th where psi < 0
     phi_max = float(np.max(np.where(psi_x < 0.0, th.min() * psi_x, th.max() * psi_x)))
+    psi_ends = np.array([psi_x.min(), psi_x.max()])
     x_factors = (a * sw, _q2(model, x) * sw, sw)
     bdry_a = a[[0, -1]] * (x[[0, -1]] - model.x0)
 
@@ -521,11 +542,21 @@ def carleman_scan(model, params_base: WeightParams, grid: SpaceTimeGrid, pair,
         del v_rows, h_rows, v_x
         np.multiply(th[blk, None], psi_x[None, :], out=phi_shift)
         phi_shift -= phi_max
+        # the block's least and greatest phi - max phi, exactly: rounding is
+        # monotone, so they are among the corner products th psi of its extremes
+        corners = np.multiply.outer([th[blk].min(), th[blk].max()], psi_ends) - phi_max
+        lo, hi = float(corners.min()), float(corners.max())       # NaN if any is
         for k, s in enumerate(s_values):
-            np.multiply(phi_shift, 2.0 * s, out=E)                # log E
-            _exp_flushed(E, flushed)
+            if hi * (2.0 * s) < _LOG_TINY:          # all flush: exp(-inf) is +0.0
+                E.fill(0.0)
+            else:
+                np.multiply(phi_shift, 2.0 * s, out=E)            # log E
+                if lo * (2.0 * s) >= _LOG_TINY:     # none flushes
+                    np.exp(E, out=E)
+                else:
+                    _exp_flushed(E, flushed)
             np.matmul(stack, E[:, :, None], out=row_sums[k, blk, :, None])
-            E_bdry[k, blk] = E[:, [0, -1]]
+            E_bdry[k, blk] = E[:, ::x.size - 1]
 
     lhs_arr, src_arr, bdy_arr = [], [], []
     for k, s in enumerate(s_values):

@@ -260,7 +260,8 @@ def _propagate(model, potential: PotentialModel, grid: SpaceTimeGrid, start: np.
     base = 1.0 / grid.dt - 0.5 * d               # diagonal of L without its c/2 term
     factors, steps = _directed_steps(potential._levels, e, base, c, grid.dt, grid.M, backward)
 
-    out = np.zeros((grid.M + 1, grid.N + 1))
+    out = np.empty((grid.M + 1, grid.N + 1))
+    out[:, 0] = out[:, -1] = 0.0                 # the steps write every interior row
     out[grid.M if backward else 0] = start
     rows = out[:, 1:-1]
     if source is not None:

@@ -151,6 +151,18 @@ class TestOperator:
         for u in (rng.standard_normal(g.N + 1), rng.standard_normal((g.M + 1, g.N + 1))):
             assert np.array_equal(op.apply(u), reference_apply(op, u))
 
+    def test_apply_boundary_columns_zero_on_dirty_memory(self):
+        """apply zeroes only the two boundary columns of an uninitialised output:
+        they are +0.0 even where the allocator hands back memory that held NaN."""
+        g = SpaceTimeGrid.create(20, 1, 1.0, 0.3)
+        op = assemble_operator(CoefficientModel.power_law(0.5, 0.3), g)
+        rng = np.random.default_rng(4)
+        for u in (rng.standard_normal(g.N + 1), rng.standard_normal((7, g.N + 1))):
+            dirty = np.full(u.shape, np.nan)
+            del dirty
+            ends = op.apply(u)[..., [0, -1]]
+            assert np.all(ends == 0.0) and not np.any(np.signbit(ends))
+
 
 class TestQuadrature:
     def test_constant_and_linear_exact(self):
@@ -183,6 +195,16 @@ class TestQuadrature:
 
 
 class TestField:
+    def test_sample_rows_keeps_an_array_of_the_rows_shape(self):
+        """A profile's value that has the rows' shape is returned as it is; a
+        smaller one is broadcast to that shape, read-only."""
+        from degenpde.grid import _sample_rows
+        g = SpaceTimeGrid.create(20, 10, 1.0, 0.3)
+        full = np.ones((4, g.N + 1))
+        assert _sample_rows(lambda t, x: full, g, slice(2, 6)) is full
+        row = _sample_rows(lambda t, x: x, g, slice(2, 6))
+        assert row.shape == full.shape and not row.flags.writeable
+
     def test_shape_validation(self):
         g = SpaceTimeGrid.create(10, 5, 1.0, 0.5)
         with pytest.raises(ValueError):

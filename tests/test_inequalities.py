@@ -208,6 +208,25 @@ class TestCarlemanIdentity:
             with pytest.raises(ValueError, match=where):
                 carleman_identity_check(m, params, g, with_nan)
 
+    def test_no_interior_time_row_rejected(self):
+        """M = 1 leaves no time row inside (0, T), where the weights live: the
+        check raises instead of comparing 0 with 0."""
+        m = CoefficientModel.power_law(0.5, 0.3)
+        g = SpaceTimeGrid.create(20, 1, 1.0, 0.3)
+        params = WeightParams.for_model(m, T=1.0, s=1.0)
+        with pytest.raises(ValueError, match="no interior time row"):
+            carleman_identity_check(m, params, g, identity_profile(1.0, 0.3))
+
+    def test_zero_profile_measures_nothing(self):
+        """For w = 0 both sides are 0; the residual 0/0 is inf, not 0, so it meets
+        neither the residual gate nor a refinement factor."""
+        m = CoefficientModel.power_law(0.5, 0.3)
+        g = SpaceTimeGrid.create(20, 40, 1.0, 0.3)
+        params = WeightParams.for_model(m, T=1.0, s=1.0)
+        rep = carleman_identity_check(m, params, g, lambda t, x: 0.0 * t * x)
+        assert rep.lhs == rep.rhs == 0.0
+        assert rep.residual == np.inf
+
     def test_three_nodes_rejected(self):
         """(a w_x)_x extrapolates its end values from four nodes: three raise a
         ValueError, in the identity check and in the manufactured pair."""
@@ -299,6 +318,19 @@ class TestCarlemanScan:
             carleman_scan(m, params, g, pair, s_values=[1.0, -1.0])
         with pytest.raises(ValueError, match="nondecreasing"):
             carleman_scan(m, params, g, pair, s_values=[2.0, 1.0, 3.0])
+
+    def test_no_s_value_rejected(self):
+        m, params, pot, g, pair = self.make_scan(N=20)
+        with pytest.raises(ValueError, match="no s value"):
+            carleman_scan(m, params, g, pair, s_values=[])
+
+    def test_no_interior_time_row_rejected(self):
+        m = CoefficientModel.power_law(0.5, 0.3)
+        g = SpaceTimeGrid.create(20, 1, 2.0, 0.3)
+        params = WeightParams.for_model(m, T=2.0, s=1.0)
+        pair = manufactured_adjoint_pair(m, PotentialModel.zero(), g, scan_profile(2.0, 0.3))
+        with pytest.raises(ValueError, match="no interior time row"):
+            carleman_scan(m, params, g, pair)
 
     @pytest.mark.parametrize("s_values", [[1.0, np.nan, 2.0, 3.0], [1.0, 2.0, np.inf],
                                           [np.nan, np.nan, np.nan]])

@@ -516,6 +516,20 @@ class TestAdjoint:
         assert_adjoint_pairing(m, potentials(g)[kind], g, np.random.default_rng(8), trials=5)
 
 
+@pytest.mark.parametrize("solve", [solve_forward, solve_adjoint])
+def test_boundary_columns_zero_on_dirty_memory(solve):
+    """The solution's boundary columns are the only entries no step writes, and
+    they are +0.0 even where the allocator hands back memory that held NaN."""
+    m = CoefficientModel.power_law(0.5, 0.3)
+    g = SpaceTimeGrid.create(20, 10, 1.0, 0.3)
+    start = np.sin(np.pi * g.x)
+    start[0] = start[-1] = 0.0
+    dirty = np.full((g.M + 1, g.N + 1), np.nan)
+    del dirty
+    ends = solve(m, PotentialModel.constant(1.0), g, start).values[:, [0, -1]]
+    assert np.all(ends == 0.0) and not np.any(np.signbit(ends))
+
+
 def assert_adjoint_pairing(m, pot, g, rng, trials):
     """CN conserves <(I/dt^2 - K_j^2/4) u_j, v_j> with K_j = A - C_j exactly.
 

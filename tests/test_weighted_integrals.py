@@ -550,6 +550,65 @@ def test_scan_bit_identical_across_row_blocks(rows, n_blocks, monkeypatch):
         lhs, src, bdy)
 
 
+class CountingNumpy:
+    """numpy as ``inequalities`` sees it, counting the scan's branches per (row
+    block, s): an ``exp`` call is a block with nothing to flush, and a ``matmul``
+    with an all-zero weight a block filled with zeros (exp of a log at or above
+    log tiny is positive)."""
+
+    def __init__(self, counts):
+        self.counts = counts
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def exp(self, *args, **kwargs):
+        self.counts["free"] += 1
+        return np.exp(*args, **kwargs)
+
+    def matmul(self, a, b, **kwargs):
+        self.counts["zeroed"] += not np.any(b)
+        return np.matmul(a, b, **kwargs)
+
+
+def test_scan_bounds_settle_each_block(monkeypatch):
+    """On one-row blocks, each (row, s) takes exactly one branch, the one its own
+    log-weight calls for: np.exp alone when no entry is below log tiny, zeros when
+    every entry is, and the flush mask otherwise.  Each branch runs, and the bits
+    are those of the ordered formula."""
+    model = MODELS["alpha1.5"]
+    params, grid, pair = scan_inputs(model)
+    monkeypatch.setattr(inequalities, "_BLOCK_BYTES", inequalities._SCAN_NODE_BYTES * (grid.N + 1))
+    counts = {"free": 0, "zeroed": 0, "masked": 0}
+    flushed = inequalities._exp_flushed
+
+    def masked(log, mask=None):
+        counts["masked"] += 1
+        assert np.min(log) < _LOG_TINY <= np.max(log)
+        flushed(log, mask)
+
+    monkeypatch.setattr(inequalities, "_exp_flushed", masked)
+    monkeypatch.setattr(inequalities, "np", CountingNumpy(counts))
+    rep = carleman_scan(model, params, grid, pair, s_values=SCAN_S_VALUES)
+    monkeypatch.undo()
+
+    th = theta(params, grid.t[1:-1])[:, None]
+    phi = th * psi(params, model, grid.x)[None, :]
+    phi -= phi.max()
+    expected = {"free": 0, "zeroed": 0, "masked": 0}
+    for s in SCAN_S_VALUES:
+        log = phi * (2.0 * s)
+        below = np.sum(log < _LOG_TINY, axis=1)
+        expected["free"] += int(np.sum(below == 0))
+        expected["zeroed"] += int(np.sum(below == grid.N + 1))
+    expected["masked"] = (grid.M - 1) * SCAN_S_VALUES.size - expected["free"] - expected["zeroed"]
+    assert counts == expected
+    assert min(counts.values()) >= 1
+    lhs, src, bdy, _ = ordered_scan_integrals(model, params, grid, pair, SCAN_S_VALUES)
+    assert (rep.lhs.tolist(), rep.rhs_source.tolist(), rep.rhs_boundary.tolist()) == (
+        lhs, src, bdy)
+
+
 # the M + 1 time rows asked for in blocks of one row, of two rows (M is even, so
 # the last block is one row), of M rows and then the last row alone, and in one block
 @pytest.mark.parametrize("M", [10, 800])
@@ -747,6 +806,36 @@ def test_derivative_columns_bit_identical(cols):
     values = np.random.default_rng(5).standard_normal((9, 21))
     assert np.array_equal(_derivative(values, 0.05, 1, cols),
                           _derivative(values, 0.05, axis=1)[:, cols])
+
+
+def moveaxis_derivative(values, step, axis, part=slice(None)):
+    """_derivative through np.moveaxis, with 2 step formed at each division."""
+    n = values.shape[axis]
+    start, stop, _ = part.indices(n)
+    window = inequalities._halo(part, n)
+    v = np.moveaxis(values, axis, 0)[window]
+    out = np.empty_like(v)
+    np.subtract(v[2:], v[:-2], out=out[1:-1])
+    out[1:-1] /= 2.0 * step
+    out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * step)
+    out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * step)
+    return np.moveaxis(out[start - window.start:stop - window.start], 0, axis)
+
+
+@pytest.mark.parametrize("layout", ["transposed", "strided"])
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("part", [slice(None), slice(0, 1), slice(1, 2), slice(3, 7),
+                                  slice(8, 9)])
+def test_derivative_layouts_bit_identical(layout, axis, part):
+    """A transposed or non-contiguous (9, 21) input gives the moveaxis formula's
+    values, bit for bit, along either axis."""
+    rng = np.random.default_rng(8)
+    values = (rng.standard_normal((21, 9)).T if layout == "transposed"
+              else rng.standard_normal((18, 63))[::2, ::3])
+    assert values.shape == (9, 21) and not values.flags.c_contiguous
+    out = _derivative(values, 0.05, axis, part)
+    expected = moveaxis_derivative(values, 0.05, axis, part)
+    assert out.shape == expected.shape and np.array_equal(out, expected)
 
 
 @pytest.mark.parametrize("rows", [slice(0, 1), slice(0, 2), slice(1, 2), slice(3, 7),
