@@ -491,7 +491,9 @@ def run_carleman_scan(config: dict, out_dir: Path) -> tuple[list, dict]:
     write_csv(out_dir / "carleman_scan.csv",
               ["N", "s", "lhs", "rhs_source", "rhs_boundary", "ratio"],
               coarse_rows + fine_rows, config)
-    return verdicts, {}
+    # each level's window and its largest rise, the margin left to window_tol
+    return verdicts, {key: [getattr(coarse, key), getattr(fine, key)]
+                      for key in ("window_found", "s0_observed", "window_max_rise")}
 
 
 def _caccioppoli_level(config: dict, model, potential, grid: SpaceTimeGrid):

@@ -172,17 +172,35 @@ class TridiagonalOperator:
         """A u for a node vector, or for each row of a (rows, N+1) block, with 0 at
         x = 0 and x = 1.
 
-        Both flux products go through one scratch array; each interior entry is
-        ``(diag u + flux_right u) + flux_left u``, three products and two sums.
+        Each interior entry is ``(diag u + flux_right u) + flux_left u``, three
+        products and two sums.  Every pass runs on C-contiguous memory (any
+        other input is copied first): the diagonal, right and left coefficients
+        are padded with zeros to N+1, and a neighbour term reads the block's
+        flat array shifted by one element, as whole rows but for the one row
+        whose shift would leave the block.  A padded lane computes 0 times a
+        finite value, and the two boundary columns are written +0.0 last.
         """
-        out = np.empty(np.shape(u))
-        out[..., 0] = out[..., -1] = 0.0
-        inner = out[..., 1:-1]
-        np.multiply(self.diag, u[..., 1:-1], out=inner)
-        scratch = np.multiply(self.flux[1:], u[..., 2:])
-        inner += scratch
-        np.multiply(self.flux[:-1], u[..., :-2], out=scratch)
-        inner += scratch
+        u = np.ascontiguousarray(u)
+        n = u.shape[-1]
+        rows = u.reshape(-1, n)
+        flat = rows.reshape(-1)
+        m = rows.shape[0] - 1           # the rows whose shifted neighbours stay in the block
+        diag, right, left = np.zeros((3, n))
+        diag[1:-1], right[1:-1], left[1:-1] = self.diag, self.flux[1:], self.flux[:-1]
+        out = np.empty(u.shape)
+        block = out.reshape(-1, n)
+        np.multiply(rows, diag, out=block)
+        if m >= 0:                      # a block of no rows has no neighbour terms
+            scratch = np.empty(block.shape)
+            np.multiply(right, flat[1:m * n + 1].reshape(m, n), out=scratch[:m])
+            np.multiply(right[:-1], rows[m, 1:], out=scratch[m, :-1])
+            scratch[m, -1] = 0.0
+            block += scratch
+            np.multiply(left, flat[n - 1:(m + 1) * n - 1].reshape(m, n), out=scratch[1:])
+            np.multiply(left[1:], rows[0, :-1], out=scratch[0, 1:])
+            scratch[0, 0] = 0.0
+            block += scratch
+        block[:, 0] = block[:, -1] = 0.0
         return out
 
     def interior_tridiag(self):

@@ -223,15 +223,27 @@ def _derivative(values: np.ndarray, step: float, axis: int, part=slice(None)) ->
     """Nodal derivative of a 2-D array along ``axis`` (1: d/dx, 0: d/dt) at the
     indices ``part``: centered interior, one-sided 2nd order at the ends.  Only
     ``part`` and the indices it reads (``_halo``) are differenced, bit for bit as
-    the whole axis."""
+    the whole axis.
+
+    The window is differenced as one C-contiguous array (copied if it is not
+    one already): the centred difference is one pass over its flat array, with
+    neighbours ``k`` elements apart (1 along x, a row along t), and the
+    one-sided ends then overwrite the lanes whose neighbours lie in other rows."""
     n = values.shape[axis]
-    start, stop, _ = part.indices(n)
+    start, stop, stride = part.indices(n)
+    if stride != 1:
+        raise ValueError(f"a nodal derivative takes consecutive indices, got the slice {part}")
+    if n < 3:
+        raise ValueError(f"a nodal derivative needs 3 nodes along axis {axis}, got {n}")
     window = _halo(part, n)
-    v = (values.T if axis else values)[window]
+    v = np.ascontiguousarray(values[:, window] if axis else values[window])
     out = np.empty_like(v)
+    k = 1 if axis else v.shape[1]
+    vf, of = v.reshape(-1), out.reshape(-1)
     two_step = 2.0 * step
-    np.subtract(v[2:], v[:-2], out=out[1:-1])
-    out[1:-1] /= two_step
+    np.subtract(vf[2 * k:], vf[:-2 * k], out=of[k:-k])
+    of[k:-k] /= two_step
+    v, out = (v.T, out.T) if axis else (v, out)      # the derivative's axis first
     out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / two_step
     out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / two_step
     out = out[start - window.start:stop - window.start]
@@ -402,7 +414,9 @@ class CarlemanReport:
 
     ``fitted_C`` is the largest LHS/RHS ratio past ``s0_observed`` for that
     one profile: a lower bound for the discrete Carleman constant, not a
-    certified value of it; ``window_found`` says whether s0_observed starts a window.
+    certified value of it; ``window_found`` says whether s0_observed starts a window,
+    and ``window_max_rise``, the largest ratios[k+1]/ratios[k] - 1 over the
+    window's steps (None with no window), how close it came to window_tol.
     """
 
     s_values: np.ndarray
@@ -413,6 +427,7 @@ class CarlemanReport:
     fitted_C: float
     s0_observed: float
     window_found: bool
+    window_max_rise: float | None
     nonpositive_rhs: bool
 
 
@@ -487,8 +502,11 @@ def carleman_scan(model, params_base: WeightParams, grid: SpaceTimeGrid, pair,
 
     Every factor but E and the fields is a function of t alone or of x alone.
     The x factors and the space weights sw are folded into the s-invariant
-    integrands v_x^2 (a sw), v^2 (q2 sw) and h^2 sw, stacked per row; E with
-    one stacked matmul gives their three row sums.  Theta, s and the time
+    integrands v_x^2 (a sw), v^2 (q2 sw) and h^2 sw, each filling one
+    contiguous (rows, N+1) plane of a (3, rows, N+1) buffer; E with one stacked
+    matmul over the planes' (rows, 3, N+1) view gives their three row sums.  A
+    block whose E is all zero takes no matmul: its row sums are +0.0, as the
+    integrands are >= 0, unless one is inf or NaN.  Theta, s and the time
     weights tw act on those row sums:
         LHS = tw @ ((s Theta) P + (s^3 Theta^3) Q),  RHS_source = tw @ H.
     The interior rows are streamed in blocks (``_row_blocks``) outside the s
@@ -525,19 +543,19 @@ def carleman_scan(model, params_base: WeightParams, grid: SpaceTimeGrid, pair,
     bdry_x = np.empty((n_rows, 2))
     blocks = _row_blocks(n_rows, _SCAN_NODE_BYTES * x.size)
     # one set of block buffers, reused by every block: the s-invariant
-    # integrands (P, Q, H) as one (3, N+1) block per row, phi - max phi and E
+    # integrands (P, Q, H) as three (rows, N+1) planes, phi - max phi and E
     size = blocks[0].stop - blocks[0].start
-    stack_buf = np.empty((size, 3, x.size))
+    stack_buf = np.empty((3, size, x.size))
     phi_buf, E_buf = np.empty((2, size, x.size))
     flushed_buf = np.empty((size, x.size), dtype=bool)
     for blk in blocks:
         n = blk.stop - blk.start
-        stack, phi_shift, E, flushed = stack_buf[:n], phi_buf[:n], E_buf[:n], flushed_buf[:n]
+        stack, phi_shift, E, flushed = stack_buf[:, :n], phi_buf[:n], E_buf[:n], flushed_buf[:n]
         v_rows, h_rows = pair(slice(blk.start + 1, blk.stop + 1))
         v_x = _derivative(v_rows, grid.h, axis=1)
-        for k, f in enumerate((v_x, v_rows, h_rows)):
-            np.multiply(f, f, out=stack[:, k])
-            stack[:, k] *= x_factors[k]
+        for plane, f, x_factor in zip(stack, (v_x, v_rows, h_rows), x_factors):
+            np.multiply(f, f, out=plane)
+            plane *= x_factor
         bdry_x[blk] = bdry_a * v_x[:, [0, -1]] ** 2
         del v_rows, h_rows, v_x
         np.multiply(th[blk, None], psi_x[None, :], out=phi_shift)
@@ -546,8 +564,17 @@ def carleman_scan(model, params_base: WeightParams, grid: SpaceTimeGrid, pair,
         # monotone, so they are among the corner products th psi of its extremes
         corners = np.multiply.outer([th[blk].min(), th[blk].max()], psi_ends) - phi_max
         lo, hi = float(corners.min()), float(corners.max())       # NaN if any is
+        integrands_finite = None    # asked once, by the first all-zero weight
         for k, s in enumerate(s_values):
             if hi * (2.0 * s) < _LOG_TINY:          # all flush: exp(-inf) is +0.0
+                # the integrands are >= 0, so their largest is finite only if all
+                # are, and then every product with E = 0 is +0.0; an inf or NaN
+                # keeps the matmul, whose row sums are NaN
+                if integrands_finite is None:
+                    integrands_finite = bool(np.isfinite(stack.max()))
+                if integrands_finite:
+                    row_sums[k, blk] = E_bdry[k, blk] = 0.0
+                    continue
                 E.fill(0.0)
             else:
                 np.multiply(phi_shift, 2.0 * s, out=E)            # log E
@@ -555,7 +582,7 @@ def carleman_scan(model, params_base: WeightParams, grid: SpaceTimeGrid, pair,
                     np.exp(E, out=E)
                 else:
                     _exp_flushed(E, flushed)
-            np.matmul(stack, E[:, :, None], out=row_sums[k, blk, :, None])
+            np.matmul(stack.transpose(1, 0, 2), E[:, :, None], out=row_sums[k, blk, :, None])
             E_bdry[k, blk] = E[:, ::x.size - 1]
 
     lhs_arr, src_arr, bdy_arr = [], [], []
@@ -582,13 +609,16 @@ def carleman_scan(model, params_base: WeightParams, grid: SpaceTimeGrid, pair,
     start = int(np.flatnonzero(breaks)[-1]) + 1 if breaks.any() else 0
     window_found = start <= s_values.size - 3
     s0_observed = float(s_values[start if window_found else -1])
+    window_max_rise = (float(np.max(ratios[start + 1:] / ratios[start:-1] - 1.0))
+                       if window_found else None)
     past = s_values >= s0_observed
     finite = past & np.isfinite(ratios)
     fitted_C = float(np.max(ratios[finite])) if np.any(finite) else np.inf
     return CarlemanReport(
         s_values=s_values, lhs=lhs_arr, rhs_source=src_arr, rhs_boundary=bdy_arr,
         ratios=ratios, fitted_C=fitted_C, s0_observed=s0_observed,
-        window_found=window_found, nonpositive_rhs=nonpositive)
+        window_found=window_found, window_max_rise=window_max_rise,
+        nonpositive_rhs=nonpositive)
 
 
 # ---------------------------------------------------------------------------

@@ -630,11 +630,29 @@ class TestSubcommands:
         assert code == 0
         summary = json.loads((out / "summary.json").read_text())
         assert set(summary) == {"config", "grid_sizes", "verdicts", "diagnostics", "timing"}
-        assert summary["diagnostics"] == {}
+        # each level's window: where it starts, and its largest rise, which stays
+        # within window_tol = 0.05 (here every step of the window falls)
+        diagnostics = summary["diagnostics"]["carleman-scan"]
+        assert set(summary["diagnostics"]) == {"carleman-scan"}
+        assert diagnostics["window_found"] == [True, True]
+        assert diagnostics["s0_observed"] == [7.59375, 7.59375]
+        assert all(-1.0 < rise <= 0.05 for rise in diagnostics["window_max_rise"])
         assert summary["grid_sizes"] == {"grid.N": {"requested": 60, "snapped": 60},
                                          "hp.N": {"requested": 1000, "snapped": 1000}}
         for v in summary["verdicts"]:
             assert set(v) == {"name", "pass", "value", "threshold"}
+
+    def test_scan_window_margin_on_default_config(self, tmp_path):
+        # the default scan's window opens at s = 5.0625 by a small margin: its
+        # largest rise, the first step, is 4.91% (coarse) and 4.87% (fine) against
+        # window_tol = 0.05, so a 0.1% move in one ratio would move s0_observed
+        code, out = run(tmp_path, "carleman-scan")
+        assert code == 0
+        diagnostics = json.loads((out / "summary.json").read_text())["diagnostics"]
+        assert diagnostics["carleman-scan"]["s0_observed"] == [5.0625, 5.0625]
+        coarse, fine = diagnostics["carleman-scan"]["window_max_rise"]
+        assert coarse == pytest.approx(0.0491, abs=5e-5)
+        assert fine == pytest.approx(0.0487, abs=5e-5)
 
     @pytest.mark.parametrize("alpha, iterations, code", [
         ("0.5", 3, 0),

@@ -62,6 +62,21 @@ class TestGridConstruction:
         assert 1.0 / g.dt < np.inf
 
 
+def three_product_apply(op, u):
+    """A u as ``(diag u[1:-1] + flux[1:] u[2:]) + flux[:-1] u[:-2]``, every product a
+    fresh array, and +0.0 at the two boundary nodes."""
+    out = np.zeros(np.shape(u))
+    out[..., 1:-1] = (op.diag * u[..., 1:-1] + op.flux[1:] * u[..., 2:]) + op.flux[:-1] * u[..., :-2]
+    return out
+
+
+def assert_same_bits(a, b):
+    """Equal values, NaN where the other is NaN, and equal signs of zero."""
+    assert a.shape == b.shape
+    assert np.array_equal(a, b, equal_nan=True)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
 class TestOperator:
     @pytest.mark.parametrize("preset", [*sorted(PRESETS), "constant"])
     def test_interior_block_symmetric(self, preset):
@@ -136,20 +151,52 @@ class TestOperator:
 
     @pytest.mark.parametrize("alpha", [0.5, 1.5])
     def test_apply_bit_identical_to_fresh_products(self, alpha):
-        """One scratch array gives the bits of the two fresh flux products, and the
-        boundary entries are 0 whatever u holds there."""
-        def reference_apply(op, u):
-            out = np.zeros(u.shape)
-            out[..., 1:-1] = op.diag * u[..., 1:-1]
-            out[..., 1:-1] += op.flux[1:] * u[..., 2:]
-            out[..., 1:-1] += op.flux[:-1] * u[..., :-2]
-            return out
-
+        """The flat shifted passes give the bits of the three fresh products, and
+        the boundary entries are 0 whatever u holds there."""
         g = SpaceTimeGrid.create(60, 120, 1.0, 0.3)
         op = assemble_operator(CoefficientModel.power_law(alpha, 0.3), g)
         rng = np.random.default_rng(3)
         for u in (rng.standard_normal(g.N + 1), rng.standard_normal((g.M + 1, g.N + 1))):
-            assert np.array_equal(op.apply(u), reference_apply(op, u))
+            assert_same_bits(op.apply(u), three_product_apply(op, u))
+
+    @pytest.mark.parametrize("rows", [0, 1, 2, 27])
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("N, x0", [(3, 1.0 / 3.0), (40, 0.3)])
+    def test_apply_blocks_and_layouts(self, rows, layout, N, x0):
+        """Every block height (a one-row block has no row whose shift stays inside
+        it), every memory layout and the smallest grid, N + 1 = 4, give the three
+        products' bits, signed zeros included; finite input raises no flag."""
+        g = SpaceTimeGrid.create(N, 1, 1.0, x0)
+        assert g.N == N
+        op = assemble_operator(CoefficientModel.power_law(1.5, x0), g)
+        rng = np.random.default_rng(rows)
+        u = rng.standard_normal((rows, 2 * (N + 1)))[:, ::2] if layout == "strided" else \
+            np.asarray(rng.standard_normal((rows, N + 1)), order=layout)
+        u[:, 1::3] *= 0.0               # signed zeros: -0.0 where the draw was negative
+        assert u.shape == (rows, N + 1)
+        assert u.flags.c_contiguous or layout != "C"
+        assert not u.flags.c_contiguous or layout == "C" or rows < 2
+        with np.errstate(all="raise"):
+            out = op.apply(u)
+        assert out.shape == (rows, N + 1) and out.flags.c_contiguous
+        assert_same_bits(out, three_product_apply(op, u))
+        assert_same_bits(op.apply(u[0]) if rows else op.apply(np.ones(N + 1)),
+                         three_product_apply(op, u[0] if rows else np.ones(N + 1)))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("col", [1, 2, 20, 39])
+    @pytest.mark.parametrize("row", [0, 3, 6])
+    def test_apply_nonfinite_interior_node(self, bad, col, row):
+        """An inf or NaN at an interior node gives the formula's interior bits.  A
+        padded lane next to it computes 0 times inf, a NaN and an invalid flag
+        (ignored here), in a boundary column that is then written +0.0."""
+        g = SpaceTimeGrid.create(40, 1, 1.0, 0.3)
+        op = assemble_operator(CoefficientModel.power_law(0.5, 0.3), g)
+        u = np.random.default_rng(col).standard_normal((7, g.N + 1))
+        u[row, col] = bad
+        with np.errstate(invalid="ignore"):
+            out = op.apply(u)
+        assert_same_bits(out, three_product_apply(op, u))
 
     def test_apply_boundary_columns_zero_on_dirty_memory(self):
         """apply zeroes only the two boundary columns of an uninitialised output:

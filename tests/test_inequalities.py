@@ -264,6 +264,7 @@ class TestCarlemanScan:
         assert rep.window_found
         tail = rep.ratios[rep.s_values >= rep.s0_observed]
         assert tail.size >= 3 and np.all(tail[1:] <= tail[:-1] * 1.05)
+        assert rep.window_max_rise == max(tail[1:] / tail[:-1] - 1.0) <= 0.05
 
     @pytest.mark.parametrize("n_s", [3, 5])
     def test_rising_ratios_find_no_window(self, n_s):
@@ -272,7 +273,7 @@ class TestCarlemanScan:
         m, params, pot, g, pair = self.make_scan(N=20)
         rep = carleman_scan(m, params, g, pair, s_values=default_s_values(n_s))
         assert np.all(rep.ratios[1:] > rep.ratios[:-1] * 1.05)
-        assert rep.window_found is False
+        assert rep.window_found is False and rep.window_max_rise is None
         assert rep.s0_observed == rep.s_values[-1]
         assert rep.fitted_C == rep.ratios[-1] and np.isfinite(rep.fitted_C)
 
@@ -290,6 +291,9 @@ class TestCarlemanScan:
             rep = carleman_scan(m, params, g, pair, s_values=s_values, window_tol=tol)
             assert rep.window_found is (start <= 2)
             assert rep.s0_observed == s_values[start if start <= 2 else -1]
+            # the window's largest rise is its first, the margin left below tol
+            assert rep.window_max_rise == (rises[start] if start <= 2 else None)
+            assert start > 2 or rep.window_max_rise <= tol
 
     @pytest.mark.parametrize("fault", ["v_zero", "h_nan"])
     def test_unmeasured_integrals_find_no_window(self, fault):
@@ -373,6 +377,21 @@ class TestCarlemanScan:
         pot = PotentialModel.sampled(Field.zeros(SpaceTimeGrid.create(g.N, M, g.T, g.x0)))
         with pytest.raises(ValueError, match=rf"\({M + 1}, 101\).*\(201, 101\)"):
             manufactured_adjoint_pair(m, pot, g, scan_profile(g.T, g.x0))
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_derivative_rejects_a_stepped_slice(self, axis):
+        from degenpde.inequalities import _derivative
+        values = np.random.default_rng(3).standard_normal((20, 20))
+        with pytest.raises(ValueError, match=r"consecutive indices.*slice\(0, 10, 2\)"):
+            _derivative(values, 0.1, axis, slice(0, 10, 2))
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_derivative_rejects_a_short_axis(self, n, axis):
+        from degenpde.inequalities import _derivative
+        values = np.ones((n, 5) if axis == 0 else (5, n))
+        with pytest.raises(ValueError, match=f"needs 3 nodes along axis {axis}, got {n}"):
+            _derivative(values, 0.1, axis)
 
     def test_derivative_matches_stencil_on_each_axis(self):
         from degenpde.inequalities import _derivative

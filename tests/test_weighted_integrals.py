@@ -537,7 +537,7 @@ def test_caccioppoli_log_ratio_where_the_weight_underflows():
 
 # with N = 120 and M = 240, the 239 interior rows split into 239 one-row blocks,
 # 35 blocks of 7 rows or fewer (7 does not divide 239), or one block
-@pytest.mark.parametrize("rows, n_blocks", [(1, 239), (7, 35), (239, 1)])
+@pytest.mark.parametrize("rows, n_blocks", [(1, 239), (2, 120), (7, 35), (239, 1)])
 def test_scan_bit_identical_across_row_blocks(rows, n_blocks, monkeypatch):
     model = MODELS["alpha1.5"]
     params, grid, pair = scan_inputs(model)
@@ -551,10 +551,12 @@ def test_scan_bit_identical_across_row_blocks(rows, n_blocks, monkeypatch):
 
 
 class CountingNumpy:
-    """numpy as ``inequalities`` sees it, counting the scan's branches per (row
-    block, s): an ``exp`` call is a block with nothing to flush, and a ``matmul``
-    with an all-zero weight a block filled with zeros (exp of a log at or above
-    log tiny is positive)."""
+    """numpy as ``inequalities`` sees it, counting the scan's calls: an ``exp``
+    call is a (row block, s) with nothing to flush, a ``matmul`` one whose row
+    sums are formed, and an ``isfinite`` call on a scalar a block that asked
+    whether its integrands are finite (their largest is).  Every ``matmul`` weight must hold a nonzero entry:
+    a block whose weight is all zero takes no matmul unless its integrands hold
+    an inf or NaN (``zero_weight`` counts those)."""
 
     def __init__(self, counts):
         self.counts = counts
@@ -566,20 +568,26 @@ class CountingNumpy:
         self.counts["free"] += 1
         return np.exp(*args, **kwargs)
 
+    def isfinite(self, *args, **kwargs):
+        self.counts["isfinite"] += np.ndim(args[0]) == 0
+        return np.isfinite(*args, **kwargs)
+
     def matmul(self, a, b, **kwargs):
-        self.counts["zeroed"] += not np.any(b)
+        self.counts["matmul"] += 1
+        self.counts["zero_weight"] += not np.any(b)
         return np.matmul(a, b, **kwargs)
 
 
 def test_scan_bounds_settle_each_block(monkeypatch):
     """On one-row blocks, each (row, s) takes exactly one branch, the one its own
-    log-weight calls for: np.exp alone when no entry is below log tiny, zeros when
-    every entry is, and the flush mask otherwise.  Each branch runs, and the bits
-    are those of the ordered formula."""
+    log-weight calls for: np.exp alone when no entry is below log tiny, zeros
+    without a matmul when every entry is, and the flush mask otherwise.  Each
+    branch runs, a row asks whether its integrands are finite at most once, and
+    the bits are those of the ordered formula."""
     model = MODELS["alpha1.5"]
     params, grid, pair = scan_inputs(model)
     monkeypatch.setattr(inequalities, "_BLOCK_BYTES", inequalities._SCAN_NODE_BYTES * (grid.N + 1))
-    counts = {"free": 0, "zeroed": 0, "masked": 0}
+    counts = {"free": 0, "masked": 0, "matmul": 0, "zero_weight": 0, "isfinite": 0}
     flushed = inequalities._exp_flushed
 
     def masked(log, mask=None):
@@ -596,17 +604,55 @@ def test_scan_bounds_settle_each_block(monkeypatch):
     phi = th * psi(params, model, grid.x)[None, :]
     phi -= phi.max()
     expected = {"free": 0, "zeroed": 0, "masked": 0}
+    all_below = np.zeros(grid.M - 1, dtype=bool)
     for s in SCAN_S_VALUES:
         log = phi * (2.0 * s)
         below = np.sum(log < _LOG_TINY, axis=1)
         expected["free"] += int(np.sum(below == 0))
         expected["zeroed"] += int(np.sum(below == grid.N + 1))
+        all_below |= below == grid.N + 1
     expected["masked"] = (grid.M - 1) * SCAN_S_VALUES.size - expected["free"] - expected["zeroed"]
-    assert counts == expected
-    assert min(counts.values()) >= 1
+    pairs = (grid.M - 1) * SCAN_S_VALUES.size
+    assert counts["zero_weight"] == 0
+    assert {"free": counts["free"], "zeroed": pairs - counts["matmul"],
+            "masked": counts["masked"]} == expected
+    assert counts["matmul"] == counts["free"] + counts["masked"]
+    assert min(expected.values()) >= 1
+    # one question per row that reaches the zero branch, however many s it does so for
+    assert counts["isfinite"] == int(np.sum(all_below))
     lhs, src, bdy, _ = ordered_scan_integrals(model, params, grid, pair, SCAN_S_VALUES)
     assert (rep.lhs.tolist(), rep.rhs_source.tolist(), rep.rhs_boundary.tolist()) == (
         lhs, src, bdy)
+
+
+@pytest.mark.parametrize("field, bad", [("v", np.inf), ("h", np.nan)])
+def test_scan_nonfinite_zero_block_keeps_its_matmul(field, bad, monkeypatch):
+    """A one-row block whose weight is all zero at every s but whose integrands
+    hold an inf or NaN keeps the matmul: 0 times it is NaN, so every s reads a
+    NaN integral, as in the ordered formula, where skipping it would give 0."""
+    model = MODELS["alpha1.5"]
+    params, grid, real = scan_inputs(model)
+    monkeypatch.setattr(inequalities, "_BLOCK_BYTES", inequalities._SCAN_NODE_BYTES * (grid.N + 1))
+    th = theta(params, grid.t[1:-1])
+    phi = th[:, None] * psi(params, model, grid.x)[None, :]
+    flushed = np.all(2.0 * SCAN_S_VALUES[0] * (phi - phi.max()) < _LOG_TINY, axis=1)
+    row = 1 + int(np.flatnonzero(flushed)[0])       # the grid row of that block
+    col = grid.N // 2
+
+    def pair(rows):
+        v, h = real(rows)
+        (v if field == "v" else h)[np.arange(rows.start, rows.stop) == row, col] = bad
+        return v, h
+    counts = {"free": 0, "masked": 0, "matmul": 0, "zero_weight": 0, "isfinite": 0}
+    monkeypatch.setattr(inequalities, "np", CountingNumpy(counts))
+    with np.errstate(invalid="ignore", over="ignore"):
+        rep = carleman_scan(model, params, grid, pair, s_values=SCAN_S_VALUES)
+    monkeypatch.undo()
+    assert counts["zero_weight"] == SCAN_S_VALUES.size      # that block, at every s
+    assert np.all(np.isnan(rep.lhs if field == "v" else rep.rhs_source))
+    with np.errstate(invalid="ignore", over="ignore"):
+        lhs, src, _, _ = ordered_scan_integrals(model, params, grid, pair, SCAN_S_VALUES)
+    assert np.all(np.isnan(lhs if field == "v" else src))
 
 
 # the M + 1 time rows asked for in blocks of one row, of two rows (M is even, so
@@ -822,17 +868,18 @@ def moveaxis_derivative(values, step, axis, part=slice(None)):
     return np.moveaxis(out[start - window.start:stop - window.start], 0, axis)
 
 
-@pytest.mark.parametrize("layout", ["transposed", "strided"])
+@pytest.mark.parametrize("layout", ["C", "transposed", "strided"])
 @pytest.mark.parametrize("axis", [0, 1])
 @pytest.mark.parametrize("part", [slice(None), slice(0, 1), slice(1, 2), slice(3, 7),
                                   slice(8, 9)])
 def test_derivative_layouts_bit_identical(layout, axis, part):
-    """A transposed or non-contiguous (9, 21) input gives the moveaxis formula's
-    values, bit for bit, along either axis."""
+    """A C-contiguous, transposed (F-ordered) or non-contiguous (9, 21) input
+    gives the moveaxis formula's values, bit for bit, along either axis."""
     rng = np.random.default_rng(8)
-    values = (rng.standard_normal((21, 9)).T if layout == "transposed"
-              else rng.standard_normal((18, 63))[::2, ::3])
-    assert values.shape == (9, 21) and not values.flags.c_contiguous
+    values = {"C": lambda: rng.standard_normal((9, 21)),
+              "transposed": lambda: rng.standard_normal((21, 9)).T,
+              "strided": lambda: rng.standard_normal((18, 63))[::2, ::3]}[layout]()
+    assert values.shape == (9, 21) and values.flags.c_contiguous == (layout == "C")
     out = _derivative(values, 0.05, axis, part)
     expected = moveaxis_derivative(values, 0.05, axis, part)
     assert out.shape == expected.shape and np.array_equal(out, expected)
