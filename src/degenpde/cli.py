@@ -33,7 +33,7 @@ from .inequalities import (_S_RATIO, HardyWeight, _require_caccioppoli_geometry,
                            caccioppoli_check, carleman_identity_check, carleman_scan,
                            default_s_values, hp_verify, manufactured_adjoint_pair)
 from .solvers import ControlConfig, PotentialModel, _require_dominance, solve_adjoint
-from .weights import _LOG_MAX, WeightParams, _require_finite_theta
+from .weights import _LOG_MAX, _require_finite_theta
 
 __all__ = ["main", "DEFAULT_CONFIG", "PRESETS"]
 
@@ -295,11 +295,6 @@ def build_control(config: dict) -> ControlConfig:
     return ControlConfig(c["omega_lo"], c["omega_hi"], epsilon=c["epsilon"])
 
 
-def build_weight_params(model, T: float, s: float) -> WeightParams:
-    """The weight at s, with every check's constants c1 = 1 and c2 = 1.05 c2_min."""
-    return WeightParams.for_model(model, T=T, s=s)
-
-
 # ---------------------------------------------------------------------------
 # report emission
 # ---------------------------------------------------------------------------
@@ -430,16 +425,14 @@ def _carleman_profile(T: float, x0: float, k: int):
 # only the level's report and CSV rows: what the level holds (Caccioppoli's
 # adjoint field) dies on return, before the next level builds its own.
 
-def _identity_level(config: dict, model, grid: SpaceTimeGrid, s: float):
-    T = config["grid"]["T"]
-    params = build_weight_params(model, T, s)
-    rep = carleman_identity_check(model, params, grid, _carleman_profile(T, model.x0, 5))
+def _identity_level(model, grid: SpaceTimeGrid, s: float):
+    rep = carleman_identity_check(model, grid, s, _carleman_profile(grid.T, model.x0, 5))
     return rep, [[s, grid.N, grid.M, rep.lhs, rep.rhs, rep.residual]]
 
 
-# the large parameters each check samples; constants, like the gates and the weight's
-# c1 and c2 (c1 reaches e^{2 s phi} only through s c1), so that no key can move a
-# failing check onto a value where it passes
+# the large parameters each check samples; constants, like the gates and the weight,
+# which each check builds from its grid and s, so that no key can move a failing
+# check onto a value where it passes
 _IDENTITY_S = (1.0, 10.0)
 _CACCIOPPOLI_S = (1.0, 2.0, 4.0)
 
@@ -450,7 +443,7 @@ def run_carleman_identity(config: dict, out_dir: Path) -> tuple[list, dict]:
     rows = []
     for s in _IDENTITY_S:
         (coarse, coarse_rows), (fine, fine_rows) = [
-            _identity_level(config, model, grid, s) for grid in _refinement_pair(config)]
+            _identity_level(model, grid, s) for grid in _refinement_pair(config)]
         rows += coarse_rows + fine_rows
         factor = coarse.residual / fine.residual if fine.residual > 0.0 else np.inf
         verdicts.append(verdict(f"identity_residual_s{s:g}", "<", fine.residual, 0.05))
@@ -460,11 +453,10 @@ def run_carleman_identity(config: dict, out_dir: Path) -> tuple[list, dict]:
     return verdicts, {}
 
 
-def _scan_level(config: dict, model, potential, grid: SpaceTimeGrid, s_values):
-    T = config["scan"]["T"]
-    params = build_weight_params(model, T, s_values[0])
-    pair = manufactured_adjoint_pair(model, potential, grid, _carleman_profile(T, model.x0, 1))
-    rep = carleman_scan(model, params, grid, pair, s_values=s_values, window_tol=0.05)
+def _scan_level(model, potential, grid: SpaceTimeGrid, s_values):
+    pair = manufactured_adjoint_pair(model, potential, grid,
+                                     _carleman_profile(grid.T, model.x0, 1))
+    rep = carleman_scan(model, grid, pair, s_values=s_values, window_tol=0.05)
     return rep, [[grid.N, rep.s_values[k], rep.lhs[k], rep.rhs_source[k],
                   rep.rhs_boundary[k], rep.ratios[k]] for k in range(s_values.size)]
 
@@ -474,7 +466,7 @@ def run_carleman_scan(config: dict, out_dir: Path) -> tuple[list, dict]:
     potential = build_potential(config)
     s_values = default_s_values(int(config["scan"]["n_s"]))
     (coarse, coarse_rows), (fine, fine_rows) = [
-        _scan_level(config, model, potential, grid, s_values)
+        _scan_level(model, potential, grid, s_values)
         for grid in _refinement_pair(config, config["scan"]["T"])]
     verdicts = [
         # a ratio of 0 is an LHS that underflowed, and measures nothing
@@ -505,8 +497,7 @@ def _caccioppoli_level(config: dict, model, potential, grid: SpaceTimeGrid):
     v = solve_adjoint(model, potential, grid, modes[0])
     reports = []
     for s in _CACCIOPPOLI_S:
-        params = build_weight_params(model, c["T"], s)
-        reports.append(caccioppoli_check(model, params, grid, v, omega_p, omega))
+        reports.append(caccioppoli_check(model, grid, s, v, omega_p, omega))
     return reports, [[grid.N, s, rep.local_gradient_integral, rep.outer_solution_integral,
                       rep.ratio, rep.log_ratio] for s, rep in zip(_CACCIOPPOLI_S, reports)]
 

@@ -31,8 +31,8 @@ import numpy as np
 from ._lapack import eigh_tridiagonal
 from .grid import Field, SpaceTimeGrid, _sample_rows, assemble_operator
 from .solvers import ControlConfig, PotentialModel
-from .weights import (_LOG_TINY, WeightParams, _exp_flushed, log2s_phi, psi, psi_prime, theta,
-                      theta_dot, theta_ddot)
+from .weights import (_LOG_TINY, _exp_flushed, carleman_weight, log2s_phi, psi, psi_prime,
+                      theta, theta_dot, theta_ddot)
 
 __all__ = [
     "HardyWeight",
@@ -283,19 +283,18 @@ class IdentityReport:
     residual: float
 
 
-def carleman_identity_check(model, params: WeightParams, grid: SpaceTimeGrid,
-                            w) -> IdentityReport:
+def carleman_identity_check(model, grid: SpaceTimeGrid, s: float, w) -> IdentityReport:
     """Check the distributed + boundary decomposition of <L+ w, L- w>.
 
     The conjugated operators are
         L+ w = (a w_x)_x - s phi_t w + s^2 a phi_x^2 w,
         L- w = w_t - 2 s a phi_x w_x - s (a phi_x)_x w,
-    with the exact simplifications a phi_x = c1 Theta (x - x0) and
-    (a phi_x)_x = c1 Theta.  w is the profile w(t, x), elementwise as
-    ``Field.from_function`` requires, and never a field.  It must vanish (a NaN
-    does not) on the spatial boundary for all t and at t = 0, T for all x;
-    integrands carrying unbounded Theta powers are then zero at the time
-    endpoints and are set so.
+    with the weight ``carleman_weight`` builds from grid.T and s, and the exact
+    simplifications a phi_x = Theta (x - x0) and (a phi_x)_x = Theta.  w is the
+    profile w(t, x), elementwise as ``Field.from_function`` requires, and never
+    a field.  It must vanish (a NaN does not) on the spatial boundary for all t
+    and at t = 0, T for all x; integrands carrying unbounded Theta powers are
+    then zero at the time endpoints and are set so.
 
     Every factor but w and its derivatives is a function of t alone or of x
     alone.  The coefficients of L+- are outer products of t and x vectors
@@ -316,7 +315,8 @@ def carleman_identity_check(model, params: WeightParams, grid: SpaceTimeGrid,
     if not np.all(np.abs(_sample_rows(w, grid, slice(0, M + 1, M))) <= 1e-13):
         raise ValueError("w must vanish at t = 0 and t = T for all x")
 
-    s, c1 = params.s, params.c1
+    params = carleman_weight(model, grid.T, s)
+    s = params.s
     x, t, h, dt = grid.x, grid.t, grid.h, grid.dt
     interior_t = slice(1, M)
 
@@ -337,9 +337,9 @@ def carleman_identity_check(model, params: WeightParams, grid: SpaceTimeGrid,
     w2_vectors = np.column_stack((psi_x * sw, q2 * sw))
     g_a_sw = g * a * sw
     # L+ = (a w_x)_x + (c_psi psi + c_q2 q2) w, as -s phi_t + s^2 a phi_x^2;
-    # L- = w_t - c_wx (x - x0) w_x - c_w w, as a phi_x = c1 Theta (x - x0)
-    c_psi, c_q2 = -s * th_d, s ** 2 * c1 ** 2 * th ** 2
-    c_wx, c_w = 2.0 * s * c1 * th, s * c1 * th
+    # L- = w_t - c_wx (x - x0) w_x - c_w w, as a phi_x = Theta (x - x0)
+    c_psi, c_q2 = -s * th_d, s ** 2 * th ** 2
+    c_wx, c_w = 2.0 * s * th, s * th
 
     # per interior row: the two w^2 sums, the w_x^2 sum, the L+ L- sum, and
     # w, w_x, w_t at x = 0, 1
@@ -382,9 +382,9 @@ def carleman_identity_check(model, params: WeightParams, grid: SpaceTimeGrid,
     lhs = float(tw @ lhs_rows)
     # distributed terms: int int f(t) g(x) w^2 = tw @ (f (w^2 @ (g sw)))
     dt1 = float(tw @ ((0.5 * s * th_dd) * w2_rows[:, 0]))
-    dt2 = float(tw @ ((g * s ** 3 * c1 ** 3 * th ** 3) * w2_rows[:, 1]))
-    dt3 = float(tw @ ((-2.0 * s ** 2 * c1 ** 2 * (th * th_d)) * w2_rows[:, 1]))
-    dt4 = float(tw @ ((s * c1 * th) * wx2_rows))
+    dt2 = float(tw @ ((g * s ** 3 * th ** 3) * w2_rows[:, 1]))
+    dt3 = float(tw @ ((-2.0 * s ** 2 * (th * th_d)) * w2_rows[:, 1]))
+    dt4 = float(tw @ ((s * th) * wx2_rows))
 
     # boundary terms [f]_{x=0}^{x=1} of five products; w vanishes there, so every
     # product except the -s phi_x (a w_x)^2 flux is analytically zero, but all five
@@ -397,7 +397,7 @@ def carleman_identity_check(model, params: WeightParams, grid: SpaceTimeGrid,
          - s * phi_x_b * (a_b * wx_b) ** 2
          + s ** 2 * a_b * phi_t_b * phi_x_b * w_b ** 2
          - s ** 3 * a_b ** 2 * phi_x_b ** 3 * w_b ** 2
-         - s * c1 * th[:, None] * a_b * w_b * wx_b)
+         - s * th[:, None] * a_b * w_b * wx_b)
     rhs = (dt1 + dt2 + dt3 + dt4) + float(tw @ (f[:, 1] - f[:, 0]))
     # a zero <L+ w, L- w> measures nothing: a residual of 0 there is 0/0
     residual = abs(lhs - rhs) / (abs(lhs) + 1e-300) if lhs != 0.0 else math.inf
@@ -434,9 +434,9 @@ class CarlemanReport:
 _S_RATIO = 1.5         # the ratio of the scan's geometric s ladder
 
 
-def default_s_values(n: int = 12, start: float = 1.0, ratio: float = _S_RATIO) -> np.ndarray:
-    """Geometric scan grid for the large parameter."""
-    return start * ratio ** np.arange(n)
+def default_s_values(n: int = 12) -> np.ndarray:
+    """Geometric scan grid for the large parameter: _S_RATIO^k, k = 0 ... n - 1."""
+    return _S_RATIO ** np.arange(n)
 
 
 def manufactured_adjoint_pair(model, potential: PotentialModel, grid: SpaceTimeGrid, v_func):
@@ -469,14 +469,14 @@ def manufactured_adjoint_pair(model, potential: PotentialModel, grid: SpaceTimeG
     return pair
 
 
-def carleman_scan(model, params_base: WeightParams, grid: SpaceTimeGrid, pair,
-                  s_values=None, window_tol: float = 0.05) -> CarlemanReport:
+def carleman_scan(model, grid: SpaceTimeGrid, pair, s_values=None,
+                  window_tol: float = 0.05) -> CarlemanReport:
     """Sweep the weighted estimate over s and fit the stability constant.
 
-    For each s:
+    For each s, with the weight ``carleman_weight`` builds from grid.T:
         LHS          = int int (s Theta a v_x^2 + s^3 Theta^3 (x-x0)^2/a v^2) e^{2s phi}
         RHS_source   = int int h^2 e^{2s phi}
-        RHS_boundary = s c1 int [a Theta e^{2s phi} (x-x0) v_x^2]_{x=0}^{x=1} dt
+        RHS_boundary = s int [a Theta e^{2s phi} (x-x0) v_x^2]_{x=0}^{x=1} dt
     s0_observed is the first scan point from which every step to the end keeps
     ratios[k+1] <= ratios[k] (1 + window_tol), over at least three points whose
     ratios are finite and positive; with no such window, window_found is False
@@ -521,15 +521,16 @@ def carleman_scan(model, params_base: WeightParams, grid: SpaceTimeGrid, pair,
     if not s_values.size:
         raise ValueError("no s value to scan")
     _require_interior_row(grid)
+    weight = carleman_weight(model, grid.T, s_values[0])   # theta and psi read T and c2 alone
     x = grid.x
     n_rows = grid.M - 1
     interior_t = slice(1, grid.M)
     a = model.eval_a(x)
     sw = grid.space_weights()
     tw = grid.time_weights()[interior_t]
-    th = theta(params_base, grid.t[interior_t])
+    th = theta(weight, grid.t[interior_t])
     th3 = th ** 3
-    psi_x = psi(params_base, model, x)                    # psi < 0
+    psi_x = psi(weight, model, x)                         # psi < 0
     # max of th psi over the grid, exactly: th > 0 and rounding is monotone, so
     # each column's largest product is at the smallest th where psi < 0
     phi_max = float(np.max(np.where(psi_x < 0.0, th.min() * psi_x, th.max() * psi_x)))
@@ -591,7 +592,7 @@ def carleman_scan(model, params_base: WeightParams, grid: SpaceTimeGrid, pair,
         lhs_arr.append(float(tw @ ((s * th) * P + (s ** 3 * th3) * Q)))
         src_arr.append(float(tw @ H))
         bdry_vals = (th[:, None] * E_bdry[k]) * bdry_x
-        bdy_arr.append(float(s * params_base.c1 * (tw @ (bdry_vals[:, 1] - bdry_vals[:, 0]))))
+        bdy_arr.append(float(s * (tw @ (bdry_vals[:, 1] - bdry_vals[:, 0]))))
 
     lhs_arr = np.asarray(lhs_arr)
     src_arr = np.asarray(src_arr)
@@ -663,13 +664,15 @@ def _support(chi: np.ndarray) -> slice:
     return slice(nonzero[0], nonzero[-1] + 1) if nonzero.size else slice(0, 0)
 
 
-def caccioppoli_check(model, params: WeightParams, grid: SpaceTimeGrid, v: Field,
+def caccioppoli_check(model, grid: SpaceTimeGrid, s: float, v: Field,
                       omega_prime: tuple[float, float],
                       omega: tuple[float, float]) -> CaccioppoliReport:
     """Local energy vs. outer mass:  int int_{omega'} v_x^2 e^{2s phi}  vs
-    C int int_{omega} v^2.
+    C int int_{omega} v^2, with the weight ``carleman_weight`` builds from
+    grid.T and s.
 
-    omega' must be compactly contained in omega and must stay away from x0.
+    omega' must be compactly contained in omega and must stay away from x0,
+    and the grid must have a time row inside (0, T), where the weight lives.
 
     The indicators and the space weights sw are folded into one x vector per
     integral, and only the columns where an indicator is nonzero are formed.
@@ -684,6 +687,8 @@ def caccioppoli_check(model, params: WeightParams, grid: SpaceTimeGrid, v: Field
     integrand are formed.
     """
     _require_caccioppoli_geometry(model.x0, omega_prime, omega)
+    _require_interior_row(grid)
+    params = carleman_weight(model, grid.T, s)
     chi_p = ControlConfig(*omega_prime).indicator(grid)
     chi = ControlConfig(*omega).indicator(grid)
     near, far = _support(chi_p), _support(chi)
@@ -691,7 +696,7 @@ def caccioppoli_check(model, params: WeightParams, grid: SpaceTimeGrid, v: Field
     tw = grid.time_weights()
     outer = float(tw @ (np.square(v.values[:, far]) @ (chi * sw)[far]))
     weight = log2s_phi(params, model, grid.t[:, None], grid.x[None, near])
-    shift = float(np.max(weight, initial=-np.inf))   # -inf: no node of omega' inside (0, T)
+    shift = float(np.max(weight, initial=-np.inf))   # -inf: omega' holds no node
     mantissa = 0.0
     if shift > -np.inf:
         weight -= shift

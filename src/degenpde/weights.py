@@ -1,10 +1,12 @@
 """Carleman weight phi(t, x) = Theta(t) * psi(x) and its admissibility data.
 
 Theta blows up like [t(T-t)]^-4 at both ends of the time interval, psi is
-the strictly negative spatial profile c1 * (b(x) - c2) built from
+the strictly negative spatial profile b(x) - c2 built from
 b(x) = integral_{x0}^{x} (y - x0) / a(y) dy.  The exponential factor
 e^{2 s phi} therefore vanishes (faster than any power of Theta) at t = 0, T,
-and every weighted space-time integrand is defined as 0 there.
+and every weighted space-time integrand is defined as 0 there.  Every
+Carleman check builds its weight with ``carleman_weight`` from its grid's T
+and its s, so c2 = 1.05 c2_min is the one constant.
 
 Every profile works elementwise on numpy arrays; a scalar argument gives a
 0-d result.
@@ -21,6 +23,7 @@ __all__ = [
     "THETA_EXPONENT",
     "WeightParams",
     "c2_min",
+    "carleman_weight",
     "b_integral",
     "theta",
     "theta_dot",
@@ -51,33 +54,24 @@ def c2_min(model) -> float:
 
 @dataclass(frozen=True)
 class WeightParams:
-    """Weight data (T, c1, c2, s); c2 must exceed c2_min of the model in use."""
+    """Weight data (T, c2, s); psi < 0 needs c2 above c2_min of the model in use."""
 
     T: float
-    c1: float
     c2: float
     s: float
 
     def __post_init__(self):
         if not 0.0 < self.T < np.inf:
             raise ValueError(f"T must be positive, got {self.T}")
-        if not 0.0 < self.c1 < np.inf:
-            raise ValueError(f"c1 must be positive, got {self.c1}")
         if not np.isfinite(self.c2):
             raise ValueError(f"c2 must be finite, got {self.c2}")
         if not 0.0 <= self.s < np.inf:
             raise ValueError(f"s must be nonnegative, got {self.s}")
 
-    @classmethod
-    def for_model(cls, model, T: float, s: float, c1: float = 1.0,
-                  c2: float | None = None) -> "WeightParams":
-        """Build admissible parameters; default c2 = 1.05 * c2_min."""
-        bound = c2_min(model)
-        if c2 is None:
-            c2 = (1.0 + 0.05) * bound
-        elif c2 <= bound:
-            raise ValueError(f"c2={c2} is inadmissible; need c2 > c2_min={bound:.6g}")
-        return cls(T=float(T), c1=float(c1), c2=float(c2), s=float(s))
+
+def carleman_weight(model, T: float, s: float) -> WeightParams:
+    """The weight of every Carleman check on the horizon T at s: c2 = 1.05 c2_min."""
+    return WeightParams(T=float(T), c2=1.05 * c2_min(model), s=float(s))
 
 
 def b_integral(model, x):
@@ -136,16 +130,16 @@ def theta_ddot(params: WeightParams, t):
 
 
 def psi(params: WeightParams, model, x):
-    """psi(x) = c1 * (b(x) - c2) < 0 for admissible c2."""
-    return params.c1 * (b_integral(model, x) - params.c2)
+    """psi(x) = b(x) - c2 < 0 for admissible c2."""
+    return b_integral(model, x) - params.c2
 
 
 def psi_prime(params: WeightParams, model, x):
-    """psi'(x) = c1 (x - x0) / a(x); unbounded at x0 for K > 1."""
+    """psi'(x) = (x - x0) / a(x); unbounded at x0 for K > 1."""
     x = np.asarray(x, dtype=float)
     a = model.eval_a(x)
     with np.errstate(divide="ignore"):
-        return np.where(a > 0.0, params.c1 * (x - model.x0) / np.where(a > 0.0, a, 1.0), 0.0)
+        return np.where(a > 0.0, (x - model.x0) / np.where(a > 0.0, a, 1.0), 0.0)
 
 
 def log2s_phi(params: WeightParams, model, t, x):

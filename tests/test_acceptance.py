@@ -14,7 +14,6 @@ from degenpde import (CoefficientModel, ControlConfig, HardyWeight,
 from degenpde.grid import integrate_space
 from degenpde.inequalities import default_s_values
 from degenpde.solvers import energy_trace
-from degenpde.weights import WeightParams
 
 
 def emit(capsys, num, name, ok, detail):
@@ -82,11 +81,10 @@ def test_3_carleman_identity(capsys):
         m = CoefficientModel.power_law(alpha, x0)
         for k, make in enumerate(IDENTITY_PROFILES):
             for s in (1.0, 10.0):
-                params = WeightParams.for_model(m, T=T, s=s)
                 residuals = []
                 for N, M in ((200, 400), (400, 800)):
                     g = SpaceTimeGrid.create(N, M, T, x0)
-                    residuals.append(carleman_identity_check(m, params, g, make(T, x0)).residual)
+                    residuals.append(carleman_identity_check(m, g, s, make(T, x0)).residual)
                 factor = residuals[0] / residuals[1]
                 worst_res = max(worst_res, residuals[1])
                 worst_factor = min(worst_factor, factor)
@@ -114,11 +112,10 @@ def test_4_carleman_scan(capsys):
         reports = []
         for N in (200, 400):
             g = SpaceTimeGrid.create(N, 2 * N, T, x0)
-            params = WeightParams.for_model(m, T=T, s=1.0)
             def v(t, x):
                 return t * (T - t) * (x - x0) ** 2 * x * (1 - x)
             pair = manufactured_adjoint_pair(m, pot, g, v)
-            reports.append(carleman_scan(m, params, g, pair, s_values=s_values))
+            reports.append(carleman_scan(m, g, pair, s_values=s_values))
         coarse, fine = reports
         tag = f"c={cval:g}"
         if not np.all(np.isfinite(coarse.ratios)) or not np.all(np.isfinite(fine.ratios)):

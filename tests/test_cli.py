@@ -358,9 +358,10 @@ class TestConfigHandling:
         # loose gate stopped CG at iteration 0 and passed every verdict on a zero control
         ("observability.T", "0.5"), ("null_control.T", "0.5"), ("control.T", "0.5"),
         ("null_control.tol", "0.5"), ("null_control.max_iters", "500"),
-        # the weight constants: c1 reaches e^{2 s phi} only through s c1, and
-        # weight.c1=1e-3 passed the known failure caccioppoli.T=0.5 3/3; the other
-        # values are ones that the type, range, c2 > c2_min and overflow rules rejected
+        # the weight constants, which the library no longer takes either: c1 reached
+        # e^{2 s phi} only through s c1, and weight.c1=1e-3 passed the known failure
+        # caccioppoli.T=0.5 3/3; the other values are ones that the type, range,
+        # c2 > c2_min and overflow rules rejected
         ("weight.c1", "1e-3"), ("weight.c1", "1.0"), ("weight.c1", "0"),
         ("weight.c1", "1e100"), ("weight.c2", "0.1"), ("weight.c2", "abc"),
         ("weight.c2", "Infinity"), ("weight.c2", "null")])

@@ -7,7 +7,6 @@ from degenpde import (CoefficientModel, Field, HardyWeight, PotentialModel,
                       SpaceTimeGrid, caccioppoli_check, carleman_identity_check,
                       carleman_scan, hp_verify, manufactured_adjoint_pair)
 from degenpde.inequalities import _hp_energy, _hp_matrices, default_s_values
-from degenpde.weights import WeightParams
 
 
 def space_grid(x0, N=1000):
@@ -168,11 +167,10 @@ class TestCarlemanIdentity:
     def test_residual_shrinks_under_refinement(self):
         m = CoefficientModel.power_law(0.5, 0.3)
         T = 1.0
-        params = WeightParams.for_model(m, T=T, s=1.0)
         residuals = []
         for N, M in ((100, 200), (200, 400)):
             g = SpaceTimeGrid.create(N, M, T, 0.3)
-            rep = carleman_identity_check(m, params, g, identity_profile(T, 0.3))
+            rep = carleman_identity_check(m, g, 1.0, identity_profile(T, 0.3))
             residuals.append(rep.residual)
         assert residuals[1] < 5e-2
         assert residuals[0] / residuals[1] >= 3.0
@@ -184,20 +182,18 @@ class TestCarlemanIdentity:
         T = 1.0
         g = SpaceTimeGrid.create(100, 200, T, 0.3)
         w = identity_profile(T, 0.3)
-        scale = abs(carleman_identity_check(
-            m, WeightParams.for_model(m, T=T, s=1.0), g, w).lhs)
-        rep = carleman_identity_check(m, WeightParams.for_model(m, T=T, s=0.0), g, w)
+        scale = abs(carleman_identity_check(m, g, 1.0, w).lhs)
+        rep = carleman_identity_check(m, g, 0.0, w)
         assert abs(rep.lhs) < 1e-12 * scale
         assert abs(rep.rhs) < 1e-12 * scale
 
     def test_rejects_nonvanishing_profiles(self):
         m = CoefficientModel.power_law(0.5, 0.3)
         g = SpaceTimeGrid.create(50, 50, 1.0, 0.3)
-        params = WeightParams.for_model(m, T=1.0, s=1.0)
         with pytest.raises(ValueError, match="x = 0 and x = 1"):
-            carleman_identity_check(m, params, g, lambda t, x: (t * (1 - t)) ** 5 * (x + 0.1))
+            carleman_identity_check(m, g, 1.0, lambda t, x: (t * (1 - t)) ** 5 * (x + 0.1))
         with pytest.raises(ValueError, match="t = 0 and t = T"):
-            carleman_identity_check(m, params, g, lambda t, x: x * (1 - x))
+            carleman_identity_check(m, g, 1.0, lambda t, x: x * (1 - x))
         # a NaN is not small: on the t = 0 row away from x = 0, 1, and at x = 1 on
         # an interior row, it raises instead of giving a NaN residual
         g = SpaceTimeGrid.create(20, 40, 1.0, 0.3)
@@ -206,24 +202,22 @@ class TestCarlemanIdentity:
                 return identity_profile(1.0, 0.3)(t, x) + np.where(
                     (t == t_nan) & (x == x_nan), np.nan, 0.0)
             with pytest.raises(ValueError, match=where):
-                carleman_identity_check(m, params, g, with_nan)
+                carleman_identity_check(m, g, 1.0, with_nan)
 
     def test_no_interior_time_row_rejected(self):
         """M = 1 leaves no time row inside (0, T), where the weights live: the
         check raises instead of comparing 0 with 0."""
         m = CoefficientModel.power_law(0.5, 0.3)
         g = SpaceTimeGrid.create(20, 1, 1.0, 0.3)
-        params = WeightParams.for_model(m, T=1.0, s=1.0)
         with pytest.raises(ValueError, match="no interior time row"):
-            carleman_identity_check(m, params, g, identity_profile(1.0, 0.3))
+            carleman_identity_check(m, g, 1.0, identity_profile(1.0, 0.3))
 
     def test_zero_profile_measures_nothing(self):
         """For w = 0 both sides are 0; the residual 0/0 is inf, not 0, so it meets
         neither the residual gate nor a refinement factor."""
         m = CoefficientModel.power_law(0.5, 0.3)
         g = SpaceTimeGrid.create(20, 40, 1.0, 0.3)
-        params = WeightParams.for_model(m, T=1.0, s=1.0)
-        rep = carleman_identity_check(m, params, g, lambda t, x: 0.0 * t * x)
+        rep = carleman_identity_check(m, g, 1.0, lambda t, x: 0.0 * t * x)
         assert rep.lhs == rep.rhs == 0.0
         assert rep.residual == np.inf
 
@@ -232,10 +226,9 @@ class TestCarlemanIdentity:
         ValueError, in the identity check and in the manufactured pair."""
         m = CoefficientModel.power_law(0.5, 0.5)
         g = SpaceTimeGrid.create(2, 4, 1.0, 0.5)
-        params = WeightParams.for_model(m, T=1.0, s=1.0)
         w = identity_profile(1.0, 0.5)
         with pytest.raises(ValueError, match="4 nodes in x, got 3"):
-            carleman_identity_check(m, params, g, w)
+            carleman_identity_check(m, g, 1.0, w)
         with pytest.raises(ValueError, match="4 nodes in x, got 3"):
             manufactured_adjoint_pair(m, PotentialModel.zero(), g, scan_profile(1.0, 0.5))
 
@@ -249,16 +242,15 @@ class TestCarlemanScan:
         m = CoefficientModel.power_law(alpha, x0)
         g = SpaceTimeGrid.create(N, 2 * N, T, x0)
         pot = PotentialModel.zero() if cval == 0.0 else PotentialModel.constant(cval)
-        params = WeightParams.for_model(m, T=T, s=1.0)
-        return m, params, pot, g, manufactured_adjoint_pair(m, pot, g, scan_profile(T, x0))
+        return m, pot, g, manufactured_adjoint_pair(m, pot, g, scan_profile(T, x0))
 
     def test_default_s_values_geometric(self):
-        s = default_s_values(5, 1.0, 1.5)
+        s = default_s_values(5)
         np.testing.assert_allclose(s, [1.0, 1.5, 2.25, 3.375, 5.0625], rtol=1e-14)
 
     def test_ratios_finite_and_tail_nonincreasing(self):
-        m, params, pot, g, pair = self.make_scan()
-        rep = carleman_scan(m, params, g, pair)
+        m, pot, g, pair = self.make_scan()
+        rep = carleman_scan(m, g, pair)
         assert np.all(np.isfinite(rep.ratios))
         assert not rep.nonpositive_rhs
         assert rep.window_found
@@ -270,8 +262,8 @@ class TestCarlemanScan:
     def test_rising_ratios_find_no_window(self, n_s):
         """At N = 20 every step rises by more than 5%: no window, and s0 and
         fitted_C fall back to the last scan point, finite."""
-        m, params, pot, g, pair = self.make_scan(N=20)
-        rep = carleman_scan(m, params, g, pair, s_values=default_s_values(n_s))
+        m, pot, g, pair = self.make_scan(N=20)
+        rep = carleman_scan(m, g, pair, s_values=default_s_values(n_s))
         assert np.all(rep.ratios[1:] > rep.ratios[:-1] * 1.05)
         assert rep.window_found is False and rep.window_max_rise is None
         assert rep.s0_observed == rep.s_values[-1]
@@ -281,14 +273,14 @@ class TestCarlemanScan:
         """At N = 20 the rises fall from step to step; a window_tol between two
         of them puts s0 one past the last step that rises by more, and a
         window of two points is none."""
-        m, params, pot, g, pair = self.make_scan(N=20)
+        m, pot, g, pair = self.make_scan(N=20)
         s_values = default_s_values(5)
-        ratios = carleman_scan(m, params, g, pair, s_values=s_values).ratios
+        ratios = carleman_scan(m, g, pair, s_values=s_values).ratios
         rises = ratios[1:] / ratios[:-1] - 1.0
         assert np.all(np.diff(rises) < 0.0)
         tols = [2.0 * rises[0], *(0.5 * (rises[:-1] + rises[1:]))]
         for start, tol in enumerate(tols):
-            rep = carleman_scan(m, params, g, pair, s_values=s_values, window_tol=tol)
+            rep = carleman_scan(m, g, pair, s_values=s_values, window_tol=tol)
             assert rep.window_found is (start <= 2)
             assert rep.s0_observed == s_values[start if start <= 2 else -1]
             # the window's largest rise is its first, the margin left below tol
@@ -300,7 +292,7 @@ class TestCarlemanScan:
         """An LHS that is 0 at every s (as when it underflows) or an RHS that is
         NaN gives ratios that are not finite and positive: they hold no window,
         and a NaN RHS counts as not positive."""
-        m, params, pot, g, real = self.make_scan(N=20)
+        m, pot, g, real = self.make_scan(N=20)
 
         def pair(rows):
             v, h = real(rows)
@@ -308,7 +300,7 @@ class TestCarlemanScan:
                 return np.zeros_like(v), h
             h[np.arange(rows.start, rows.stop) == g.M // 2] = np.nan
             return v, h
-        rep = carleman_scan(m, params, g, pair, s_values=default_s_values(5))
+        rep = carleman_scan(m, g, pair, s_values=default_s_values(5))
         if fault == "v_zero":
             assert np.all(rep.lhs == 0.0) and np.all(rep.ratios == 0.0)
         else:
@@ -317,52 +309,50 @@ class TestCarlemanScan:
         assert rep.nonpositive_rhs is (fault == "h_nan")
 
     def test_negative_s_rejected(self):
-        m, params, pot, g, pair = self.make_scan(N=20)
+        m, pot, g, pair = self.make_scan(N=20)
         with pytest.raises(ValueError, match="s must be nonnegative"):
-            carleman_scan(m, params, g, pair, s_values=[1.0, -1.0])
+            carleman_scan(m, g, pair, s_values=[1.0, -1.0])
         with pytest.raises(ValueError, match="nondecreasing"):
-            carleman_scan(m, params, g, pair, s_values=[2.0, 1.0, 3.0])
+            carleman_scan(m, g, pair, s_values=[2.0, 1.0, 3.0])
 
     def test_no_s_value_rejected(self):
-        m, params, pot, g, pair = self.make_scan(N=20)
+        m, pot, g, pair = self.make_scan(N=20)
         with pytest.raises(ValueError, match="no s value"):
-            carleman_scan(m, params, g, pair, s_values=[])
+            carleman_scan(m, g, pair, s_values=[])
 
     def test_no_interior_time_row_rejected(self):
         m = CoefficientModel.power_law(0.5, 0.3)
         g = SpaceTimeGrid.create(20, 1, 2.0, 0.3)
-        params = WeightParams.for_model(m, T=2.0, s=1.0)
         pair = manufactured_adjoint_pair(m, PotentialModel.zero(), g, scan_profile(2.0, 0.3))
         with pytest.raises(ValueError, match="no interior time row"):
-            carleman_scan(m, params, g, pair)
+            carleman_scan(m, g, pair)
 
     @pytest.mark.parametrize("s_values", [[1.0, np.nan, 2.0, 3.0], [1.0, 2.0, np.inf],
                                           [np.nan, np.nan, np.nan]])
     def test_non_finite_s_rejected(self, s_values):
-        m, params, pot, g, pair = self.make_scan(N=20)
+        m, pot, g, pair = self.make_scan(N=20)
         with pytest.raises(ValueError, match="finite"):
-            carleman_scan(m, params, g, pair, s_values=s_values)
+            carleman_scan(m, g, pair, s_values=s_values)
 
     def test_scaling_invariance(self):
-        m, params, pot, g, pair = self.make_scan()
-        rep1 = carleman_scan(m, params, g, pair)
+        m, pot, g, pair = self.make_scan()
+        rep1 = carleman_scan(m, g, pair)
         v = scan_profile(g.T, g.x0)
         pair3 = manufactured_adjoint_pair(m, pot, g, lambda t, x: 3.0 * v(t, x))
-        rep2 = carleman_scan(m, params, g, pair3)
+        rep2 = carleman_scan(m, g, pair3)
         np.testing.assert_allclose(rep2.ratios, rep1.ratios, rtol=1e-12)
 
     def test_potential_absorbed(self):
-        _, params, _, _, _ = self.make_scan()
         reps = {}
         for cval in (0.0, 1.0):
-            m, params, pot, g, pair = self.make_scan(cval=cval)
-            reps[cval] = carleman_scan(m, params, g, pair)
+            m, pot, g, pair = self.make_scan(cval=cval)
+            reps[cval] = carleman_scan(m, g, pair)
         assert np.isfinite(reps[1.0].fitted_C)
         assert reps[1.0].fitted_C <= 4.0 * reps[0.0].fitted_C
         assert reps[0.0].fitted_C <= 4.0 * reps[1.0].fitted_C
 
     def test_manufactured_pair_is_discrete_solution(self):
-        m, params, pot, g, pair = self.make_scan()
+        m, pot, g, pair = self.make_scan()
         from degenpde.grid import assemble_operator
         from degenpde.inequalities import _derivative, _div_a_grad
         op = assemble_operator(m, g)
@@ -373,7 +363,7 @@ class TestCarlemanScan:
 
     @pytest.mark.parametrize("M", [100, 400])    # fewer and more time levels than g.M = 200
     def test_manufactured_pair_rejects_potential_from_another_grid(self, M):
-        m, _, _, g, _ = self.make_scan()
+        m, _, g, _ = self.make_scan()
         pot = PotentialModel.sampled(Field.zeros(SpaceTimeGrid.create(g.N, M, g.T, g.x0)))
         with pytest.raises(ValueError, match=rf"\({M + 1}, 101\).*\(201, 101\)"):
             manufactured_adjoint_pair(m, pot, g, scan_profile(g.T, g.x0))
@@ -422,11 +412,20 @@ class TestCaccioppoli:
 
     def test_geometry_validation(self):
         m, g, v = self.setup_field(N=50)
-        params = WeightParams.for_model(m, T=2.0, s=1.0)
         with pytest.raises(ValueError):
-            caccioppoli_check(m, params, g, v, (0.1, 0.6), (0.2, 0.5))
+            caccioppoli_check(m, g, 1.0, v, (0.1, 0.6), (0.2, 0.5))
         with pytest.raises(ValueError):
-            caccioppoli_check(m, params, g, v, (0.25, 0.45), (0.2, 0.5))
+            caccioppoli_check(m, g, 1.0, v, (0.25, 0.45), (0.2, 0.5))
+
+    def test_no_interior_time_row_rejected(self):
+        """M = 1 leaves no time row inside (0, T), where the weight lives: the
+        check raises instead of a local integral over no rows (ratio 0, log
+        ratio -inf)."""
+        m = CoefficientModel.power_law(0.5, 0.3)
+        g = SpaceTimeGrid.create(20, 1, 2.0, 0.3)
+        v = Field(g, np.ones((g.M + 1, g.N + 1)))
+        with pytest.raises(ValueError, match="no interior time row"):
+            caccioppoli_check(m, g, 1.0, v, (0.35, 0.45), (0.2, 0.5))
 
     def test_ratio_finite_and_stable(self):
         params_s = [1.0, 2.0, 4.0]
@@ -434,8 +433,7 @@ class TestCaccioppoli:
         for N in (100, 200):
             m, g, v = self.setup_field(N=N)
             for s in params_s:
-                params = WeightParams.for_model(m, T=2.0, s=s)
-                rep = caccioppoli_check(m, params, g, v, (0.35, 0.45), (0.2, 0.5))
+                rep = caccioppoli_check(m, g, s, v, (0.35, 0.45), (0.2, 0.5))
                 ratios.setdefault(s, []).append(rep.ratio)
         for s, (r1, r2) in ratios.items():
             assert np.isfinite(r1) and r1 > 0.0

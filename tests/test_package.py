@@ -1,6 +1,7 @@
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -48,3 +49,14 @@ def test_one_lapack_module_in_either_import_order(imports):
                     "print(lapack.dpttrs is degenpde._lapack.pttrs, "
                     "lapack._flapack is degenpde._lapack._flapack)")
     assert out == ["True", "True"]
+
+
+def test_readme_library_examples_run():
+    """README's python blocks run in order in one namespace, so the library
+    example keeps to the signatures it shows."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme.read_text(), re.M | re.S)
+    assert len(blocks) == 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, str(readme), "exec"), namespace)

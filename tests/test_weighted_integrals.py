@@ -35,7 +35,7 @@ from degenpde import (CoefficientModel, ControlConfig, Field, PotentialModel, Sp
                       carleman_scan, dirichlet_eigenmodes, manufactured_adjoint_pair,
                       solve_adjoint)
 from degenpde.inequalities import _derivative, _div_a_grad, _q2, default_s_values
-from degenpde.weights import (_LOG_TINY, THETA_EXPONENT, WeightParams, exp2s_phi, psi,
+from degenpde.weights import (_LOG_TINY, THETA_EXPONENT, carleman_weight, exp2s_phi, psi,
                               psi_prime, theta, theta_ddot, theta_dot)
 
 X0 = 0.3
@@ -78,7 +78,7 @@ def whole_pair(grid, pair):
     return [Field(grid, np.array(f)) for f in pair(slice(0, grid.M + 1))]
 
 
-def reference_scan_integrals(model, params_base, grid, pair, s_values):
+def reference_scan_integrals(model, params, grid, pair, s_values):
     """(lhs, rhs_source, rhs_boundary) per s, with v and h sampled as fields."""
     v, h = whole_pair(grid, pair)
     x = grid.x
@@ -87,8 +87,8 @@ def reference_scan_integrals(model, params_base, grid, pair, s_values):
     q2 = quotient((x - model.x0) ** 2, a)
     v_x = _derivative(v.values, grid.h, axis=1)
     th_full = np.zeros(grid.M + 1)
-    th_full[1:-1] = theta(params_base, t[1:-1])
-    ps = psi(params_base, model, x)
+    th_full[1:-1] = theta(params, t[1:-1])
+    ps = psi(params, model, x)
     phi_grid = th_full[:, None] * ps[None, :]
     phi_max = float(np.max(phi_grid[1:-1]))
     sw = grid.space_weights()
@@ -105,13 +105,13 @@ def reference_scan_integrals(model, params_base, grid, pair, s_values):
         src_arr.append(float(tw @ ((h.values ** 2 * E) @ sw)))
         bdry_vals = (a[None, [0, -1]] * thE[:, [0, -1]]
                      * (x[[0, -1]] - model.x0)[None, :] * v_x[:, [0, -1]] ** 2)
-        bdy_arr.append(float(s * params_base.c1 * (tw @ (bdry_vals[:, 1] - bdry_vals[:, 0]))))
+        bdy_arr.append(float(s * (tw @ (bdry_vals[:, 1] - bdry_vals[:, 0]))))
     return lhs_arr, src_arr, bdy_arr
 
 
 def reference_identity(model, params, grid, w):
     """(lhs, rhs) of carleman_identity_check, with w sampled as a field."""
-    s, c1 = params.s, params.c1
+    s = params.s
     x, t, h, dt = grid.x, grid.t, grid.h, grid.dt
     M, N = grid.M, grid.N
     interior_t = slice(1, M)
@@ -133,10 +133,10 @@ def reference_identity(model, params, grid, w):
     wxi = w_x[interior_t]
     wti = w_t[interior_t]
     phi_t = th_d[:, None] * psi_x[None, :]
-    a_phi_x = c1 * th[:, None] * d[None, :]
-    a_phi_x2 = c1 ** 2 * th[:, None] ** 2 * q2[None, :]
+    a_phi_x = th[:, None] * d[None, :]
+    a_phi_x2 = th[:, None] ** 2 * q2[None, :]
     L_plus = div_a_grad_w[interior_t] - s * phi_t * wi + s ** 2 * a_phi_x2 * wi
-    L_minus = wti - 2.0 * s * a_phi_x * wxi - s * c1 * th[:, None] * wi
+    L_minus = wti - 2.0 * s * a_phi_x * wxi - s * th[:, None] * wi
 
     def st_integral(integrand_interior):
         full = np.zeros((M + 1, N + 1))
@@ -147,11 +147,9 @@ def reference_identity(model, params, grid, w):
     lhs = st_integral(L_plus * L_minus)
     r2 = quotient(g2, a)
     dt1 = st_integral(0.5 * s * th_dd[:, None] * psi_x[None, :] * wi ** 2)
-    dt2 = st_integral(s ** 3 * c1 ** 3 * th[:, None] ** 3
-                      * (q2 * r2)[None, :] * wi ** 2)
-    dt3 = st_integral(-2.0 * s ** 2 * c1 ** 2 * (th * th_d)[:, None]
-                      * q2[None, :] * wi ** 2)
-    dt4 = st_integral(s * c1 * th[:, None] * g2[None, :] * wxi ** 2)
+    dt2 = st_integral(s ** 3 * th[:, None] ** 3 * (q2 * r2)[None, :] * wi ** 2)
+    dt3 = st_integral(-2.0 * s ** 2 * (th * th_d)[:, None] * q2[None, :] * wi ** 2)
+    dt4 = st_integral(s * th[:, None] * g2[None, :] * wxi ** 2)
     tw = grid.time_weights()[interior_t]
     a_b = a[[0, -1]]
     wx_b = w_x[interior_t][:, [0, -1]]
@@ -167,7 +165,7 @@ def reference_identity(model, params, grid, w):
     bt4 = bdry(-s * phi_x_b * (a_b[None, :] * wx_b) ** 2
                + s ** 2 * a_b[None, :] * phi_t_b * phi_x_b * w_b ** 2
                - s ** 3 * a_b[None, :] ** 2 * phi_x_b ** 3 * w_b ** 2)
-    bt5 = bdry(-s * c1 * th[:, None] * a_b[None, :] * w_b * wx_b)
+    bt5 = bdry(-s * th[:, None] * a_b[None, :] * w_b * wx_b)
     return lhs, (dt1 + dt2 + dt3 + dt4) + (bt1 + bt4 + bt5)
 
 
@@ -198,7 +196,7 @@ def support(chi):
     return slice(nonzero[0], nonzero[-1] + 1)
 
 
-def ordered_scan_integrals(model, params_base, grid, pair, s_values):
+def ordered_scan_integrals(model, params, grid, pair, s_values):
     """(lhs, rhs_source, rhs_boundary, |rhs_boundary| integrand) per s, with v
     and h sampled as fields; the lhs and source integrands are nonnegative."""
     v, h = whole_pair(grid, pair)
@@ -207,12 +205,12 @@ def ordered_scan_integrals(model, params_base, grid, pair, s_values):
     a = model.eval_a(x)
     sw = grid.space_weights()
     tw = grid.time_weights()[ti]
-    th = theta(params_base, grid.t[ti])
+    th = theta(params, grid.t[ti])
     v_x = _derivative(v.values, grid.h, axis=1)[ti]
     stack = np.stack((v_x ** 2 * (a * sw),
                       v.values[ti] ** 2 * (_q2(model, x) * sw),
                       h.values[ti] ** 2 * sw), axis=1)
-    phi = th[:, None] * psi(params_base, model, x)[None, :]
+    phi = th[:, None] * psi(params, model, x)[None, :]
     phi_shift = phi - np.max(phi)
     bdry_x = a[[0, -1]] * (x[[0, -1]] - model.x0) * v_x[:, [0, -1]] ** 2
     lhs_arr, src_arr, bdy_arr, bdy_abs = [], [], [], []
@@ -222,8 +220,8 @@ def ordered_scan_integrals(model, params_base, grid, pair, s_values):
         lhs_arr.append(float(tw @ ((s * th) * P + (s ** 3 * th ** 3) * Q)))
         src_arr.append(float(tw @ H))
         bdry_vals = (th[:, None] * E[:, [0, -1]]) * bdry_x
-        bdy_arr.append(float(s * params_base.c1 * (tw @ (bdry_vals[:, 1] - bdry_vals[:, 0]))))
-        bdy_abs.append(float(s * params_base.c1 * (tw @ np.abs(bdry_vals).sum(axis=1))))
+        bdy_arr.append(float(s * (tw @ (bdry_vals[:, 1] - bdry_vals[:, 0]))))
+        bdy_abs.append(float(s * (tw @ np.abs(bdry_vals).sum(axis=1))))
     return lhs_arr, src_arr, bdy_arr, bdy_abs
 
 
@@ -231,7 +229,7 @@ def ordered_identity(model, params, grid, w):
     """(lhs, rhs, |lhs|, |rhs|) of carleman_identity_check, with w sampled as a
     field, the last two the integrals of |L+ L-| and the sum over the terms of
     their absolute integrands."""
-    s, c1 = params.s, params.c1
+    s = params.s
     x, t = grid.x, grid.t
     ti = slice(1, grid.M)
     a = model.eval_a(x)
@@ -245,25 +243,25 @@ def ordered_identity(model, params, grid, w):
     w_x = _derivative(wv, grid.h, axis=1)
     w_t = _derivative(wv, grid.dt, axis=0)
     wi, wxi = wv[ti], w_x[ti]
-    c_plus = (-s * th_d)[:, None] * psi_x + (s ** 2 * c1 ** 2 * th ** 2)[:, None] * q2
+    c_plus = (-s * th_d)[:, None] * psi_x + (s ** 2 * th ** 2)[:, None] * q2
     L_plus = _div_a_grad(assemble_operator(model, grid), wv)[ti] + c_plus * wi
-    L_minus = w_t[ti] - (2.0 * s * c1 * th)[:, None] * d[None, :] * wxi - (s * c1 * th)[:, None] * wi
+    L_minus = w_t[ti] - (2.0 * s * th)[:, None] * d[None, :] * wxi - (s * th)[:, None] * wi
     lhs = float(tw @ row_dots(L_plus * L_minus, sw))
     lhs_abs = float(tw @ (np.abs(L_plus * L_minus) @ sw))
 
     # the w^2 terms contract with psi sw and q2 sw; (2a - (x - x0) a') / a = 2 - alpha
     rhs, rhs_abs = 0.0, 0.0
     x_vectors = np.column_stack((psi_x * sw, q2 * sw))
-    terms = ((0.5 * s * th_dd, 0), ((2.0 - model.alpha) * s ** 3 * c1 ** 3 * th ** 3, 1),
-             (-2.0 * s ** 2 * c1 ** 2 * (th * th_d), 1))
+    terms = ((0.5 * s * th_dd, 0), ((2.0 - model.alpha) * s ** 3 * th ** 3, 1),
+             (-2.0 * s ** 2 * (th * th_d), 1))
     w2_rows = row_dots(wi ** 2, x_vectors)
     w2_abs = wi ** 2 @ np.abs(x_vectors)
     for t_vector, k in terms:
         rhs += float(tw @ (t_vector * w2_rows[:, k]))
         rhs_abs += float(tw @ np.abs(t_vector * w2_abs[:, k]))
     g_a_sw = (2.0 - model.alpha) * a * sw
-    rhs += float(tw @ ((s * c1 * th) * row_dots(wxi ** 2, g_a_sw)))
-    rhs_abs += float(tw @ np.abs((s * c1 * th) * (wxi ** 2 @ np.abs(g_a_sw))))
+    rhs += float(tw @ ((s * th) * row_dots(wxi ** 2, g_a_sw)))
+    rhs_abs += float(tw @ np.abs((s * th) * (wxi ** 2 @ np.abs(g_a_sw))))
 
     # one bracket [f]_{x=0}^{x=1} of the five boundary products
     a_b = a[[0, -1]]
@@ -274,7 +272,7 @@ def ordered_identity(model, params, grid, w):
                 -s * phi_x_b * (a_b[None, :] * wx_b) ** 2,
                 s ** 2 * a_b[None, :] * phi_t_b * phi_x_b * w_b ** 2,
                 -s ** 3 * a_b[None, :] ** 2 * phi_x_b ** 3 * w_b ** 2,
-                -s * c1 * th[:, None] * a_b[None, :] * w_b * wx_b]
+                -s * th[:, None] * a_b[None, :] * w_b * wx_b]
     f = boundary[0] + boundary[1] + boundary[2] + boundary[3] + boundary[4]
     rhs += float(tw @ (f[:, 1] - f[:, 0]))
     rhs_abs += sum(float(tw @ np.abs(vals).sum(axis=1)) for vals in boundary)
@@ -319,11 +317,11 @@ def scan_profile(T):
 
 
 def scan_inputs(model, N=120, T=2.0):
-    """(params, grid, the row sampler of the profile v and its source h)."""
+    """(the weight the scan builds, grid, the row sampler of the profile v and its
+    source h)."""
     grid = SpaceTimeGrid.create(N, 2 * N, T, X0)
-    params = WeightParams.for_model(model, T=T, s=1.0)
-    return params, grid, manufactured_adjoint_pair(model, PotentialModel.zero(), grid,
-                                                   scan_profile(T))
+    pair = manufactured_adjoint_pair(model, PotentialModel.zero(), grid, scan_profile(T))
+    return carleman_weight(model, T, 1.0), grid, pair
 
 
 def row_profile(grid, values):
@@ -332,14 +330,15 @@ def row_profile(grid, values):
     return lambda t, x: values[np.searchsorted(grid.t, t[:, 0])]
 
 
-def identity_inputs(model, s, N=120, T=1.0, c1=1.0):
+def identity_inputs(model, s, N=120, T=1.0):
+    """(the weight the identity check builds at s, grid, the profile w)."""
     grid = SpaceTimeGrid.create(N, 2 * N, T, X0)
-    params = WeightParams.for_model(model, T=T, s=s, c1=c1)
-    return params, grid, lambda t, x: (t * (T - t)) ** 5 * (x - X0) ** 2 * x * (1.0 - x)
+    return carleman_weight(model, T, s), grid, lambda t, x: (
+        (t * (T - t)) ** 5 * (x - X0) ** 2 * x * (1.0 - x))
 
 
 # e^{2s(phi - max phi)} flushes to 0 on 4% of the grid at s = 0.1 and on 93% at s = 2384
-SCAN_S_VALUES = default_s_values(12, 0.1, 2.5)
+SCAN_S_VALUES = 0.1 * 2.5 ** np.arange(12)
 
 
 def field_units(grid):
@@ -382,7 +381,7 @@ def test_scan_integrals_bit_identical(name):
     model = MODELS[name]
     params, grid, pair = scan_inputs(model)
     s_values = SCAN_S_VALUES
-    rep = carleman_scan(model, params, grid, pair, s_values=s_values)
+    rep = carleman_scan(model, grid, pair, s_values=s_values)
     lhs, src, bdy, bdy_abs = ordered_scan_integrals(model, params, grid, pair, s_values)
     assert rep.lhs.tolist() == lhs
     assert rep.rhs_source.tolist() == src
@@ -407,11 +406,11 @@ def test_scan_s_range_flushes_part_of_the_weight():
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
-@pytest.mark.parametrize("s, c1", [(1.0, 1.0), (10.0, 1.0), (3.7, 1.3), (41.0, 0.7)])
-def test_identity_bit_identical(name, s, c1):
+@pytest.mark.parametrize("s", [1.0, 10.0, 3.7, 41.0])
+def test_identity_bit_identical(name, s):
     model = MODELS[name]
-    params, grid, w = identity_inputs(model, s, c1=c1)
-    rep = carleman_identity_check(model, params, grid, w)
+    params, grid, w = identity_inputs(model, s)
+    rep = carleman_identity_check(model, grid, s, w)
     lhs, rhs, lhs_abs, rhs_abs = ordered_identity(model, params, grid, w)
     assert rep.lhs == lhs
     assert rep.rhs == rhs
@@ -424,12 +423,12 @@ def test_identity_bit_identical(name, s, c1):
 def test_identity_bit_identical_on_rough_data(name):
     """Seeded noise vanishing on the boundary, so the terms near t = 0, T are not damped."""
     model = MODELS[name]
-    params, grid, _ = identity_inputs(model, 3.7, c1=1.3)
+    params, grid, _ = identity_inputs(model, 3.7)
     values = np.random.default_rng(7).standard_normal((grid.M + 1, grid.N + 1))
     values[[0, -1], :] = 0.0
     values[:, [0, -1]] = 0.0
     w = row_profile(grid, values)
-    rep = carleman_identity_check(model, params, grid, w)
+    rep = carleman_identity_check(model, grid, 3.7, w)
     lhs, rhs, lhs_abs, rhs_abs = ordered_identity(model, params, grid, w)
     assert (rep.lhs, rep.rhs) == (lhs, rhs)
     ref_lhs, ref_rhs = reference_identity(model, params, grid, w)
@@ -442,7 +441,7 @@ def test_identity_bit_identical_on_rough_data(name):
 def test_exp2s_phi_grid_bit_identical(name, s):
     model = MODELS[name]
     grid = SpaceTimeGrid.create(120, 240, 2.0, X0)
-    params = WeightParams.for_model(model, T=2.0, s=s)
+    params = carleman_weight(model, 2.0, s)
     t, x = grid.t[:, None], grid.x[None, :]
     E = exp2s_phi(params, model, t, x)
     ref = reference_exp2s_phi(params, model, t, x)
@@ -454,7 +453,7 @@ def test_exp2s_phi_grid_bit_identical(name, s):
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_exp2s_phi_other_shapes_bit_identical(name):
     model = MODELS[name]
-    params = WeightParams.for_model(model, T=1.0, s=3.0)
+    params = carleman_weight(model, 1.0, 3.0)
     x = np.linspace(0.0, 1.0, 41)
     t = np.linspace(0.0, 1.0, 41)        # same-shape 1-D, endpoints included
     cases = [(0.5, x), (0.01, x), (t, x), (t[::-1], x), (0.25, 0.7), (t[:, None], 0.3)]
@@ -472,7 +471,7 @@ def test_exp2s_phi_other_shapes_bit_identical(name):
 ])
 def test_exp2s_phi_without_interior_time_is_zero(t, x, monkeypatch):
     model = MODELS["alpha1.0"]
-    params = WeightParams.for_model(model, T=1.0, s=2.0)
+    params = carleman_weight(model, 1.0, 2.0)
     calls = []
     monkeypatch.setattr(weights, "psi", lambda *args: calls.append(args) or psi(*args))
     E = exp2s_phi(params, model, t, x)
@@ -484,7 +483,7 @@ def test_exp2s_phi_without_interior_time_is_zero(t, x, monkeypatch):
 
 def test_exp2s_phi_calls_psi_once(monkeypatch):
     model = MODELS["alpha0.5"]
-    params = WeightParams.for_model(model, T=1.0, s=2.0)
+    params = carleman_weight(model, 1.0, 2.0)
     calls = []
     monkeypatch.setattr(weights, "psi", lambda *args: calls.append(args) or psi(*args))
     grid = SpaceTimeGrid.create(20, 40, 1.0, X0)
@@ -498,8 +497,8 @@ def test_caccioppoli_local_integral_bit_identical(s):
     grid = SpaceTimeGrid.create(120, 240, 2.0, X0)
     _, modes = dirichlet_eigenmodes(assemble_operator(model, grid), 1)
     v = solve_adjoint(model, PotentialModel.zero(), grid, modes[0])
-    params = WeightParams.for_model(model, T=2.0, s=s)
-    rep = caccioppoli_check(model, params, grid, v, (0.35, 0.45), (0.2, 0.5))
+    params = carleman_weight(model, 2.0, s)
+    rep = caccioppoli_check(model, grid, s, v, (0.35, 0.45), (0.2, 0.5))
     local, outer, log_ratio = ordered_caccioppoli(model, params, grid, v, (0.35, 0.45),
                                                   (0.2, 0.5))
     assert rep.local_gradient_integral == local
@@ -519,9 +518,9 @@ def test_caccioppoli_log_ratio_where_the_weight_underflows():
     grid = SpaceTimeGrid.create(100, 200, 0.5, X0)
     _, modes = dirichlet_eigenmodes(assemble_operator(model, grid), 1)
     v = solve_adjoint(model, PotentialModel.zero(), grid, modes[0])
-    params = WeightParams.for_model(model, T=0.5, s=1.0)
+    params = carleman_weight(model, 0.5, 1.0)
     assert not np.any(exp2s_phi(params, model, grid.t[:, None], grid.x[None, :]))
-    rep = caccioppoli_check(model, params, grid, v, (0.35, 0.45), (0.2, 0.5))
+    rep = caccioppoli_check(model, grid, 1.0, v, (0.35, 0.45), (0.2, 0.5))
     assert rep.local_gradient_integral == 0.0 and rep.ratio == 0.0
     assert rep.outer_solution_integral > 0.0
     assert -1e5 < rep.log_ratio < -4e4
@@ -544,7 +543,7 @@ def test_scan_bit_identical_across_row_blocks(rows, n_blocks, monkeypatch):
     row_bytes = inequalities._SCAN_NODE_BYTES * (grid.N + 1)
     monkeypatch.setattr(inequalities, "_BLOCK_BYTES", rows * row_bytes)
     assert len(inequalities._row_blocks(grid.M - 1, row_bytes)) == n_blocks
-    rep = carleman_scan(model, params, grid, pair, s_values=SCAN_S_VALUES)
+    rep = carleman_scan(model, grid, pair, s_values=SCAN_S_VALUES)
     lhs, src, bdy, _ = ordered_scan_integrals(model, params, grid, pair, SCAN_S_VALUES)
     assert (rep.lhs.tolist(), rep.rhs_source.tolist(), rep.rhs_boundary.tolist()) == (
         lhs, src, bdy)
@@ -597,7 +596,7 @@ def test_scan_bounds_settle_each_block(monkeypatch):
 
     monkeypatch.setattr(inequalities, "_exp_flushed", masked)
     monkeypatch.setattr(inequalities, "np", CountingNumpy(counts))
-    rep = carleman_scan(model, params, grid, pair, s_values=SCAN_S_VALUES)
+    rep = carleman_scan(model, grid, pair, s_values=SCAN_S_VALUES)
     monkeypatch.undo()
 
     th = theta(params, grid.t[1:-1])[:, None]
@@ -646,7 +645,7 @@ def test_scan_nonfinite_zero_block_keeps_its_matmul(field, bad, monkeypatch):
     counts = {"free": 0, "masked": 0, "matmul": 0, "zero_weight": 0, "isfinite": 0}
     monkeypatch.setattr(inequalities, "np", CountingNumpy(counts))
     with np.errstate(invalid="ignore", over="ignore"):
-        rep = carleman_scan(model, params, grid, pair, s_values=SCAN_S_VALUES)
+        rep = carleman_scan(model, grid, pair, s_values=SCAN_S_VALUES)
     monkeypatch.undo()
     assert counts["zero_weight"] == SCAN_S_VALUES.size      # that block, at every s
     assert np.all(np.isnan(rep.lhs if field == "v" else rep.rhs_source))
@@ -683,7 +682,7 @@ def test_manufactured_pair_bit_identical_across_row_blocks(M, blocking, potentia
 @pytest.mark.parametrize("rows, n_blocks", [(1, 239), (7, 35), (239, 1)])
 def test_identity_bit_identical_across_row_blocks(rows, n_blocks, monkeypatch):
     model = MODELS["alpha1.5"]
-    params, grid, _ = identity_inputs(model, 3.7, c1=1.3)
+    params, grid, _ = identity_inputs(model, 3.7)
     values = np.random.default_rng(7).standard_normal((grid.M + 1, grid.N + 1))
     values[[0, -1], :] = 0.0
     values[:, [0, -1]] = 0.0
@@ -691,7 +690,7 @@ def test_identity_bit_identical_across_row_blocks(rows, n_blocks, monkeypatch):
     row_bytes = inequalities._IDENTITY_NODE_BYTES * (grid.N + 1)
     monkeypatch.setattr(inequalities, "_BLOCK_BYTES", rows * row_bytes)
     assert len(inequalities._row_blocks(grid.M - 1, row_bytes)) == n_blocks
-    rep = carleman_identity_check(model, params, grid, w)
+    rep = carleman_identity_check(model, grid, 3.7, w)
     lhs, rhs, _, _ = ordered_identity(model, params, grid, w)
     assert (rep.lhs, rep.rhs) == (lhs, rhs)
 
@@ -702,8 +701,8 @@ def test_identity_bit_identical_across_row_blocks(rows, n_blocks, monkeypatch):
 
 def test_scan_peak_memory():
     model = MODELS["alpha0.5"]
-    params, grid, pair = scan_inputs(model, N=400)
-    _, peak = traced_peak(lambda: carleman_scan(model, params, grid, pair,
+    _, grid, pair = scan_inputs(model, N=400)
+    _, peak = traced_peak(lambda: carleman_scan(model, grid, pair,
                                                 s_values=default_s_values(10)))
     # 0.56 measured: one block of about 1 MB (the integrands, phi, E, the flush
     # mask, the pair's v and h rows and their temporaries, and v_x), against 0.62
@@ -737,15 +736,15 @@ def test_identity_task_peak_memory(tmp_path):
 def test_exp2s_phi_peak_memory():
     model = MODELS["alpha0.5"]
     grid = SpaceTimeGrid.create(400, 800, 2.0, X0)
-    params = WeightParams.for_model(model, T=2.0, s=1.0)
+    params = carleman_weight(model, 2.0, 1.0)
     E, peak = traced_peak(lambda: exp2s_phi(params, model, grid.t[:, None], grid.x[None, :]))
     assert (peak - E.nbytes) / field_units(grid) < 0.5
 
 
 def test_identity_peak_memory():
     model = MODELS["alpha0.5"]
-    params, grid, w = identity_inputs(model, 10.0, N=400)
-    _, peak = traced_peak(lambda: carleman_identity_check(model, params, grid, w))
+    _, grid, w = identity_inputs(model, 10.0, N=400)
+    _, peak = traced_peak(lambda: carleman_identity_check(model, grid, 10.0, w))
     # 0.52 measured: the sampled w rows, L+, w_x (then L-) and the products on
     # one block of about 1 MB, against 0.79 for blocks of 1 MB of three rows and
     # 3.09 for them on every interior row
@@ -789,9 +788,8 @@ def test_caccioppoli_peak_memory():
     grid = SpaceTimeGrid.create(400, 800, 2.0, X0)
     _, modes = dirichlet_eigenmodes(assemble_operator(model, grid), 1)
     v = solve_adjoint(model, PotentialModel.zero(), grid, modes[0])
-    params = WeightParams.for_model(model, T=2.0, s=1.0)
     _, peak = traced_peak(
-        lambda: caccioppoli_check(model, params, grid, v, (0.35, 0.45), (0.2, 0.5)))
+        lambda: caccioppoli_check(model, grid, 1.0, v, (0.35, 0.45), (0.2, 0.5)))
     # 0.33 measured: the outer v^2 is gone before L and the local integrand are
     # formed, against 0.54 with all three held at once
     assert peak / field_units(grid) < 0.4
@@ -802,8 +800,8 @@ def test_caccioppoli_peak_memory():
 # the benchmark's tracer counts as spans (weights.calls, trace.spans)
 # ---------------------------------------------------------------------------
 
-COUNTED = ("psi", "psi_prime", "theta", "theta_dot", "theta_ddot", "exp2s_phi",
-           "log2s_phi", "assemble_operator")
+COUNTED = ("carleman_weight", "c2_min", "psi", "psi_prime", "theta", "theta_dot",
+           "theta_ddot", "exp2s_phi", "log2s_phi", "assemble_operator")
 
 
 def count_calls(fn):
@@ -828,22 +826,24 @@ def count_calls(fn):
 
 
 def test_checker_call_counts():
-    """Each checker makes the calls it made before its integrals were folded."""
+    """Each checker makes the calls it made before its integrals were folded, and
+    builds its one weight (``carleman_weight``, which reads ``c2_min``)."""
     model = MODELS["alpha1.5"]
-    params, grid, pair = scan_inputs(model, N=40)
+    _, grid, pair = scan_inputs(model, N=40)
     assert count_calls(lambda: manufactured_adjoint_pair(
         model, PotentialModel.zero(), grid, lambda t, x: t * x * (1.0 - x))) == {
         "assemble_operator": 1}
-    assert count_calls(lambda: carleman_scan(model, params, grid, pair,
-                                             s_values=SCAN_S_VALUES)) == {"psi": 1, "theta": 1}
-    params, grid, w = identity_inputs(model, 3.7, N=40)
-    assert count_calls(lambda: carleman_identity_check(model, params, grid, w)) == {
-        "psi": 1, "psi_prime": 1, "theta": 1, "theta_dot": 1, "theta_ddot": 1,
-        "assemble_operator": 1}
-    params = WeightParams.for_model(model, T=1.0, s=4.0)
+    assert count_calls(lambda: carleman_scan(model, grid, pair,
+                                             s_values=SCAN_S_VALUES)) == {
+        "carleman_weight": 1, "c2_min": 1, "psi": 1, "theta": 1}
+    _, grid, w = identity_inputs(model, 3.7, N=40)
+    assert count_calls(lambda: carleman_identity_check(model, grid, 3.7, w)) == {
+        "carleman_weight": 1, "c2_min": 1, "psi": 1, "psi_prime": 1, "theta": 1,
+        "theta_dot": 1, "theta_ddot": 1, "assemble_operator": 1}
     v = Field.from_function(grid, w)
     assert count_calls(lambda: caccioppoli_check(
-        model, params, grid, v, (0.35, 0.45), (0.2, 0.5))) == {"psi": 1, "log2s_phi": 1}
+        model, grid, 4.0, v, (0.35, 0.45), (0.2, 0.5))) == {
+        "carleman_weight": 1, "c2_min": 1, "psi": 1, "log2s_phi": 1}
 
 
 @pytest.mark.parametrize("cols", [slice(0, 0), slice(0, 1), slice(0, 5), slice(1, 2),
@@ -900,8 +900,7 @@ def test_caccioppoli_omega_prime_between_nodes():
     grid = SpaceTimeGrid.create(20, 40, 2.0, X0)
     _, modes = dirichlet_eigenmodes(assemble_operator(model, grid), 1)
     v = solve_adjoint(model, PotentialModel.zero(), grid, modes[0])
-    params = WeightParams.for_model(model, T=2.0, s=1.0)
-    rep = caccioppoli_check(model, params, grid, v, (0.36, 0.39), (0.2, 0.5))
+    rep = caccioppoli_check(model, grid, 1.0, v, (0.36, 0.39), (0.2, 0.5))
     assert rep.local_gradient_integral == 0.0 and rep.ratio == 0.0
     assert_within_rounding(rep.outer_solution_integral,
                            reference_caccioppoli_outer(grid, v, (0.2, 0.5)),
