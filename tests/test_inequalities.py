@@ -212,6 +212,14 @@ class TestCarlemanIdentity:
         with pytest.raises(ValueError, match="no interior time row"):
             carleman_identity_check(m, g, 1.0, identity_profile(1.0, 0.3))
 
+    @pytest.mark.parametrize("s", [-1.0, np.nan, np.inf])
+    def test_invalid_s_rejected(self, s):
+        """The check builds its weight from s, which raises naming s."""
+        m = CoefficientModel.power_law(0.5, 0.3)
+        g = SpaceTimeGrid.create(20, 40, 1.0, 0.3)
+        with pytest.raises(ValueError, match="^s must be nonnegative"):
+            carleman_identity_check(m, g, s, identity_profile(1.0, 0.3))
+
     def test_zero_profile_measures_nothing(self):
         """For w = 0 both sides are 0; the residual 0/0 is inf, not 0, so it meets
         neither the residual gate nor a refinement factor."""
@@ -426,6 +434,13 @@ class TestCaccioppoli:
         v = Field(g, np.ones((g.M + 1, g.N + 1)))
         with pytest.raises(ValueError, match="no interior time row"):
             caccioppoli_check(m, g, 1.0, v, (0.35, 0.45), (0.2, 0.5))
+
+    @pytest.mark.parametrize("s", [-1.0, np.nan, np.inf])
+    def test_invalid_s_rejected(self, s):
+        """The check builds its weight from s, which raises naming s."""
+        m, g, v = self.setup_field(N=20)
+        with pytest.raises(ValueError, match="^s must be nonnegative"):
+            caccioppoli_check(m, g, s, v, (0.35, 0.45), (0.2, 0.5))
 
     def test_ratio_finite_and_stable(self):
         params_s = [1.0, 2.0, 4.0]
