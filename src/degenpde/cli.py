@@ -44,11 +44,13 @@ DEFAULT_CONFIG = {
         "x0": 0.3,
         "theta": None,            # defaults to alpha
     },
-    "grid": {"N": 200, "M": 400, "T": 1.0},
+    "grid": {"N": 200, "M": 400},
     "potential": {"value": 0.0},              # the constant c
     "control": {"omega_lo": 0.2, "omega_hi": 0.5, "epsilon": 1e-8},
     "hp": {"q": 1.5, "weight": "pure_power", "battery_size": 20, "N": 1000},
-    "scan": {"T": 2.0, "n_s": 10},
+    "scan": {"n_s": 10},
+    # T, the one horizon key, keeps the known failure at T=0.5 that no affordable grid
+    # resolves reproducible, until an exact per-cell weight integral mends it
     "caccioppoli": {"T": 2.0, "omega_prime_lo": 0.35, "omega_prime_hi": 0.45},
     "observability": {"n_modes": 10, "n_random": 10, "n_power": 20},
     "run": {"seed": 0, "out_dir": "reports"},
@@ -189,28 +191,24 @@ def resolve_config(args) -> dict:
     omega = (config["control"]["omega_lo"], config["control"]["omega_hi"])
     if "hp" in tasks:
         _name_key("hp.weight", _hardy_weight, config)
-    # (k Theta)^3 of the largest s is finite at the finest level's first interior time
-    M = 2 * int(config["grid"]["M"])
-    if "carleman-identity" in tasks:
-        T, s = float(config["grid"]["T"]), max(_IDENTITY_S)
-        _require_finite_factor("grid.T", T, M, "grid.T", math.log(s), f"s = {s:g}")
-        # the profile w = (t (T - t))^5 S(x) peaks in t at (T/2)^10, and |S|, |S'| <= 1:
-        # w^2 and w_x^2, the largest squares the identity forms, are at most (T/2)^20
-        if 20.0 * math.log(0.5 * T) >= _LOG_MAX:
-            raise ConfigError("grid.T", f"T={T:g} makes the bound (T/2)^20 on w^2 overflow")
+    # the identity's (s Theta)^3 and (T/2)^20, and the scan's Theta^3, are finite at
+    # their horizons on every grid that validate_config admits
     if "carleman-scan" in tasks:
-        T, n = float(config["scan"]["T"]), int(config["scan"]["n_s"]) - 1
-        _require_finite_factor("scan.T", T, M, "scan.n_s", n * math.log(_S_RATIO),
-                               f"s = {_S_RATIO:g}^{n}")
+        # (k Theta)^3 of the largest s, k = 1.5^(n_s - 1), is finite at the finest
+        # level's first interior time, every cube taken in logs
+        M, n = 2 * int(config["grid"]["M"]), int(config["scan"]["n_s"]) - 1
+        log_k = n * math.log(_S_RATIO)
+        if 3.0 * max(log_k, log_k + _require_finite_theta(_SCAN_T, M)) >= _LOG_MAX:
+            raise ConfigError("scan.n_s", f"k = {_S_RATIO:g}^{n} makes k^3 or (k Theta)^3 "
+                              f"overflow at t = T/{M}")
         # the profile v = t (T - t) S(x) peaks in t at (T/2)^2, with |S| <= 1, and at
         # T >= 1/2 its source h = v_t + (a v_x)_x - c v has |h| <= (10 + |c|) (T/2)^2, as
         # |(a S')'| <= 9.5; the integral of h^2 over [0, T] x [0, 1] is the largest
-        # quantity the scan forms.  Where the c term dominates, it names potential.value
-        c = config["potential"]["value"]
+        # quantity the scan forms
+        c, T = config["potential"]["value"], _SCAN_T
         if math.log(T) + 2.0 * math.log(10.0 + abs(c)) + 4.0 * math.log(0.5 * T) >= _LOG_MAX:
-            raise ConfigError("potential.value" if abs(c) > 10.0 else "scan.T",
-                              f"T={T:g} and c={c:g} make the bound T ((10 + |c|) (T/2)^2)^2 "
-                              "on the integral of h^2 overflow")
+            raise ConfigError("potential.value", f"c={c:g} makes the bound "
+                              "T ((10 + |c|) (T/2)^2)^2 on the integral of h^2 overflow")
     if "caccioppoli" in tasks:
         c = config["caccioppoli"]
         if 2.0 * math.log(0.5 * c["T"]) >= _LOG_MAX:     # Theta is a power of t (T - t)
@@ -227,14 +225,6 @@ def resolve_config(args) -> dict:
     if tasks & {"observability", "null-control"}:
         _name_key("control.omega_lo", ControlConfig(*omega).require_x0_inside, x0)
     return config
-
-
-def _require_finite_factor(T_key: str, T: float, M: int, k_key: str, log_k: float, k: str):
-    """Raise unless Theta^3, k^3 and (k Theta)^3 are finite at t = T/M, every cube
-    taken in logs.  Theta^3 names T_key, any other cube k_key, the key that sets k."""
-    log_theta = _name_key(T_key, _require_finite_theta, T, M)
-    if 3.0 * max(log_k, log_k + log_theta) >= _LOG_MAX:
-        raise ConfigError(k_key, f"k = {k} makes k^3 or (k Theta)^3 overflow at t = T/{M}")
 
 
 def validate_config(config: dict):
@@ -259,9 +249,8 @@ def validate_config(config: dict):
         if n > _MAX_FLOATS:
             raise ConfigError(key, f"its finest level has more nodes than the {_MAX_FLOATS} "
                               "float64 values an array can hold")
-    for section in ("grid", "scan", "caccioppoli"):
-        _name_key(f"{section}.T", _require_time_step, float(config[section]["T"]),
-                  2 * int(config["grid"]["M"]))
+    _name_key("caccioppoli.T", _require_time_step, float(config["caccioppoli"]["T"]),
+              2 * int(config["grid"]["M"]))
     lo, hi = config["control"]["omega_lo"], config["control"]["omega_hi"]
     if not lo < hi:
         raise ConfigError("control.omega_hi", f"omega=({lo}, {hi}) is empty")
@@ -278,12 +267,11 @@ def build_model(config: dict) -> CoefficientModel:
     return CoefficientModel.power_law(c["alpha"], c["x0"], theta=c["theta"])
 
 
-def build_grid(config: dict, N=None, M=None, T=None) -> SpaceTimeGrid:
+def build_grid(config: dict, T: float, N=None, M=None) -> SpaceTimeGrid:
     g = config["grid"]
     return SpaceTimeGrid.create(int(N if N is not None else g["N"]),
                                 int(M if M is not None else g["M"]),
-                                float(T if T is not None else g["T"]),
-                                config["coefficient"]["x0"])
+                                float(T), config["coefficient"]["x0"])
 
 
 def build_potential(config: dict) -> PotentialModel:
@@ -343,14 +331,14 @@ def verdict(name: str, ok, value=None, threshold=None) -> dict:
             "value": value, "threshold": threshold}
 
 
-def _refinement_pair(config: dict, T=None) -> list:
-    """The coarse grid (grid.N, grid.M) and the fine grid with both doubled.
+def _refinement_pair(config: dict, T: float) -> list:
+    """The coarse grid (grid.N, grid.M) on [0, T] and the fine grid with both doubled.
 
     The fine level doubles the snapped coarse N, which keeps x0 on a node; doubling
     grid.N and snapping again can land on the coarse N itself.
     """
-    coarse = build_grid(config, T=T)
-    return [coarse, build_grid(config, N=2 * coarse.N, M=2 * coarse.M, T=T)]
+    coarse = build_grid(config, T)
+    return [coarse, build_grid(config, T, N=2 * coarse.N, M=2 * coarse.M)]
 
 
 def _level_pair(name: str, coarse: float, fine: float, tol: float, measured=True) -> dict:
@@ -373,7 +361,7 @@ def _hardy_weight(config: dict) -> HardyWeight:
 
 def run_check_coeff(config: dict, out_dir: Path) -> tuple[list, dict]:
     model = build_model(config)
-    grid = build_grid(config, M=1)
+    grid = build_grid(config, 1.0, M=1)      # one step: only its x nodes are read
     report = check_hypotheses(model)
     verdicts = [
         verdict("hypothesis_slack", "<=", report.slack_max, 0.0),
@@ -430,10 +418,12 @@ def _identity_level(model, grid: SpaceTimeGrid, s: float):
     return rep, [[s, grid.N, grid.M, rep.lhs, rep.rhs, rep.residual]]
 
 
-# the large parameters each check samples; constants, like the gates and the weight,
-# which each check builds from its grid and s, so that no key can move a failing
-# check onto a value where it passes
+# the horizons and large parameters each check samples; constants, like the gates
+# and the weight, which each check builds from its grid and s, so that no key can
+# move a failing check onto a value where it passes
+_IDENTITY_T = 1.0
 _IDENTITY_S = (1.0, 10.0)
+_SCAN_T = 2.0
 _CACCIOPPOLI_S = (1.0, 2.0, 4.0)
 
 
@@ -443,7 +433,7 @@ def run_carleman_identity(config: dict, out_dir: Path) -> tuple[list, dict]:
     rows = []
     for s in _IDENTITY_S:
         (coarse, coarse_rows), (fine, fine_rows) = [
-            _identity_level(model, grid, s) for grid in _refinement_pair(config)]
+            _identity_level(model, grid, s) for grid in _refinement_pair(config, _IDENTITY_T)]
         rows += coarse_rows + fine_rows
         factor = coarse.residual / fine.residual if fine.residual > 0.0 else np.inf
         verdicts.append(verdict(f"identity_residual_s{s:g}", "<", fine.residual, 0.05))
@@ -467,7 +457,7 @@ def run_carleman_scan(config: dict, out_dir: Path) -> tuple[list, dict]:
     s_values = default_s_values(int(config["scan"]["n_s"]))
     (coarse, coarse_rows), (fine, fine_rows) = [
         _scan_level(model, potential, grid, s_values)
-        for grid in _refinement_pair(config, config["scan"]["T"])]
+        for grid in _refinement_pair(config, _SCAN_T)]
     verdicts = [
         # a ratio of 0 is an LHS that underflowed, and measures nothing
         verdict("scan_ratios_finite",
@@ -560,7 +550,7 @@ def run_null_control(config: dict, out_dir: Path) -> tuple[list, dict]:
     model = build_model(config)
     potential = build_potential(config)
     control = build_control(config)
-    grid = build_grid(config, T=_CONTROL_T)
+    grid = build_grid(config, _CONTROL_T)
     u0 = grid.x * (1.0 - grid.x)
     sol = synthesize_null_control(model, potential, grid, control, u0,
                                   tol=_NULL_CONTROL_TOL, max_iters=_NULL_CONTROL_MAX_ITERS)

@@ -1,3 +1,4 @@
+import copy
 import csv
 import dataclasses
 import json
@@ -10,6 +11,8 @@ import degenpde.cli as cli
 from degenpde import CoefficientModel, SpaceTimeGrid
 from degenpde.cli import DEFAULT_CONFIG, PRESETS, _carleman_profile, build_model, main, verdict
 from degenpde.control import synthesize_null_control
+from degenpde.inequalities import default_s_values
+from degenpde.weights import WeightParams, theta
 
 LEAVES = [f"{section}.{leaf}" for section, leaves in DEFAULT_CONFIG.items()
           for leaf in leaves]
@@ -27,10 +30,10 @@ class TestConfigHandling:
     def test_defaults_complete(self):
         # the identity section held only its s samples, which are constants now, the
         # null_control section a horizon, a CG gate and a cap, and the weight section
-        # the weight constants c1 and c2, constants too
+        # the weight constants c1 and c2, constants too, as are grid.T and scan.T
         assert list(DEFAULT_CONFIG) == ["coefficient", "grid", "potential", "control",
                                         "hp", "scan", "caccioppoli", "observability", "run"]
-        assert len(LEAVES) == 24
+        assert len(LEAVES) == 22
 
     def test_presets_cover_grid(self):
         assert len(PRESETS) == 6
@@ -113,7 +116,6 @@ class TestConfigHandling:
         ("carleman-identity --set coefficient.x0=0.5", "grid.N", "2"),
         ("carleman-scan --set coefficient.x0=0.5", "grid.N", "2"),
         # inputs that raised a traceback
-        ("carleman-scan", "scan.T", "0"),
         ("caccioppoli", "caccioppoli.T", "-1"),
         ("observability", "observability.T", "0"),
         ("null-control", "null_control.T", "-0.5"),
@@ -128,6 +130,8 @@ class TestConfigHandling:
         ("carleman-scan", "scan.s_start", "-1"),
         # the horizons, null_control.tol and max_iters are constants now: an unknown key
         ("null-control", "null_control.tol", "0"),
+        ("carleman-scan", "scan.T", "1"),
+        ("carleman-identity", "grid.T", "2"),
         # a deleted key, now unknown: the gates are constants, and alpha 0 is the constant
         ("carleman-identity", "weight.c2_margin", "x"),
         ("hp", "hp.stability_tol", "1"),
@@ -164,33 +168,15 @@ class TestConfigHandling:
         ("observability", "observability.T", "Infinity"),
         # a time step of 0 (a ZeroDivisionError traceback) or one whose reciprocal
         # is infinite (a solver traceback) on the fine level, 2 grid.M steps
-        ("carleman-identity", "grid.T", "5e-324"),
-        ("check-coeff", "grid.T", "1e-310"),
-        ("carleman-scan", "scan.T", "1e-310"),
         ("caccioppoli", "caccioppoli.T", "5e-324"),
         ("observability", "observability.T", "5e-324"),
         ("observability", "observability.T", "1e-310"),
         ("null-control", "null_control.T", "1e-310"),
         ("carleman-identity", "identity.s_values", "[Infinity]"),
-        # a T whose largest Carleman time factor (s Theta)^3 overflows at the first
-        # interior time: an overflow traceback
-        ("carleman-identity", "grid.T", "1e-12"),
-        ("carleman-scan", "scan.T", "1e-12"),
-        ("carleman-identity", "grid.T", "1e-200"),
-        ("carleman-scan", "scan.T", "1e-200"),
-        # at the default T a k whose (k Theta)^3, or whose own cube, overflows names
-        # the key that sets k: scan.n_s (k = 1.5^(n_s - 1))
+        # a k whose (k Theta)^3, or whose own cube, overflows names the key that sets
+        # k: scan.n_s (k = 1.5^(n_s - 1))
         ("carleman-scan", "scan.n_s", "560"),
         ("carleman-scan", "scan.n_s", "600"),
-        # a T at which the largest quantity a check forms overflows: the identity's
-        # square of its profile (an overflow traceback, and from 1.4e31 a ValueError
-        # from carleman_identity_check, which found w not vanishing at x = 0 and 1), the
-        # time integral of the scan's h^2 (an overflow traceback)
-        ("carleman-identity", "grid.T", "1e16"),
-        ("carleman-identity", "grid.T", "1.4e31"),
-        ("carleman-identity", "grid.T", "1e40"),
-        ("carleman-scan", "scan.T", "1e70"),
-        ("carleman-scan", "scan.T", "1e80"),
         # a constant potential whose c v term of h overflows it (an overflow traceback)
         ("carleman-scan", "potential.value", "1e200"),
         # a T whose peak (T/2)^2 of t (T - t), in the weight, overflows: an overflow
@@ -205,7 +191,7 @@ class TestConfigHandling:
         ("all", "grid.N", "1e12"),
         # a finest level of more nodes than an array can hold: a ValueError traceback
         # from np.linspace, or an OverflowError one from T / M
-        ("null-control --set grid.T=1e10", "grid.M", "1e307"),
+        ("null-control", "grid.M", "1e307"),
         ("null-control", "grid.M", "1e308"),
         ("all", "grid.N", "1e19"),
         ("hp", "hp.N", "1e19"),
@@ -221,27 +207,36 @@ class TestConfigHandling:
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {key}: ")
 
-    @pytest.mark.parametrize("task, key, expected", [("carleman-identity", "grid.T", 0),
-                                                     ("carleman-scan", "scan.T", 2)])
-    def test_small_T_above_the_overflow_edge_runs(self, tmp_path, task, key, expected):
-        # at T = 1e-10 (k Theta)^3 is finite: the task runs, and exit 2 is a failed verdict
-        code, out = run(tmp_path, task, *TINY, "--set", f"{key}=1e-10")
-        assert code == expected
-        assert list(out.glob("*.csv"))
+    def test_carleman_horizons_cannot_overflow_on_an_admitted_grid(self):
+        """At the largest grid.M that validate_config admits, (s Theta)^3 of the
+        largest s is finite at the finest level's first interior time on the
+        identity's and the scan's horizons, and the bound (T/2)^20 on the identity's
+        squares is at most 1: no overflow rule needs to name either horizon."""
+        def admitted(M):
+            config = copy.deepcopy(DEFAULT_CONFIG)
+            config["grid"]["M"] = M
+            try:
+                cli.validate_config(config)
+            except cli.ConfigError:
+                return False
+            return True
 
-    @pytest.mark.parametrize("task, extra, key, named, runs", [
-        ("carleman-identity", [], "grid.T", "grid.T", 5e15),
-        ("carleman-scan", [], "scan.T", "scan.T", 1e60),
-        # h carries -c v: where |c| > 10 dominates the bound, the rule names c's key
-        ("carleman-scan", ["--set", "potential.value=1000"], "scan.T", "potential.value", 1e60),
-        ("carleman-scan", [], "potential.value", "potential.value", 1e150),
-        ("caccioppoli", [], "caccioppoli.T", "caccioppoli.T", 2.68e154)],
-        ids=["grid.T", "scan.T", "scan.T-c1000", "potential.value", "caccioppoli.T"])
-    def test_largest_admitted_value_runs(self, tmp_path, capsys, task, extra, key, named, runs):
+        M = (cli._MAX_FLOATS - 1) // 2
+        assert admitted(M) and not admitted(M + 1)
+        scan_s = default_s_values(DEFAULT_CONFIG["scan"]["n_s"])[-1]
+        for T, s in ((cli._IDENTITY_T, max(cli._IDENTITY_S)), (cli._SCAN_T, scan_s)):
+            assert np.isfinite((s * theta(WeightParams(T, 1.0, s), T / (2 * M))) ** 3)
+        assert (cli._IDENTITY_T / 2) ** 20 <= 1.0
+
+    @pytest.mark.parametrize("task, key, symbol, runs", [
+        ("carleman-scan", "potential.value", "c", 1e150),
+        ("caccioppoli", "caccioppoli.T", "T", 2.68e154)],
+        ids=["potential.value", "caccioppoli.T"])
+    def test_largest_admitted_value_runs(self, tmp_path, capsys, task, key, symbol, runs):
         """The largest value of key that the task's overflow rule admits runs with
         every floating-point warning an error, and the next float exits 1 naming the
-        key the rule blames; a value that ran before the rule is admitted."""
-        argv = [task, *TINY, "--set", "scan.n_s=5", *extra]
+        key and its value alone; a value that ran before the rule is admitted."""
+        argv = [task, *TINY, "--set", "scan.n_s=5"]
 
         def as_float(bits):
             return struct.unpack("<d", struct.pack("<q", bits))[0]
@@ -265,7 +260,7 @@ class TestConfigHandling:
         code, _ = run(tmp_path, *argv, "--set", f"{key}={as_float(hi)!r}")
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {named}: T=") and err.endswith(" overflow\n")
+        assert err.startswith(f"error: {key}: {symbol}=") and err.endswith(" overflow\n")
 
     @pytest.mark.parametrize("key, argv", [
         ("null_control.u0", ["--set", "null_control.u0=foo"]),
@@ -364,7 +359,9 @@ class TestConfigHandling:
         # c2 > c2_min and overflow rules rejected
         ("weight.c1", "1e-3"), ("weight.c1", "1.0"), ("weight.c1", "0"),
         ("weight.c1", "1e100"), ("weight.c2", "0.1"), ("weight.c2", "abc"),
-        ("weight.c2", "Infinity"), ("weight.c2", "null")])
+        ("weight.c2", "Infinity"), ("weight.c2", "null"),
+        # the identity's and the scan's horizons, which moved verdicts both ways
+        ("grid.T", "1.0"), ("grid.T", "2"), ("scan.T", "2.0"), ("scan.T", "1")])
     def test_deleted_key_exits_1(self, tmp_path, capsys, key, value, via):
         argv = ["--set", f"{key}={value}"]
         if via == "--config":
@@ -529,11 +526,11 @@ class TestSubcommands:
                     seen.add(prefix)
         assert seen == set(gates)
 
-    def test_underflowed_scan_ratios_fail(self, tmp_path, capsys):
-        # at scan.T = 1e60 every LHS underflows to 0, so every ratio is 0: finite, but
-        # not a measurement
-        code, out = run(tmp_path, "carleman-scan", *TINY, "--set", "scan.n_s=5",
-                        "--set", "scan.T=1e60")
+    def test_underflowed_scan_ratios_fail(self, tmp_path, monkeypatch, capsys):
+        # at a scan horizon of 1e60 every LHS underflows to 0, so every ratio is 0:
+        # finite, but not a measurement
+        monkeypatch.setattr(cli, "_SCAN_T", 1e60)
+        code, out = run(tmp_path, "carleman-scan", *TINY, "--set", "scan.n_s=5")
         assert code == 2
         assert "[FAIL] scan_ratios_finite  value=0\n" in capsys.readouterr().out
         rows = list(csv.DictReader((out / "carleman_scan.csv").read_text().splitlines()[1:]))
@@ -687,6 +684,22 @@ class TestSubcommands:
         assert horizons == [0.25, 0.25]
         last_row = (out / "null_control_field.csv").read_text().splitlines()[-1]
         assert float(last_row.split(",")[0]) == 0.25
+
+    def test_each_carleman_task_reads_its_horizon(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_IDENTITY_T", 0.75)
+        monkeypatch.setattr(cli, "_SCAN_T", 1.5)
+        horizons = {}
+        for call in ("carleman_identity_check", "carleman_scan"):
+            def capture(model, grid, *args, real=getattr(cli, call), call=call, **kwargs):
+                horizons.setdefault(call, []).append(grid.T)
+                return real(model, grid, *args, **kwargs)
+
+            monkeypatch.setattr(cli, call, capture)
+        for task in ("carleman-identity", "carleman-scan"):
+            code, _ = run(tmp_path / task, task, *TINY_SCAN)
+            assert code != 1
+        # two levels at each of the identity's two s, and the scan's two levels
+        assert horizons == {"carleman_identity_check": [0.75] * 4, "carleman_scan": [1.5] * 2}
 
     def test_potential_value_reaches_scan(self, tmp_path):
         # potential.value alone sets c; it was ignored unless potential.kind=constant

@@ -88,7 +88,7 @@ class TestOperator:
             config["coefficient"].update(PRESETS[preset]["coefficient"])
         model = build_model(config)
         for N in (3, 20, config["grid"]["N"]):
-            grid = build_grid(config, N=N, M=1)
+            grid = build_grid(config, 1.0, N=N, M=1)
             op = assemble_operator(model, grid)
             block = op.apply(np.eye(grid.N + 1))[1:-1, 1:-1]
             assert np.array_equal(block, block.T)
