@@ -104,7 +104,9 @@ class TestConfigHandling:
         assert sizes["hp.N"] == {"requested": 10 ** 12, "snapped": 10 ** 12}
 
     # the cases that name identity.s_values, caccioppoli.s_values, scan.s_start or
-    # scan.s_ratio exit 1 as an unknown key: the checks sample s from constants
+    # scan.s_ratio exit 1 as an unknown key: the checks sample s from constants; those
+    # that name grid.T or scan.T do too: the identity's and the scan's horizons are
+    # constants
     @pytest.mark.parametrize("task, key, value", [
         # lists and counts that would let a verdict pass without checking anything
         ("carleman-identity", "identity.s_values", "[]"),
@@ -116,6 +118,7 @@ class TestConfigHandling:
         ("carleman-identity --set coefficient.x0=0.5", "grid.N", "2"),
         ("carleman-scan --set coefficient.x0=0.5", "grid.N", "2"),
         # inputs that raised a traceback
+        ("carleman-scan", "scan.T", "0"),
         ("caccioppoli", "caccioppoli.T", "-1"),
         ("observability", "observability.T", "0"),
         ("null-control", "null_control.T", "-0.5"),
@@ -168,15 +171,33 @@ class TestConfigHandling:
         ("observability", "observability.T", "Infinity"),
         # a time step of 0 (a ZeroDivisionError traceback) or one whose reciprocal
         # is infinite (a solver traceback) on the fine level, 2 grid.M steps
+        ("carleman-identity", "grid.T", "5e-324"),
+        ("check-coeff", "grid.T", "1e-310"),
+        ("carleman-scan", "scan.T", "1e-310"),
         ("caccioppoli", "caccioppoli.T", "5e-324"),
         ("observability", "observability.T", "5e-324"),
         ("observability", "observability.T", "1e-310"),
         ("null-control", "null_control.T", "1e-310"),
         ("carleman-identity", "identity.s_values", "[Infinity]"),
+        # a T whose largest Carleman time factor (s Theta)^3 overflows at the first
+        # interior time: an overflow traceback
+        ("carleman-identity", "grid.T", "1e-12"),
+        ("carleman-scan", "scan.T", "1e-12"),
+        ("carleman-identity", "grid.T", "1e-200"),
+        ("carleman-scan", "scan.T", "1e-200"),
         # a k whose (k Theta)^3, or whose own cube, overflows names the key that sets
         # k: scan.n_s (k = 1.5^(n_s - 1))
         ("carleman-scan", "scan.n_s", "560"),
         ("carleman-scan", "scan.n_s", "600"),
+        # a T at which the largest quantity a check forms overflows: the identity's
+        # square of its profile (an overflow traceback, and from 1.4e31 a ValueError
+        # from carleman_identity_check, which found w not vanishing at x = 0 and 1), the
+        # time integral of the scan's h^2 (an overflow traceback)
+        ("carleman-identity", "grid.T", "1e16"),
+        ("carleman-identity", "grid.T", "1.4e31"),
+        ("carleman-identity", "grid.T", "1e40"),
+        ("carleman-scan", "scan.T", "1e70"),
+        ("carleman-scan", "scan.T", "1e80"),
         # a constant potential whose c v term of h overflows it (an overflow traceback)
         ("carleman-scan", "potential.value", "1e200"),
         # a T whose peak (T/2)^2 of t (T - t), in the weight, overflows: an overflow
